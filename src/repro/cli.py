@@ -213,8 +213,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             workers=workers,
             watchdog=watchdog,
             probe=args.probe,
-            fast_forward=args.fast_forward,
-            boundary_batch=args.boundary_batch,
             sampling=args.sampling,
             ci_width=args.ci_width,
             round_size=args.round_size,
@@ -604,23 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="trace per-stage divergence against the golden run "
         "(observational: outcomes stay bit-identical)",
-    )
-    p_camp.add_argument(
-        "--no-fast-forward",
-        action="store_false",
-        dest="fast_forward",
-        help="disable golden-prefix fast-forward and execute every "
-        "injected run in full (results are bit-identical either way; "
-        "this is the escape hatch for timing studies and debugging)",
-    )
-    p_camp.add_argument(
-        "--no-boundary-batch",
-        action="store_false",
-        dest="boundary_batch",
-        help="disable boundary fan-out: run one full snapshot restore "
-        "per injection instead of grouping injections by frame boundary "
-        "and sharing the restore (results are bit-identical either way; "
-        "this is the reference path CI diffs batched campaigns against)",
     )
     p_camp.add_argument(
         "--sampling",

@@ -45,12 +45,12 @@ at every prefix checkpoint:
   distinct allocations — just like a full run does.
 
 Restores are destructive (the flip may corrupt any restored object), so
-every restore rebuilds its state from the immutable tape.
+every restore rebuilds its mutable state from the immutable tape.
 
-**Boundary fan-out** (:class:`BoundaryFanOut`) amortizes the restore a
-second time: a campaign's plans are grouped by the boundary they resume
-from (see :func:`repro.faultinject.parallel.group_plan_indices`), each
-boundary's restore source is materialized **once per worker** — the
+Every restore runs through **boundary fan-out** (:class:`BoundaryFanOut`),
+which amortizes it across a campaign: plans are grouped by the boundary
+they resume from (see :func:`repro.faultinject.parallel.plan_groups`),
+each boundary's restore source is materialized **once per worker** — the
 frozen dead-allocation bytes are decoded into a shared read-only base —
 and every member injection clones its mutable state copy-on-write from
 that shared base instead of re-decoding the tape.  Fan-out members
@@ -191,11 +191,11 @@ class SnapshotTape:
     probe_events: list[tuple[str, int]]
     golden_cycles: int
     frame_shape: tuple[int, int]
-    boundary_cycles: list[int] = field(default_factory=list)
     #: The golden output panorama, kept so a fan-out member whose state
     #: re-converges to the tape can synthesize its golden tail without
-    #: executing it.  None only for tapes built by pre-fan-out callers.
-    golden_output: np.ndarray | None = None
+    #: executing it.
+    golden_output: np.ndarray
+    boundary_cycles: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.boundary_cycles:
@@ -455,7 +455,7 @@ class FastForward:
     Built once per ``(config, stream)`` per process (see
     :func:`repro.summarize.golden.golden_fast_forward`) and shared by
     every injected run of a campaign.  The tape and the materialized
-    frame table are immutable; every :meth:`resume` rebuilds fresh
+    frame table are immutable; every fan-out member rebuilds fresh
     mutable state from them.
     """
 
@@ -498,43 +498,6 @@ class FastForward:
             self._fanouts[index] = fan
             telemetry.counter_inc("campaign.fanout.groups")
         return fan
-
-    def resume(self, ctx: ExecutionContext, snapshot: FrameSnapshot) -> np.ndarray:
-        """Restore ``snapshot`` into ``ctx`` and run the live suffix.
-
-        ``ctx`` must be a fresh context carrying a real
-        :class:`FaultInjector` whose plan targets a cycle at or after
-        the snapshot.  Returns the run's output panorama, exactly as the
-        full workload closure would.
-        """
-        return self._resume(ctx, snapshot)
-
-    def _resume(
-        self,
-        ctx: ExecutionContext,
-        snapshot: FrameSnapshot,
-        dead_base: dict[int, np.ndarray] | None = None,
-        converge: bool = False,
-    ) -> np.ndarray:
-        injector = ctx.injector
-        state, live_bases = self._restore_app(snapshot)
-        self._restore_machine(snapshot, injector, live_bases, state, dead_base)
-        ctx.preload(snapshot.cycles, snapshot.profile_by_scope)
-        probes.replay_prefix(self.tape.probe_events[: snapshot.probe_count])
-        rng = np.random.default_rng(_ransac_seed(self.config, self.stream_name))
-        rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
-        if converge and self.tape.golden_output is not None:
-            # Fan-out members watch every post-fire boundary for exact
-            # re-convergence to the tape; the watch only observes until
-            # it proves the rest of the run is a golden replay.
-            injector.frame_boundary = _ConvergenceWatch(injector, self._by_frame())
-        try:
-            result = run_vs_resumed(
-                self.config, ctx, state, rng, self._frames, self._frame_shape
-            )
-        except _GoldenTailReached as reached:
-            return self._synthesize_tail(ctx, reached.snapshot)
-        return result.panorama
 
     def _by_frame(self) -> dict[int, FrameSnapshot]:
         if self._snapshot_by_frame is None:
@@ -607,7 +570,7 @@ class FastForward:
         injector: "FaultInjector",
         live_bases: dict[tuple, np.ndarray],
         state: PipelineState,
-        dead_base: dict[int, np.ndarray] | None = None,
+        dead_base: dict[int, np.ndarray],
     ) -> None:
         # Replay the prefix's first-use allocation sequence, in order,
         # into the injected run's fresh address space: the heap layout
@@ -628,18 +591,11 @@ class FastForward:
                         .view(record.dtype)
                         .reshape(record.shape)
                     )
-            elif dead_base is not None:
-                # Fan-out member: clone copy-on-write from the group's
-                # shared read-only base instead of re-decoding bytes.
-                array = dead_base[record.aid].copy()
             else:
-                # Dead allocation: fresh writable stand-in per restore
-                # (the flip may corrupt it; the tape stays pristine).
-                array = (
-                    np.frombuffer(record.frozen, dtype=record.dtype)
-                    .reshape(record.shape)
-                    .copy()
-                )
+                # Dead allocation: a writable copy-on-write clone of the
+                # group's shared read-only base (the flip may corrupt
+                # it; the base and the tape stay pristine).
+                array = dead_base[record.aid].copy()
             injector.space.ensure(array)
             objects[record.aid] = array
 
@@ -714,8 +670,8 @@ class BoundaryFanOut:
     shared base instead of re-decoding the tape per restore.  The clones
     are mandatory, not an optimization to skip: restores are destructive
     (a fired flip may corrupt any restored object), so nothing mutable
-    is ever shared between members.  The equivalence suite checks
-    batched campaigns byte-for-byte against unbatched ones.
+    is ever shared between members.  The differential suite checks
+    campaigns byte-for-byte against unrestored full runs.
     """
 
     def __init__(self, fast_forward: FastForward, index: int) -> None:
@@ -747,7 +703,13 @@ class BoundaryFanOut:
         return base
 
     def resume_member(self, ctx: ExecutionContext) -> np.ndarray:
-        """Run one member injection's live suffix off the shared base."""
+        """Restore this boundary into ``ctx`` and run the live suffix.
+
+        ``ctx`` must be a fresh context carrying a real
+        :class:`FaultInjector` whose plan targets a cycle after the
+        boundary.  Returns the run's output panorama, exactly as the
+        full workload closure would.
+        """
         if self._dead_base is None:
             self._dead_base = self._materialize()
             telemetry.counter_inc("campaign.fanout.shared_restores")
@@ -761,17 +723,34 @@ class BoundaryFanOut:
             telemetry.counter_inc(
                 f"campaign.fanout.b{self.snapshot.frame_index}.members"
             )
-        with telemetry.span(f"fanout.suffix.b{self.snapshot.frame_index}", ctx=ctx):
-            return self.fast_forward._resume(
-                ctx, self.snapshot, dead_base=self._dead_base, converge=True
-            )
+        ff = self.fast_forward
+        snapshot = self.snapshot
+        injector = ctx.injector
+        with telemetry.span(f"fanout.suffix.b{snapshot.frame_index}", ctx=ctx):
+            state, live_bases = ff._restore_app(snapshot)
+            ff._restore_machine(snapshot, injector, live_bases, state, self._dead_base)
+            ctx.preload(snapshot.cycles, snapshot.profile_by_scope)
+            probes.replay_prefix(ff.tape.probe_events[: snapshot.probe_count])
+            rng = np.random.default_rng(_ransac_seed(ff.config, ff.stream_name))
+            rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
+            # The watch only observes until it proves the rest of the run
+            # is a golden replay.
+            injector.frame_boundary = _ConvergenceWatch(injector, ff._by_frame())
+            try:
+                result = run_vs_resumed(
+                    ff.config, ctx, state, rng, ff._frames, ff._frame_shape
+                )
+            except _GoldenTailReached as reached:
+                return ff._synthesize_tail(ctx, reached.snapshot)
+            return result.panorama
 
 
 class _GoldenTailReached(Exception):
     """Control-flow signal: a fired member re-converged to the tape.
 
     Raised by :class:`_ConvergenceWatch` from the pipeline's
-    ``frame_boundary`` hook and caught inside ``FastForward._resume`` —
+    ``frame_boundary`` hook and caught inside
+    ``BoundaryFanOut.resume_member`` —
     it never escapes to outcome classification.
     """
 

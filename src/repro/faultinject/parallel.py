@@ -3,13 +3,11 @@
 Injection runs are embarrassingly parallel — each run derives its own
 RNG from ``(seed, index)`` and shares nothing with its neighbours except
 the (read-only) golden reference — so a campaign's wall clock scales
-with available cores.  The engine here keeps the serial path's exact
-semantics:
+with available cores.  Results never depend on the worker count:
 
 * the plan sequence is drawn **once, in order**, from the campaign seed
   in the parent process (workers never touch the plan RNG),
-* each run's injector RNG is the same ``(seed, index)`` derivation the
-  serial loop uses,
+* each run's injector RNG derives from ``(seed, index)`` alone,
 * results are reassembled **in injection order** before statistics are
   computed, so counts, running-rate trends, histograms and SDC outputs
   are bit-identical to ``workers=1``.
@@ -237,8 +235,7 @@ def _workload_state(spec: WorkloadSpec) -> tuple[Workload, np.ndarray, int]:
 
 
 #: Per-process cache: spec -> FastForward handle (or None when the spec
-#: offers no tape).  Kept separate from ``_WORKER_STATE`` so toggling
-#: ``config.fast_forward`` never has to invalidate workload state.
+#: offers no tape).
 _WORKER_FF: dict[WorkloadSpec, object] = {}
 
 
@@ -252,14 +249,15 @@ def clear_fast_forward_cache() -> None:
     _WORKER_FF.clear()
 
 
-def fast_forward_for(spec: WorkloadSpec | None, config: "CampaignConfig"):
-    """The (cached) fast-forward handle the campaign config calls for.
+def fast_forward_for(spec: WorkloadSpec | None, config: "CampaignConfig | None" = None):
+    """The (cached) fast-forward handle for ``spec``'s workload.
 
-    Returns ``None`` when fast-forward is off, when there is no spec to
-    rebuild a tape from (custom workload closures run in full), or when
-    the spec does not support snapshotting.
+    Returns ``None`` when there is no spec to rebuild a tape from
+    (custom workload closures run in full) or when the spec does not
+    support snapshotting (the WP workload).  The handle does not depend
+    on ``config``; the parameter is accepted for existing callers.
     """
-    if spec is None or not getattr(config, "fast_forward", True):
+    if spec is None:
         return None
     builder = getattr(spec, "build_fast_forward", None)
     if builder is None:
@@ -288,7 +286,6 @@ def monitor_for(
         watchdog=config.watchdog,
         probe=config.probe,
         fast_forward=fast_forward,
-        boundary_batch=getattr(config, "boundary_batch", True),
     )
 
 
@@ -299,9 +296,9 @@ def run_chunk_on_monitor(
 ) -> list[InjectionResult]:
     """Execute one chunk of ``(index, plan)`` pairs on ``monitor``.
 
-    The single source of the per-run RNG derivation — serial, worker
-    and degraded-fallback execution all run chunks through here, which
-    is what makes their results interchangeable bit for bit.
+    The single source of the per-run RNG derivation — worker and
+    in-process execution both run chunks through here, which is what
+    makes their results interchangeable bit for bit.
     """
     results = []
     for index, plan in chunk:
@@ -318,7 +315,7 @@ def run_injection_chunk(
     """Execute one chunk of ``(index, plan)`` pairs in this process.
 
     The module-level entry point workers import; also usable in-process
-    (the serial path and the tests go through the same code).
+    (the tests go through the same code).
     """
     workload, golden_output, golden_cycles = _workload_state(spec)
     monitor = monitor_for(
@@ -358,45 +355,32 @@ def run_injection_chunk_metered(
 # ---------------------------------------------------------------------------
 
 
-def compute_chunk_bounds(n_plans: int, workers: int) -> list[tuple[int, int]]:
-    """Deterministic contiguous ``(start, stop)`` chunk boundaries.
+def contiguous_groups(n_plans: int, workers: int) -> list[list[int]]:
+    """Deterministic contiguous plan-index groups for tapeless workloads.
 
-    Resume depends on replaying the original run's exact chunking, so
-    the boundaries are a pure function of ``(n_plans, workers)`` and the
-    journal header records them verbatim.
+    A pure function of ``(n_plans, workers)``: about
+    ``CHUNKS_PER_WORKER`` groups per worker, never empty.
     """
     if n_plans <= 0:
         return []
     n_chunks = min(n_plans, max(1, workers) * CHUNKS_PER_WORKER)
     edges = np.linspace(0, n_plans, n_chunks + 1).astype(int)
     return [
-        (int(start), int(stop))
-        for start, stop in zip(edges[:-1], edges[1:])
+        list(range(start, stop))
+        for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist())
         if stop > start
     ]
 
 
+# No caller in src/; perfbench/layers.py patches it by name, so it stays for now.
 def chunks_from_bounds(
     plans: list[InjectionPlan],
     bounds: list[tuple[int, int]],
     index_base: int = 0,
 ) -> list[list[tuple[int, InjectionPlan]]]:
-    """Materialize the indexed plan chunks for the given boundaries.
-
-    ``index_base`` offsets the per-run RNG index: stratified campaigns
-    execute plans round by round, and each round's runs must continue
-    the campaign-global ``(seed, index)`` derivation rather than restart
-    it at zero.  Bounds stay in local (0-based) plan positions.
-    """
+    """Materialize the indexed plan chunks for contiguous boundaries."""
     indexed = list(enumerate(plans, start=index_base))
     return [indexed[start:stop] for start, stop in bounds]
-
-
-def chunk_indexed_plans(
-    plans: list[InjectionPlan], workers: int
-) -> list[list[tuple[int, InjectionPlan]]]:
-    """Split the plan list into order-preserving contiguous chunks."""
-    return chunks_from_bounds(plans, compute_chunk_bounds(len(plans), workers))
 
 
 def group_plan_indices(
@@ -405,18 +389,16 @@ def group_plan_indices(
 ) -> list[list[int]]:
     """Partition plan indices by the frame boundary they resume from.
 
-    The boundary-batched scheduler's unit of dispatch: all plans whose
-    target cycle fast-forwards from the same golden frame boundary form
-    one group, so a worker materializes that boundary's restore once and
-    fans every member out of it.  Plans with no eligible boundary
-    (targets before the first skippable frame) share a single fallback
-    group of full runs.
+    All plans whose target cycle fast-forwards from the same golden
+    frame boundary form one group, so a worker materializes that
+    boundary's restore once and fans every member out of it.  Plans
+    with no eligible boundary (targets before the first skippable
+    frame) share a single group of full runs.
 
     Deterministic and order-preserving: groups are emitted in order of
     their first member's plan index, and members within a group keep
     ascending plan index.  The flattened groups are a permutation of
-    ``range(len(plans))`` — the journal records them verbatim so a
-    resume replays the exact original dispatch.
+    ``range(len(plans))``.
     """
     members: dict[int | None, list[int]] = {}
     for index, plan in enumerate(plans):
@@ -425,16 +407,44 @@ def group_plan_indices(
     return sorted(members.values(), key=lambda group: group[0])
 
 
+def plan_groups(
+    spec: WorkloadSpec | None,
+    config: "CampaignConfig",
+    plans: list[InjectionPlan],
+) -> tuple[list[list[int]], int]:
+    """The campaign's dispatch groups and the worker count serving them.
+
+    Groups are the scheduler's only unit: each is executed whole by one
+    worker and checkpointed as one journal chunk.  With a snapshot tape
+    they are the plans' resume boundaries (:func:`group_plan_indices`);
+    tapeless workloads (the WP spec, spec-less closures) get contiguous
+    index ranges (:func:`contiguous_groups`), so they keep their pool
+    parallelism.  The worker count is clamped to the group count —
+    more workers than groups only buys idle pool startup.  The journal
+    records the groups verbatim, so a resume replays the exact original
+    dispatch.
+    """
+    ff = fast_forward_for(spec, config)
+    if ff is not None:
+        groups = group_plan_indices(ff.boundary_index_for, plans)
+    else:
+        workers = resolve_workers(config.workers, max_useful=len(plans))
+        groups = contiguous_groups(len(plans), workers)
+    return groups, resolve_workers(config.workers, max_useful=len(groups))
+
+
 def chunks_from_groups(
     plans: list[InjectionPlan],
     groups: list[list[int]],
     index_base: int = 0,
 ) -> list[list[tuple[int, InjectionPlan]]]:
-    """Materialize indexed plan chunks, one chunk per boundary group.
+    """Materialize indexed plan chunks, one chunk per group.
 
     Group members are local plan positions; ``index_base`` offsets only
-    the RNG index carried alongside each plan (see
-    :func:`chunks_from_bounds`).
+    the RNG index carried alongside each plan: stratified campaigns
+    execute plans round by round, and each round's runs must continue
+    the campaign-global ``(seed, index)`` derivation rather than
+    restart it at zero.
     """
     return [
         [(index_base + index, plans[index]) for index in group] for group in groups
@@ -474,13 +484,11 @@ class _ChunkCollector:
         journal: "CampaignJournal | None",
         progress: Callable[[int], None] | None,
         completed: dict[int, list[InjectionResult]],
-        unit: str = "chunk",
         done_base: int = 0,
     ) -> None:
         self.tracer = tracer
         self.journal = journal
         self.progress = progress
-        self.unit = unit
         # Injections secured before this collector existed (stratified
         # rounds call the executor once per round): offsets the ``done``
         # totals events report, never the progress callback.
@@ -514,7 +522,7 @@ class _ChunkCollector:
                 if result.hang_kind is HangKind.WATCHDOG:
                     watchdog_hangs += 1
             observe_events.emit(
-                f"{self.unit}_done",
+                "chunk_done",
                 index=chunk_index,
                 size=len(results),
                 done=self.done_base + self.injections_done,
@@ -547,9 +555,8 @@ def execute_plans_parallel(
     workers: int,
     progress: Callable[[int], None] | None = None,
     *,
+    groups: list[list[int]],
     local_state: tuple[Workload, np.ndarray, int] | None = None,
-    bounds: list[tuple[int, int]] | None = None,
-    groups: list[list[int]] | None = None,
     completed: dict[int, list[InjectionResult]] | None = None,
     journal: "CampaignJournal | None" = None,
     annotate: Callable[[str], None] | None = None,
@@ -558,9 +565,13 @@ def execute_plans_parallel(
 ) -> list[InjectionResult]:
     """Run all plans, in injection order, surviving worker failures.
 
-    The happy path dispatches chunks to a process pool and drains them
-    in chunk order.  Infrastructure failures — a worker killed by the
-    OS (``BrokenProcessPool``) or a chunk exceeding its hard wall-clock
+    Each group of plan indices (see :func:`plan_groups`) is one chunk:
+    it lands whole on one worker, shares its boundary restore there, and
+    is journaled as one record.  With a spec and more than one worker
+    the chunks go to a process pool and are drained in chunk order;
+    otherwise they run in-process through the same chunk runner.
+    Infrastructure failures — a worker killed by the OS
+    (``BrokenProcessPool``) or a chunk exceeding its hard wall-clock
     deadline — never abort the campaign: already-finished chunks are
     swept from the broken pool, the remainder is retried under
     ``config.retry`` (exponential backoff + jitter, bounded attempts,
@@ -571,16 +582,11 @@ def execute_plans_parallel(
 
     ``completed`` chunks (from a journal replay) are skipped;
     ``journal`` makes each newly finished chunk durable before it is
-    counted.  ``bounds`` pins the chunk boundaries (resume must reuse
-    the original run's); by default they derive from ``workers``.
-    ``groups`` (boundary-batched mode) replaces index chunking entirely:
-    each group of plan indices sharing a fast-forward boundary becomes
-    one chunk, so a whole group lands on one worker and shares its
-    restore.  Results are still flattened in plan-index order, so the
-    output is a plain in-order result list either way.  ``index_base``
-    offsets the per-run RNG index without shifting chunk/group
-    positions — stratified campaigns use it so each round continues the
-    campaign-global ``(seed, index)`` derivation.
+    counted.  Results are flattened back into plan-index order, so the
+    output is a plain in-order result list.  ``index_base`` offsets the
+    per-run RNG index without shifting group positions — stratified
+    campaigns use it so each round continues the campaign-global
+    ``(seed, index)`` derivation.
 
     When telemetry is enabled, each chunk returns a worker-side metric
     snapshot; snapshots are merged into the parent tracer **in chunk
@@ -590,12 +596,7 @@ def execute_plans_parallel(
     human-readable notes about retries and degradation (wired to the
     heartbeat by the campaign driver).
     """
-    if groups is not None:
-        chunks = chunks_from_groups(plans, groups, index_base=index_base)
-    else:
-        if bounds is None:
-            bounds = compute_chunk_bounds(len(plans), workers)
-        chunks = chunks_from_bounds(plans, bounds, index_base=index_base)
+    chunks = chunks_from_groups(plans, groups, index_base=index_base)
     if not chunks:
         return []
     retry = config.retry if config.retry is not None else RetryPolicy()
@@ -607,7 +608,6 @@ def execute_plans_parallel(
         journal,
         progress,
         completed or {},
-        unit="group" if groups is not None else "chunk",
         done_base=index_base,
     )
     if collector.results_by_chunk and progress is not None:
@@ -701,8 +701,9 @@ def execute_plans_parallel(
             raise
 
     if pending:
-        # Serial in-process fallback (also the spec-less/journal-only
-        # path): same chunk runner, same RNG derivation, same results.
+        # In-process execution (one worker, no spec, or the retry
+        # budget's fallback): same chunk runner, same RNG derivation,
+        # same results.
         if local_state is not None:
             workload, golden_output, golden_cycles = local_state
         elif spec is not None:
@@ -731,11 +732,9 @@ def execute_plans_parallel(
             pending.remove(index)
 
     flat = collector.finish(len(chunks))
-    if groups is None:
-        return flat
-    # Group chunks are ordered by first member, not contiguous by plan
-    # index — put the flattened results back into injection order, so
-    # downstream statistics see exactly the serial path's sequence.
+    # Boundary groups are ordered by first member, not contiguous by
+    # plan index — put the flattened results back into injection order,
+    # so downstream statistics see the plans' own sequence.
     reordered: list[InjectionResult | None] = [None] * len(flat)
     for position, plan_index in enumerate(index for group in groups for index in group):
         reordered[plan_index] = flat[position]

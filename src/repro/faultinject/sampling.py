@@ -45,12 +45,7 @@ from repro.faultinject.journal import (
     require_sampling_mode,
 )
 from repro.faultinject.outcomes import Outcome, OutcomeCounts
-from repro.faultinject.parallel import (
-    execute_plans_parallel,
-    fast_forward_for,
-    group_plan_indices,
-    resolve_workers,
-)
+from repro.faultinject.parallel import execute_plans_parallel, fast_forward_for, plan_groups
 from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, RegKind
 from repro.observe import events as observe_events
 
@@ -609,7 +604,7 @@ def _prepare_stratified_journal(
     journal_path: Path,
     resume: bool,
 ) -> tuple[CampaignJournal, list[list["InjectionResult"]], bool]:
-    """Open (or reopen) a round-granularity (schema v3) journal.
+    """Open (or reopen) a round-granularity journal.
 
     Returns ``(journal, replayable_rounds, discarded_partial)``.  Only
     the contiguous prefix of journaled rounds replays: round ``k``'s
@@ -662,9 +657,9 @@ def run_stratified_campaign(
     round is a pure function of the accumulated statistics — so a
     journaled campaign interrupted at any round boundary (or killed
     mid-round) resumes bit-identically, and worker count never changes
-    results.  Rounds reuse the boundary fan-out scheduler: each round's
-    plans are grouped by their fast-forward resume boundary exactly as
-    a uniform batched campaign's would be.
+    results.  Rounds reuse the campaign scheduler: each round's plans
+    are grouped by :func:`~repro.faultinject.parallel.plan_groups`
+    exactly as a uniform campaign's would be.
     """
     # Lazy import: campaign.run_campaign dispatches into this module, so
     # a module-level import either way would be circular.
@@ -674,13 +669,6 @@ def run_stratified_campaign(
     ff = fast_forward_for(spec, config)
     stratification = build_stratification(config, golden_cycles, fast_forward=ff)
     state = _StratifiedState(stratification, config)
-
-    batching = (
-        ff is not None
-        and config.boundary_batch
-        and spec is not None
-        and hasattr(spec, "build_fast_forward")
-    )
 
     observe_events.emit(
         "campaign_start",
@@ -747,22 +735,14 @@ def run_stratified_campaign(
                     plans = state.plan_round()
                 if not plans:
                     break
-                groups = (
-                    group_plan_indices(ff.boundary_index_for, plans)
-                    if batching
-                    else None
-                )
-                workers = resolve_workers(
-                    config.workers,
-                    max_useful=min(len(plans), len(groups)) if groups else len(plans),
-                )
+                groups, workers = plan_groups(spec, config, plans)
                 results = execute_plans_parallel(
                     spec,
                     config,
                     plans,
                     workers,
-                    local_state=(workload, golden_output, golden_cycles),
                     groups=groups,
+                    local_state=(workload, golden_output, golden_cycles),
                     annotate=annotate,
                     index_base=state.total_draws,
                 )

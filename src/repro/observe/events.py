@@ -37,7 +37,9 @@ from typing import Callable, Mapping
 
 #: Bump when an event kind is removed or a payload field changes
 #: meaning; adding new kinds or payload fields is backward compatible.
-EVENT_SCHEMA_VERSION = 1
+#: v2: one dispatch unit — ``chunk_done`` only; the serial loop's
+#: per-injection kind and the fan-out group kind are gone.
+EVENT_SCHEMA_VERSION = 2
 
 #: Every event kind the engine emits (the typed vocabulary).  Tests
 #: assert emitted kinds stay inside this set; subscribers may rely on
@@ -46,9 +48,7 @@ EVENT_KINDS = frozenset(
     {
         "campaign_start",  # one campaign began (mode, total, workers)
         "campaign_finish",  # final outcome counts
-        "injection_done",  # one injection finished (serial loop)
-        "chunk_done",  # one index chunk secured (parallel/journaled)
-        "group_done",  # one boundary group secured (fan-out mode)
+        "chunk_done",  # one dispatch group secured (the journal's chunk)
         "round_done",  # one stratified sampling round absorbed
         "retry",  # a worker-pool failure triggered a chunk retry
         "degrade",  # worker count halved / serial fallback engaged

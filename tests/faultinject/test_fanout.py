@@ -1,47 +1,33 @@
-"""Boundary fan-out suite: grouped dispatch, shared restores, golden tails.
+"""Boundary fan-out scheduler: grouped dispatch, shared restores, telemetry.
 
-The contract under test (see ``src/repro/faultinject/fastforward.py``
-and ISSUE 6): a boundary-batched campaign — plans grouped by the frame
-boundary they resume from, one materialized restore per group per
-worker, per-run state cloned copy-on-write, golden tails synthesized
-for re-converged runs — is **bit-identical** to ``--no-boundary-batch``
-execution at any worker count, with probes on, and across a journal
-interrupt/resume.  Plus the scheduler pieces: group partitioning edge
-cases, chunk-bound edge cases, worker clamping to the group count, and
-the per-boundary amortization section of ``repro trace summarize``.
+Campaign records are checked against the unrestored oracle by the
+differential suite in ``test_fastforward.py``.  This module covers the
+scheduler pieces around it: group partitioning edge cases, contiguous
+groups for tapeless workloads, worker clamping to the group count,
+group-granularity journal checkpoints, and the fan-out counters and
+per-boundary amortization section of ``repro trace summarize``.
 """
 
 from __future__ import annotations
 
-import os
-from unittest import mock
-
-import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.analysis.experiments import TINY, input_stream, vs_workload
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.injector import InjectionPlan
-from repro.faultinject.journal import (
-    ABORT_AFTER_ENV,
-    CampaignInterrupted,
-    JournalError,
-    load_journal,
-    serialize_result,
-)
-from repro.faultinject.monitor import FaultMonitor
+from repro.faultinject.journal import load_journal
 from repro.faultinject.parallel import (
     VSWorkloadSpec,
-    compute_chunk_bounds,
+    contiguous_groups,
     group_plan_indices,
+    plan_groups,
     resolve_workers,
 )
 from repro.faultinject.registers import RegKind
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import clear_golden_cache, golden_fast_forward, golden_run
 from repro.telemetry.export import render_summary, summarize_trace, write_trace
-from tests.faultinject.test_parallel import _campaigns_equal
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +45,6 @@ def _config(**overrides) -> CampaignConfig:
     defaults = dict(n_injections=16, kind=RegKind.GPR, seed=8)
     defaults.update(overrides)
     return CampaignConfig(**defaults)
-
-
-def _assert_identical(first, second) -> None:
-    """Bit-exact equality, down to serialized records (incl. divergence)."""
-    _campaigns_equal(first, second)
-    for a, b in zip(first.results, second.results):
-        assert serialize_result(a) == serialize_result(b)
 
 
 def _plan(cycle: int) -> InjectionPlan:
@@ -115,26 +94,29 @@ class TestGroupPartition:
 
 class TestChunkBoundEdges:
     def test_zero_plans_is_empty(self):
-        assert compute_chunk_bounds(0, 4) == []
+        assert contiguous_groups(0, 4) == []
 
     def test_negative_plans_is_empty(self):
-        assert compute_chunk_bounds(-3, 4) == []
+        assert contiguous_groups(-3, 4) == []
 
     def test_fewer_plans_than_workers_yields_nonempty_chunks(self):
-        bounds = compute_chunk_bounds(3, 8)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 3
-        assert all(stop > start for start, stop in bounds)
-        assert len(bounds) == 3
+        assert contiguous_groups(3, 8) == [[0], [1], [2]]
 
     def test_single_plan_single_chunk(self):
-        assert compute_chunk_bounds(1, 8) == [(0, 1)]
+        assert contiguous_groups(1, 8) == [[0]]
+
+    def test_tapeless_campaign_gets_contiguous_groups(self):
+        # No spec, no tape: index ranges sized by the worker count.
+        plans = [_plan(cycle) for cycle in range(10)]
+        groups, workers = plan_groups(None, _config(workers=2), plans)
+        assert groups == contiguous_groups(10, 2)
+        assert workers == 2
 
 
 class TestWorkerClamp:
     def test_workers_clamped_to_group_count(self):
-        # The boundary-batched scheduler clamps max_useful to
-        # min(n_plans, n_groups): more workers than groups only buys
-        # idle pool startup.
+        # The scheduler clamps the pool to the group count: more
+        # workers than groups only buys idle pool startup.
         assert resolve_workers(8, max_useful=min(12, 3)) == 3
 
     def test_explicit_request_still_validated_before_clamp(self):
@@ -146,112 +128,14 @@ class TestWorkerClamp:
         fast_forward = golden_fast_forward(stream, config)
         from repro.faultinject.campaign import draw_plans
 
-        plans = draw_plans(_config(n_injections=12, seed=10), golden.total_cycles)
-        groups = group_plan_indices(fast_forward.boundary_index_for, plans)
-        clamped = resolve_workers(64, max_useful=min(len(plans), max(1, len(groups))))
-        assert clamped == len(groups) <= len(plans)
-
-
-class TestBatchedEquivalence:
-    def test_serial_batched_matches_unbatched(self, vs):
-        stream, config, golden, workload, spec = vs
-        unbatched = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(boundary_batch=False),
-            spec=spec,
-        )
-        batched = run_campaign(
-            workload, golden.output, golden.total_cycles, _config(), spec=spec
-        )
-        _assert_identical(unbatched, batched)
-
-    def test_parallel_batched_matches_unbatched_serial(self, vs):
-        stream, config, golden, workload, spec = vs
-        unbatched = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=12, seed=10, boundary_batch=False),
-            spec=spec,
-        )
-        batched = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=12, seed=10, workers=3),
-            spec=spec,
-        )
-        _assert_identical(unbatched, batched)
-
-    def test_probed_divergence_records_identical(self, vs):
-        stream, config, golden, workload, spec = vs
-        unbatched = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=10, probe=True, boundary_batch=False),
-            spec=spec,
-        )
-        batched = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=10, probe=True),
-            spec=spec,
-        )
-        _assert_identical(unbatched, batched)
-
-    def test_pre_first_boundary_plan_runs_full_and_matches(self, vs):
-        """A target before the first skippable boundary cannot resume —
-        the batched monitor must fall back to a full run and still be
-        bit-identical to a no-fast-forward monitor."""
-        stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
-        plan = _plan(1)
-        assert fast_forward.boundary_index_for(plan.target_cycle) is None
-        batched = FaultMonitor(
-            workload, golden.output, golden.total_cycles, fast_forward=fast_forward
-        )
-        plain = FaultMonitor(workload, golden.output, golden.total_cycles)
-        a = batched.run_injected(plan, np.random.default_rng(7))
-        b = plain.run_injected(plan, np.random.default_rng(7))
-        assert serialize_result(a) == serialize_result(b)
+        campaign_config = _config(n_injections=12, seed=10, workers=64)
+        plans = draw_plans(campaign_config, golden.total_cycles)
+        groups, workers = plan_groups(spec, campaign_config, plans)
+        assert groups == group_plan_indices(fast_forward.boundary_index_for, plans)
+        assert workers == len(groups) <= len(plans)
 
 
 class TestJournalInterplay:
-    def test_interrupt_then_resume_under_batching(self, vs, tmp_path):
-        stream, config, golden, workload, spec = vs
-        reference = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(workers=3, boundary_batch=False),
-            spec=spec,
-        )
-        journal = tmp_path / "fanout.jsonl"
-        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    workload,
-                    golden.output,
-                    golden.total_cycles,
-                    _config(workers=3),
-                    spec=spec,
-                    journal_path=journal,
-                )
-        resumed = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(workers=3),
-            spec=spec,
-            journal_path=journal,
-            resume=True,
-        )
-        _assert_identical(reference, resumed)
-
     def test_journal_checkpoints_at_group_granularity(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
         fast_forward = golden_fast_forward(stream, config)
@@ -272,34 +156,9 @@ class TestJournalInterplay:
         )
         state = load_journal(journal)
         assert state.groups == groups
-        assert state.chunk_bounds == []
         assert sorted(state.chunks) == list(range(len(groups)))
         for index, group in enumerate(groups):
             assert len(state.chunks[index]) == len(group)
-
-    def test_mixed_mode_resume_rejected(self, vs, tmp_path):
-        stream, config, golden, workload, spec = vs
-        journal = tmp_path / "fanout.jsonl"
-        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    workload,
-                    golden.output,
-                    golden.total_cycles,
-                    _config(n_injections=8),
-                    spec=spec,
-                    journal_path=journal,
-                )
-        with pytest.raises(JournalError, match="different campaign"):
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(n_injections=8, boundary_batch=False),
-                spec=spec,
-                journal_path=journal,
-                resume=True,
-            )
 
 
 class TestTelemetry:
@@ -309,7 +168,9 @@ class TestTelemetry:
         # FastForward handle, and creation-time counters only fire for
         # fan-outs materialized while tracing is on.
         clear_golden_cache()
-        tracer = telemetry.enable()
+        # A fresh tracer, so the counts cover this campaign alone even
+        # when REPRO_TRACE=1 has tracing on for the whole session.
+        tracer, previous = telemetry.swap_in_fresh_tracer()
         try:
             run_campaign(
                 workload,
@@ -320,7 +181,7 @@ class TestTelemetry:
             )
             registry = tracer.registry
         finally:
-            telemetry.disable()
+            telemetry.restore_tracer(previous)
         groups = registry.counter("campaign.fanout.groups")
         assert groups >= 1
         assert registry.counter("campaign.fanout.shared_restores") == groups

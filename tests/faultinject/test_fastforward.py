@@ -1,32 +1,42 @@
-"""Golden-prefix fast-forward equivalence suite.
+"""Differential suite: production campaigns against an unrestored oracle.
 
-The contract under test (see ``src/repro/faultinject/fastforward.py``):
-a fast-forwarded campaign is **bit-identical** to a full one — same
-outcome sequence, crash/hang kinds, cycle counts, SDC payloads and
-divergence records — at any worker count, with probes on, and across a
-journal interrupt/resume.  Plus the snapshot-restore property: restoring
-any frame boundary under a never-firing injector reproduces the golden
-run exactly.
+Every injected run of a campaign resumes through boundary fan-out (see
+``src/repro/faultinject/fastforward.py``): it restores the last golden
+frame boundary before its target cycle, runs only the live suffix, and
+may synthesize a golden tail once it re-converges.  The contract is
+that none of this is visible in the results.  The oracle is a
+:class:`FaultMonitor` without a fast-forward handle — every run executes
+from cycle 0 — driven per plan with the campaign's own
+``(seed + 1) * 1_000_003 + index`` RNG derivation.  The property below
+generates (approximation, register kind, seed, plan subset, worker
+count, probe, interrupt point) and requires the campaign's serialized
+records to equal the oracle's, outcome classes, cycle counts, SDC
+payloads and divergence records included.
+
+Plans no uniform draw reaches on the tiny workload are pinned as
+targeted oracle tests: a genuine HANG, and a target before the first
+skippable boundary.  The snapshot-restore property and the boundary
+lookup are checked directly.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.analysis.experiments import TINY, input_stream, vs_workload
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.injector import FaultInjector, InjectionPlan
-from repro.faultinject.journal import (
-    ABORT_AFTER_ENV,
-    CampaignInterrupted,
-    JournalError,
-    serialize_result,
-)
+from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted, serialize_result
 from repro.faultinject.monitor import FaultMonitor
 from repro.faultinject.outcomes import HangKind, Outcome
 from repro.faultinject.parallel import VSWorkloadSpec
@@ -34,89 +44,114 @@ from repro.faultinject.registers import RegKind
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import golden_fast_forward, golden_run
-from tests.faultinject.test_parallel import _campaigns_equal
+
+#: The VS variants the property draws from.
+APPROXIMATIONS = ("VS", "VS_KDS")
 
 
-@pytest.fixture(scope="module")
-def vs():
-    """Shared tiny VS workload: (stream, config, golden, workload, spec)."""
+@functools.lru_cache(maxsize=None)
+def _workload(approximation: str):
+    """Tiny workload for one variant: (stream, config, golden, workload, spec)."""
     stream = input_stream("input1", TINY)
-    config = config_for("VS")
+    config = config_for(approximation)
     golden = golden_run(stream, config)
     spec = VSWorkloadSpec.for_stream(stream, config)
     assert spec is not None
     return stream, config, golden, vs_workload(stream, config), spec
 
 
-def _config(**overrides) -> CampaignConfig:
-    defaults = dict(n_injections=16, kind=RegKind.GPR, seed=8)
-    defaults.update(overrides)
-    return CampaignConfig(**defaults)
+@pytest.fixture(scope="module")
+def vs():
+    return _workload("VS")
 
 
-def _assert_identical(first, second) -> None:
-    """Bit-exact equality, down to serialized records (incl. divergence)."""
-    _campaigns_equal(first, second)
-    for a, b in zip(first.results, second.results):
-        assert serialize_result(a) == serialize_result(b)
+#: (approximation, kind, seed, index, probe) -> the oracle's serialized
+#: record.  Plans of one seed are a prefix-stable sequence, so examples
+#: sharing a seed share oracle runs.
+_ORACLE: dict[tuple, dict] = {}
 
 
-class TestCampaignEquivalence:
-    def test_serial_all_outcome_classes(self, vs):
-        stream, config, golden, workload, spec = vs
-        full = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(fast_forward=False),
-            spec=spec,
+def _oracle_record(approximation: str, config: CampaignConfig, index: int, plan) -> dict:
+    key = (approximation, config.kind, config.seed, index, config.probe)
+    if key not in _ORACLE:
+        _, _, golden, workload, _ = _workload(approximation)
+        monitor = FaultMonitor(
+            workload, golden.output, golden.total_cycles, probe=config.probe
         )
-        fast = run_campaign(
-            workload, golden.output, golden.total_cycles, _config(), spec=spec
-        )
-        outcomes = {r.outcome for r in full.results}
-        assert {Outcome.MASKED, Outcome.SDC, Outcome.CRASH} <= outcomes
-        _assert_identical(full, fast)
+        rng = np.random.default_rng((config.seed + 1) * 1_000_003 + index)
+        _ORACLE[key] = serialize_result(monitor.run_injected(plan, rng))
+    return _ORACLE[key]
 
-    def test_parallel_matches_full_serial(self, vs):
-        stream, config, golden, workload, spec = vs
-        full_serial = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=12, seed=10, fast_forward=False),
-            spec=spec,
-        )
-        fast_parallel = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=12, seed=10, workers=3),
-            spec=spec,
-        )
-        _assert_identical(full_serial, fast_parallel)
 
-    def test_probed_divergence_records_identical(self, vs):
-        stream, config, golden, workload, spec = vs
-        full = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=10, probe=True, fast_forward=False),
-            spec=spec,
-        )
-        fast = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(n_injections=10, probe=True),
-            spec=spec,
-        )
-        assert any(
-            r.divergence is not None and r.divergence.first_divergence
-            for r in full.results
-        )
-        _assert_identical(full, fast)
+def _run(approximation: str, config: CampaignConfig, journal: Path | None, resume=False):
+    _, _, golden, workload, spec = _workload(approximation)
+    return run_campaign(
+        workload,
+        golden.output,
+        golden.total_cycles,
+        config,
+        spec=spec,
+        journal_path=journal,
+        resume=resume,
+    )
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=10,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    approximation=st.sampled_from(APPROXIMATIONS),
+    kind=st.sampled_from([RegKind.GPR, RegKind.FPR]),
+    seed=st.integers(0, 2**16),
+    n_injections=st.integers(1, 6),
+    workers=st.sampled_from([1, 2]),
+    probe=st.booleans(),
+    interrupt_after=st.sampled_from([None, 1, 2]),
+)
+# Masked, SDC and crash runs, in a journaled pool interrupted mid-way.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=8,
+    n_injections=16,
+    workers=2,
+    probe=False,
+    interrupt_after=1,
+)
+# Divergence records, on the other variant, in-process.
+@example(
+    approximation="VS_KDS",
+    kind=RegKind.FPR,
+    seed=10,
+    n_injections=6,
+    workers=1,
+    probe=True,
+    interrupt_after=None,
+)
+def test_campaign_records_match_oracle(
+    approximation, kind, seed, n_injections, workers, probe, interrupt_after
+):
+    """The plan subset is the first ``n_injections`` plans of ``seed``."""
+    config = CampaignConfig(
+        n_injections=n_injections, kind=kind, seed=seed, workers=workers, probe=probe
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "campaign.jsonl" if interrupt_after is not None else None
+        try:
+            with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: str(interrupt_after or "")}):
+                campaign = _run(approximation, config, journal)
+        except CampaignInterrupted:
+            campaign = _run(approximation, config, journal, resume=True)
+    records = [serialize_result(result) for result in campaign.results]
+    expected = [
+        _oracle_record(approximation, config, index, result.plan)
+        for index, result in enumerate(campaign.results)
+    ]
+    assert len(records) == n_injections
+    assert records == expected
 
 
 class TestHangEquivalence:
@@ -173,61 +208,22 @@ class TestHangEquivalence:
         assert serialize_result(full_result) == serialize_result(fast_result)
 
 
-class TestJournalInterplay:
-    def test_interrupt_then_resume_matches_full(self, vs, tmp_path):
+class TestPreFirstBoundary:
+    def test_pre_first_boundary_plan_runs_full_and_matches(self, vs):
+        """A target before the first skippable boundary cannot resume —
+        the monitor must fall back to a full run and still be
+        bit-identical to the oracle."""
         stream, config, golden, workload, spec = vs
-        reference = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(fast_forward=False),
-            spec=spec,
+        fast_forward = golden_fast_forward(stream, config)
+        plan = InjectionPlan(target_cycle=1, kind=RegKind.GPR, register=0, bit=0)
+        assert fast_forward.boundary_index_for(plan.target_cycle) is None
+        production = FaultMonitor(
+            workload, golden.output, golden.total_cycles, fast_forward=fast_forward
         )
-        journal = tmp_path / "ff.jsonl"
-        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    workload,
-                    golden.output,
-                    golden.total_cycles,
-                    _config(workers=3),
-                    spec=spec,
-                    journal_path=journal,
-                )
-        resumed = run_campaign(
-            workload,
-            golden.output,
-            golden.total_cycles,
-            _config(workers=3),
-            spec=spec,
-            journal_path=journal,
-            resume=True,
-        )
-        _assert_identical(reference, resumed)
-
-    def test_mixed_mode_resume_rejected(self, vs, tmp_path):
-        stream, config, golden, workload, spec = vs
-        journal = tmp_path / "ff.jsonl"
-        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
-            with pytest.raises(CampaignInterrupted):
-                run_campaign(
-                    workload,
-                    golden.output,
-                    golden.total_cycles,
-                    _config(n_injections=8),
-                    spec=spec,
-                    journal_path=journal,
-                )
-        with pytest.raises(JournalError, match="different campaign"):
-            run_campaign(
-                workload,
-                golden.output,
-                golden.total_cycles,
-                _config(n_injections=8, fast_forward=False),
-                spec=spec,
-                journal_path=journal,
-                resume=True,
-            )
+        oracle = FaultMonitor(workload, golden.output, golden.total_cycles)
+        a = production.run_injected(plan, np.random.default_rng(7))
+        b = oracle.run_injected(plan, np.random.default_rng(7))
+        assert serialize_result(a) == serialize_result(b)
 
 
 class TestSnapshotRestore:
@@ -243,7 +239,7 @@ class TestSnapshotRestore:
         assert len(tape.boundaries) >= 2
 
         never = tape.golden_cycles * 10
-        for snapshot in tape.boundaries[1:]:
+        for index in range(1, len(tape.boundaries)):
             plan = InjectionPlan(
                 target_cycle=never, kind=RegKind.GPR, register=0, bit=0
             )
@@ -251,7 +247,7 @@ class TestSnapshotRestore:
             ctx = ExecutionContext(
                 injector=injector, watchdog_cycles=tape.golden_cycles * 6
             )
-            output = fast_forward.resume(ctx, snapshot)
+            output = fast_forward.fanout(index).resume_member(ctx)
             assert not injector.record.fired
             assert ctx.cycles == tape.golden_cycles
             assert np.array_equal(output, golden.output)
@@ -271,18 +267,20 @@ class TestSnapshotRestore:
 class TestTelemetryCounters:
     def test_fastforward_counters_surface(self, vs):
         stream, config, golden, workload, spec = vs
-        tracer = telemetry.enable()
+        # A fresh tracer, so the counts cover this campaign alone even
+        # when REPRO_TRACE=1 has tracing on for the whole session.
+        tracer, previous = telemetry.swap_in_fresh_tracer()
         try:
             run_campaign(
                 workload,
                 golden.output,
                 golden.total_cycles,
-                _config(n_injections=8),
+                CampaignConfig(n_injections=8, kind=RegKind.GPR, seed=8),
                 spec=spec,
             )
             registry = tracer.registry
         finally:
-            telemetry.disable()
+            telemetry.restore_tracer(previous)
         hits = registry.counter("campaign.fastforward.hits")
         full_runs = registry.counter("campaign.fastforward.full_runs")
         assert hits + full_runs == 8

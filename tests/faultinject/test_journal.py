@@ -273,14 +273,21 @@ class TestJournalValidation:
                 resume=True,
             )
 
-    def test_wrong_schema_rejected(self, toy, tmp_path):
+    @pytest.mark.parametrize("schema", [3, 999])
+    def test_wrong_schema_rejected(self, toy, tmp_path, schema):
+        # v3 journals are in-flight checkpoints of the old execution
+        # modes, not results: resuming one is refused like any other.
+        spec, golden, cycles = toy
         journal = tmp_path / "j.jsonl"
-        journal.write_text(
-            json.dumps({"type": "header", "schema": 999, "fingerprint": {}, "chunk_bounds": []})
-            + "\n"
-        )
-        with pytest.raises(JournalError, match="schema"):
-            load_journal(journal)
+        run_campaign(toy_workload, golden, cycles, _config(), journal_path=journal)
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema"] = schema
+        journal.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(JournalError, match=f"schema {schema} .*expected 4"):
+            run_campaign(
+                toy_workload, golden, cycles, _config(), journal_path=journal, resume=True
+            )
 
     def test_fingerprint_tracks_watchdog_soft_deadline(self):
         base = _config()

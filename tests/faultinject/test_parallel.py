@@ -20,8 +20,9 @@ from repro.faultinject.campaign import CampaignConfig, CampaignResult, run_campa
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.parallel import (
     VSWorkloadSpec,
-    chunk_indexed_plans,
+    chunks_from_groups,
     default_workers,
+    plan_groups,
     resolve_workers,
 )
 from repro.faultinject.registers import RegKind, Role
@@ -303,10 +304,13 @@ class TestChunking:
 
         rng = np.random.default_rng(0)
         plans = [random_plan(rng, 1000, RegKind.GPR) for _ in range(23)]
-        chunks = chunk_indexed_plans(plans, workers=4)
+        config = CampaignConfig(n_injections=23, kind=RegKind.GPR, workers=4)
+        groups, _ = plan_groups(None, config, plans)
+        chunks = chunks_from_groups(plans, groups)
         flattened = [pair for chunk in chunks for pair in chunk]
         assert [index for index, _ in flattened] == list(range(23))
         assert [plan for _, plan in flattened] == plans
 
     def test_empty(self):
-        assert chunk_indexed_plans([], workers=4) == []
+        config = CampaignConfig(n_injections=0, kind=RegKind.GPR, workers=4)
+        assert plan_groups(None, config, []) == ([], 4)

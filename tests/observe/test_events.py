@@ -96,7 +96,7 @@ class TestModuleBus:
 
 class TestSchema:
     def test_schema_version_pinned(self):
-        assert EVENT_SCHEMA_VERSION == 1
+        assert EVENT_SCHEMA_VERSION == 2
 
     def test_kind_vocabulary_pinned(self):
         # Removing a kind (or renaming one) is a schema break; this
@@ -104,9 +104,7 @@ class TestSchema:
         assert EVENT_KINDS == {
             "campaign_start",
             "campaign_finish",
-            "injection_done",
             "chunk_done",
-            "group_done",
             "round_done",
             "retry",
             "degrade",

@@ -312,7 +312,7 @@ def test_campaign_perf_trajectory(tmp_path):
         "fanout_speedup": round(full_s / serial_s, 3) if serial_s else None,
         "fastforward": {
             "hits": counters.get("campaign.fastforward.hits", 0),
-            "full_runs": counters.get("campaign.fastforward.full_runs", 0),
+            "predicted": counters.get("campaign.fastforward.predicted", 0),
             "skipped_cycles": counters.get("campaign.fastforward.skipped_cycles", 0),
         },
         "fanout": {

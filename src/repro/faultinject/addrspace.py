@@ -13,6 +13,19 @@ The layout is deliberately sparse (allocations scattered across a ~2^46
 byte heap), so the vast majority of single-bit pointer flips leave the
 mapped region — which is what produces the paper's segfault-dominated
 GPR crash profile.
+
+Placement is lazy.  :meth:`AddressSpace.note` records an array's first
+use (type and contiguity are checked at once) and draws nothing; the
+pending arrays are placed, in first-use order and with the same RNG
+calls eager placement would make, the first time an address is needed:
+:meth:`~AddressSpace.ensure`'s return value, :meth:`~AddressSpace.resolve`,
+:meth:`~AddressSpace.byte_window`, ``len`` or
+:attr:`~AddressSpace.mapped_bytes`.  The bases are identical to eager
+placement because allocation *i*'s base depends only on the allocations
+before it.  Injected runs note every array they bind but only a pointer
+flip ever asks for an address, so most runs never place anything — and
+a "too crowded" placement error can only surface when placement is
+forced.
 """
 
 from __future__ import annotations
@@ -60,37 +73,59 @@ class AddressSpace:
         self._bases: list[int] = []  # sorted allocation bases
         self._allocs: list[Allocation] = []  # parallel to _bases
         self._by_id: dict[int, Allocation] = {}
+        #: id -> array for every noted array; pins the ids.
+        self._noted: dict[int, np.ndarray] = {}
+        #: Noted but not yet placed, in first-use order.
+        self._pending: list[np.ndarray] = []
 
     def __len__(self) -> int:
+        self._place_pending()
         return len(self._allocs)
 
     @property
     def mapped_bytes(self) -> int:
         """Total number of mapped bytes."""
+        self._place_pending()
         return sum(alloc.nbytes for alloc in self._allocs)
 
-    def ensure(self, array: np.ndarray) -> int:
-        """Return the base address of ``array``, allocating on first use.
+    def note(self, array: np.ndarray) -> None:
+        """Record ``array``'s first use; its placement is deferred.
 
-        The allocation keeps a reference to the array, both to serve
-        aliased reads and to pin its ``id`` for the lifetime of this
-        address space.
+        The space keeps a reference to the array, both to serve aliased
+        reads and to pin its ``id`` for the lifetime of this address
+        space.
         """
-        alloc = self._by_id.get(id(array))
-        if alloc is not None:
-            return alloc.base
+        key = id(array)
+        if key in self._noted:
+            return
         if not isinstance(array, np.ndarray):
             raise TypeError(f"only numpy arrays can be mapped, got {type(array)!r}")
         if not array.flags.c_contiguous:
             raise ValueError("only C-contiguous arrays can be mapped")
-        nbytes = max(int(array.nbytes), 1)
-        base = self._place(nbytes)
-        alloc = Allocation(base=base, nbytes=nbytes, array=array)
-        index = bisect.bisect_left(self._bases, base)
-        self._bases.insert(index, base)
-        self._allocs.insert(index, alloc)
-        self._by_id[id(array)] = alloc
-        return base
+        self._noted[key] = array
+        self._pending.append(array)
+
+    def ensure(self, array: np.ndarray) -> int:
+        """Return the base address of ``array``, allocating on first use."""
+        self.note(array)
+        self._place_pending()
+        return self._by_id[id(array)].base
+
+    def _place_pending(self) -> None:
+        """Place every noted allocation, in first-use order."""
+        placed = 0
+        try:
+            for array in self._pending:
+                nbytes = max(int(array.nbytes), 1)
+                base = self._place(nbytes)
+                alloc = Allocation(base=base, nbytes=nbytes, array=array)
+                index = bisect.bisect_left(self._bases, base)
+                self._bases.insert(index, base)
+                self._allocs.insert(index, alloc)
+                self._by_id[id(array)] = alloc
+                placed += 1
+        finally:
+            del self._pending[:placed]
 
     def _place(self, nbytes: int) -> int:
         """Pick a random page-aligned, non-overlapping base address."""
@@ -115,6 +150,7 @@ class AddressSpace:
 
     def resolve(self, address: int) -> tuple[Allocation, int]:
         """Map ``address`` to ``(allocation, byte_offset)`` or segfault."""
+        self._place_pending()
         index = bisect.bisect_right(self._bases, address) - 1
         if index >= 0:
             alloc = self._allocs[index]

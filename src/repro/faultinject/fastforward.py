@@ -6,8 +6,17 @@ an injected run is a byte-for-byte replay of the golden run.  On a
 uniform cycle draw that replay is half of every campaign's work.  This
 module amortizes it: one instrumented golden run records a snapshot at
 every frame boundary of the VS pipeline, and each injected run restores
-the last snapshot strictly before its target cycle and executes only
-the live suffix.
+the last snapshot strictly before its target cycle (boundary 0, at
+cycle 0, for targets up to boundary 1) and executes only the live
+suffix.
+
+The same golden run also logs every checkpoint and register-file write
+(:class:`FireLog`).  That decides, without executing anything, every
+run whose flip lands in an empty slot or an expired value, or that
+never fires: those paths never call ``flip``, so program state is
+untouched and the spent injector ignores every later checkpoint — the
+run *is* the golden run (:meth:`FastForward.predict_masked`).  This is
+the paper's dead-register masking, and most FPR runs end here.
 
 The hard requirement is the repo's standing invariant: a fast-forwarded
 campaign must be **bit-identical** to a full one — outcomes, counts,
@@ -30,7 +39,8 @@ at every prefix checkpoint:
   first-use allocations* plus the per-plan seed.  Snapshots log that
   sequence; restore replays it into the injected run's fresh
   ``AddressSpace`` so corrupted pointers resolve to exactly the
-  addresses a full run would produce.
+  addresses a full run would produce.  Replay only notes the arrays:
+  placement is deferred until a pointer flip asks for an address.
 * **Aliased memory content** — a corrupted read pointer copies bytes
   *from* whatever allocation it lands in, so the byte content of every
   prefix allocation matters at fire time.  Arrays that are dead at a
@@ -64,7 +74,8 @@ instead of executing it.  Most masked runs re-converge at the first
 boundary after the fire, which is where the fan-out speedup comes from.
 
 What is *not* bit-identical under fast-forward: telemetry traces (the
-skipped prefix emits no spans) and wall-clock-based soft deadlines
+skipped prefix emits no spans; a predicted run emits no spans or
+observe events at all) and wall-clock-based soft deadlines
 (fast-forward strictly reduces wall time).  Campaign results never
 depend on either.
 """
@@ -79,13 +90,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry
+from repro.faultinject.injector import InjectionPlan, InjectionRecord
 from repro.faultinject.registers import (
     AddressBinding,
     ArrayBinding,
+    FlipEffect,
     FloatValueBinding,
     IntCellBinding,
     IntValueBinding,
+    LivenessModel,
     RegisterFileState,
+    RegKind,
+    Role,
 )
 from repro.forensics import probes
 from repro.observe import events as observe_events
@@ -182,6 +198,88 @@ class FrameSnapshot:
     probe_count: int
 
 
+@dataclass(frozen=True)
+class SlotWrite:
+    """One golden register-file write, as a fire at a later checkpoint reads it."""
+
+    name: str
+    role: Role
+    #: The binding's own lease, or None to defer to the liveness model.
+    ttl: int | None
+    site: str
+    written_cycle: int
+
+
+@dataclass
+class FireLog:
+    """Every checkpoint and register-file write of the golden run.
+
+    An injected run is the golden run up to its fire, and what the fire
+    hits depends only on the checkpoint it fires at and on the slot's
+    last write before it — so this log decides every fire that leaves
+    the program untouched without executing anything (see
+    :meth:`FastForward.predict_masked`).  Per ``(kind, slot)`` only the
+    last write of each checkpoint is kept, which is what the register
+    file holds once the checkpoint's window is written.
+    """
+
+    #: ``ctx.cycles`` of every checkpoint, in run order (nondecreasing).
+    cycles: list[int] = field(default_factory=list)
+    sites: list[str] = field(default_factory=list)
+    #: ``(kind, slot)`` -> writes in checkpoint order.
+    writes: dict[tuple[RegKind, int], list[SlotWrite]] = field(default_factory=dict)
+    #: ``(kind, slot)`` -> index of the checkpoint behind each write.
+    write_checkpoints: dict[tuple[RegKind, int], list[int]] = field(default_factory=dict)
+    #: site filter -> (indices, cycles) of the checkpoints it lets fire.
+    _by_filter: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def log_checkpoint(self, cycle: int, site: str) -> int:
+        """Append one checkpoint; returns its index."""
+        self.cycles.append(cycle)
+        self.sites.append(site)
+        return len(self.cycles) - 1
+
+    def log_write(self, kind: RegKind, slot: int, checkpoint: int, write: SlotWrite) -> None:
+        """Record ``write`` as the slot's contents from ``checkpoint`` on."""
+        writes = self.writes.setdefault((kind, slot), [])
+        checkpoints = self.write_checkpoints.setdefault((kind, slot), [])
+        if checkpoints and checkpoints[-1] == checkpoint:
+            writes[-1] = write
+        else:
+            writes.append(write)
+            checkpoints.append(checkpoint)
+
+    def fire_checkpoint(self, target_cycle: int, site_filter: str | None) -> int | None:
+        """Index of the checkpoint a plan fires at, or None if it never fires.
+
+        The injector fires at the first checkpoint whose cycle is at or
+        past the target and, with a site filter, whose site matches.
+        """
+        indices, cycles = self._checkpoints(site_filter)
+        k = bisect.bisect_left(cycles, target_cycle)
+        return indices[k] if k < len(indices) else None
+
+    def _checkpoints(self, site_filter: str | None) -> tuple[list[int], list[int]]:
+        cached = self._by_filter.get(site_filter)
+        if cached is None:
+            indices = [
+                index
+                for index, site in enumerate(self.sites)
+                if site_filter is None or site.startswith(site_filter)
+            ]
+            cached = (indices, [self.cycles[index] for index in indices])
+            self._by_filter[site_filter] = cached
+        return cached
+
+    def slot_at(self, kind: RegKind, slot: int, checkpoint: int) -> SlotWrite | None:
+        """The slot's contents once ``checkpoint``'s window is written."""
+        checkpoints = self.write_checkpoints.get((kind, slot))
+        if not checkpoints:
+            return None
+        k = bisect.bisect_right(checkpoints, checkpoint) - 1
+        return self.writes[(kind, slot)][k] if k >= 0 else None
+
+
 @dataclass
 class SnapshotTape:
     """The immutable per-workload record all restores are built from."""
@@ -195,6 +293,9 @@ class SnapshotTape:
     #: re-converges to the tape can synthesize its golden tail without
     #: executing it.
     golden_output: np.ndarray
+    #: The golden run's checkpoints and register-file writes, from which
+    #: dead and never-firing plans are decided without executing.
+    fire_log: FireLog
     boundary_cycles: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -225,6 +326,7 @@ class SnapshotRecorder:
 
     def __init__(self) -> None:
         self.regfile = RegisterFileState()
+        self.fire_log = FireLog()
         self.boundaries: list[FrameSnapshot] = []
         self.allocs: list[AllocRecord] = []
         self._alloc_by_id: dict[int, AllocRecord] = {}
@@ -235,15 +337,23 @@ class SnapshotRecorder:
     def visit(self, ctx: ExecutionContext, window) -> None:
         """Track register-file writes and first-use allocations."""
         cycle = ctx.cycles
+        site = window.site
+        checkpoint = self.fire_log.log_checkpoint(cycle, site)
         for binding in window.bindings:
             backing = getattr(binding, "array", None)
             if backing is not None:
                 self._ensure(backing)
             if isinstance(binding, AddressBinding) and binding.on_alias is not None:
                 raise SnapshotUnsupported(
-                    f"binding {binding.name!r} at {window.site!r} uses on_alias"
+                    f"binding {binding.name!r} at {site!r} uses on_alias"
                 )
-            self.regfile.write(binding, window.site, cycle)
+            slot = self.regfile.write(binding, site, cycle)
+            self.fire_log.log_write(
+                binding.kind,
+                slot,
+                checkpoint,
+                SlotWrite(binding.name, binding.role, binding.ttl, site, cycle),
+            )
 
     def _ensure(self, array: np.ndarray) -> None:
         if id(array) in self._alloc_by_id:
@@ -263,6 +373,10 @@ class SnapshotRecorder:
         self, ctx: ExecutionContext, rng: np.random.Generator, state: PipelineState
     ) -> None:
         """Capture one frame-boundary snapshot."""
+        if not self.boundaries and self.fire_log.cycles:
+            # Boundary 0 resumes every plan before boundary 1, which is
+            # exact only when no checkpoint could have fired before it.
+            raise SnapshotUnsupported("a checkpoint precedes the first frame boundary")
         live_bases = _live_bases(state)
         live_map: dict[int, tuple[tuple, int, bool]] = {}
         for record in self.allocs:
@@ -434,6 +548,8 @@ def capture_tape(
             "fast-forward capture diverged from the golden run "
             f"(cycles {ctx.cycles} vs {golden_cycles})"
         )
+    if not recorder.boundaries:
+        raise SnapshotUnsupported("the run has no frame boundary to resume from")
     return SnapshotTape(
         boundaries=recorder.boundaries,
         allocs=recorder.allocs,
@@ -441,6 +557,7 @@ def capture_tape(
         golden_cycles=golden_cycles,
         frame_shape=frame_shape if frame_shape is not None else (0, 0),
         golden_output=golden_output.copy(),
+        fire_log=recorder.fire_log,
     )
 
 
@@ -470,25 +587,63 @@ class FastForward:
         self._fanouts: dict[int, BoundaryFanOut] = {}
         self._snapshot_by_frame: dict[int, FrameSnapshot] | None = None
 
-    def boundary_index_for(self, target_cycle: int) -> int | None:
+    def boundary_index_for(self, target_cycle: int) -> int:
         """Index of the last frame boundary strictly before the cycle.
 
         Strictly: no checkpoint of the restored suffix may precede the
         boundary, so no prefix checkpoint the injector never saw could
-        have fired.  Boundary 0 (cycle 0, nothing skipped) is treated as
-        "run in full" — restoring it would only add overhead.
+        have fired.  Targets at or before boundary 1 resume boundary 0:
+        no checkpoint precedes it (the capture checks this), so
+        resuming it is exactly a full run plus the convergence watch.
         """
         index = bisect.bisect_left(self.tape.boundary_cycles, target_cycle) - 1
-        if index <= 0:
-            return None
-        return index
+        return max(index, 0)
 
-    def boundary_for(self, target_cycle: int) -> FrameSnapshot | None:
-        """The last frame boundary strictly before ``target_cycle``."""
-        index = self.boundary_index_for(target_cycle)
-        if index is None:
-            return None
-        return self.tape.boundaries[index]
+    def boundary_for(self, target_cycle: int) -> FrameSnapshot:
+        """The frame boundary a plan targeting ``target_cycle`` resumes from."""
+        return self.tape.boundaries[self.boundary_index_for(target_cycle)]
+
+    def predict_masked(
+        self,
+        plan: InjectionPlan,
+        liveness: LivenessModel,
+        site_filter: str | None,
+    ) -> InjectionRecord | None:
+        """The record of a run the fire log already decides, else None.
+
+        Mirrors ``FaultInjector.visit``/``_fire`` against the golden
+        fire log.  Returns the record only when the plan never fires
+        or fires into a dead register (``DEAD_EMPTY``/``DEAD_STALE``):
+        neither path calls ``flip``, so program state is untouched and
+        the spent injector ignores every later checkpoint — the run is
+        the golden run, outcome MASKED.  Returns None when the flip
+        would hit a live value; that run has to execute.
+        """
+        log = self.tape.fire_log
+        record = InjectionRecord(plan)
+        checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
+        if checkpoint is None:
+            return record
+        cycle = log.cycles[checkpoint]
+        write = log.slot_at(plan.kind, plan.register, checkpoint)
+        if write is None:
+            effect = FlipEffect.DEAD_EMPTY
+        else:
+            ttl = write.ttl if write.ttl is not None else liveness.ttl_for(plan.kind, write.role)
+            age = cycle - write.written_cycle
+            if age > ttl:
+                effect = FlipEffect.DEAD_STALE
+            else:
+                return None  # a live value: the flip has to execute
+            record.binding_name = write.name
+            record.role = write.role
+        record.fired = True
+        record.fired_cycle = cycle
+        record.site = log.sites[checkpoint]
+        record.effect = effect
+        if site_filter is not None:
+            record.in_study = write is not None and write.site.startswith(site_filter)
+        return record
 
     def fanout(self, index: int) -> "BoundaryFanOut":
         """The shared fan-out state for boundary ``index`` (lazy)."""
@@ -574,8 +729,8 @@ class FastForward:
     ) -> None:
         # Replay the prefix's first-use allocation sequence, in order,
         # into the injected run's fresh address space: the heap layout
-        # (and the RNG draws behind it) become bit-identical to a full
-        # run's at the point the suffix takes over.
+        # (and the RNG draws behind it, made when placement is first
+        # forced) is bit-identical to a full run's.
         objects: dict[int, np.ndarray] = {}
         for record in self.tape.allocs[: snapshot.n_allocs]:
             placement = snapshot.live_map.get(record.aid)
@@ -596,7 +751,7 @@ class FastForward:
                 # group's shared read-only base (the flip may corrupt
                 # it; the base and the tape stay pristine).
                 array = dead_base[record.aid].copy()
-            injector.space.ensure(array)
+            injector.space.note(array)
             objects[record.aid] = array
 
         assigned, next_slot, described = snapshot.regfile
@@ -707,8 +862,8 @@ class BoundaryFanOut:
 
         ``ctx`` must be a fresh context carrying a real
         :class:`FaultInjector` whose plan targets a cycle after the
-        boundary.  Returns the run's output panorama, exactly as the
-        full workload closure would.
+        boundary (any cycle for boundary 0).  Returns the run's output
+        panorama, exactly as the full workload closure would.
         """
         if self._dead_base is None:
             self._dead_base = self._materialize()

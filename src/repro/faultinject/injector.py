@@ -124,8 +124,9 @@ class FaultInjector:
         for binding in window.bindings:
             backing = getattr(binding, "array", None)
             if backing is not None:
-                # Map the backing memory so corrupted pointers can alias it.
-                self.space.ensure(backing)
+                # Map the backing memory so corrupted pointers can alias
+                # it (placed lazily, when a pointer flip needs it).
+                self.space.note(backing)
             self.regfile.write(binding, window.site, cycle)
         if cycle < self.plan.target_cycle:
             return

@@ -80,18 +80,21 @@ class FaultMonitor:
         self.golden_output = golden_output
         self.golden_cycles = golden_cycles
         self.watchdog_cycles = int(golden_cycles * hang_factor)
-        self.liveness = liveness
+        self.liveness = liveness if liveness is not None else LivenessModel()
         self.site_filter = site_filter
         self.keep_sdc_outputs = keep_sdc_outputs
         self.watchdog = watchdog
         self.probe = probe
         #: Optional :class:`repro.faultinject.fastforward.FastForward`
-        #: handle.  When set, runs whose plan cycle lies past a golden
-        #: frame boundary resume through that boundary's shared
+        #: handle.  When set, a run whose fire the golden fire log
+        #: already decides as dead (or that never fires) is classified
+        #: without executing; every other run resumes from the last
+        #: golden frame boundary before its plan cycle through that
+        #: boundary's shared
         #: :class:`~repro.faultinject.fastforward.BoundaryFanOut` and
-        #: execute only the suffix — bit-identical to the full execution.
-        #: Without one every run executes in full: the reference the
-        #: differential tests compare campaigns against.
+        #: executes only the suffix — bit-identical to the full
+        #: execution.  Without one every run executes in full: the
+        #: reference the differential tests compare campaigns against.
         self.fast_forward = fast_forward
 
     def run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
@@ -146,6 +149,29 @@ class FaultMonitor:
             # fault is pending.
             golden_signature = self.golden_signature()
             probe = probes.StageProbe()
+        divergence = (
+            lambda: diff_against_golden(golden_signature, probe) if probe is not None else None
+        )
+        ff = self.fast_forward
+        if ff is not None:
+            predicted = ff.predict_masked(plan, self.liveness, self.site_filter)
+            if predicted is not None:
+                # The flip never touches program state: the run is the
+                # golden run, probe stream included.
+                if telemetry.enabled():
+                    telemetry.counter_inc("campaign.fastforward.predicted")
+                    telemetry.counter_inc(
+                        "campaign.fastforward.skipped_cycles", self.golden_cycles
+                    )
+                with probes.capturing(probe):
+                    probes.replay_prefix(ff.tape.probe_events)
+                return InjectionResult(
+                    plan=plan,
+                    record=predicted,
+                    outcome=Outcome.MASKED,
+                    cycles=self.golden_cycles,
+                    divergence=divergence(),
+                )
         injector = FaultInjector(
             plan,
             rng=rng,
@@ -154,25 +180,14 @@ class FaultMonitor:
         )
         ctx = ExecutionContext(injector=injector, watchdog_cycles=self.watchdog_cycles)
         soft_deadline = self.watchdog.soft_deadline_s if self.watchdog is not None else None
-        divergence = (
-            lambda: diff_against_golden(golden_signature, probe) if probe is not None else None
-        )
-        snapshot_index = (
-            self.fast_forward.boundary_index_for(plan.target_cycle)
-            if self.fast_forward is not None
-            else None
-        )
-        if telemetry.enabled() and self.fast_forward is not None:
-            if snapshot_index is not None:
+        if ff is not None:
+            index = ff.boundary_index_for(plan.target_cycle)
+            if telemetry.enabled():
                 telemetry.counter_inc("campaign.fastforward.hits")
                 telemetry.counter_inc(
-                    "campaign.fastforward.skipped_cycles",
-                    self.fast_forward.tape.boundaries[snapshot_index].cycles,
+                    "campaign.fastforward.skipped_cycles", ff.tape.boundaries[index].cycles
                 )
-            else:
-                telemetry.counter_inc("campaign.fastforward.full_runs")
-        if snapshot_index is not None:
-            fanout = self.fast_forward.fanout(snapshot_index)
+            fanout = ff.fanout(index)
             runner = lambda: fanout.resume_member(ctx)  # noqa: E731
         else:
             runner = lambda: self.workload(ctx)  # noqa: E731

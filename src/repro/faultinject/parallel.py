@@ -384,23 +384,23 @@ def chunks_from_bounds(
 
 
 def group_plan_indices(
-    boundary_index_for: Callable[[int], int | None],
+    boundary_index_for: Callable[[int], int],
     plans: list[InjectionPlan],
 ) -> list[list[int]]:
     """Partition plan indices by the frame boundary they resume from.
 
     All plans whose target cycle fast-forwards from the same golden
     frame boundary form one group, so a worker materializes that
-    boundary's restore once and fans every member out of it.  Plans
-    with no eligible boundary (targets before the first skippable
-    frame) share a single group of full runs.
+    boundary's restore once and fans every member out of it.  Targets
+    at or before boundary 1 resume boundary 0 (cycle 0) and form its
+    group.
 
     Deterministic and order-preserving: groups are emitted in order of
     their first member's plan index, and members within a group keep
     ascending plan index.  The flattened groups are a permutation of
     ``range(len(plans))``.
     """
-    members: dict[int | None, list[int]] = {}
+    members: dict[int, list[int]] = {}
     for index, plan in enumerate(plans):
         boundary = boundary_index_for(plan.target_cycle)
         members.setdefault(boundary, []).append(index)

@@ -115,3 +115,60 @@ class TestByteWindow:
         base = space.ensure(arr)
         view, _offset = space.byte_window(base, arr.nbytes)
         assert view.size == arr.nbytes
+
+
+class TestLazyPlacement:
+    """``note`` defers placement; the bases must equal eager placement."""
+
+    @staticmethod
+    def _placements(space: AddressSpace, arrays: list[np.ndarray]) -> list[tuple]:
+        placements = []
+        for arr in arrays:
+            base = space.ensure(arr)
+            alloc, offset = space.resolve(base)
+            assert offset == 0
+            placements.append((base, alloc.nbytes, alloc.array is arr))
+        return placements
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 3 * PAGE_SIZE), min_size=1, max_size=40),
+        uses=st.lists(st.tuples(st.integers(0, 39), st.booleans()), min_size=1, max_size=80),
+        flush=st.sampled_from(["ensure", "resolve", "byte_window", "len", "mapped_bytes"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_then_flush_matches_eager(self, seed, sizes, uses, flush):
+        """First uses in a random order, some repeated, some forcing
+        placement mid-way: the lazy space ends with the same
+        ``(base, nbytes, array)`` map as one that placed every array
+        eagerly in the same order."""
+        arrays = [np.zeros(size, dtype=np.uint8) for size in sizes]
+        order = [(index % len(arrays), forced) for index, forced in uses]
+        eager, lazy = AddressSpace(seed=seed), AddressSpace(seed=seed)
+        for index, forced in order:
+            eager.ensure(arrays[index])
+            if forced:
+                lazy.ensure(arrays[index])
+            else:
+                lazy.note(arrays[index])
+        if flush == "ensure":
+            lazy.ensure(arrays[order[0][0]])
+        elif flush == "resolve":
+            with pytest.raises(SegmentationFault):
+                lazy.resolve(0)
+        elif flush == "byte_window":
+            with pytest.raises(SegmentationFault):
+                lazy.byte_window(0, 1)
+        elif flush == "len":
+            assert len(lazy) == len(eager)
+        else:
+            assert lazy.mapped_bytes == eager.mapped_bytes
+        used = [arrays[index] for index in dict.fromkeys(index for index, _ in order)]
+        assert self._placements(lazy, used) == self._placements(eager, used)
+        assert len(lazy) == len(eager) == len(used)
+
+    def test_note_checks_eagerly(self):
+        with pytest.raises(TypeError):
+            AddressSpace().note([1, 2, 3])
+        with pytest.raises(ValueError):
+            AddressSpace().note(np.zeros((10, 10), dtype=np.uint8)[:, ::2])

@@ -55,11 +55,11 @@ class TestGroupPartition:
     """group_plan_indices edge cases against a stub boundary lookup."""
 
     @staticmethod
-    def _lookup(cycle: int) -> int | None:
-        # Boundaries at cycles 100/200/300 (indices 1/2/3); targets at
-        # or below 100 have no eligible boundary.
+    def _lookup(cycle: int) -> int:
+        # Boundaries at cycles 0/100/200/300 (indices 0/1/2/3); targets
+        # at or below 100 resume boundary 0.
         if cycle <= 100:
-            return None
+            return 0
         return min(cycle // 100, 3)
 
     def test_zero_plans(self):
@@ -69,7 +69,7 @@ class TestGroupPartition:
         plans = [_plan(150), _plan(199), _plan(101)]
         assert group_plan_indices(self._lookup, plans) == [[0, 1, 2]]
 
-    def test_no_eligible_boundary_shares_fallback_group(self):
+    def test_pre_first_boundary_plans_join_boundary_0(self):
         plans = [_plan(5), _plan(100), _plan(1)]
         assert group_plan_indices(self._lookup, plans) == [[0, 1, 2]]
 
@@ -85,10 +85,11 @@ class TestGroupPartition:
         fast_forward = golden_fast_forward(stream, config)
         assert fast_forward is not None
         cycles = fast_forward.tape.boundary_cycles
-        # At or before the first skippable boundary: no eligible group.
+        # At or before boundary 1: the boundary-0 group.
         plans = [_plan(1), _plan(cycles[1]), _plan(cycles[1] + 1)]
         groups = group_plan_indices(fast_forward.boundary_index_for, plans)
         assert groups == [[0, 1], [2]]
+        assert fast_forward.boundary_index_for(plans[0].target_cycle) == 0
         assert fast_forward.boundary_index_for(plans[2].target_cycle) == 1
 
 
@@ -191,8 +192,8 @@ class TestTelemetry:
         # must have been synthesized (this is where the speedup lives).
         assert registry.counter("campaign.fanout.golden_tail") >= 1
         hits = registry.counter("campaign.fastforward.hits")
-        full_runs = registry.counter("campaign.fastforward.full_runs")
-        assert hits + full_runs == 16
+        predicted = registry.counter("campaign.fastforward.predicted")
+        assert hits + predicted == 16
 
     def test_trace_summarize_renders_amortization(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs

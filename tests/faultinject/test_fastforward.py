@@ -3,24 +3,27 @@
 Every injected run of a campaign resumes through boundary fan-out (see
 ``src/repro/faultinject/fastforward.py``): it restores the last golden
 frame boundary before its target cycle, runs only the live suffix, and
-may synthesize a golden tail once it re-converges.  The contract is
-that none of this is visible in the results.  The oracle is a
-:class:`FaultMonitor` without a fast-forward handle — every run executes
-from cycle 0 — driven per plan with the campaign's own
-``(seed + 1) * 1_000_003 + index`` RNG derivation.  The property below
-generates (approximation, register kind, seed, plan subset, worker
-count, probe, interrupt point) and requires the campaign's serialized
+may synthesize a golden tail once it re-converges; a run whose fire
+the golden fire log decides as dead (or that never fires) is not
+executed at all.  The contract is that none of this is visible in the
+results.  The oracle is a :class:`FaultMonitor` without a fast-forward
+handle — every run executes from cycle 0 — driven per plan with the
+campaign's own ``(seed + 1) * 1_000_003 + index`` RNG derivation.  The
+property below generates (approximation, register kind, seed, plan
+subset, worker count, probe, interrupt point, site filter, liveness
+model, pinned first target) and requires the campaign's serialized
 records to equal the oracle's, outcome classes, cycle counts, SDC
 payloads and divergence records included.
 
-Plans no uniform draw reaches on the tiny workload are pinned as
-targeted oracle tests: a genuine HANG, and a target before the first
-skippable boundary.  The snapshot-restore property and the boundary
-lookup are checked directly.
+A genuine HANG, which no uniform draw reaches on the tiny workload, is
+a targeted oracle test.  The dead-fire predictor is checked
+exhaustively against the real injector at every golden checkpoint; the
+snapshot-restore property and the boundary lookup are checked directly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import tempfile
@@ -34,19 +37,46 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.analysis.experiments import TINY, input_stream, vs_workload
+from repro.faultinject import campaign as campaign_module
+from repro.faultinject.addrspace import AddressSpace
 from repro.faultinject.campaign import CampaignConfig, run_campaign
-from repro.faultinject.injector import FaultInjector, InjectionPlan
+from repro.faultinject.injector import FaultInjector, InjectionPlan, InjectionRecord
 from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted, serialize_result
 from repro.faultinject.monitor import FaultMonitor
 from repro.faultinject.outcomes import HangKind, Outcome
 from repro.faultinject.parallel import VSWorkloadSpec
-from repro.faultinject.registers import RegKind
+from repro.faultinject.registers import (
+    NUM_REGISTERS,
+    AddressBinding,
+    ArrayBinding,
+    FlipEffect,
+    FloatValueBinding,
+    IntCellBinding,
+    IntValueBinding,
+    LivenessModel,
+    RegisterFileState,
+    RegKind,
+)
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import golden_fast_forward, golden_run
 
 #: The VS variants the property draws from.
 APPROXIMATIONS = ("VS", "VS_KDS")
+
+#: Liveness models by name.  The short one leaves data values live only
+#: at the checkpoint that writes them, so many GPR fires are stale and
+#: a fire on a value written that very checkpoint has age == lease.
+LIVENESS = {
+    "default": LivenessModel(),
+    "short": LivenessModel(
+        gpr_data_ttl=0, gpr_address_ttl=50_000, gpr_control_ttl=50_000, fpr_data_ttl=0
+    ),
+}
+
+#: Site filters the property draws from (``imaging.warp`` is the hot
+#: function study's prefix).
+SITE_FILTERS = (None, "imaging.warp", "vision.")
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,18 +95,53 @@ def vs():
     return _workload("VS")
 
 
-#: (approximation, kind, seed, index, probe) -> the oracle's serialized
-#: record.  Plans of one seed are a prefix-stable sequence, so examples
-#: sharing a seed share oracle runs.
+class _CheckpointLog:
+    """Pseudo-injector that logs ``(site, cycle)`` of every checkpoint."""
+
+    observing = True
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, int]] = []
+
+    def visit(self, ctx, window) -> None:
+        self.events.append((window.site, ctx.cycles))
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_cycles(approximation: str) -> tuple[int, ...]:
+    """Cycles of every checkpoint of the golden run, logged independently."""
+    log = _CheckpointLog()
+    _workload(approximation)[3](ExecutionContext(injector=log))
+    return tuple(cycle for _site, cycle in log.events)
+
+
+def _pinned_target(approximation: str, pin: str | None) -> int | None:
+    if pin == "boundary-0":
+        return 1
+    if pin == "past-last-checkpoint":
+        return _checkpoint_cycles(approximation)[-1] + 1
+    return None
+
+
+#: (approximation, index, plan, probe, site filter, liveness) -> the
+#: oracle's serialized record.  Plans of one seed are a prefix-stable
+#: sequence, so examples sharing a seed share oracle runs.
 _ORACLE: dict[tuple, dict] = {}
 
 
-def _oracle_record(approximation: str, config: CampaignConfig, index: int, plan) -> dict:
-    key = (approximation, config.kind, config.seed, index, config.probe)
+def _oracle_record(
+    approximation: str, config: CampaignConfig, liveness: str, index: int, plan
+) -> dict:
+    key = (approximation, index, plan, config.probe, config.site_filter, liveness)
     if key not in _ORACLE:
         _, _, golden, workload, _ = _workload(approximation)
         monitor = FaultMonitor(
-            workload, golden.output, golden.total_cycles, probe=config.probe
+            workload,
+            golden.output,
+            golden.total_cycles,
+            liveness=LIVENESS[liveness],
+            site_filter=config.site_filter,
+            probe=config.probe,
         )
         rng = np.random.default_rng((config.seed + 1) * 1_000_003 + index)
         _ORACLE[key] = serialize_result(monitor.run_injected(plan, rng))
@@ -96,6 +161,20 @@ def _run(approximation: str, config: CampaignConfig, journal: Path | None, resum
     )
 
 
+def _pinning_first_target(target: int | None):
+    """``draw_plans`` with the first plan's target cycle replaced."""
+    draw = campaign_module.draw_plans
+
+    def pinned(config, golden_cycles):
+        plans = draw(config, golden_cycles)
+        if target is not None and plans:
+            first = plans[0]
+            plans[0] = InjectionPlan(target, first.kind, first.register, first.bit)
+        return plans
+
+    return mock.patch.object(campaign_module, "draw_plans", pinned)
+
+
 @settings(
     derandomize=True,
     deadline=None,
@@ -110,6 +189,9 @@ def _run(approximation: str, config: CampaignConfig, journal: Path | None, resum
     workers=st.sampled_from([1, 2]),
     probe=st.booleans(),
     interrupt_after=st.sampled_from([None, 1, 2]),
+    site_filter=st.sampled_from(SITE_FILTERS),
+    liveness=st.sampled_from(sorted(LIVENESS)),
+    pin=st.sampled_from([None, "boundary-0", "past-last-checkpoint"]),
 )
 # Masked, SDC and crash runs, in a journaled pool interrupted mid-way.
 @example(
@@ -120,6 +202,9 @@ def _run(approximation: str, config: CampaignConfig, journal: Path | None, resum
     workers=2,
     probe=False,
     interrupt_after=1,
+    site_filter=None,
+    liveness="default",
+    pin=None,
 )
 # Divergence records, on the other variant, in-process.
 @example(
@@ -130,15 +215,77 @@ def _run(approximation: str, config: CampaignConfig, journal: Path | None, resum
     workers=1,
     probe=True,
     interrupt_after=None,
+    site_filter=None,
+    liveness="default",
+    pin=None,
+)
+# An FPR campaign that is almost all dead fires: predicted, not executed,
+# through a journal interrupt and resume.
+@example(
+    approximation="VS",
+    kind=RegKind.FPR,
+    seed=3,
+    n_injections=8,
+    workers=1,
+    probe=True,
+    interrupt_after=1,
+    site_filter=None,
+    liveness="short",
+    pin=None,
+)
+# A target past the last checkpoint: the plan never fires.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=5,
+    n_injections=3,
+    workers=1,
+    probe=False,
+    interrupt_after=None,
+    site_filter="imaging.warp",
+    liveness="default",
+    pin="past-last-checkpoint",
+)
+# A target before boundary 1 resumes boundary 0 (plan 0 hits a live
+# register there; plan 1 is predicted).
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=3,
+    n_injections=3,
+    workers=2,
+    probe=True,
+    interrupt_after=None,
+    site_filter=None,
+    liveness="default",
+    pin="boundary-0",
 )
 def test_campaign_records_match_oracle(
-    approximation, kind, seed, n_injections, workers, probe, interrupt_after
+    approximation,
+    kind,
+    seed,
+    n_injections,
+    workers,
+    probe,
+    interrupt_after,
+    site_filter,
+    liveness,
+    pin,
 ):
-    """The plan subset is the first ``n_injections`` plans of ``seed``."""
+    """The plan subset is the first ``n_injections`` plans of ``seed``,
+    the first one's target optionally pinned."""
     config = CampaignConfig(
-        n_injections=n_injections, kind=kind, seed=seed, workers=workers, probe=probe
+        n_injections=n_injections,
+        kind=kind,
+        seed=seed,
+        workers=workers,
+        probe=probe,
+        site_filter=site_filter,
+        liveness=LIVENESS[liveness],
     )
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _pinning_first_target(
+        _pinned_target(approximation, pin)
+    ):
         journal = Path(tmp) / "campaign.jsonl" if interrupt_after is not None else None
         try:
             with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: str(interrupt_after or "")}):
@@ -147,7 +294,7 @@ def test_campaign_records_match_oracle(
             campaign = _run(approximation, config, journal, resume=True)
     records = [serialize_result(result) for result in campaign.results]
     expected = [
-        _oracle_record(approximation, config, index, result.plan)
+        _oracle_record(approximation, config, liveness, index, result.plan)
         for index, result in enumerate(campaign.results)
     ]
     assert len(records) == n_injections
@@ -164,17 +311,8 @@ class TestHangEquivalence:
     hypothesis loop burns simulated cycles until the watchdog trips.
     """
 
-    class _CheckpointLog:
-        observing = True
-
-        def __init__(self) -> None:
-            self.events: list[tuple[str, int]] = []
-
-        def visit(self, ctx, window) -> None:
-            self.events.append((window.site, ctx.cycles))
-
     def _hang_plan(self, workload, fast_forward) -> InjectionPlan:
-        log = self._CheckpointLog()
+        log = _CheckpointLog()
         workload(ExecutionContext(injector=log))
         hypothesis_cycles = [
             cycle for site, cycle in log.events if site == "vision.ransac.hypotheses"
@@ -195,7 +333,7 @@ class TestHangEquivalence:
         fast_forward = golden_fast_forward(stream, config)
         assert fast_forward is not None
         plan = self._hang_plan(workload, fast_forward)
-        assert fast_forward.boundary_for(plan.target_cycle) is not None
+        assert fast_forward.boundary_index_for(plan.target_cycle) > 0
 
         full = FaultMonitor(workload, golden.output, golden.total_cycles)
         fast = FaultMonitor(
@@ -209,21 +347,34 @@ class TestHangEquivalence:
 
 
 class TestPreFirstBoundary:
-    def test_pre_first_boundary_plan_runs_full_and_matches(self, vs):
-        """A target before the first skippable boundary cannot resume —
-        the monitor must fall back to a full run and still be
-        bit-identical to the oracle."""
+    def test_pre_first_boundary_resumes_boundary_0(self, vs):
+        """A target before boundary 1 resumes boundary 0 (cycle 0, no
+        allocations, empty register file) — a full run plus the
+        convergence watch — and is bit-identical to the oracle, for a
+        live fire and for a dead one."""
         stream, config, golden, workload, spec = vs
         fast_forward = golden_fast_forward(stream, config)
-        plan = InjectionPlan(target_cycle=1, kind=RegKind.GPR, register=0, bit=0)
-        assert fast_forward.boundary_index_for(plan.target_cycle) is None
+        boundary = fast_forward.tape.boundaries[0]
+        assert boundary.cycles == 0 and boundary.n_allocs == 0
         production = FaultMonitor(
             workload, golden.output, golden.total_cycles, fast_forward=fast_forward
         )
         oracle = FaultMonitor(workload, golden.output, golden.total_cycles)
-        a = production.run_injected(plan, np.random.default_rng(7))
-        b = oracle.run_injected(plan, np.random.default_rng(7))
-        assert serialize_result(a) == serialize_result(b)
+        assert fast_forward.boundary_index_for(1) == 0
+        plans = [
+            InjectionPlan(target_cycle=1, kind=RegKind.GPR, register=register, bit=0)
+            for register in range(NUM_REGISTERS)
+        ]
+
+        def predicted(plan):
+            return fast_forward.predict_masked(plan, LivenessModel(), None) is not None
+
+        live = next(plan for plan in plans if not predicted(plan))
+        dead = next(plan for plan in plans if predicted(plan))
+        for plan in (live, dead):
+            a = production.run_injected(plan, np.random.default_rng(7))
+            b = oracle.run_injected(plan, np.random.default_rng(7))
+            assert serialize_result(a) == serialize_result(b)
 
 
 class TestSnapshotRestore:
@@ -239,7 +390,7 @@ class TestSnapshotRestore:
         assert len(tape.boundaries) >= 2
 
         never = tape.golden_cycles * 10
-        for index in range(1, len(tape.boundaries)):
+        for index in range(len(tape.boundaries)):
             plan = InjectionPlan(
                 target_cycle=never, kind=RegKind.GPR, register=0, bit=0
             )
@@ -256,12 +407,16 @@ class TestSnapshotRestore:
         stream, config, golden, workload, spec = vs
         fast_forward = golden_fast_forward(stream, config)
         cycles = fast_forward.tape.boundary_cycles
-        assert fast_forward.boundary_for(0) is None
-        assert fast_forward.boundary_for(cycles[1]) is None
+        assert cycles[0] == 0
+        # Every target has a boundary: up to boundary 1 it is boundary 0.
+        assert fast_forward.boundary_index_for(0) == 0
+        assert fast_forward.boundary_index_for(1) == 0
+        assert fast_forward.boundary_index_for(cycles[1]) == 0
+        assert fast_forward.boundary_index_for(cycles[1] + 1) == 1
         assert fast_forward.boundary_for(cycles[1] + 1).cycles == cycles[1]
         # A target exactly on a boundary resolves to the previous one.
-        last = fast_forward.boundary_for(cycles[-1])
-        assert last is not None and last.cycles == cycles[-2]
+        assert fast_forward.boundary_for(cycles[-1]).cycles == cycles[-2]
+        assert fast_forward.boundary_index_for(cycles[-1] + 1) == len(cycles) - 1
 
 
 class TestTelemetryCounters:
@@ -282,7 +437,126 @@ class TestTelemetryCounters:
         finally:
             telemetry.restore_tracer(previous)
         hits = registry.counter("campaign.fastforward.hits")
-        full_runs = registry.counter("campaign.fastforward.full_runs")
-        assert hits + full_runs == 8
-        assert hits >= 1
+        predicted = registry.counter("campaign.fastforward.predicted")
+        assert hits + predicted == 8
+        assert hits >= 1 and predicted >= 1
         assert registry.counter("campaign.fastforward.skipped_cycles") > 0
+
+
+class _FireOracle:
+    """Pseudo-injector firing real ``FaultInjector``s at every checkpoint.
+
+    One lookup injector per target cycle shares the golden register
+    file and visits every checkpoint until it fires; which checkpoint
+    that is is decided by the real ``visit``.  At that checkpoint, one
+    injector per (liveness, kind, register) visits the same window from
+    a copy of the register file as it stood before the checkpoint, so
+    its record is exactly what a full injected run would hold.  The
+    copy is shared by those injectors: re-writing a window's bindings
+    is idempotent, and ``flip`` is patched by the test to record the
+    call instead of mutating anything.
+    """
+
+    observing = True
+
+    def __init__(self, targets, liveness: dict, site_filter, flips: list) -> None:
+        self.space = AddressSpace()
+        self.rng = np.random.default_rng(0)
+        self.golden = self._injector(InjectionPlan(2**62, RegKind.GPR, 0, 0), None, None)
+        self.pending = []
+        for target in targets:
+            lookup = self._injector(InjectionPlan(target, RegKind.GPR, 0, 0), None, site_filter)
+            lookup.regfile = self.golden.regfile
+            self.pending.append(lookup)
+        self.liveness = liveness
+        self.site_filter = site_filter
+        self.flips = flips
+        #: (liveness name, plan) -> (record, called flip)
+        self.records: dict[tuple[str, InjectionPlan], tuple[InjectionRecord, bool]] = {}
+
+    def _injector(self, plan, liveness, site_filter) -> FaultInjector:
+        return FaultInjector(
+            plan, space=self.space, rng=self.rng, liveness=liveness, site_filter=site_filter
+        )
+
+    def visit(self, ctx, window) -> None:
+        before = RegisterFileState()
+        before.import_state(*self.golden.regfile.export_state())
+        self.golden.visit(ctx, window)
+        pending = []
+        for lookup in self.pending:
+            lookup.visit(ctx, window)
+            if not lookup.record.fired:
+                pending.append(lookup)
+                continue
+            for name, liveness in self.liveness.items():
+                for kind in RegKind:
+                    for register in range(NUM_REGISTERS):
+                        plan = InjectionPlan(lookup.plan.target_cycle, kind, register, 0)
+                        injector = self._injector(plan, liveness, self.site_filter)
+                        injector.regfile = before
+                        self.flips.clear()
+                        injector.visit(ctx, window)
+                        assert injector.record.fired
+                        self.records[(name, plan)] = (injector.record, bool(self.flips))
+        self.pending = pending
+
+    def never_fired(self) -> set[int]:
+        return {lookup.plan.target_cycle for lookup in self.pending}
+
+
+class TestFireLogPrediction:
+    """``FastForward.predict_masked`` against the real injector, exhaustively.
+
+    Targets are 0, every distinct golden checkpoint cycle and one past
+    the last checkpoint; each is tried for every register of both kinds
+    under two liveness models.  The predictor must return None exactly
+    when the injector would call ``flip``, and otherwise the injector's
+    record.
+    """
+
+    @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
+    def test_predictor_matches_injector_at_every_checkpoint(self, vs, site_filter):
+        stream, config, golden, workload, spec = vs
+        fast_forward = golden_fast_forward(stream, config)
+        cycles = _checkpoint_cycles("VS")
+        targets = sorted({0, *cycles, cycles[-1] + 1})
+        flips: list[str] = []
+
+        def record_flip(binding, bit, rng, space):
+            flips.append(binding.name)
+            return FlipEffect.APPLIED
+
+        oracle = _FireOracle(targets, LIVENESS, site_filter, flips)
+        with contextlib.ExitStack() as patches:
+            for cls in (
+                IntCellBinding,
+                IntValueBinding,
+                FloatValueBinding,
+                ArrayBinding,
+                AddressBinding,
+            ):
+                patches.enter_context(mock.patch.object(cls, "flip", record_flip))
+            output = workload(ExecutionContext(injector=oracle))
+        assert np.array_equal(output, golden.output)
+        never = oracle.never_fired()
+        assert cycles[-1] + 1 in never
+
+        predicted = executed = 0
+        for name, liveness in LIVENESS.items():
+            for target in targets:
+                for kind in RegKind:
+                    for register in range(NUM_REGISTERS):
+                        plan = InjectionPlan(target, kind, register, 0)
+                        if target in never:
+                            record, flipped = FaultInjector(plan).record, False
+                        else:
+                            record, flipped = oracle.records[(name, plan)]
+                        prediction = fast_forward.predict_masked(plan, liveness, site_filter)
+                        assert (prediction is None) == flipped, (name, plan, record)
+                        if prediction is None:
+                            executed += 1
+                        else:
+                            predicted += 1
+                            assert prediction == record, (name, plan)
+        assert predicted and executed

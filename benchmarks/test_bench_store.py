@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.forensics.query import StoreQuery, index_query, scan_query
-from repro.forensics.store import LAYOUT_V2, CampaignStore
+from repro.forensics.store import CampaignStore
 from repro.forensics.synth import synthesize_corpus
 
 from benchmarks.test_perf_campaign import append_entry
@@ -93,7 +93,7 @@ def test_store_perf_trajectory(tmp_path):
     )
     total_rows = sum(len(record["injections"]) for record in corpus)
 
-    store = CampaignStore(tmp_path / "store", layout=LAYOUT_V2)
+    store = CampaignStore(tmp_path / "store")
     ingest_start = time.perf_counter()
     for record in corpus:
         store.put(record)

@@ -38,7 +38,7 @@ query`` slices the whole corpus down to per-injection granularity
 through the store's SQLite index (see ``docs/store.md``); ``repro
 store migrate DIR`` converts a legacy single-log store to the sharded
 v2 layout (lossless, id-stable) and ``repro store rebuild DIR``
-re-derives the side index from the raw record segments.
+re-derives the SQLite index from the raw record segments.
 
 Adaptive sampling (see ``docs/sampling.md``): ``campaign --sampling
 stratified --ci-width 0.02`` stratifies draws over (register-class x
@@ -182,6 +182,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers else default_workers()
     # Likewise a malformed --heartbeat-interval / REPRO_HEARTBEAT_INTERVAL.
     telemetry.resolve_heartbeat_interval(args.heartbeat_interval)
+    # ...and a --store the record could never be put into (v1 layout).
+    store = None
+    if args.store:
+        from repro.forensics.store import CampaignStore, StoreError
+
+        try:
+            store = CampaignStore(args.store)
+        except StoreError as exc:
+            print(f"repro campaign: {exc}", file=sys.stderr)
+            return 2
     journal_path = args.resume if args.resume is not None else args.journal
     status_path = resolve_status_path(
         str(args.status) if args.status is not None else None
@@ -290,10 +300,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.out:
             save_json(args.out, campaign_to_dict(campaign))
             print(f"full record written to {args.out}")
-        if args.store:
-            from repro.forensics.store import CampaignStore
-
-            cid = CampaignStore(args.store).put_campaign(
+        if store is not None:
+            cid = store.put_campaign(
                 campaign, golden_output=golden.output, label=args.label
             )
             print(f"stored campaign {cid} in {args.store}")
@@ -413,22 +421,31 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render reports and regression diffs over stored campaigns."""
-    from repro.forensics.report import diff_records, render_diff, render_report
-    from repro.forensics.store import CampaignStore
+    from repro.forensics.store import CampaignStore, StoreError
 
-    store = CampaignStore(args.store)
+    try:
+        return _report(args, CampaignStore(args.store))
+    except StoreError as exc:
+        print(f"repro report {args.report_action}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _report(args: argparse.Namespace, store) -> int:
+    """One ``repro report`` action over an opened ``CampaignStore``."""
+    from repro.forensics.report import diff_records, render_diff, render_report
+
     if args.report_action == "list":
         summaries = store.summaries()
         if not summaries:
             print(f"no campaigns stored in {args.store}")
             return 0
         for cid, summary in summaries.items():
-            label = summary.get("label") or "-"
-            mode = summary.get("sampling", "uniform")
+            label = summary["label"] or "-"
             print(
                 f"{cid}  {summary['kind']:3s} n={summary['n_injections']:<6d} "
                 f"seed={summary['seed']:<6d} sdc={summary['sdc']:<5d} "
-                f"probe={'y' if summary['probe'] else 'n'} {mode:10s}  {label}"
+                f"probe={'y' if summary['probe'] else 'n'} "
+                f"{summary['sampling']:10s}  {label}"
             )
         return 0
     if args.report_action == "show":
@@ -463,8 +480,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         from repro.forensics.query import (
             QueryError,
             StoreQuery,
+            index_query,
             query_sections,
-            run_query,
         )
         from repro.forensics.report import render_sections
 
@@ -473,7 +490,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         except QueryError as exc:
             print(f"repro report query: {exc}", file=sys.stderr)
             return 2
-        result = run_query(store, query)
+        result = index_query(store, query)
         text = render_sections(
             f"Store query: {args.store}", query_sections(result), fmt=args.format
         )
@@ -490,27 +507,24 @@ def cmd_store(args: argparse.Namespace) -> int:
     """Maintain a result store: v1->v2 migration and index rebuilds."""
     from repro.forensics.store import StoreError, migrate_store, rebuild_store
 
-    if args.store_action == "migrate":
-        try:
+    try:
+        if args.store_action == "rebuild":
+            records = rebuild_store(args.store)
+        else:
             report = migrate_store(args.store)
-        except StoreError as exc:
-            print(f"repro store migrate: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"migrated {report.records} record(s) in {args.store} to the v2 "
-            f"layout: {report.segments} segment(s), ids unchanged"
-        )
-        for backup in report.backups:
-            print(f"  v1 file kept as {backup}")
-        return 0
+    except StoreError as exc:
+        print(f"repro store {args.store_action}: {exc}", file=sys.stderr)
+        return 2
     if args.store_action == "rebuild":
-        info = rebuild_store(args.store)
-        print(
-            f"rebuilt the v{info['layout']} side index of {args.store}: "
-            f"{info['records']} record(s)"
-        )
+        print(f"rebuilt the SQLite index of {args.store}: {records} record(s)")
         return 0
-    raise AssertionError(f"unknown store action {args.store_action!r}")
+    print(
+        f"migrated {report.records} record(s) in {args.store} to the v2 "
+        f"layout: {report.segments} segment(s), ids unchanged"
+    )
+    for backup in report.backups:
+        print(f"  v1 file kept as {backup}")
+    return 0
 
 
 def cmd_protect(args: argparse.Namespace) -> int:
@@ -826,8 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_store_rebuild = store_sub.add_parser(
         "rebuild",
-        help="re-derive the side index (SQLite for v2, index.jsonl for "
-        "v1) from the raw record files, repairing torn segment tails",
+        help="re-derive the SQLite index from the record segments, "
+        "repairing torn segment tails",
     )
     p_store_rebuild.add_argument("store", type=Path, help="result store directory")
     p_store_rebuild.set_defaults(func=cmd_store)

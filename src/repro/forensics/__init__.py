@@ -5,9 +5,9 @@ Three layers, all opt-in and result-neutral:
 * :mod:`~repro.forensics.probes` — stage-boundary checksum probes
   (enable per campaign with ``CampaignConfig(probe=True)`` or the CLI's
   ``--probe``); off by default with a single ``None`` check per stage.
-* :mod:`~repro.forensics.store` — an append-only, CRC-checked JSONL
-  store of campaign records under content-addressed ids
-  (``repro campaign --store DIR``).
+* :mod:`~repro.forensics.store` — campaign records under
+  content-addressed ids in bounded, CRC-checked segments with a derived
+  SQLite index (``repro campaign --store DIR``).
 * :mod:`~repro.forensics.report` — deterministic terminal / markdown /
   HTML reports and cross-campaign regression diffs (``repro report``).
 

@@ -10,16 +10,16 @@ result is one row per group with count, rate, and Wilson 95% CI.
 
 Two engines answer the same query:
 
-* :func:`index_query` — SQL over the v2 store's SQLite index
-  (O(log n) slicing; the production path), and
-* :func:`scan_query` — a brute-force walk of the raw record segments
-  (the v1 fallback and the *reference semantics*: the hypothesis suite
-  pins ``index_query == scan_query`` row for row).
+* :func:`index_query` — SQL over the store's SQLite index (O(log n)
+  slicing; the production path, and what ``repro report query`` runs),
+  and
+* :func:`scan_query` — a brute-force walk of the raw record segments,
+  the *reference oracle*: the hypothesis suite pins
+  ``index_query == scan_query`` row for row.
 
-:func:`run_query` picks the engine from the store layout.  Rates use
-the filtered injection population as their denominator, so "share of
-SDCs that first diverged in ``warp``" is one ``--where outcome=sdc
---group-by stage`` away (CLI: ``repro report query``).
+Rates use the filtered injection population as their denominator, so
+"share of SDCs that first diverged in ``warp``" is one ``--where
+outcome=sdc --group-by stage`` away.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from typing import Iterable
 
 from repro.faultinject.outcomes import wilson_interval
 from repro.forensics.report import Section
-from repro.forensics.store import (
-    LAYOUT_V2,
-    CampaignStore,
-    StoreError,
-    injection_view,
-)
+from repro.forensics.store import CampaignStore, injection_view
 
 #: Campaign-level fields: filter/group values come from the campaign
 #: row, shared by every injection of that campaign.
@@ -214,11 +209,6 @@ def scan_query(store: CampaignStore, query: StoreQuery) -> dict:
 
 def index_query(store: CampaignStore, query: StoreQuery) -> dict:
     """Indexed engine: one SQL aggregate over the SQLite index."""
-    if store.layout != LAYOUT_V2:
-        raise StoreError(
-            f"store {store.root} has no SQLite index (layout v1); "
-            f"run `repro store migrate {store.root}`"
-        )
     conn = store._db()
     clauses = []
     params: list = []
@@ -239,13 +229,6 @@ def index_query(store: CampaignStore, query: StoreQuery) -> dict:
         groups[tuple(key)] = int(count)
         total += int(count)
     return _finalize(groups, total, query)
-
-
-def run_query(store: CampaignStore, query: StoreQuery) -> dict:
-    """Answer a query with the best engine the store layout allows."""
-    if store.layout == LAYOUT_V2:
-        return index_query(store, query)
-    return scan_query(store, query)
 
 
 # ---------------------------------------------------------------------------

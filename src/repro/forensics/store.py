@@ -8,48 +8,37 @@ distributions and divergence attributions, stored under a
 canonical JSON — so identical campaigns collapse to one entry and a
 record can never drift from its id unnoticed.
 
-Two on-disk layouts share one :class:`CampaignStore` facade:
-
-Layout v2 (the default for new stores)::
+On-disk layout (v2)::
 
     <root>/manifest.jsonl        append-only segment manifest (CRC'd lines)
     <root>/segments/seg-NNNNNN.jsonl
-                                 bounded record segments; same CRC'd line
-                                 format as the v1 log, so migration is a
-                                 byte-for-byte line copy
+                                 bounded record segments, one CRC'd record
+                                 line each
     <root>/index.sqlite          derived SQLite index (WAL) down to
                                  per-injection rows; rebuildable from the
                                  segments at any time
 
-Layout v1 (legacy, still fully read/writable)::
-
-    <root>/campaigns.jsonl       append-only; one CRC32-guarded record per line
-    <root>/index.jsonl           incremental side index, one line per put
-                                 (each line records how far into the log it
-                                 covers, so a stale index re-syncs on open)
-    <root>/index.json            the pre-incremental side index (read-only
-                                 fallback; the first put materializes the
-                                 full index.jsonl from the log before
-                                 appending to it)
-
 The record line format follows the checkpoint journal's conventions
 (schema version, ``zlib.crc32`` over the canonical payload, fsync'd
 appends).  Mid-file corruption is reported, never silently skipped; a
-*torn tail* — the final line of the live log/segment truncated by a
-crash mid-``put`` — is the one recoverable case: it was never
-acknowledged, so readers ignore it and writers (both layouts) truncate
-it before appending, exactly like the journal's torn-record handling.
+*torn tail* — the final line of the live segment truncated by a crash
+mid-``put`` — is the one recoverable case: it was never acknowledged,
+so readers ignore it and writers truncate it before appending, exactly
+like the journal's torn-record handling.
+
+The retired v1 layout (a single ``campaigns.jsonl`` log) is refused on
+open; :func:`migrate_store` (``repro store migrate``) is its only
+reader and converts it in place, losslessly and id-stably.
 
 Writers serialize through an advisory ``flock`` on ``<root>/.lock``
-(where the platform provides one), and each v2 put re-syncs any segment
+(where the platform provides one), and each put re-syncs any segment
 bytes another writer appended before trusting its own offsets, so
 concurrent processes may share a store.  Readers never take the lock.
 
 The SQLite index is **derived state**: every byte of truth lives in the
 segments, and a missing, corrupt, or stale index is rebuilt (or
 incrementally re-synced from the un-indexed segment tails) on open.
-``repro store rebuild`` forces the full rebuild; ``repro store
-migrate`` converts a v1 store in place, losslessly and id-stably.
+``repro store rebuild`` forces the full rebuild.
 
 Reports and regression diffs over stored campaigns live in
 :mod:`repro.forensics.report`; cross-campaign slicing queries in
@@ -87,9 +76,11 @@ from repro.forensics.divergence import NONE_KEY, summarize_divergence
 #: independent of the on-disk layout version below.
 STORE_SCHEMA_VERSION = 1
 
-#: On-disk layout generations (see module docstring).
-LAYOUT_V1 = 1
+#: On-disk layout generation, stamped in the manifest header.
 LAYOUT_V2 = 2
+
+#: The retired v1 layout's single record log; only migration reads it.
+V1_LOG = "campaigns.jsonl"
 
 #: Hex digits of the SHA-256 kept as the campaign id.
 ID_LENGTH = 16
@@ -299,6 +290,14 @@ def _fsync_append(path: Path, line: str) -> tuple[int, int]:
     return offset, len(data)
 
 
+def _fsync_write(path: Path, text: str) -> None:
+    """Write a whole file, fsync'd before returning."""
+    with open(path, "wb") as handle:
+        handle.write(text.encode("utf-8"))
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def _scan_lines(
     path: Path, start: int = 0
 ) -> Iterator[tuple[int, int, str]]:
@@ -318,32 +317,25 @@ def _scan_lines(
             offset += len(raw)
 
 
-def _complete_prefix_end(path: Path, start: int = 0) -> int:
-    """Byte offset just past the last newline-terminated line."""
-    end = start
-    for offset, length, _text in _scan_lines(path, start):
-        end = offset + length
-    return end
+def _manifest_line(payload: dict) -> str:
+    """One CRC'd manifest line (header or segment entry)."""
+    return _canonical_json(
+        {"crc32": zlib.crc32(_canonical_json(payload).encode("utf-8")), "entry": payload}
+    )
 
 
-def _truncate_torn_tail(path: Path) -> None:
-    """Drop a crash-torn final line so the next append starts clean.
+def _segment_name(seq: int) -> str:
+    return f"seg-{seq:06d}.jsonl"
 
-    O(1) when the file is healthy (last byte is a newline); only a torn
-    tail pays the rescan to find the last complete line.
-    """
-    if not path.exists():
-        return
-    size = path.stat().st_size
-    if size == 0:
-        return
-    with open(path, "rb") as handle:
-        handle.seek(size - 1)
-        if handle.read(1) == b"\n":
-            return
-    end = _complete_prefix_end(path)
-    with open(path, "r+b") as handle:
-        handle.truncate(end)
+
+def _segment_limit(segment_max_bytes: int | None) -> int:
+    """The segment roll threshold: argument, else environment, else default."""
+    if segment_max_bytes is None:
+        raw = os.environ.get(SEGMENT_BYTES_ENV)
+        segment_max_bytes = int(raw) if raw else DEFAULT_SEGMENT_MAX_BYTES
+    if segment_max_bytes < 1:
+        raise StoreError(f"segment_max_bytes must be >= 1, got {segment_max_bytes}")
+    return segment_max_bytes
 
 
 @contextmanager
@@ -369,7 +361,7 @@ def _store_write_lock(root: Path) -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# The store facade
+# The store
 # ---------------------------------------------------------------------------
 
 
@@ -388,57 +380,29 @@ class MigrationReport:
 
 
 class CampaignStore:
-    """One store directory of campaign records (layout autodetected).
+    """One store directory of campaign records.
 
-    ``layout`` pins a specific on-disk generation (tests, migration);
-    the default detects an existing store and creates new stores as v2.
+    A directory still holding the retired v1 log (``campaigns.jsonl``
+    without a ``manifest.jsonl``) is refused with a pointer to
+    ``repro store migrate``; the manifest wins when both exist (a crash
+    after migration wrote it but before the v1 files were retired).
     """
 
     def __init__(
-        self,
-        root: Path | str,
-        layout: int | None = None,
-        segment_max_bytes: int | None = None,
+        self, root: Path | str, segment_max_bytes: int | None = None
     ) -> None:
         self.root = Path(root)
-        # v1 files
-        self.records_path = self.root / "campaigns.jsonl"
-        self.index_path = self.root / "index.json"
-        self.index_jsonl_path = self.root / "index.jsonl"
-        # v2 files
         self.manifest_path = self.root / "manifest.jsonl"
         self.segments_dir = self.root / "segments"
         self.db_path = self.root / "index.sqlite"
-        if layout not in (None, LAYOUT_V1, LAYOUT_V2):
-            raise StoreError(f"unknown store layout {layout!r}")
-        self._layout = layout
-        if segment_max_bytes is None:
-            raw = os.environ.get(SEGMENT_BYTES_ENV)
-            segment_max_bytes = int(raw) if raw else DEFAULT_SEGMENT_MAX_BYTES
-        if segment_max_bytes < 1:
-            raise StoreError(f"segment_max_bytes must be >= 1, got {segment_max_bytes}")
-        self.segment_max_bytes = segment_max_bytes
+        if (self.root / V1_LOG).exists() and not self.manifest_path.exists():
+            raise StoreError(
+                f"store {self.root} uses the retired v1 layout ({V1_LOG}); "
+                f"run `repro store migrate {self.root}` to convert it"
+            )
+        self.segment_max_bytes = _segment_limit(segment_max_bytes)
         self._conn: sqlite3.Connection | None = None
         self._repaired = False
-        self._v1_index: dict | None = None
-
-    # -- layout detection --------------------------------------------------
-
-    @property
-    def layout(self) -> int:
-        """The store's on-disk layout generation (new stores: v2)."""
-        if self._layout is not None:
-            return self._layout
-        if self.manifest_path.exists():
-            return LAYOUT_V2
-        if self.records_path.exists():
-            return LAYOUT_V1
-        return LAYOUT_V2
-
-    @property
-    def indexed(self) -> bool:
-        """Whether slicing queries run against the SQLite index."""
-        return self.layout == LAYOUT_V2
 
     def close(self) -> None:
         """Release the SQLite handle (stores are also usable ad hoc)."""
@@ -461,10 +425,39 @@ class CampaignStore:
                 f"record schema {record.get('schema')!r} is not supported "
                 f"(expected {STORE_SCHEMA_VERSION})"
             )
+        cid = campaign_id(record)
         with _store_write_lock(self.root):
-            if self.layout == LAYOUT_V1:
-                return self._v1_put(record)
-            return self._v2_put(record)
+            conn = self._db(repair=True)
+            if self._indexed(conn, cid):
+                return cid
+            segment = self._live_segment(conn)
+            path = self.segments_dir / segment
+            # Another process may have appended to the live segment since
+            # our open-time sync (or crashed mid-put there): index that
+            # tail before trusting our own offsets, or the indexed_bytes
+            # update below would mark the foreign record as covered
+            # without rows.
+            done = conn.execute(
+                "SELECT indexed_bytes FROM segments WHERE name = ?", (segment,)
+            ).fetchone()[0]
+            size = path.stat().st_size if path.exists() else 0
+            if size > done:
+                end = self._ingest_segment_tail(conn, segment, start=done)
+                if end < size:
+                    with open(path, "r+b") as handle:
+                        handle.truncate(end)
+                if self._indexed(conn, cid):
+                    conn.commit()  # the tail held this very record: keep its rows
+                    return cid
+            _cid, line = encode_record_line(record, cid)
+            offset, length = _fsync_append(path, line)
+            self._index_record(conn, segment, offset, length, cid, record)
+            conn.execute(
+                "UPDATE segments SET indexed_bytes = ? WHERE name = ?",
+                (offset + length, segment),
+            )
+            conn.commit()
+        return cid
 
     def put_campaign(
         self,
@@ -479,8 +472,6 @@ class CampaignStore:
 
     def ids(self) -> list[str]:
         """Stored campaign ids in insertion order."""
-        if self.layout == LAYOUT_V1:
-            return list(self._v1_load_index()["order"])
         conn = self._db()
         return [row[0] for row in conn.execute("SELECT cid FROM campaigns ORDER BY seq")]
 
@@ -489,13 +480,8 @@ class CampaignStore:
 
         Rows carry the full outcome-count breakdown (plus sampling
         mode) so listing consumers — ``report list``, the trend
-        dashboard's uniform rows — never need the full record.  Legacy
-        ``index.json`` rows predate some fields; they surface as-is
-        until the store is rebuilt or migrated.
+        dashboard's uniform rows — never need the full record.
         """
-        if self.layout == LAYOUT_V1:
-            index = self._v1_load_index()
-            return {cid: index["campaigns"][cid] for cid in index["order"]}
         conn = self._db()
         rows = conn.execute(
             "SELECT cid, label, kind, n_injections, seed, probe, sampling, "
@@ -523,21 +509,16 @@ class CampaignStore:
     def get(self, cid: str) -> dict:
         """Load one record by id, verifying its CRC and content address.
 
-        v2 stores resolve the id through the SQLite index to a single
+        The id resolves through the SQLite index to a single
         ``(segment, offset, length)`` seek — O(log n), not a scan.
         """
-        if self.layout == LAYOUT_V1:
-            return self._v1_get(cid)
-        conn = self._db()
-        row = conn.execute(
-            "SELECT segment, offset, length FROM campaigns WHERE cid = ?", (cid,)
-        ).fetchone()
-        if row is None:
+        location = self.location(cid)
+        if location is None:
             raise StoreError(
                 f"campaign {cid!r} is not in store {self.root} "
                 f"(known: {', '.join(self.ids()) or 'none'})"
             )
-        segment, offset, length = row
+        segment, offset, length = location
         path = self.segments_dir / segment
         try:
             with open(path, "rb") as handle:
@@ -565,202 +546,22 @@ class CampaignStore:
         This is the brute-force path: it decodes every segment line and
         is what the indexed query engine is property-tested against.
         """
-        for _segment, _offset, _length, cid, record in self._iter_records():
-            yield cid, record
+        for segment in self._manifest_segments():
+            path = self.segments_dir / segment
+            if not path.exists():
+                continue  # crash between manifest append and first write
+            for offset, _length, text in _scan_lines(path):
+                yield decode_record_line(text, f"{segment}:{offset}")
 
     def location(self, cid: str) -> tuple[str, int, int] | None:
-        """``(segment, offset, length)`` for one id (v2 stores only)."""
-        if self.layout != LAYOUT_V2:
-            return None
+        """``(segment, offset, length)`` for one id, or None if absent."""
         row = self._db().execute(
             "SELECT segment, offset, length FROM campaigns WHERE cid = ?", (cid,)
         ).fetchone()
         return (row[0], row[1], row[2]) if row is not None else None
 
-    def _iter_records(self) -> Iterator[tuple[str, int, int, str, dict]]:
-        if self.layout == LAYOUT_V1:
-            if not self.records_path.exists():
-                return
-            for offset, length, text in _scan_lines(self.records_path):
-                cid, record = decode_record_line(
-                    text, f"{self.records_path}:{offset}"
-                )
-                yield "campaigns.jsonl", offset, length, cid, record
-            return
-        for segment in self._manifest_segments():
-            path = self.segments_dir / segment
-            if not path.exists():
-                continue  # crash between manifest append and first write
-            for offset, length, text in _scan_lines(path):
-                cid, record = decode_record_line(text, f"{segment}:{offset}")
-                yield segment, offset, length, cid, record
-
     # ------------------------------------------------------------------
-    # v1 backend (legacy layout, kept fully writable)
-    # ------------------------------------------------------------------
-
-    def _v1_put(self, record: dict) -> str:
-        index = self._v1_load_index()
-        cid = campaign_id(record)
-        if cid in index["campaigns"]:
-            return cid
-        self.root.mkdir(parents=True, exist_ok=True)
-        if self.records_path.exists() and not self.index_jsonl_path.exists():
-            # Legacy store read through index.json: materialize the full
-            # incremental side index from the log before the first
-            # append — a lone appended line would otherwise shadow
-            # index.json (and drop every prior campaign) on reopen.
-            index = self._v1_rebuild_index()
-            self._v1_index = index
-            if cid in index["campaigns"]:
-                return cid
-        # A crash-torn final line was never acknowledged; drop it so the
-        # new record cannot fuse with the fragment (journal rule).
-        _truncate_torn_tail(self.records_path)
-        _truncate_torn_tail(self.index_jsonl_path)
-        _cid, line = encode_record_line(record, cid)
-        offset, length = _fsync_append(self.records_path, line)
-        summary = record_summary(record)
-        # O(1) ingest: one appended side-index line per record — the
-        # monolithic rewrite-the-world index.json is never written again
-        # (only read, as a legacy fallback).  ``end`` records how far
-        # into the log this entry covers, so a stale index (crash
-        # between the two appends) re-syncs from that offset on open.
-        _fsync_append(
-            self.index_jsonl_path,
-            _canonical_json({"end": offset + length, "id": cid, "summary": summary}),
-        )
-        index["order"].append(cid)
-        index["campaigns"][cid] = summary
-        return cid
-
-    def _v1_get(self, cid: str) -> dict:
-        for _seg, offset, _length, found, record in self._iter_records():
-            if found == cid:
-                return record
-        raise StoreError(
-            f"campaign {cid!r} is not in store {self.root} "
-            f"(known: {', '.join(self.ids()) or 'none'})"
-        )
-
-    def _v1_load_index(self) -> dict:
-        """The v1 side index, self-healing: rebuilt when missing/corrupt,
-        re-synced against the log tail when stale (a crash between the
-        log append and the index append loses only the index line, and
-        that line is re-derived here)."""
-        if self._v1_index is not None:
-            return self._v1_index
-        loaded = self._v1_read_side_index()
-        if loaded is None:
-            index = self._v1_rebuild_index()
-        else:
-            index, covered = loaded
-            index = self._v1_reconcile_index(index, covered)
-        self._v1_index = index
-        return index
-
-    def _v1_read_side_index(self) -> tuple[dict, int | None] | None:
-        """``(index, covered_log_bytes)`` from the side index, or None.
-
-        ``covered_log_bytes`` is how far into ``campaigns.jsonl`` the
-        index claims to reach (None when unknown — a legacy index with
-        no coverage offsets, or the read-only ``index.json`` fallback).
-        """
-        if self.index_jsonl_path.exists():
-            order: list[str] = []
-            campaigns: dict[str, dict] = {}
-            covered: int | None = None
-            try:
-                for _offset, _length, text in _scan_lines(self.index_jsonl_path):
-                    entry = json.loads(text)
-                    cid, summary = entry["id"], entry["summary"]
-                    end = entry.get("end")
-                    if isinstance(end, int):
-                        covered = end if covered is None else max(covered, end)
-                    if cid not in campaigns:
-                        order.append(cid)
-                        campaigns[cid] = summary
-            except (json.JSONDecodeError, KeyError, TypeError):
-                return None  # corrupt side index -> rebuild from the log
-            index = {
-                "schema": STORE_SCHEMA_VERSION,
-                "order": order,
-                "campaigns": campaigns,
-            }
-            return index, covered
-        if self.index_path.exists():
-            try:
-                index = json.loads(self.index_path.read_text())
-            except json.JSONDecodeError:
-                return None
-            if index.get("schema") != STORE_SCHEMA_VERSION:
-                raise StoreError(
-                    f"store index {self.index_path} schema {index.get('schema')!r} "
-                    f"is not supported (expected {STORE_SCHEMA_VERSION})"
-                )
-            if not isinstance(index.get("order"), list) or not isinstance(
-                index.get("campaigns"), dict
-            ):
-                return None
-            return index, None
-        if not self.records_path.exists():
-            return {"schema": STORE_SCHEMA_VERSION, "order": [], "campaigns": {}}, 0
-        return None
-
-    def _v1_reconcile_index(self, index: dict, covered: int | None) -> dict:
-        """Re-index log records the side index's coverage stops short of.
-
-        Only applies to ``index.jsonl`` stores — the read-only
-        ``index.json`` fallback surfaces as-is and heals on first put.
-        Healthy stores pay one ``stat`` here; only a stale index pays
-        the tail scan.
-        """
-        if not self.index_jsonl_path.exists() or not self.records_path.exists():
-            return index
-        if covered is None:
-            # Side index predates coverage offsets: one full rebuild
-            # upgrades it rather than rescanning the log every open.
-            return self._v1_rebuild_index()
-        if self.records_path.stat().st_size <= covered:
-            return index
-        _truncate_torn_tail(self.index_jsonl_path)
-        for offset, length, text in _scan_lines(self.records_path, covered):
-            cid, record = decode_record_line(text, f"{self.records_path}:{offset}")
-            if cid in index["campaigns"]:
-                continue
-            summary = record_summary(record)
-            _fsync_append(
-                self.index_jsonl_path,
-                _canonical_json(
-                    {"end": offset + length, "id": cid, "summary": summary}
-                ),
-            )
-            index["order"].append(cid)
-            index["campaigns"][cid] = summary
-        return index
-
-    def _v1_rebuild_index(self) -> dict:
-        """Re-derive the side index from the log and persist it."""
-        order: list[str] = []
-        campaigns: dict[str, dict] = {}
-        lines: list[str] = []
-        for _seg, offset, length, cid, record in self._iter_records():
-            if cid not in campaigns:
-                order.append(cid)
-                campaigns[cid] = record_summary(record)
-                lines.append(
-                    _canonical_json(
-                        {"end": offset + length, "id": cid, "summary": campaigns[cid]}
-                    )
-                )
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_jsonl_path.with_suffix(".jsonl.tmp")
-        tmp.write_text("".join(line + "\n" for line in lines))
-        os.replace(tmp, self.index_jsonl_path)
-        return {"schema": STORE_SCHEMA_VERSION, "order": order, "campaigns": campaigns}
-
-    # ------------------------------------------------------------------
-    # v2 backend (segments + manifest + SQLite)
+    # Segments, manifest and SQLite index
     # ------------------------------------------------------------------
 
     def _manifest_segments(self) -> list[str]:
@@ -795,13 +596,7 @@ class CampaignStore:
         return segments
 
     def _append_manifest(self, payload: dict) -> None:
-        line = _canonical_json(
-            {"crc32": zlib.crc32(_canonical_json(payload).encode("utf-8")), "entry": payload}
-        )
-        _fsync_append(self.manifest_path, line)
-
-    def _segment_name(self, index: int) -> str:
-        return f"seg-{index:06d}.jsonl"
+        _fsync_append(self.manifest_path, _manifest_line(payload))
 
     def _live_segment(self, conn: sqlite3.Connection) -> str:
         """The segment the next put appends to, rolling when full.
@@ -810,71 +605,28 @@ class CampaignStore:
         created, so no record can ever live in an unreferenced segment.
         """
         segments = self._manifest_segments()
-        if not segments:
+        if segments:
+            live = self.segments_dir / segments[-1]
+            if not live.exists() or live.stat().st_size < self.segment_max_bytes:
+                return segments[-1]
+        else:
             self.segments_dir.mkdir(parents=True, exist_ok=True)
             self._append_manifest({"type": "header", "layout": LAYOUT_V2})
-            name = self._segment_name(1)
-            self._append_manifest({"type": "segment", "name": name, "seq": 1})
-            conn.execute(
-                "INSERT OR IGNORE INTO segments(name, seq, indexed_bytes) VALUES (?, ?, 0)",
-                (name, 1),
-            )
-            return name
-        live = segments[-1]
-        path = self.segments_dir / live
-        if path.exists() and path.stat().st_size >= self.segment_max_bytes:
-            name = self._segment_name(len(segments) + 1)
-            self._append_manifest(
-                {"type": "segment", "name": name, "seq": len(segments) + 1}
-            )
-            conn.execute(
-                "INSERT OR IGNORE INTO segments(name, seq, indexed_bytes) VALUES (?, ?, 0)",
-                (name, len(segments) + 1),
-            )
-            return name
-        return live
-
-    def _v2_put(self, record: dict) -> str:
-        cid = campaign_id(record)
-        self.root.mkdir(parents=True, exist_ok=True)
-        conn = self._db(repair=True)
-        exists = conn.execute(
-            "SELECT 1 FROM campaigns WHERE cid = ?", (cid,)
-        ).fetchone()
-        if exists is not None:
-            return cid
-        segment = self._live_segment(conn)
-        path = self.segments_dir / segment
-        # Another process may have appended to the live segment since our
-        # open-time sync (or crashed mid-put there): index that tail
-        # before trusting our own offsets, or the indexed_bytes update
-        # below would mark the foreign record as covered without rows.
-        done = conn.execute(
-            "SELECT indexed_bytes FROM segments WHERE name = ?", (segment,)
-        ).fetchone()[0]
-        size = path.stat().st_size if path.exists() else 0
-        if size > done:
-            end = self._ingest_segment_tail(conn, segment, start=done)
-            if end < size:
-                with open(path, "r+b") as handle:
-                    handle.truncate(end)
-            if (
-                conn.execute(
-                    "SELECT 1 FROM campaigns WHERE cid = ?", (cid,)
-                ).fetchone()
-                is not None
-            ):
-                conn.commit()  # the tail held this very record: keep its rows
-                return cid
-        _cid, line = encode_record_line(record, cid)
-        offset, length = _fsync_append(path, line)
-        self._index_record(conn, segment, offset, length, cid, record)
+        seq = len(segments) + 1
+        name = _segment_name(seq)
+        self._append_manifest({"type": "segment", "name": name, "seq": seq})
         conn.execute(
-            "UPDATE segments SET indexed_bytes = ? WHERE name = ?",
-            (offset + length, segment),
+            "INSERT OR IGNORE INTO segments(name, seq, indexed_bytes) VALUES (?, ?, 0)",
+            (name, seq),
         )
-        conn.commit()
-        return cid
+        return name
+
+    @staticmethod
+    def _indexed(conn: sqlite3.Connection, cid: str) -> bool:
+        return (
+            conn.execute("SELECT 1 FROM campaigns WHERE cid = ?", (cid,)).fetchone()
+            is not None
+        )
 
     def _db(self, repair: bool = False) -> sqlite3.Connection:
         """The SQLite index, opened/validated/synced on first use.
@@ -1002,12 +754,7 @@ class CampaignStore:
         end = start
         for offset, length, text in _scan_lines(path, start):
             cid, record = decode_record_line(text, f"{segment}:{offset}")
-            if (
-                conn.execute(
-                    "SELECT 1 FROM campaigns WHERE cid = ?", (cid,)
-                ).fetchone()
-                is None
-            ):
+            if not self._indexed(conn, cid):
                 self._index_record(conn, segment, offset, length, cid, record)
             end = offset + length
         conn.execute(
@@ -1139,144 +886,97 @@ def migrate_store(
 ) -> MigrationReport:
     """Convert a v1 store to the v2 layout in place — lossless, id-stable.
 
-    Record lines are copied **byte-for-byte** from ``campaigns.jsonl``
-    into the new segments (after CRC + content-address verification), so
-    every record round-trips identically and keeps its sha256 id.  The
-    v1 files are kept beside the new layout as ``*.v1`` backups; the
-    manifest is written last, so a crash mid-migration leaves a store
-    that still reads as v1.
+    This is the only reader of the retired v1 log.  Record lines are
+    copied **byte-for-byte** from ``campaigns.jsonl`` into the new
+    segments (after CRC + content-address verification), so every record
+    round-trips identically and keeps its sha256 id.  The manifest is
+    renamed into place last, so a crash mid-migration leaves a store
+    that still reads as v1; the id sequence is verified before the v1
+    files are retired beside the new layout as ``*.v1`` backups.
     """
-    store = CampaignStore(root, segment_max_bytes=segment_max_bytes)
-    report = MigrationReport(root=store.root)
-    if store.layout == LAYOUT_V2 and store.manifest_path.exists():
-        raise StoreError(f"store {store.root} already uses the v2 layout")
-    if not store.records_path.exists():
-        raise StoreError(f"store {store.root} has no campaigns.jsonl to migrate")
+    root = Path(root)
+    log = root / V1_LOG
+    manifest_path = root / "manifest.jsonl"
+    segments_dir = root / "segments"
+    report = MigrationReport(root=root)
+    if manifest_path.exists():
+        raise StoreError(f"store {root} already uses the v2 layout")
+    if not log.exists():
+        raise StoreError(f"store {root} has no {V1_LOG} to migrate")
+    limit = _segment_limit(segment_max_bytes)
 
     # Pass 1: verify every line and plan the segment split.  Duplicate
     # cid lines (a pre-dedupe-fix log could hold the same record twice;
     # identical cid means identical bytes, so nothing is lost) are
-    # skipped, matching the side index's first-wins semantics.
-    lines: list[tuple[str, str]] = []  # (cid, raw line text)
+    # skipped, matching the v1 side index's first-wins semantics.
+    lines: list[str] = []
     seen: set[str] = set()
-    for offset, _length, text in _scan_lines(store.records_path):
-        cid, _record = decode_record_line(text, f"{store.records_path}:{offset}")
-        if cid in seen:
-            continue
-        seen.add(cid)
-        lines.append((cid, text))
+    for offset, _length, text in _scan_lines(log):
+        cid, _record = decode_record_line(text, f"{log}:{offset}")
+        if cid not in seen:
+            seen.add(cid)
+            report.ids.append(cid)
+            lines.append(text)
 
-    # Pass 2: write segments (verbatim lines), then the SQLite index,
-    # then the manifest — detection flips to v2 only once everything is
-    # in place.
-    store.segments_dir.mkdir(parents=True, exist_ok=True)
-    segments: list[str] = []
-    current: list[str] = []
-    current_bytes = 0
-    limit = store.segment_max_bytes
-
-    def flush() -> None:
-        nonlocal current, current_bytes
-        if not current:
-            return
-        name = f"seg-{len(segments) + 1:06d}.jsonl"
-        path = store.segments_dir / name
-        with open(path, "wb") as handle:
-            handle.write("".join(line + "\n" for line in current).encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        segments.append(name)
-        current = []
-        current_bytes = 0
-
-    for cid, text in lines:
+    # Pass 2: write segments (verbatim lines), then the manifest — the
+    # store opens as v2 only once everything is in place.
+    segments_dir.mkdir(parents=True, exist_ok=True)
+    chunks: list[list[str]] = [[]]
+    chunk_bytes = 0
+    for text in lines:
         size = len(text.encode("utf-8")) + 1
-        if current and current_bytes + size > limit:
-            flush()
-        current.append(text)
-        current_bytes += size
-        report.ids.append(cid)
-    flush()
-    if not segments:  # empty store still gets one (empty) live segment
-        name = "seg-000001.jsonl"
-        (store.segments_dir / name).touch()
-        segments.append(name)
+        if chunks[-1] and chunk_bytes + size > limit:
+            chunks.append([])
+            chunk_bytes = 0
+        chunks[-1].append(text)
+        chunk_bytes += size
+    # An empty store still gets one (empty) live segment.
+    segments = [_segment_name(seq) for seq in range(1, len(chunks) + 1)]
+    for name, chunk in zip(segments, chunks):
+        _fsync_write(segments_dir / name, "".join(line + "\n" for line in chunk))
     report.segments = len(segments)
 
-    # Fresh index over the new segments.
-    try:
-        store.db_path.unlink()
-    except FileNotFoundError:
-        pass
-    manifest_lines = []
-    for payload in (
-        {"type": "header", "layout": LAYOUT_V2},
-        *(
-            {"type": "segment", "name": name, "seq": seq}
-            for seq, name in enumerate(segments, start=1)
-        ),
-    ):
-        manifest_lines.append(
-            _canonical_json(
-                {
-                    "crc32": zlib.crc32(_canonical_json(payload).encode("utf-8")),
-                    "entry": payload,
-                }
-            )
-        )
-    tmp = store.manifest_path.with_suffix(".jsonl.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write("".join(line + "\n" for line in manifest_lines).encode("utf-8"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, store.manifest_path)
+    (root / "index.sqlite").unlink(missing_ok=True)
+    manifest = [{"type": "header", "layout": LAYOUT_V2}] + [
+        {"type": "segment", "name": name, "seq": seq}
+        for seq, name in enumerate(segments, start=1)
+    ]
+    tmp = manifest_path.with_suffix(".jsonl.tmp")
+    _fsync_write(tmp, "".join(_manifest_line(entry) + "\n" for entry in manifest))
+    os.replace(tmp, manifest_path)
 
     # Build the index (and verify the ids survived) through the normal
-    # open-time sync path — *before* retiring the v1 files, so a failed
-    # verification leaves the original log untouched on disk.
-    migrated = CampaignStore(root, segment_max_bytes=segment_max_bytes)
-    with migrated:
+    # open-time sync path — the manifest now wins over the log — *before*
+    # retiring the v1 files, so a failed verification leaves the
+    # original log untouched on disk.
+    with CampaignStore(root, segment_max_bytes=limit) as migrated:
         migrated._db(repair=True)
         new_ids = migrated.ids()
     if new_ids != report.ids:
         raise StoreError(
-            f"migration of {store.root} changed the id sequence "
+            f"migration of {root} changed the id sequence "
             f"({len(report.ids)} -> {len(new_ids)} records); the v1 "
             f"files were left in place"
         )
 
-    # Retire the v1 files so detection is unambiguous.
-    for old in (store.records_path, store.index_path, store.index_jsonl_path):
+    # Retire the v1 files (log and either generation of side index).
+    for name in (V1_LOG, "index.json", "index.jsonl"):
+        old = root / name
         if old.exists():
-            backup = old.with_name(old.name + ".v1")
+            backup = old.with_name(name + ".v1")
             os.replace(old, backup)
             report.backups.append(backup.name)
     return report
 
 
-def rebuild_store(root: Path | str) -> dict:
-    """Rebuild the derived side index from the raw record files.
+def rebuild_store(root: Path | str) -> int:
+    """Rebuild ``index.sqlite`` from the segments; returns the record count.
 
-    v1 stores get a fresh ``index.jsonl``; v2 stores get a fresh
-    ``index.sqlite`` (torn segment tails are truncated).  Returns
-    ``{layout, records}``.
+    Torn segment tails are truncated on the way.
     """
     store = CampaignStore(root)
-    if store.layout == LAYOUT_V1:
-        index = store._v1_rebuild_index()
-        store._v1_index = index
-        return {"layout": LAYOUT_V1, "records": len(index["order"])}
-    store.close()
-    try:
-        store.db_path.unlink()
-    except FileNotFoundError:
-        pass
-    for suffix in ("-wal", "-shm"):
-        try:
-            Path(str(store.db_path) + suffix).unlink()
-        except FileNotFoundError:
-            pass
-    with CampaignStore(root, segment_max_bytes=store.segment_max_bytes) as fresh:
-        fresh._db(repair=True)
-        count = len(fresh.ids())
-    return {"layout": LAYOUT_V2, "records": count}
+    for suffix in ("", "-wal", "-shm"):
+        Path(str(store.db_path) + suffix).unlink(missing_ok=True)
+    with store:
+        store._db(repair=True)
+        return len(store.ids())

@@ -53,22 +53,13 @@ def sparkline(values: list[float], ceiling: float | None = None) -> str:
     return "".join(chars)
 
 
-#: Summary fields a trend row can be built from without loading the
-#: full record (uniform campaigns; stratified ones need the record's
-#: Horvitz-Thompson rates).
-_SUMMARY_COUNT_FIELDS = ("total", "masked", "sdc", "crash_segv", "crash_abort", "hang")
-
-
 def _counts_from_summary(summary: dict) -> tuple[dict[str, int], int] | None:
     """Effective outcome counts straight from an index summary row.
 
-    Returns ``None`` when the row cannot stand in for the record: a
-    stratified campaign (its diff-comparable counts are reweighted) or
-    a legacy ``index.json`` row predating the full count breakdown.
+    Returns ``None`` for a stratified campaign: its diff-comparable
+    counts are reweighted, so the full record has to stand in.
     """
-    if summary.get("sampling", None) != "uniform":
-        return None
-    if any(field not in summary for field in _SUMMARY_COUNT_FIELDS):
+    if summary["sampling"] != "uniform":
         return None
     return {
         "mask": int(summary["masked"]),

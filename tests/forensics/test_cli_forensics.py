@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+import repro.cli
 from repro.cli import main
-from repro.forensics.store import LAYOUT_V1, LAYOUT_V2, CampaignStore
+from repro.forensics.store import CampaignStore
 from repro.forensics.synth import synthesize_corpus
+
+from tests.forensics.test_migrate import write_v1_log
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +115,30 @@ class TestReportCommand:
 
 @pytest.fixture
 def v1_store_root(tmp_path):
-    root = tmp_path / "v1store"
-    store = CampaignStore(root, layout=LAYOUT_V1)
-    for record in synthesize_corpus(3, seed=400, n_injections=20):
-        store.put(record)
-    return root
+    return write_v1_log(tmp_path / "v1store", synthesize_corpus(3, seed=400, n_injections=20))
+
+
+class TestV1StoreRefused:
+    """A v1 store exits 2 with the migrate pointer, never a traceback."""
+
+    def test_campaign_fails_before_the_golden_run(self, v1_store_root, capsys, monkeypatch):
+        monkeypatch.setattr(repro.cli, "golden_run", None)  # calling it would raise
+        code = main(["campaign", "-n", "2", "--store", str(v1_store_root)])
+        assert code == 2
+        assert f"repro store migrate {v1_store_root}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "action",
+        ["list", "show 0123456789abcdef", "diff 0123456789abcdef fedcba9876543210",
+         "trend", "query --group-by outcome"],
+        ids=lambda action: action.split()[0],
+    )
+    def test_report_actions(self, v1_store_root, capsys, action):
+        name, *rest = action.split()
+        assert main(["report", name, str(v1_store_root), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro report {name}: ")
+        assert f"repro store migrate {v1_store_root}" in err
 
 
 class TestStoreCommand:
@@ -123,7 +147,8 @@ class TestStoreCommand:
         out = capsys.readouterr().out
         assert "migrated 3 record(s)" in out
         assert "ids unchanged" in out
-        assert CampaignStore(v1_store_root).layout == LAYOUT_V2
+        assert (v1_store_root / "manifest.jsonl").exists()
+        assert len(CampaignStore(v1_store_root).ids()) == 3
 
     def test_migrate_twice_is_usage_error(self, v1_store_root, capsys):
         assert main(["store", "migrate", str(v1_store_root)]) == 0
@@ -131,23 +156,22 @@ class TestStoreCommand:
         assert main(["store", "migrate", str(v1_store_root)]) == 2
         assert "already" in capsys.readouterr().err
 
-    def test_rebuild_both_layouts(self, v1_store_root, capsys):
-        assert main(["store", "rebuild", str(v1_store_root)]) == 0
-        assert "rebuilt the v1 side index" in capsys.readouterr().out
+    def test_rebuild_refuses_v1_then_rebuilds_v2(self, v1_store_root, capsys):
+        assert main(["store", "rebuild", str(v1_store_root)]) == 2
+        assert f"repro store migrate {v1_store_root}" in capsys.readouterr().err
         assert main(["store", "migrate", str(v1_store_root)]) == 0
         capsys.readouterr()
         assert main(["store", "rebuild", str(v1_store_root)]) == 0
         out = capsys.readouterr().out
-        assert "rebuilt the v2 side index" in out
+        assert "rebuilt the SQLite index" in out
         assert "3 record(s)" in out
 
     def test_report_commands_work_after_migrate(self, v1_store_root, capsys):
-        assert main(["report", "list", str(v1_store_root)]) == 0
-        before = capsys.readouterr().out
+        log = (v1_store_root / "campaigns.jsonl").read_text().splitlines()
+        ids = [json.loads(line)["id"] for line in log]
         assert main(["store", "migrate", str(v1_store_root)]) == 0
         capsys.readouterr()
-        assert main(["report", "list", str(v1_store_root)]) == 0
-        assert capsys.readouterr().out == before
+        assert _stored_ids(v1_store_root, capsys) == ids
         assert main(["report", "query", str(v1_store_root),
                      "--where", "outcome=sdc", "--group-by", "stage"]) == 0
         assert "Grouped counts" in capsys.readouterr().out

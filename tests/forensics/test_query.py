@@ -14,19 +14,11 @@ from repro.forensics.query import (
     StoreQuery,
     index_query,
     query_sections,
-    run_query,
     scan_query,
 )
 from repro.forensics.report import render_sections
-from repro.forensics.store import (
-    LAYOUT_V1,
-    LAYOUT_V2,
-    CampaignStore,
-    StoreError,
-)
+from repro.forensics.store import CampaignStore
 from repro.forensics.synth import synthesize_corpus
-
-pytest.importorskip("hypothesis")
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +28,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def v2_store(tmp_path_factory, corpus):
-    store = CampaignStore(tmp_path_factory.mktemp("qv2") / "store", layout=LAYOUT_V2)
-    for record in corpus:
-        store.put(record)
-    return store
-
-
-@pytest.fixture(scope="module")
-def v1_store(tmp_path_factory, corpus):
-    store = CampaignStore(tmp_path_factory.mktemp("qv1") / "store", layout=LAYOUT_V1)
+    store = CampaignStore(tmp_path_factory.mktemp("qv2") / "store")
     for record in corpus:
         store.put(record)
     return store
@@ -87,17 +71,6 @@ class TestEngineParity:
         result = index_query(v2_store, StoreQuery(group_by=("outcome",)))
         assert result["total"] == sum(row["count"] for row in result["rows"])
         assert sum(row["rate"] for row in result["rows"]) == pytest.approx(1.0)
-
-    def test_v1_scan_equals_v2_index(self, v1_store, v2_store):
-        # Same corpus, both layouts: the layout must be invisible.
-        query = StoreQuery(
-            filters={"outcome": ("sdc", "crash")}, group_by=("register_class", "stage")
-        )
-        assert run_query(v1_store, query) == run_query(v2_store, query)
-
-    def test_index_query_requires_v2(self, v1_store):
-        with pytest.raises(StoreError, match="no SQLite index"):
-            index_query(v1_store, StoreQuery())
 
     def test_campaign_filters_scope_population(self, v2_store, corpus):
         result = index_query(
@@ -157,24 +130,19 @@ class TestEngineParity:
 
 class TestRendering:
     def test_sections_render_all_formats(self, v2_store):
-        result = run_query(
-            v2_store,
-            StoreQuery(filters={"outcome": ("sdc",)}, group_by=("stage",)),
-        )
+        query = StoreQuery(filters={"outcome": ("sdc",)}, group_by=("stage",))
+        result = index_query(v2_store, query)
         for fmt in ("terminal", "markdown", "html"):
             text = render_sections("Store query", query_sections(result), fmt)
             assert "stage" in text
         # Deterministic: same query, same bytes.
-        again = run_query(
-            v2_store,
-            StoreQuery(filters={"outcome": ("sdc",)}, group_by=("stage",)),
-        )
+        again = index_query(v2_store, query)
         assert render_sections(
             "Store query", query_sections(result), "markdown"
         ) == render_sections("Store query", query_sections(again), "markdown")
 
     def test_empty_result_notes(self, v2_store):
-        result = run_query(
+        result = index_query(
             v2_store, StoreQuery(filters={"kind": ("simd",)}, group_by=("outcome",))
         )
         text = render_sections("Store query", query_sections(result), "terminal")

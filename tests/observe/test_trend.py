@@ -9,6 +9,7 @@ import pytest
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.registers import RegKind
 from repro.forensics.store import CampaignStore
+from repro.forensics.synth import synthesize_record
 from repro.observe.trend import (
     BENCH_TIMING_FIELDS,
     build_trend,
@@ -103,17 +104,8 @@ class TestBuildTrend:
         assert crash_gate["rate_b"] > crash_gate["rate_a"]
 
     def test_single_campaign_has_no_gates(self, tmp_path):
-        spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
         store = CampaignStore(tmp_path / "solo")
-        store.put_campaign(
-            run_campaign(
-                toy_workload,
-                golden,
-                cycles,
-                CampaignConfig(n_injections=40, kind=RegKind.GPR, seed=9),
-            )
-        )
+        store.put(synthesize_record(seed=9, n_injections=40))
         trend = build_trend(store)
         assert trend["gates"] == []
         assert trend["flagged"] == []

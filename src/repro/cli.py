@@ -57,6 +57,15 @@ z-gate flags a shift between adjacent campaigns).
 
 from __future__ import annotations
 
+import os
+
+# One BLAS/OpenMP thread unless the user set a count: the kernels are
+# small, and thread fan-out only adds contention (worse still under a
+# worker pool, whose forked processes inherit this environment).  Must
+# run before anything imports NumPy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import contextlib
 import sys
@@ -237,6 +246,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 serve=args.serve is not None,
                 serve_port=args.serve or 0,
                 flight_path=args.flight_recorder,
+                heartbeat_interval=args.heartbeat_interval,
             )
             if observing
             else contextlib.nullcontext()

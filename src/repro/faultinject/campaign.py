@@ -273,9 +273,10 @@ def run_campaign(
     discarded; that chunk simply re-runs.
 
     With telemetry enabled (see :mod:`repro.telemetry`) the campaign
-    additionally records phase spans, per-outcome counters and a
-    progress heartbeat on stderr — none of which feed back into the
-    campaign, so traced and untraced runs produce identical results.
+    additionally records phase spans, per-outcome counters and (unless
+    ``config.quiet``) a progress heartbeat on stderr — none of which
+    feed back into the campaign, so traced and untraced runs produce
+    identical results.
 
     ``config.sampling="stratified"`` dispatches to the adaptive planner
     (see :mod:`repro.faultinject.sampling`): draws are stratified over
@@ -290,94 +291,77 @@ def run_campaign(
     if config.sampling == "stratified":
         from repro.faultinject.sampling import run_stratified_campaign
 
-        return run_stratified_campaign(
-            workload,
-            golden_output,
-            golden_cycles,
-            config,
-            spec=spec,
-            journal_path=journal_path,
-            resume=resume,
-        )
+        with telemetry.campaign_heartbeat(config):
+            return run_stratified_campaign(
+                workload,
+                golden_output,
+                golden_cycles,
+                config,
+                spec=spec,
+                journal_path=journal_path,
+                resume=resume,
+            )
     with telemetry.span("campaign.draw_plans"):
         plans = draw_plans(config, golden_cycles)
     with telemetry.span("campaign.group_plans"):
         groups, workers = plan_groups(spec, config, plans)
 
-    observe_events.emit(
-        "campaign_start",
-        mode="uniform",
-        kind=config.kind.value,
-        total=len(plans),
-        workers=workers,
-        seed=config.seed,
-        journaled=journal_path is not None,
-        resume=resume,
-        groups=len(groups),
-    )
-    # The heartbeat exists whenever anyone is listening — telemetry for
-    # the stderr lines, or an observe bus for heartbeat events.  Without
-    # telemetry it stays quiet (no surprise stderr from --status alone).
-    heartbeat = (
-        telemetry.Heartbeat(
-            len(plans),
-            label=f"campaign {config.kind.value}",
-            interval_s=telemetry.resolve_heartbeat_interval(config.heartbeat_interval),
-            quiet=config.quiet or not telemetry.enabled(),
+    with telemetry.campaign_heartbeat(config):
+        observe_events.emit(
+            "campaign_start",
+            mode="uniform",
+            kind=config.kind.value,
+            total=len(plans),
+            workers=workers,
+            seed=config.seed,
+            journaled=journal_path is not None,
+            resume=resume,
+            groups=len(groups),
         )
-        if telemetry.enabled() or observe_events.enabled()
-        else None
-    )
-    progress = heartbeat.update if heartbeat is not None else None
-    annotate = heartbeat.annotate if heartbeat is not None else None
-    if heartbeat is not None:
         if config.probe:
-            heartbeat.annotate("divergence probes on")
-        heartbeat.annotate(f"{len(groups)} dispatch groups")
+            observe_events.emit("note", note="divergence probes on")
+        observe_events.emit("note", note=f"{len(groups)} dispatch groups")
 
-    journal: CampaignJournal | None = None
-    done: dict[int, list[InjectionResult]] = {}
-    if journal_path is not None:
-        journal, groups, done, partial = _prepare_journal(
-            config, len(plans), journal_path, resume, groups
-        )
-        if resume:
-            observe_events.emit(
-                "journal_resume",
-                replayed=len(done),
-                units=len(groups),
-                injections=sum(len(res) for res in done.values()),
-                discarded_partial=partial,
+        journal: CampaignJournal | None = None
+        done: dict[int, list[InjectionResult]] = {}
+        if journal_path is not None:
+            journal, groups, done, partial = _prepare_journal(
+                config, len(plans), journal_path, resume, groups
             )
-            if heartbeat is not None:
+            if resume:
+                observe_events.emit(
+                    "journal_resume",
+                    replayed=len(done),
+                    units=len(groups),
+                    injections=sum(len(res) for res in done.values()),
+                    discarded_partial=partial,
+                )
                 note = f"resumed {len(done)}/{len(groups)} journaled chunks"
                 if partial:
                     note += " (discarded one torn record)"
-                heartbeat.annotate(note)
-    with telemetry.span("campaign.execute"), journal or contextlib.nullcontext():
-        results = execute_plans_parallel(
-            spec,
-            config,
-            plans,
-            workers,
-            progress=progress,
-            groups=groups,
-            local_state=(workload, golden_output, golden_cycles),
-            completed=done,
-            journal=journal,
-            annotate=annotate,
-        )
+                observe_events.emit("note", note=note)
+        with telemetry.span("campaign.execute"), journal or contextlib.nullcontext():
+            results = execute_plans_parallel(
+                spec,
+                config,
+                plans,
+                workers,
+                groups=groups,
+                local_state=(workload, golden_output, golden_cycles),
+                completed=done,
+                journal=journal,
+            )
 
-    with telemetry.span("campaign.assemble"):
-        campaign = assemble_campaign(config, results)
-    observe_events.emit(
-        "campaign_finish",
-        total=campaign.counts.total,
-        outcomes={
-            "mask": campaign.counts.masked,
-            "sdc": campaign.counts.sdc,
-            "crash": campaign.counts.crash,
-            "hang": campaign.counts.hang,
-        },
-    )
-    return campaign
+        with telemetry.span("campaign.assemble"):
+            campaign = assemble_campaign(config, results)
+        observe_events.emit(
+            "campaign_finish",
+            total=campaign.counts.total,
+            outcomes={
+                "mask": campaign.counts.masked,
+                "sdc": campaign.counts.sdc,
+                "crash": campaign.counts.crash,
+                "hang": campaign.counts.hang,
+            },
+        )
+        return campaign

@@ -673,9 +673,7 @@ class FastForward:
         """
         probes.replay_prefix(self.tape.probe_events[snapshot.probe_count :])
         ctx.preload(self.tape.golden_cycles)
-        telemetry.counter_inc("campaign.fanout.golden_tail")
-        # Parent-side only by construction: workers never carry a bus,
-        # so fan-out never duplicates golden-tail events.
+        # The one golden-tail tally: the registry counts these events.
         observe_events.emit(
             "golden_tail",
             frame=snapshot.frame_index,
@@ -868,12 +866,12 @@ class BoundaryFanOut:
         if self._dead_base is None:
             self._dead_base = self._materialize()
             telemetry.counter_inc("campaign.fanout.shared_restores")
-        elif telemetry.enabled():
+        elif observe_events.enabled():
             telemetry.counter_inc(
                 f"campaign.fanout.b{self.snapshot.frame_index}.restores_saved"
             )
         self.members_run += 1
-        if telemetry.enabled():
+        if observe_events.enabled():
             telemetry.counter_inc("campaign.fanout.cow_clones", self._clones_per_member)
             telemetry.counter_inc(
                 f"campaign.fanout.b{self.snapshot.frame_index}.members"

@@ -28,6 +28,7 @@ from repro.faultinject.watchdog import WatchdogPolicy, call_with_deadline
 from repro.forensics import probes
 from repro.forensics.divergence import DivergenceRecord, diff_against_golden
 from repro.imaging.image import images_equal
+from repro.observe import events as observe_events
 from repro.runtime.context import ExecutionContext
 
 #: Default watchdog budget as a multiple of the golden run's cycles.
@@ -100,13 +101,11 @@ class FaultMonitor:
     def run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
         """Execute one injected run and classify the result."""
         result = self._run_injected(plan, rng)
-        if telemetry.enabled():
-            # Telemetry only observes — counters never feed back into
+        if observe_events.enabled():
+            # Counters only observe — they never feed back into
             # classification, so traced and untraced campaigns agree.
             telemetry.counter_inc("campaign.runs")
             telemetry.counter_inc(f"campaign.outcome.{result.outcome.value}")
-            if result.hang_kind is HangKind.WATCHDOG:
-                telemetry.counter_inc("campaign.watchdog_hangs")
             if result.record.fired:
                 telemetry.counter_inc("campaign.fired")
             if result.divergence is not None and result.divergence.first_divergence:
@@ -158,7 +157,7 @@ class FaultMonitor:
             if predicted is not None:
                 # The flip never touches program state: the run is the
                 # golden run, probe stream included.
-                if telemetry.enabled():
+                if observe_events.enabled():
                     telemetry.counter_inc("campaign.fastforward.predicted")
                     telemetry.counter_inc(
                         "campaign.fastforward.skipped_cycles", self.golden_cycles
@@ -182,7 +181,7 @@ class FaultMonitor:
         soft_deadline = self.watchdog.soft_deadline_s if self.watchdog is not None else None
         if ff is not None:
             index = ff.boundary_index_for(plan.target_cycle)
-            if telemetry.enabled():
+            if observe_events.enabled():
                 telemetry.counter_inc("campaign.fastforward.hits")
                 telemetry.counter_inc(
                     "campaign.fastforward.skipped_cycles", ff.tape.boundaries[index].cycles

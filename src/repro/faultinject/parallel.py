@@ -43,11 +43,11 @@ from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro import telemetry
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.monitor import FaultMonitor, InjectionResult, Workload
 from repro.faultinject.outcomes import HangKind
 from repro.observe import events as observe_events
+from repro.telemetry.metrics import run_buffered
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.faultinject.campaign import CampaignConfig
@@ -328,26 +328,16 @@ def run_injection_chunk(
     return run_chunk_on_monitor(monitor, config, chunk)
 
 
-def run_injection_chunk_metered(
-    spec: WorkloadSpec,
-    config: "CampaignConfig",
-    chunk: list[tuple[int, InjectionPlan]],
-) -> tuple[list[InjectionResult], dict]:
-    """Like :func:`run_injection_chunk`, plus this chunk's metric snapshot.
+def run_observed(observed: bool, runner: Callable, *args) -> tuple[list[InjectionResult], list]:
+    """Run one chunk, in a worker or in-process: ``(results, events)``.
 
-    A fresh tracer is swapped in for the chunk's duration, so the
-    returned snapshot covers exactly this chunk's activity (stage
-    timers, outcome counters, golden-cache counters) regardless of what
-    a forked worker inherited from the parent.  The parent merges the
-    snapshots in chunk order, which makes the aggregated registry
-    deterministic for a fixed chunking.
+    ``observed`` (the dispatching process has a bus) buffers the chunk's
+    events (:func:`~repro.telemetry.metrics.run_buffered`); otherwise no
+    bus is installed and ``events`` is empty.
     """
-    fresh, previous = telemetry.swap_in_fresh_tracer()
-    try:
-        results = run_injection_chunk(spec, config, chunk)
-    finally:
-        telemetry.restore_tracer(previous)
-    return results, fresh.registry.snapshot()
+    if observed:
+        return run_buffered(runner, *args)
+    return runner(*args), []
 
 
 # ---------------------------------------------------------------------------
@@ -469,52 +459,46 @@ def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
 
 
 class _ChunkCollector:
-    """Secures completed chunks: results, telemetry snapshot, journal.
+    """Secures completed chunks: results, journal, then their events.
 
-    ``progress`` is reported as the cumulative injection count over all
-    secured chunks (journal-replayed ones included), and snapshots are
-    merged into the parent tracer at :meth:`finish` in ascending chunk
-    order so the aggregated metrics stay deterministic no matter what
-    order retries completed in.
+    A chunk's buffered events (see :func:`run_observed`) are re-published
+    on the parent bus once the chunk is journaled, followed by its
+    ``chunk_done``.  Chunks are secured in chunk order unless a worker
+    failure forces retries; the registry fold only adds counters and
+    timers, so it is the same for a fixed chunking either way.
     """
 
     def __init__(
         self,
-        tracer,
         journal: "CampaignJournal | None",
-        progress: Callable[[int], None] | None,
         completed: dict[int, list[InjectionResult]],
         done_base: int = 0,
     ) -> None:
-        self.tracer = tracer
         self.journal = journal
-        self.progress = progress
         # Injections secured before this collector existed (stratified
         # rounds call the executor once per round): offsets the ``done``
-        # totals events report, never the progress callback.
+        # totals events report.
         self.done_base = done_base
         self.results_by_chunk: dict[int, list[InjectionResult]] = dict(completed)
-        self.snapshots: dict[int, dict] = {}
 
     @property
     def injections_done(self) -> int:
         return sum(len(results) for results in self.results_by_chunk.values())
 
-    def secure(self, chunk_index: int, chunk_result) -> None:
+    def secure(self, chunk_index: int, chunk_result: tuple[list[InjectionResult], list]) -> None:
         """Record one freshly executed chunk (journal before reporting)."""
-        if self.tracer is not None:
-            results, snapshot = chunk_result
-            self.snapshots[chunk_index] = snapshot
-        else:
-            results = chunk_result
+        results, chunk_events = chunk_result
         self.results_by_chunk[chunk_index] = results
         if self.journal is not None:
             # Durability first: only a journaled chunk counts as done.
             # May raise CampaignInterrupted (the abort-after test hook).
             self.journal.append_chunk(chunk_index, results)
-        if observe_events.enabled():
+        bus = observe_events.current()
+        if bus is not None:
             # Tallies are computed only when someone is listening, so
             # the unobserved hot path stays one None check per chunk.
+            for kind, payload in chunk_events:
+                bus.publish(kind, payload)
             outcomes: dict[str, int] = {}
             watchdog_hangs = 0
             for result in results:
@@ -532,14 +516,9 @@ class _ChunkCollector:
                 observe_events.emit(
                     "watchdog_hang", index=chunk_index, count=watchdog_hangs
                 )
-        if self.progress is not None:
-            self.progress(self.injections_done)
 
     def finish(self, n_chunks: int) -> list[InjectionResult]:
-        """Merge telemetry in chunk order and flatten results in order."""
-        if self.tracer is not None:
-            for chunk_index in sorted(self.snapshots):
-                self.tracer.registry.merge_snapshot(self.snapshots[chunk_index])
+        """Flatten results in chunk order."""
         assert sorted(self.results_by_chunk) == list(range(n_chunks))
         return [
             result
@@ -553,13 +532,11 @@ def execute_plans_parallel(
     config: "CampaignConfig",
     plans: list[InjectionPlan],
     workers: int,
-    progress: Callable[[int], None] | None = None,
     *,
     groups: list[list[int]],
     local_state: tuple[Workload, np.ndarray, int] | None = None,
     completed: dict[int, list[InjectionResult]] | None = None,
     journal: "CampaignJournal | None" = None,
-    annotate: Callable[[str], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
     index_base: int = 0,
 ) -> list[InjectionResult]:
@@ -588,30 +565,19 @@ def execute_plans_parallel(
     campaigns use it so each round continues the campaign-global
     ``(seed, index)`` derivation.
 
-    When telemetry is enabled, each chunk returns a worker-side metric
-    snapshot; snapshots are merged into the parent tracer **in chunk
-    order** at the end, so the aggregated metrics are deterministic
-    regardless of retry scheduling.  ``progress``, when given, receives
-    the cumulative number of completed injections; ``annotate`` receives
-    human-readable notes about retries and degradation (wired to the
-    heartbeat by the campaign driver).
+    While a bus is installed, every chunk — in a worker or in-process —
+    runs under a chunk-local buffering bus, and its events are
+    re-published on the parent bus when the chunk is secured (see
+    :class:`_ChunkCollector`).  Retries and degradation are reported as
+    ``retry``/``degrade`` events plus a human-readable ``note``.
     """
     chunks = chunks_from_groups(plans, groups, index_base=index_base)
     if not chunks:
         return []
     retry = config.retry if config.retry is not None else RetryPolicy()
     watchdog = config.watchdog
-    tracer = telemetry.get_tracer()
-    chunk_fn = run_injection_chunk_metered if tracer is not None else run_injection_chunk
-    collector = _ChunkCollector(
-        tracer,
-        journal,
-        progress,
-        completed or {},
-        done_base=index_base,
-    )
-    if collector.results_by_chunk and progress is not None:
-        progress(collector.injections_done)
+    observed = observe_events.enabled()
+    collector = _ChunkCollector(journal, completed or {}, done_base=index_base)
 
     pending = [i for i in range(len(chunks)) if i not in collector.results_by_chunk]
     # Jitter RNG: timing-only, never touches result determinism.
@@ -620,10 +586,17 @@ def execute_plans_parallel(
     attempt = 0
 
     while pending and spec is not None and pool_workers > 1:
-        pool = ProcessPoolExecutor(max_workers=pool_workers)
+        # Forked workers must never publish to the parent's subscribers
+        # (a status writer would rewrite the parent's file): they start
+        # without a bus and buffer each chunk on their own.
+        pool = ProcessPoolExecutor(
+            max_workers=pool_workers, initializer=observe_events.uninstall
+        )
         try:
             futures = {
-                index: pool.submit(chunk_fn, spec, config, chunks[index])
+                index: pool.submit(
+                    run_observed, observed, run_injection_chunk, spec, config, chunks[index]
+                )
                 for index in pending
             }
             for index in list(pending):
@@ -655,7 +628,6 @@ def execute_plans_parallel(
                     pending.remove(index)
             pool.shutdown(wait=False, cancel_futures=True)
             attempt += 1
-            telemetry.counter_inc("campaign.retries")
             cause = (
                 "chunk exceeded its hard deadline"
                 if isinstance(exc, TimeoutError)
@@ -669,30 +641,28 @@ def execute_plans_parallel(
                 workers=pool_workers,
             )
             if attempt > retry.max_retries:
-                telemetry.counter_inc("campaign.degraded")
                 observe_events.emit(
                     "degrade", to_workers=1, serial_fallback=True, attempt=attempt
                 )
-                if annotate is not None:
-                    annotate(
-                        f"{cause}; retry budget exhausted after {attempt - 1} "
-                        f"retries — degrading to in-process serial execution"
-                    )
+                observe_events.emit(
+                    "note",
+                    note=f"{cause}; retry budget exhausted after {attempt - 1} "
+                    f"retries — degrading to in-process serial execution",
+                )
                 break
             if attempt >= retry.degrade_after and pool_workers > 1:
                 pool_workers = max(1, pool_workers // 2)
-                telemetry.counter_inc("campaign.degraded")
                 observe_events.emit(
                     "degrade",
                     to_workers=pool_workers,
                     serial_fallback=False,
                     attempt=attempt,
                 )
-            if annotate is not None:
-                annotate(
-                    f"{cause}; retry {attempt}/{retry.max_retries} "
-                    f"({len(pending)} chunks left, {pool_workers} workers)"
-                )
+            observe_events.emit(
+                "note",
+                note=f"{cause}; retry {attempt}/{retry.max_retries} "
+                f"({len(pending)} chunks left, {pool_workers} workers)",
+            )
             sleep(retry.delay_s(attempt, jitter_rng))
         except BaseException:
             # Workload bugs, CampaignInterrupted, KeyboardInterrupt:
@@ -720,15 +690,9 @@ def execute_plans_parallel(
             fast_forward=fast_forward_for(spec, config),
         )
         for index in list(pending):
-            if tracer is not None:
-                fresh, previous = telemetry.swap_in_fresh_tracer()
-                try:
-                    results = run_chunk_on_monitor(monitor, config, chunks[index])
-                finally:
-                    telemetry.restore_tracer(previous)
-                collector.secure(index, (results, fresh.registry.snapshot()))
-            else:
-                collector.secure(index, run_chunk_on_monitor(monitor, config, chunks[index]))
+            collector.secure(
+                index, run_observed(observed, run_chunk_on_monitor, monitor, config, chunks[index])
+            )
             pending.remove(index)
 
     flat = collector.finish(len(chunks))

@@ -682,22 +682,11 @@ def run_stratified_campaign(
         cells=len(stratification.cells),
         ci_width=config.ci_width,
     )
-    heartbeat = (
-        telemetry.Heartbeat(
-            0,
-            label=f"campaign {config.kind.value} (stratified)",
-            interval_s=telemetry.resolve_heartbeat_interval(config.heartbeat_interval),
-            quiet=config.quiet or not telemetry.enabled(),
-        )
-        if telemetry.enabled() or observe_events.enabled()
-        else None
+    observe_events.emit(
+        "note",
+        note=f"stratified sampling on: {len(stratification.cells)} cells, "
+        f"ci-width target {config.ci_width:g}",
     )
-    annotate = heartbeat.annotate if heartbeat is not None else None
-    if annotate is not None:
-        annotate(
-            f"stratified sampling on: {len(stratification.cells)} cells, "
-            f"ci-width target {config.ci_width:g}"
-        )
 
     journal: CampaignJournal | None = None
     replayed: list[list["InjectionResult"]] = []
@@ -715,11 +704,10 @@ def run_stratified_campaign(
                 injections=state.total_draws,
                 discarded_partial=partial,
             )
-            if annotate is not None:
-                note = f"resumed {len(replayed)} journaled round(s)"
-                if partial:
-                    note += " (discarded one torn record)"
-                annotate(note)
+            note = f"resumed {len(replayed)} journaled round(s)"
+            if partial:
+                note += " (discarded one torn record)"
+            observe_events.emit("note", note=note)
 
     try:
         with telemetry.span("campaign.execute"):
@@ -743,7 +731,6 @@ def run_stratified_campaign(
                     workers,
                     groups=groups,
                     local_state=(workload, golden_output, golden_cycles),
-                    annotate=annotate,
                     index_base=state.total_draws,
                 )
                 if journal is not None:
@@ -752,13 +739,14 @@ def run_stratified_campaign(
                     journal.append_round(state.rounds_done, results)
                 state.absorb_round(results)
                 telemetry.counter_inc("campaign.sampling.rounds")
-                if annotate is not None:
+                if observe_events.enabled():
                     converged = sum(
                         1 for s in state.cells if s.converged_round is not None
                     )
-                    annotate(
-                        f"round {state.rounds_done}: {state.total_draws} draws, "
-                        f"{converged}/{len(state.cells)} cells converged"
+                    observe_events.emit(
+                        "note",
+                        note=f"round {state.rounds_done}: {state.total_draws} draws, "
+                        f"{converged}/{len(state.cells)} cells converged",
                     )
     finally:
         if journal is not None:

@@ -1,40 +1,10 @@
-"""Live campaign observatory: event bus, status snapshots, flight recorder.
+"""Live campaign observatory over the event bus.
 
-Only the stdlib-only event API is re-exported here so that importing
-``repro.observe`` from the telemetry progress path cannot create an
-import cycle (``repro.telemetry`` imports ``progress`` at package
-import, and ``progress`` emits events through this package).  The
-heavier layers are explicit submodules:
-
+* :mod:`repro.observe.events` — the event bus every span, counter and
+  campaign event goes through
 * :mod:`repro.observe.status` — crash-safe JSON status snapshots
 * :mod:`repro.observe.server` — zero-dependency ``/status`` + ``/metrics``
 * :mod:`repro.observe.recorder` — bounded flight-recorder ring
 * :mod:`repro.observe.session` — the ``observe_campaign`` wiring
 * :mod:`repro.observe.trend` — cross-campaign trend dashboard
 """
-
-from repro.observe.events import (
-    EVENT_KINDS,
-    EVENT_SCHEMA_VERSION,
-    CampaignEvent,
-    EventBus,
-    current,
-    emit,
-    enabled,
-    install,
-    restore,
-    uninstall,
-)
-
-__all__ = [
-    "EVENT_KINDS",
-    "EVENT_SCHEMA_VERSION",
-    "CampaignEvent",
-    "EventBus",
-    "current",
-    "emit",
-    "enabled",
-    "install",
-    "restore",
-    "uninstall",
-]

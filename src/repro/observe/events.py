@@ -1,50 +1,54 @@
-"""Typed campaign event bus: one subscriber API for live observability.
+"""The instrumentation spine: one typed event bus for everything observed.
 
-The campaign engine — :mod:`repro.faultinject.campaign`, the parallel
-executor, the checkpoint journal and the stratified sampling loop —
-emits :class:`CampaignEvent` records describing everything an operator
-would want to watch: campaign start/finish, chunk/group/round
-completion, retries and degradation, watchdog hangs, journal
-checkpoints and resumes, stratum convergence, fan-out golden tails and
-heartbeat progress.  Subscribers (the status-snapshot writer, the
-flight recorder, tests) receive every event in emission order.
+Campaign events (start/finish, chunks, rounds, retries, hangs, journal
+checkpoints, golden tails, notes) and metric events (a ``span`` per
+measured region, a ``counter``/``gauge`` per update, one ``metrics``
+snapshot per executed chunk) all go through the one process-local bus.
+Subscribers — the tracer, the status writer, the flight recorder, the
+stderr heartbeat, tests — receive every event in emission order and
+keep what they need.
 
-Determinism contract — the same one tracing and probes honour:
+Determinism contract:
 
-* **Disabled cost is one ``None`` check.**  ``emit`` reads one module
-  global; with no bus installed it returns immediately, so the
-  emission points in the campaign hot paths cost nothing measurable.
+* **Disabled cost is one ``None`` check.**  Every emission point reads
+  the module global ``_BUS`` and returns at once while it is ``None``.
 * **Observation never perturbs.**  A subscriber that raises is counted
-  (``EventBus.subscriber_errors``) and skipped — an exception in a
-  status writer must never abort, reorder or otherwise change a
-  campaign.  Observed campaigns are bit-identical to unobserved ones
-  at any worker count and across interrupt/resume (pinned by
-  ``tests/observe/test_observed_equivalence.py``).
-* Events are emitted **parent-side only**: worker processes never have
-  a bus installed, so fan-out never duplicates events.
+  (``EventBus.subscriber_errors``) and skipped; observed campaigns are
+  bit-identical to unobserved ones at any worker count and across
+  interrupt/resume (``tests/observe/test_observed_equivalence.py``).
+* **Worker events come back with the results.**  While a bus is
+  installed, each injection chunk runs under a chunk-local buffering
+  bus (:func:`repro.telemetry.metrics.run_buffered`), and the parent
+  re-publishes its events when the chunk is secured.
 
-The payload vocabulary is versioned like the journal schema:
 ``EVENT_SCHEMA_VERSION`` bumps whenever a kind is removed or a payload
-field changes meaning (adding kinds or fields is compatible).  The
-full schema is documented in ``docs/observability.md``.
+field changes meaning (adding kinds or fields is compatible); the
+schema is documented in ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
-#: Bump when an event kind is removed or a payload field changes
-#: meaning; adding new kinds or payload fields is backward compatible.
-#: v2: one dispatch unit — ``chunk_done`` only; the serial loop's
-#: per-injection kind and the fan-out group kind are gone.
-EVENT_SCHEMA_VERSION = 2
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.runtime.context import ExecutionContext
 
-#: Every event kind the engine emits (the typed vocabulary).  Tests
-#: assert emitted kinds stay inside this set; subscribers may rely on
-#: unknown kinds never appearing within one schema version.
-EVENT_KINDS = frozenset(
+try:  # pragma: no cover - resource is POSIX-only
+    import resource as _resource
+except ImportError:  # pragma: no cover
+    _resource = None
+
+#: v2: one dispatch unit — ``chunk_done`` only.  v3: spans, counters and
+#: gauges are events (``span``/``counter``/``gauge``/``metrics``),
+#: ``golden_tail`` also arrives from pool workers, and ``heartbeat`` is
+#: gone (``chunk_done`` carries the progress it repeated).
+EVENT_SCHEMA_VERSION = 3
+
+#: What the engine reports to an operator (status, flight recorder).
+CAMPAIGN_KINDS = frozenset(
     {
         "campaign_start",  # one campaign began (mode, total, workers)
         "campaign_finish",  # final outcome counts
@@ -57,11 +61,25 @@ EVENT_KINDS = frozenset(
         "journal_resume",  # a resume replayed journaled work
         "stratum_converged",  # one stratified cell reached its CI target
         "golden_tail",  # fan-out synthesized a golden tail
-        "heartbeat",  # rate-limited progress (done/total/rate/ETA)
         "note",  # free-form annotation (probe/fast-forward/... banners)
         "interrupt",  # the campaign stopped early (abort hook, Ctrl-C)
     }
 )
+
+#: What the metrics registry folds (timers, counters, gauges).
+METRIC_KINDS = frozenset(
+    {
+        "span",  # one measured region closed (wall/cpu/rss/cycles)
+        "counter",  # a named counter moved by ``by``
+        "gauge",  # a named gauge took ``value``
+        "metrics",  # one chunk's folded registry snapshot
+    }
+)
+
+#: Every event kind (the typed vocabulary).  Tests assert emitted kinds
+#: stay inside this set; subscribers may rely on unknown kinds never
+#: appearing within one schema version.
+EVENT_KINDS = CAMPAIGN_KINDS | METRIC_KINDS
 
 
 @dataclass(frozen=True)
@@ -92,39 +110,36 @@ Subscriber = Callable[[CampaignEvent], None]
 
 
 class EventBus:
-    """Synchronous fan-out of campaign events to subscribers.
+    """Synchronous fan-out of events to subscribers, in emission order.
 
-    Emission order is delivery order; subscribers run in subscription
-    order.  Subscriber exceptions are swallowed and counted — the bus
-    exists to observe a campaign, never to influence one.
+    Subscriber exceptions are swallowed and counted — the bus exists to
+    observe a campaign, never to influence one.  ``span_stack`` holds
+    the open span names, so span events carry parent and depth.
     """
 
-    def __init__(self) -> None:
-        self._subscribers: list[Subscriber] = []
-        self.next_seq = 0
-        self.events_emitted = 0
+    def __init__(self, subscribers: Iterable[Subscriber] = ()) -> None:
+        self.subscribers: list[Subscriber] = list(subscribers)
+        self.span_stack: list[str] = []
+        self.events_emitted = 0  # also the next event's seq
         self.subscriber_errors = 0
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         """Register ``subscriber``; returns it (decorator-friendly)."""
-        self._subscribers.append(subscriber)
+        self.subscribers.append(subscriber)
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         """Remove one subscription (no-op when absent)."""
-        try:
-            self._subscribers.remove(subscriber)
-        except ValueError:
-            pass
+        if subscriber in self.subscribers:
+            self.subscribers.remove(subscriber)
 
     def publish(self, kind: str, payload: Mapping[str, object]) -> CampaignEvent:
         """Deliver one event to every subscriber; returns the event."""
         event = CampaignEvent(
-            seq=self.next_seq, t=time.time(), kind=kind, payload=payload
+            seq=self.events_emitted, t=time.time(), kind=kind, payload=payload
         )
-        self.next_seq += 1
         self.events_emitted += 1
-        for subscriber in tuple(self._subscribers):
+        for subscriber in tuple(self.subscribers):
             try:
                 subscriber(event)
             except Exception:
@@ -134,9 +149,9 @@ class EventBus:
         return event
 
 
-#: The process-local bus; ``None`` means observation is off (the
-#: default) and every ``emit`` is a single-check no-op — the same
-#: fast-path idiom as ``repro.telemetry.tracing._TRACER``.
+#: The process-local bus — the package's one instrumentation hook.
+#: ``None`` means observation is off (the default) and every emission
+#: point is a single-check no-op.
 _BUS: EventBus | None = None
 
 
@@ -151,11 +166,10 @@ def current() -> EventBus | None:
 
 
 def install(bus: EventBus | None = None) -> EventBus:
-    """Install ``bus`` (or a fresh one) as the process bus.
+    """Install ``bus`` (or a fresh one) as the process bus; returns it.
 
-    Returns the now-active bus.  Callers that need nesting safety keep
-    the previous return of :func:`current` and restore it via
-    :func:`restore` — the ``observe_campaign`` context manager does.
+    Callers that nest keep the previous :func:`current` and hand it to
+    :func:`restore` afterwards.
     """
     global _BUS
     _BUS = bus if bus is not None else EventBus()
@@ -176,11 +190,124 @@ def uninstall() -> EventBus | None:
 
 
 def emit(kind: str, /, **payload: object) -> None:
-    """Publish one event — the single-check fast path.
-
-    With no bus installed this is one global read and a ``None``
-    comparison, so emission points stay free in unobserved campaigns.
-    """
+    """Publish one event — the single-check fast path."""
     bus = _BUS
     if bus is not None:
         bus.publish(kind, payload)
+
+
+# ---------------------------------------------------------------------------
+# Metric events: spans, counters, gauges
+# ---------------------------------------------------------------------------
+
+
+def _peak_rss_kb() -> int:
+    """Peak RSS of this process in kilobytes (0 where unsupported)."""
+    if _resource is None:  # pragma: no cover - non-POSIX fallback
+        return 0
+    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
+
+
+class _SpanGuard:
+    """Measures one region and publishes it as a ``span`` event.
+
+    ``sink`` — the bus current at opening, or a standalone
+    :class:`~repro.telemetry.tracing.Tracer` — has a ``span_stack`` and
+    a ``publish(kind, payload)`` method.
+    """
+
+    __slots__ = ("_sink", "_name", "_ctx", "_wall0", "_cpu0", "_rss0", "_cycles0")
+
+    def __init__(self, sink, name: str, ctx: Optional["ExecutionContext"]) -> None:
+        self._sink = sink
+        self._name = name
+        self._ctx = ctx
+
+    def __enter__(self) -> "_SpanGuard":
+        self._sink.span_stack.append(self._name)
+        self._rss0 = _peak_rss_kb()
+        self._cycles0 = self._ctx.cycles if self._ctx is not None else 0
+        self._cpu0 = time.process_time()
+        self._wall0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        wall_s = time.perf_counter() - self._wall0
+        cpu_s = time.process_time() - self._cpu0
+        stack = self._sink.span_stack
+        stack.pop()
+        self._sink.publish(
+            "span",
+            {
+                "name": self._name,
+                "parent": stack[-1] if stack else None,
+                "depth": len(stack),
+                "wall_s": wall_s,
+                "cpu_s": cpu_s,
+                "rss_peak_delta_kb": _peak_rss_kb() - self._rss0,
+                "cycles": (self._ctx.cycles - self._cycles0) if self._ctx is not None else 0,
+                "error": exc_type.__name__ if exc_type is not None else None,
+            },
+        )
+        return False
+
+
+class _NullSpan:
+    """The shared do-nothing guard returned while no bus is installed."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+def span(name: str, ctx: Optional["ExecutionContext"] = None):
+    """A span guard for ``name`` — the single-check fast path.
+
+    Measures wall time, CPU time, the peak-RSS delta and, with an
+    :class:`~repro.runtime.context.ExecutionContext`, the simulated
+    cycles the region charged::
+
+        with telemetry.span("vision.orb", ctx=ctx):
+            ...
+    """
+    bus = _BUS
+    if bus is None:
+        return _NULL_SPAN
+    return _SpanGuard(bus, name, ctx)
+
+
+def traced(name: str | None = None) -> Callable:
+    """Decorator wrapping a function in a span named after it."""
+
+    def decorate(fn: Callable) -> Callable:
+        label = name if name is not None else fn.__qualname__
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            with span(label):
+                return fn(*args, **kwargs)
+
+        return wrapper
+
+    return decorate
+
+
+def counter_inc(name: str, by: int = 1) -> None:
+    """Publish a ``counter`` event (no-op while no bus is installed)."""
+    bus = _BUS
+    if bus is not None:
+        bus.publish("counter", {"name": name, "by": by})
+
+
+def gauge_set(name: str, value: float) -> None:
+    """Publish a ``gauge`` event (no-op while no bus is installed)."""
+    bus = _BUS
+    if bus is not None:
+        bus.publish("gauge", {"name": name, "value": float(value)})

@@ -1,7 +1,8 @@
 """Bounded flight recorder: the last N events, dumped on trouble.
 
-The recorder subscribes to the campaign event bus and keeps a ring of
-the most recent events.  When the campaign hits an anomaly — a
+The recorder subscribes to the event bus and keeps a ring of the most
+recent campaign events (spans, counters and metrics are skipped, so the
+ring's slots hold post-mortem context, not timings).  When the campaign hits an anomaly — a
 watchdog hang, a worker-pool retry/degrade, an interrupt — the ring is
 flagged as *triggered*, and the observe session dumps it as a JSONL
 post-mortem artifact so an operator can reconstruct the final moments
@@ -15,7 +16,7 @@ import os
 from collections import deque
 from pathlib import Path
 
-from repro.observe.events import EVENT_SCHEMA_VERSION, CampaignEvent
+from repro.observe.events import EVENT_SCHEMA_VERSION, METRIC_KINDS, CampaignEvent
 
 #: Ring capacity by default — small enough to dump instantly, large
 #: enough to cover many chunks of context before an anomaly.
@@ -26,7 +27,7 @@ TRIGGER_KINDS = frozenset({"watchdog_hang", "retry", "degrade", "interrupt"})
 
 
 class FlightRecorder:
-    """Event-bus subscriber keeping the last ``capacity`` events."""
+    """Event-bus subscriber keeping the last ``capacity`` campaign events."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
@@ -38,6 +39,8 @@ class FlightRecorder:
         self.trigger_kinds_seen: list[str] = []
 
     def __call__(self, event: CampaignEvent) -> None:
+        if event.kind in METRIC_KINDS:
+            return
         self.events_seen += 1
         self.ring.append(event)
         if event.kind in TRIGGER_KINDS:

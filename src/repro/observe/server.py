@@ -3,10 +3,10 @@
 :class:`ObservatoryServer` wraps a stdlib :class:`http.server` instance
 on a daemon thread.  ``/status`` serves the live JSON snapshot from a
 :class:`~repro.observe.status.StatusWriter`; ``/metrics`` renders the
-telemetry :class:`~repro.telemetry.metrics.MetricsRegistry` (when
-tracing is active) plus the status counters in the Prometheus text
-exposition format.  Requests never touch campaign state — the handler
-reads immutable snapshots — so serving cannot perturb results.
+same writer's snapshot and its registry fold of the event stream in the
+Prometheus text exposition format.  Requests never touch campaign
+state — the handler reads immutable snapshots — so serving cannot
+perturb results.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.observe.status import StatusWriter
+from repro.observe.status import STATUS_COUNTERS, StatusWriter
 
 
 def _sanitize(name: str) -> str:
@@ -26,11 +26,15 @@ def _sanitize(name: str) -> str:
 def render_prometheus(
     status: dict | None, metrics_snapshot: dict | None
 ) -> str:
-    """Prometheus text exposition of status + telemetry metrics.
+    """Prometheus text exposition of status + registry metrics.
 
-    Output is deterministic (sorted keys) so CI can diff it.
+    Output is deterministic (sorted keys) so CI can diff it.  Each
+    quantity is one series: registry counters the status snapshot
+    already shows (:data:`~repro.observe.status.STATUS_COUNTERS`) are
+    rendered under their status name only.
     """
     lines: list[str] = []
+    shown: set[str] = set()
     if status is not None:
         progress = status.get("progress", {})
         done = progress.get("done", 0)
@@ -54,10 +58,13 @@ def render_prometheus(
         for counter in sorted(status.get("counters", {})):
             value = status["counters"][counter]
             lines.append(f"repro_campaign_{_sanitize(counter)}_total {value}")
+        shown = set(STATUS_COUNTERS.values())
         state = status.get("state", "unknown")
         lines.append(f'repro_campaign_state{{state="{state}"}} 1')
     if metrics_snapshot is not None:
         for name in sorted(metrics_snapshot.get("counters", {})):
+            if name in shown:
+                continue
             value = metrics_snapshot["counters"][name]
             lines.append(f"repro_{_sanitize(name)}_total {value}")
         for name in sorted(metrics_snapshot.get("gauges", {})):
@@ -118,15 +125,9 @@ class ObservatoryServer:
         return f"http://{host}:{port}"
 
     def render_metrics(self) -> str:
-        """The ``/metrics`` body: status + live telemetry registry."""
-        # Imported lazily: repro.telemetry activates tracing from the
-        # environment at package import, which this module must not
-        # force just to construct a server.
-        from repro import telemetry
-
-        tracer = telemetry.get_tracer()
-        metrics_snapshot = tracer.registry.snapshot() if tracer is not None else None
-        return render_prometheus(self.status_writer.snapshot(), metrics_snapshot)
+        """The ``/metrics`` body: status + the writer's registry fold."""
+        writer = self.status_writer
+        return render_prometheus(writer.snapshot(), writer.metrics.snapshot())
 
     def start(self) -> "ObservatoryServer":
         self._thread.start()

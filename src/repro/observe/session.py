@@ -1,9 +1,11 @@
 """The one-call wiring for an observed campaign.
 
-:func:`observe_campaign` installs an event bus, subscribes the status
-writer and flight recorder, optionally starts the HTTP observatory,
-and guarantees teardown: terminal status state, post-mortem flight
-dump on anomalies, server shutdown, previous bus restored.  The
+:func:`observe_campaign` installs an event bus — carrying over the
+subscribers of the bus it replaces, so a tracer keeps seeing the
+campaign — subscribes the status writer and flight recorder, optionally
+starts the HTTP observatory, and guarantees teardown: terminal status
+state and a final status flush, post-mortem flight dump on anomalies,
+server shutdown, previous bus restored.  The
 campaign engine itself never imports this module — observation is
 wired entirely from the outside (CLI, tests), which is what keeps
 observed and unobserved campaigns bit-identical.
@@ -20,6 +22,7 @@ from repro.observe import events
 from repro.observe.recorder import FlightRecorder
 from repro.observe.server import ObservatoryServer
 from repro.observe.status import StatusWriter
+from repro.telemetry.progress import resolve_heartbeat_interval
 
 #: Environment one-flag: a path enables status snapshots campaign-wide.
 STATUS_ENV = "REPRO_STATUS"
@@ -76,6 +79,7 @@ def observe_campaign(
     serve_port: int = 0,
     flight_path: str | os.PathLike | None = None,
     flight_capacity: int | None = None,
+    heartbeat_interval: float | None = None,
 ) -> Iterator[ObserveSession]:
     """Observe every campaign run inside the ``with`` block.
 
@@ -84,11 +88,17 @@ def observe_campaign(
     an exception — including ``KeyboardInterrupt`` and the journal's
     ``CampaignInterrupted`` — an ``interrupt`` event is published, the
     status file reaches ``interrupted``, the ring is dumped, and the
-    exception propagates unchanged.
+    exception propagates unchanged.  Routine events rewrite the status
+    file at most once per ``heartbeat_interval`` (the heartbeat cadence
+    when None).
     """
     previous = events.current()
-    bus = events.install(events.EventBus())
-    status = StatusWriter(status_path)
+    bus = events.install(
+        events.EventBus(previous.subscribers if previous is not None else ())
+    )
+    status = StatusWriter(
+        status_path, interval_s=resolve_heartbeat_interval(heartbeat_interval)
+    )
     recorder = (
         FlightRecorder(flight_capacity)
         if flight_capacity is not None
@@ -116,6 +126,7 @@ def observe_campaign(
         if recorder.triggered:
             session.dump_flight()
     finally:
+        status.flush()
         if server is not None:
             server.stop()
         events.restore(previous)

@@ -1,14 +1,14 @@
 """Crash-safe live status snapshots of a running campaign.
 
-A :class:`StatusWriter` subscribes to the campaign event bus and folds
-every event into one JSON payload — progress, rate and ETA, running
-outcome rates with Wilson 95% CIs, retry/degrade/fast-forward/fan-out
-counters, and per-cell CI widths in stratified mode.  When constructed
-with a path it rewrites the file on every event via the atomic
-write-temp-then-``os.replace`` protocol, so a reader (or a post-crash
-investigator) always sees a complete, parseable JSON document — never
-a torn write, even when the campaign process is SIGKILL'd mid-update
-(pinned by ``tests/faultinject/test_kill_resume.py``).
+A :class:`StatusWriter` subscribes to the event bus and folds every
+event into one JSON payload — progress, rate and ETA, running outcome
+rates with Wilson 95% CIs, counters (a view of its
+:class:`~repro.telemetry.metrics.MetricsRegistry` fold, which
+``/metrics`` renders), and per-cell CI widths in stratified mode.  With
+a path it rewrites the file by write-temp-then-``os.replace`` — at once
+on start/finish/interrupt and flight-recorder triggers, else at most
+once per heartbeat interval — so a reader always sees a complete JSON
+document, even across a SIGKILL (``tests/faultinject/test_kill_resume.py``).
 
 ``repro watch <status.json>`` tails the file live;
 :func:`validate_status` is the schema gate CI runs against ``/status``
@@ -24,7 +24,10 @@ from pathlib import Path
 from typing import Callable
 
 from repro.faultinject.outcomes import wilson_interval
-from repro.observe.events import CampaignEvent
+from repro.observe.events import METRIC_KINDS, CampaignEvent
+from repro.observe.recorder import TRIGGER_KINDS
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.progress import DEFAULT_HEARTBEAT_INTERVAL
 
 #: Bump when a required field changes shape or meaning.
 STATUS_SCHEMA_VERSION = 1
@@ -33,15 +36,20 @@ STATUS_SCHEMA_VERSION = 1
 #: forensics report's ``OUTCOME_FIELDS`` (``Outcome.value`` for mask).
 OUTCOME_KEYS = ("mask", "sdc", "crash", "hang")
 
-#: Counter names maintained from event kinds.
-COUNTER_KEYS = (
-    "retries",
-    "degrades",
-    "watchdog_hangs",
-    "golden_tails",
-    "journal_checkpoints",
-    "notes",
-)
+#: Status counter -> the registry counter it shows (one fold, two names;
+#: ``/metrics`` renders each quantity once, under its status name).
+STATUS_COUNTERS = {
+    "retries": "campaign.retries",
+    "degrades": "campaign.degraded",
+    "watchdog_hangs": "campaign.watchdog_hangs",
+    "golden_tails": "campaign.fanout.golden_tail",
+    "journal_checkpoints": "campaign.journal_checkpoints",
+    "notes": "campaign.notes",
+}
+COUNTER_KEYS = tuple(STATUS_COUNTERS)
+
+#: Kinds written through at once; everything else is coalesced.
+_WRITE_NOW_KINDS = frozenset({"campaign_start", "campaign_finish", "interrupt"}) | TRIGGER_KINDS
 
 #: Event kinds that carry a completed unit of work (``done`` totals and
 #: an ``outcomes`` tally in their payload).
@@ -53,32 +61,45 @@ class StatusWriter:
 
     ``path=None`` keeps the snapshot in memory only — the HTTP server
     uses that mode when ``--serve`` is given without ``--status``.
+    ``interval_s`` bounds how often routine events rewrite the file.
     """
 
     def __init__(
         self,
         path: str | os.PathLike | None = None,
         clock: Callable[[], float] = time.time,
+        interval_s: float = DEFAULT_HEARTBEAT_INTERVAL,
     ) -> None:
         self.path = Path(path) if path is not None else None
         self.clock = clock
+        self.interval_s = interval_s
         self.started = clock()
         self.state = "starting"
         self.campaign: dict = {}
         self.done = 0
         self.total: int | None = None
         self.outcomes = {key: 0 for key in OUTCOME_KEYS}
-        self.counters = {key: 0 for key in COUNTER_KEYS}
+        self.metrics = MetricsRegistry()
         self.resume: dict | None = None
         self.stratified: dict | None = None
         self.events_seen = 0
         self.writes = 0
         self.last_event: dict = {}
+        self._last_write = float("-inf")
+        self._dirty = False
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The status counters, read from the registry fold."""
+        return {key: self.metrics.counter(name) for key, name in STATUS_COUNTERS.items()}
 
     # ------------------------------------------------------------------
     # Event folding
     # ------------------------------------------------------------------
     def __call__(self, event: CampaignEvent) -> None:
+        self.metrics.fold(event.kind, event.payload)
+        if event.kind in METRIC_KINDS:
+            return
         self.events_seen += 1
         self.last_event = {"seq": event.seq, "kind": event.kind}
         payload = event.payload
@@ -108,18 +129,6 @@ class StatusWriter:
                 if isinstance(outcomes, dict):
                     for key in OUTCOME_KEYS:
                         self.outcomes[key] += int(outcomes.get(key, 0))
-        elif kind == "retry":
-            self.counters["retries"] += 1
-        elif kind == "degrade":
-            self.counters["degrades"] += 1
-        elif kind == "watchdog_hang":
-            self.counters["watchdog_hangs"] += int(payload.get("count", 1))
-        elif kind == "golden_tail":
-            self.counters["golden_tails"] += 1
-        elif kind == "journal_checkpoint":
-            self.counters["journal_checkpoints"] += 1
-        elif kind == "note":
-            self.counters["notes"] += 1
         elif kind == "journal_resume":
             self.resume = dict(payload)
         elif kind == "stratum_converged":
@@ -140,7 +149,9 @@ class StatusWriter:
                 self.done = total
         elif kind == "interrupt":
             self.state = "interrupted"
-        self.write()
+        self._dirty = True
+        if kind in _WRITE_NOW_KINDS or self.clock() - self._last_write >= self.interval_s:
+            self.write()
 
     def _fold_round(self, payload: dict) -> None:
         stratified = self.stratified if self.stratified is not None else {}
@@ -194,7 +205,7 @@ class StatusWriter:
                 "total": total_classified,
                 "rates": rates,
             },
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "resume": self.resume,
             "stratified": self.stratified,
             "events_seen": self.events_seen,
@@ -212,6 +223,13 @@ class StatusWriter:
             return
         write_status(self.path, self.snapshot())
         self.writes += 1
+        self._last_write = self.clock()
+        self._dirty = False
+
+    def flush(self) -> None:
+        """Write the snapshot if events arrived since the last write."""
+        if self._dirty:
+            self.write()
 
     def mark(self, state: str) -> None:
         """Force a terminal state (used by the observe session teardown)."""

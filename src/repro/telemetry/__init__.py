@@ -1,16 +1,22 @@
 """Lightweight, zero-dependency observability for the reproduction.
 
-Three pieces, all process-local and off by default:
+Everything measured is an event on the one process bus
+(:mod:`repro.observe.events`); this package is the tracing side of it,
+off by default:
 
-* :class:`~repro.telemetry.metrics.MetricsRegistry` — counters, gauges
-  and monotonic timers, with deterministic ordered snapshot merging
-  (how parallel campaign workers report back).
-* :func:`span` / :func:`traced` — nested stage-level tracing that
-  captures wall/CPU time, peak-RSS deltas and the simulated cycles an
-  :class:`~repro.runtime.context.ExecutionContext` charged inside the
-  span.  Disabled tracing costs a single ``None`` check per stage.
+* :func:`span` / :func:`traced` / :func:`counter_inc` / :func:`gauge_set`
+  — emission points.  A span captures wall/CPU time, peak-RSS deltas
+  and the simulated cycles an
+  :class:`~repro.runtime.context.ExecutionContext` charged inside it.
+  With no bus installed each costs a single ``None`` check.
+* :class:`~repro.telemetry.tracing.Tracer` — the bus subscriber that
+  keeps span events and folds everything into a
+  :class:`~repro.telemetry.metrics.MetricsRegistry` (counters, gauges,
+  timers; chunk snapshots from parallel workers merge into it).
 * :mod:`~repro.telemetry.export` — JSONL trace files and the
   ``repro trace summarize`` stage-time table.
+* :class:`~repro.telemetry.progress.Heartbeat` — stderr progress lines
+  folded from campaign events.
 
 Enable programmatically with :func:`enable` (pair with
 :func:`~repro.telemetry.export.write_trace`), from the CLI with
@@ -22,10 +28,12 @@ bit-identical to untraced runs at any worker count (see
 ``tests/telemetry/test_campaign_equivalence.py``).
 """
 
+from repro.observe.events import counter_inc, gauge_set, span, traced
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.progress import (
     HEARTBEAT_INTERVAL_ENV,
     Heartbeat,
+    campaign_heartbeat,
     resolve_heartbeat_interval,
 )
 from repro.telemetry.tracing import (
@@ -33,22 +41,17 @@ from repro.telemetry.tracing import (
     TRACE_ENV,
     Tracer,
     activate_from_env,
-    counter_inc,
     disable,
     enable,
     enabled,
-    gauge_set,
     get_tracer,
-    restore_tracer,
-    span,
-    swap_in_fresh_tracer,
-    traced,
 )
 
 __all__ = [
     "MetricsRegistry",
     "Heartbeat",
     "HEARTBEAT_INTERVAL_ENV",
+    "campaign_heartbeat",
     "resolve_heartbeat_interval",
     "Tracer",
     "TRACE_ENV",
@@ -60,9 +63,7 @@ __all__ = [
     "enabled",
     "gauge_set",
     "get_tracer",
-    "restore_tracer",
     "span",
-    "swap_in_fresh_tracer",
     "traced",
 ]
 

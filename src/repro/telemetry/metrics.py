@@ -1,19 +1,31 @@
 """Process-local metrics: counters, gauges and monotonic timers.
 
-The registry is the aggregation half of the telemetry layer: spans fold
-their wall-clock into timers, kernels and caches bump counters, and the
-campaign engine merges per-worker snapshots back into the parent in
-injection-chunk order, so the merged registry is deterministic for a
-fixed chunking (see :mod:`repro.faultinject.parallel`).
-
-Everything here is plain Python over ``dict`` — no locks (CPython dict
-operations are atomic enough for the single-threaded simulator) and no
-third-party dependencies, so an enabled registry costs one dict update
-per observation and a disabled one costs nothing at all (callers guard
-on :func:`repro.telemetry.enabled`).
+The registry is the fold of the event stream (:meth:`MetricsRegistry.fold`):
+spans become timers and ``cycles.<stage>`` counters, counter and gauge
+events move their metric, a chunk's ``metrics`` event merges, and a few
+campaign events are counted under fixed names (:data:`EVENT_COUNTERS`).
+:func:`run_buffered` gives an injection chunk its own bus, so the
+parent can re-publish the chunk's events once it is secured (see
+:mod:`repro.faultinject.parallel`).  Plain Python over ``dict``, no
+third-party dependencies.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Mapping
+
+from repro.observe import events
+
+#: Registry counters derived from campaign events — the event is the
+#: one tally, and these names are its registry view.
+EVENT_COUNTERS = {
+    "retry": "campaign.retries",
+    "degrade": "campaign.degraded",
+    "watchdog_hang": "campaign.watchdog_hangs",
+    "golden_tail": "campaign.fanout.golden_tail",
+    "journal_checkpoint": "campaign.journal_checkpoints",
+    "note": "campaign.notes",
+}
 
 
 class MetricsRegistry:
@@ -22,9 +34,7 @@ class MetricsRegistry:
     Timers accumulate ``[count, total_seconds, max_seconds]`` per name.
     Snapshots are plain JSON-serializable dicts with sorted keys, and
     :meth:`merge_snapshot` folds one snapshot into this registry —
-    counters and timer totals add, gauges take the snapshot's value
-    (last-write-wins, which is deterministic because the campaign engine
-    merges worker snapshots in chunk order).
+    counters and timer totals add, gauges take the snapshot's value.
     """
 
     __slots__ = ("_counters", "_gauges", "_timers")
@@ -55,6 +65,22 @@ class MetricsRegistry:
             stat[1] += seconds
             if seconds > stat[2]:
                 stat[2] = seconds
+
+    def fold(self, kind: str, payload: Mapping) -> None:
+        """Fold one bus event into the registry (other kinds are ignored)."""
+        if kind == "span":
+            name = payload["name"]
+            self.observe(f"span.{name}", payload["wall_s"])
+            if payload["cycles"]:
+                self.inc(f"cycles.{name}", payload["cycles"])
+        elif kind == "counter":
+            self.inc(payload["name"], payload["by"])
+        elif kind == "gauge":
+            self.set_gauge(payload["name"], payload["value"])
+        elif kind == "metrics":
+            self.merge_snapshot(payload)
+        elif kind in EVENT_COUNTERS:
+            self.inc(EVENT_COUNTERS[kind], int(payload.get("count", 1)))
 
     # ------------------------------------------------------------------
     # Reading
@@ -90,13 +116,11 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def merge_snapshot(self, snap: dict) -> None:
+    def merge_snapshot(self, snap: Mapping) -> None:
         """Fold one :meth:`snapshot` payload into this registry.
 
         Counters and timer counts/totals add; timer maxima take the
-        maximum; gauges take the snapshot's value.  Callers that need a
-        deterministic result must merge snapshots in a fixed order (the
-        campaign engine merges in chunk order).
+        maximum; gauges take the snapshot's value.
         """
         for name, value in snap.get("counters", {}).items():
             self.inc(name, value)
@@ -117,3 +141,29 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._timers.clear()
+
+
+def run_buffered(fn: Callable, *args) -> tuple[object, list[tuple[str, dict]]]:
+    """Run ``fn(*args)`` under a chunk-local bus: ``(result, events)``.
+
+    ``events`` holds the campaign events as ``(kind, payload)`` pairs in
+    emission order, then one ``metrics`` event folding every metric
+    event.  The previous bus is restored whatever ``fn`` does.
+    """
+    registry = MetricsRegistry()
+    kept: list[tuple[str, dict]] = []
+
+    def buffer(event: events.CampaignEvent) -> None:
+        if event.kind in events.METRIC_KINDS:
+            registry.fold(event.kind, event.payload)
+        else:
+            kept.append((event.kind, dict(event.payload)))
+
+    previous = events.current()
+    events.install(events.EventBus([buffer]))
+    try:
+        result = fn(*args)
+    finally:
+        events.restore(previous)
+    kept.append(("metrics", registry.snapshot()))
+    return result, kept

@@ -1,14 +1,11 @@
-"""Stage-level tracing: nested spans over the pipeline and campaigns.
+"""Stage-level tracing: the trace recorder on the event bus.
 
-A :class:`Tracer` is a process-local recorder.  When tracing is enabled
-(:func:`enable`), :func:`span` returns a context manager that measures
-one named region — wall time, CPU time, peak-RSS delta and, when an
-:class:`~repro.runtime.context.ExecutionContext` is attached, the
-simulated cycles the region charged — and appends one event to the
-tracer.  When tracing is disabled (the default), :func:`span` returns a
-shared no-op guard after a single global ``None`` check, so the
-instrumentation in the hot pipeline stages costs one function call and
-one comparison per stage invocation.
+Spans and counters are bus events (:mod:`repro.observe.events`).  A
+:class:`Tracer` subscribes to them: it keeps the span events for the
+JSONL export and folds every event into a
+:class:`~repro.telemetry.metrics.MetricsRegistry`.  :func:`enable`
+attaches one to the process bus (installing the bus when none is
+active); :func:`disable` detaches it.
 
 Determinism contract: tracing only *observes*.  It never touches an RNG,
 a register window or a cycle counter, so enabling it cannot change any
@@ -18,20 +15,15 @@ campaign outcome, running rate or SDC payload (asserted end to end by
 
 from __future__ import annotations
 
-import functools
 import os
-import time
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
+from repro.observe import events
+from repro.observe.events import _NULL_SPAN, CampaignEvent, _SpanGuard  # noqa: F401
 from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.runtime.context import ExecutionContext
-
-try:  # pragma: no cover - resource is POSIX-only
-    import resource as _resource
-except ImportError:  # pragma: no cover
-    _resource = None
 
 #: Environment variable that enables tracing at import time.  ``0`` and
 #: the empty string leave tracing off; any other value enables it, and a
@@ -45,218 +37,84 @@ TRACE_ENV = "REPRO_TRACE"
 DEFAULT_MAX_EVENTS = 250_000
 
 
-def _peak_rss_kb() -> int:
-    """Peak RSS of this process in kilobytes (0 where unsupported)."""
-    if _resource is None:  # pragma: no cover - non-POSIX fallback
-        return 0
-    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
-
-
 class Tracer:
-    """Collects span events and aggregates them into a metrics registry."""
+    """Bus subscriber keeping span events and the metrics registry."""
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self.registry = MetricsRegistry()
         self.events: list[dict] = []
         self.max_events = max_events
-        self._depth = 0
+        self.span_stack: list[str] = []
         self._seq = 0
-        self._stack: list[str] = []
 
-    def span(self, name: str, ctx: Optional["ExecutionContext"] = None) -> "_SpanGuard":
-        """A context manager measuring one named region."""
+    def __call__(self, event: CampaignEvent) -> None:
+        self.publish(event.kind, event.payload)
+
+    def publish(self, kind: str, payload: Mapping) -> None:
+        """Fold one event; spans are also kept, up to the event cap."""
+        if kind == "span":
+            self._seq += 1
+            if len(self.events) < self.max_events:
+                self.events.append({"type": "span", "seq": self._seq, **payload})
+            else:
+                if self.registry.counter("trace.dropped_events") == 0:
+                    # First drop: record the cap so trace consumers can
+                    # say exactly which limit truncated the buffer.
+                    self.registry.set_gauge("trace.event_cap", float(self.max_events))
+                self.registry.inc("trace.dropped_events")
+        self.registry.fold(kind, payload)
+
+    def span(self, name: str, ctx: Optional["ExecutionContext"] = None) -> _SpanGuard:
+        """A span measured straight into this tracer, bus or not."""
         return _SpanGuard(self, name, ctx)
-
-    def record(self, event: dict) -> None:
-        """Append one span event, honouring the event cap."""
-        if len(self.events) < self.max_events:
-            self.events.append(event)
-        else:
-            if self.registry.counter("trace.dropped_events") == 0:
-                # First drop: record the cap so trace consumers can say
-                # exactly which limit truncated the buffer.
-                self.registry.set_gauge("trace.event_cap", float(self.max_events))
-            self.registry.inc("trace.dropped_events")
 
     @property
     def current_span(self) -> str | None:
-        """Name of the innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
+        """Name of the innermost open span (this tracer's, else the bus's)."""
+        bus = events.current()
+        stack = self.span_stack or (bus.span_stack if bus is not None else [])
+        return stack[-1] if stack else None
 
-
-class _SpanGuard:
-    """Measures one region; every open/close keeps the tracer's stack."""
-
-    __slots__ = ("_tracer", "_name", "_ctx", "_wall0", "_cpu0", "_rss0", "_cycles0", "_parent")
-
-    def __init__(self, tracer: Tracer, name: str, ctx: Optional["ExecutionContext"]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._ctx = ctx
-
-    def __enter__(self) -> "_SpanGuard":
-        tracer = self._tracer
-        self._parent = tracer.current_span
-        tracer._stack.append(self._name)
-        self._rss0 = _peak_rss_kb()
-        self._cycles0 = self._ctx.cycles if self._ctx is not None else 0
-        self._cpu0 = time.process_time()
-        self._wall0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        wall_s = time.perf_counter() - self._wall0
-        cpu_s = time.process_time() - self._cpu0
-        tracer = self._tracer
-        tracer._stack.pop()
-        tracer._seq += 1
-        cycles = (self._ctx.cycles - self._cycles0) if self._ctx is not None else 0
-        event = {
-            "type": "span",
-            "seq": tracer._seq,
-            "name": self._name,
-            "parent": self._parent,
-            "depth": len(tracer._stack),
-            "wall_s": wall_s,
-            "cpu_s": cpu_s,
-            "rss_peak_delta_kb": _peak_rss_kb() - self._rss0,
-            "cycles": cycles,
-            "error": exc_type.__name__ if exc_type is not None else None,
-        }
-        tracer.record(event)
-        registry = tracer.registry
-        registry.observe(f"span.{self._name}", wall_s)
-        if cycles:
-            registry.inc(f"cycles.{self._name}", cycles)
-        return False
-
-
-class _NullSpan:
-    """The shared do-nothing guard returned while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-#: The process-local tracer; ``None`` means tracing is off.
-_TRACER: Tracer | None = None
 
 #: Export path requested via ``REPRO_TRACE=<path>`` (written at exit).
 _ENV_EXPORT_PATH: str | None = None
 
 
+def get_tracer() -> Tracer | None:
+    """The tracer subscribed to the process bus, or None."""
+    bus = events.current()
+    if bus is None:
+        return None
+    return next((sub for sub in bus.subscribers if isinstance(sub, Tracer)), None)
+
+
 def enabled() -> bool:
     """True when tracing is on for this process."""
-    return _TRACER is not None
-
-
-def get_tracer() -> Tracer | None:
-    """The active tracer, or None while tracing is disabled."""
-    return _TRACER
+    return get_tracer() is not None
 
 
 def enable(max_events: int = DEFAULT_MAX_EVENTS) -> Tracer:
     """Turn tracing on (idempotent); returns the active tracer."""
-    global _TRACER
-    if _TRACER is None:
-        _TRACER = Tracer(max_events=max_events)
-    return _TRACER
-
-
-def disable() -> Tracer | None:
-    """Turn tracing off; returns the tracer that was active, if any."""
-    global _TRACER
-    tracer, _TRACER = _TRACER, None
+    tracer = get_tracer()
+    if tracer is None:
+        tracer = Tracer(max_events=max_events)
+        (events.current() or events.install()).subscribe(tracer)
     return tracer
 
 
-def span(name: str, ctx: Optional["ExecutionContext"] = None):
-    """A span guard for ``name`` — the single-check fast path.
+def disable() -> Tracer | None:
+    """Turn tracing off; returns the tracer that was active, if any.
 
-    Usage::
-
-        with telemetry.span("vision.orb", ctx=ctx):
-            ...
+    A bus left without subscribers is uninstalled, so every emission
+    point is back to its ``None`` check.
     """
-    tracer = _TRACER
-    if tracer is None:
-        return _NULL_SPAN
-    return tracer.span(name, ctx)
-
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator wrapping a function in a span named after it."""
-
-    def decorate(fn: Callable) -> Callable:
-        label = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = _TRACER
-            if tracer is None:
-                return fn(*args, **kwargs)
-            with tracer.span(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
-def counter_inc(name: str, by: int = 1) -> None:
-    """Bump a registry counter (no-op while tracing is disabled)."""
-    tracer = _TRACER
+    tracer = get_tracer()
     if tracer is not None:
-        tracer.registry.inc(name, by)
-
-
-def gauge_set(name: str, value: float) -> None:
-    """Set a registry gauge (no-op while tracing is disabled)."""
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.registry.set_gauge(name, value)
-
-
-# ---------------------------------------------------------------------------
-# Worker-side metering (see repro.faultinject.parallel)
-# ---------------------------------------------------------------------------
-
-
-def swap_in_fresh_tracer(max_events: int = DEFAULT_MAX_EVENTS) -> tuple[Tracer, Tracer | None]:
-    """Install a fresh tracer, returning ``(fresh, previous)``.
-
-    Worker processes meter one injection chunk at a time: a fresh tracer
-    isolates the chunk's counters/timers from anything inherited from a
-    forked parent, and the chunk runner ships ``fresh.registry.snapshot()``
-    back for the parent's ordered merge.
-    """
-    global _TRACER
-    previous = _TRACER
-    fresh = Tracer(max_events=max_events)
-    _TRACER = fresh
-    return fresh, previous
-
-
-def restore_tracer(previous: Tracer | None) -> None:
-    """Re-install ``previous`` after :func:`swap_in_fresh_tracer`."""
-    global _TRACER
-    _TRACER = previous
-
-
-# ---------------------------------------------------------------------------
-# Environment activation
-# ---------------------------------------------------------------------------
-
-
-def _looks_like_path(raw: str) -> bool:
-    return os.sep in raw or raw.endswith(".jsonl")
+        bus = events.current()
+        bus.unsubscribe(tracer)
+        if not bus.subscribers:
+            events.uninstall()
+    return tracer
 
 
 def activate_from_env() -> Tracer | None:
@@ -271,7 +129,7 @@ def activate_from_env() -> Tracer | None:
     if raw in ("", "0", "false", "no", "off"):
         return None
     tracer = enable()
-    if _looks_like_path(raw) and _ENV_EXPORT_PATH is None:
+    if (os.sep in raw or raw.endswith(".jsonl")) and _ENV_EXPORT_PATH is None:
         import atexit
 
         _ENV_EXPORT_PATH = raw
@@ -279,8 +137,7 @@ def activate_from_env() -> Tracer | None:
         def _export() -> None:
             from repro.telemetry.export import write_trace
 
-            if _TRACER is not None:
-                write_trace(_ENV_EXPORT_PATH, _TRACER)
+            write_trace(_ENV_EXPORT_PATH, tracer)
 
         atexit.register(_export)
     return tracer

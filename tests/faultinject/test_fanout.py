@@ -25,6 +25,7 @@ from repro.faultinject.parallel import (
     resolve_workers,
 )
 from repro.faultinject.registers import RegKind
+from repro.observe import events
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import clear_golden_cache, golden_fast_forward, golden_run
 from repro.telemetry.export import render_summary, summarize_trace, write_trace
@@ -171,7 +172,9 @@ class TestTelemetry:
         clear_golden_cache()
         # A fresh tracer, so the counts cover this campaign alone even
         # when REPRO_TRACE=1 has tracing on for the whole session.
-        tracer, previous = telemetry.swap_in_fresh_tracer()
+        tracer = telemetry.Tracer()
+        previous = events.current()
+        events.install(events.EventBus([tracer]))
         try:
             run_campaign(
                 workload,
@@ -182,7 +185,7 @@ class TestTelemetry:
             )
             registry = tracer.registry
         finally:
-            telemetry.restore_tracer(previous)
+            events.restore(previous)
         groups = registry.counter("campaign.fanout.groups")
         assert groups >= 1
         assert registry.counter("campaign.fanout.shared_restores") == groups

@@ -58,6 +58,7 @@ from repro.faultinject.registers import (
     RegKind,
 )
 from repro.runtime.context import ExecutionContext
+from repro.observe import events
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import golden_fast_forward, golden_run
 
@@ -424,7 +425,9 @@ class TestTelemetryCounters:
         stream, config, golden, workload, spec = vs
         # A fresh tracer, so the counts cover this campaign alone even
         # when REPRO_TRACE=1 has tracing on for the whole session.
-        tracer, previous = telemetry.swap_in_fresh_tracer()
+        tracer = telemetry.Tracer()
+        previous = events.current()
+        events.install(events.EventBus([tracer]))
         try:
             run_campaign(
                 workload,
@@ -435,7 +438,7 @@ class TestTelemetryCounters:
             )
             registry = tracer.registry
         finally:
-            telemetry.restore_tracer(previous)
+            events.restore(previous)
         hits = registry.counter("campaign.fastforward.hits")
         predicted = registry.counter("campaign.fastforward.predicted")
         assert hits + predicted == 8

@@ -253,17 +253,19 @@ class TestWorkerResolution:
 
 class TestMeteredChunkTracerRestore:
     def test_mid_chunk_exception_restores_parent_tracer(self):
-        """A chunk that dies mid-run must not leak its swapped-in tracer.
+        """A chunk that dies mid-run must not leak its chunk-local bus.
 
-        Regression guard: ``run_injection_chunk_metered`` swaps a fresh
-        tracer in for the chunk's duration; if the chunk raises, the
-        parent's tracer must still be restored (try/finally), otherwise
-        every later stage in the process meters into a zombie registry.
+        Regression guard: an observed chunk runs under a chunk-local
+        buffering bus; if the chunk raises, the parent's bus (and the
+        tracer on it) must still be restored (try/finally), otherwise
+        every later stage in the process meters into a zombie bus.
         """
         from repro import telemetry
-        from repro.faultinject.parallel import run_injection_chunk_metered
+        from repro.faultinject.parallel import run_injection_chunk, run_observed
+        from repro.observe import events
 
         parent_tracer = telemetry.enable()
+        parent_bus = events.current()
         try:
             spec = CrashingSpec()
             _, golden, cycles = spec.build()
@@ -272,30 +274,62 @@ class TestMeteredChunkTracerRestore:
                 InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)
             ]
             with pytest.raises(SystemError, match="unclassifiable"):
-                run_injection_chunk_metered(spec, config, list(enumerate(plans)))
+                run_observed(True, run_injection_chunk, spec, config, list(enumerate(plans)))
+            assert events.current() is parent_bus
             assert telemetry.get_tracer() is parent_tracer
         finally:
             telemetry.disable()
 
     def test_successful_chunk_also_restores(self):
         from repro import telemetry
-        from repro.faultinject.parallel import run_injection_chunk_metered
+        from repro.faultinject.parallel import run_injection_chunk, run_observed
+        from repro.observe import events
 
         parent_tracer = telemetry.enable()
+        parent_bus = events.current()
         try:
             spec = ToyWorkloadSpec()
             config = CampaignConfig(n_injections=1, kind=RegKind.GPR, seed=0)
             plans = [
                 InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)
             ]
-            results, snapshot = run_injection_chunk_metered(
-                spec, config, list(enumerate(plans))
+            results, chunk_events = run_observed(
+                True, run_injection_chunk, spec, config, list(enumerate(plans))
             )
             assert len(results) == 1
+            kind, snapshot = chunk_events[-1]
+            assert kind == "metrics"
             assert snapshot["counters"].get("campaign.runs") == 1
+            assert events.current() is parent_bus
             assert telemetry.get_tracer() is parent_tracer
         finally:
             telemetry.disable()
+
+    def test_unobserved_chunk_installs_no_bus(self):
+        from repro.faultinject.parallel import run_injection_chunk, run_observed
+        from repro.observe import events
+
+        seen = []
+
+        def spy(spec, config, chunk):
+            seen.append(events.current())
+            return run_injection_chunk(spec, config, chunk)
+
+        previous = events.uninstall()
+        try:
+            spec = ToyWorkloadSpec()
+            config = CampaignConfig(n_injections=1, kind=RegKind.GPR, seed=0)
+            plans = [
+                InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)
+            ]
+            results, chunk_events = run_observed(
+                False, spy, spec, config, list(enumerate(plans))
+            )
+        finally:
+            events.restore(previous)
+        assert len(results) == 1
+        assert chunk_events == []
+        assert seen == [None]
 
 
 class TestChunking:

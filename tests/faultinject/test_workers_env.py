@@ -83,3 +83,48 @@ class TestCLIPaths:
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             main(["experiment", "fig10", "--scale", "tiny"])
         assert golden_cache_stats().computes == 0
+
+
+class TestBlasThreadPin:
+    """The CLI pins BLAS/OpenMP to one thread unless the user chose."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _env_when_numpy_loads(self, **overrides: str) -> dict[str, str | None]:
+        """The thread variables as NumPy sees them when ``repro.cli`` imports it."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = str(src)
+        env.update(overrides)
+        code = f"""
+import json, os, sys
+seen = {{}}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in {self.VARS!r}}})
+sys.meta_path.insert(0, Spy())
+import repro.cli
+print(json.dumps(seen))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(out.stdout)
+
+    def test_default_is_one_thread(self):
+        assert self._env_when_numpy_loads() == {var: "1" for var in self.VARS}
+
+    def test_user_value_wins(self):
+        seen = self._env_when_numpy_loads(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2")
+        assert seen == {
+            "OPENBLAS_NUM_THREADS": "3",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": "1",
+        }

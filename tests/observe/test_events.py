@@ -96,7 +96,7 @@ class TestModuleBus:
 
 class TestSchema:
     def test_schema_version_pinned(self):
-        assert EVENT_SCHEMA_VERSION == 2
+        assert EVENT_SCHEMA_VERSION == 3
 
     def test_kind_vocabulary_pinned(self):
         # Removing a kind (or renaming one) is a schema break; this
@@ -113,7 +113,10 @@ class TestSchema:
             "journal_resume",
             "stratum_converged",
             "golden_tail",
-            "heartbeat",
             "note",
             "interrupt",
+            "span",
+            "counter",
+            "gauge",
+            "metrics",
         }

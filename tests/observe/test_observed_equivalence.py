@@ -18,8 +18,9 @@ import pytest
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted
 from repro.faultinject.registers import RegKind
+from repro import telemetry
 from repro.observe import events
-from repro.observe.events import EVENT_KINDS
+from repro.observe.events import CAMPAIGN_KINDS, EVENT_KINDS
 from repro.observe.recorder import read_dump
 from repro.observe.session import (
     STATUS_ENV,
@@ -236,6 +237,17 @@ class TestObserveSession:
         header, _ = read_dump(flight)
         assert header["trigger_kinds"] == ["watchdog_hang"]
 
+    def test_status_writes_are_coalesced(self, toy, tmp_path):
+        spec, golden, cycles = toy
+        with observe_campaign(tmp_path / "status.json", heartbeat_interval=3600) as session:
+            run_campaign(toy_workload, golden, cycles, _config())
+        # Session start, campaign_start and campaign_finish write at
+        # once; the chunk, note and metric events in between fall inside
+        # one heartbeat interval and are coalesced.
+        assert session.status.writes == 3
+        assert session.status.events_seen > 3
+        assert read_status(tmp_path / "status.json")["state"] == "finished"
+
     def test_clean_run_without_anomalies_dumps_nothing(self, toy, tmp_path):
         spec, golden, cycles = toy
         status = tmp_path / "status.json"
@@ -266,3 +278,60 @@ class TestObserveSession:
         status = tmp_path / "run" / "status.json"
         assert default_flight_path(status) == tmp_path / "run" / "status.flightrec.jsonl"
         assert default_flight_path(None) is None
+
+
+class TestWorkerCountAgreement:
+    def test_vs_status_and_registry_agree_across_worker_counts(self, tmp_path):
+        """Workers report through the parent: one account at any count.
+
+        Pool workers buffer their chunk events and the parent re-publishes
+        them, so golden tails found inside workers reach the status
+        counters, and the registry folds the same counters as in-process.
+        """
+        from repro.analysis.experiments import TINY, input_stream, vs_workload
+        from repro.faultinject.parallel import VSWorkloadSpec
+        from repro.summarize.approximations import config_for
+        from repro.summarize.golden import clear_golden_cache, golden_run
+
+        stream = input_stream("input1", TINY)
+        config = config_for("VS")
+        golden = golden_run(stream, config)
+        spec = VSWorkloadSpec.for_stream(stream, config)
+
+        def observed(workers: int):
+            # Fresh fan-out state, so both runs materialize it themselves.
+            clear_golden_cache()
+            tracer = telemetry.Tracer()
+            events.install(events.EventBus([tracer]))
+            try:
+                with observe_campaign(tmp_path / f"status-{workers}.json") as session:
+                    run_campaign(
+                        vs_workload(stream, config),
+                        golden.output,
+                        golden.total_cycles,
+                        CampaignConfig(n_injections=8, kind=RegKind.GPR, seed=3, workers=workers),
+                        spec=spec,
+                    )
+            finally:
+                events.uninstall()
+            status = read_status(tmp_path / f"status-{workers}.json")
+            counters = {
+                name: value
+                for name, value in tracer.registry.snapshot()["counters"].items()
+                if name.startswith("campaign.")
+            }
+            return status, counters, session.recorder
+
+        serial_status, serial_counters, serial_ring = observed(1)
+        pool_status, pool_counters, pool_ring = observed(2)
+        assert serial_status["counters"]["golden_tails"] > 0
+        assert pool_status["counters"] == serial_status["counters"]
+        assert pool_status["outcomes"] == serial_status["outcomes"]
+        assert pool_counters == serial_counters
+        assert pool_counters["campaign.fanout.golden_tail"] == (
+            pool_status["counters"]["golden_tails"]
+        )
+        for recorder in (serial_ring, pool_ring):
+            kinds = {event.kind for event in recorder.ring}
+            assert kinds <= CAMPAIGN_KINDS
+            assert "golden_tail" in kinds

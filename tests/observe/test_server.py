@@ -87,3 +87,45 @@ class TestObservatoryServer:
     def test_ephemeral_port_is_bound(self, server):
         assert server.port > 0
         assert server.url.startswith("http://127.0.0.1:")
+
+
+class TestSingleFold:
+    def test_metrics_series_never_repeat_with_tracing_on(self, tmp_path):
+        """A traced, served campaign with a worker retry: each series once.
+
+        The status counters and the registry fold the same events; the
+        exposition must still name every sample (name + labels) once.
+        """
+        from repro import telemetry
+        from repro.faultinject.campaign import CampaignConfig, run_campaign
+        from repro.faultinject.registers import RegKind
+        from repro.observe.session import observe_campaign
+        from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
+        from tests.faultinject.test_resilience import FAST_RETRY, KillOnceSpec
+
+        _, golden, cycles = ToyWorkloadSpec().build()
+        telemetry.enable()
+        try:
+            with observe_campaign(None, serve=True) as session:
+                run_campaign(
+                    toy_workload,
+                    golden,
+                    cycles,
+                    CampaignConfig(
+                        n_injections=30, kind=RegKind.GPR, seed=5, workers=3, retry=FAST_RETRY
+                    ),
+                    spec=KillOnceSpec(str(tmp_path / "killed-once")),
+                )
+                text = session.server.render_metrics()
+        finally:
+            telemetry.disable()
+        samples = [
+            line.rsplit(" ", 1)[0]
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(samples) == len(set(samples)), sorted(
+            name for name in samples if samples.count(name) > 1
+        )
+        assert "repro_campaign_retries_total" in samples
+        assert "repro_campaign_runs_total" in samples  # worker counters arrive

@@ -200,6 +200,29 @@ class TestPersistence:
         assert payload["state"] == "finished"
         assert writer.writes == 2
 
+    def test_routine_events_are_coalesced_per_interval(self, tmp_path):
+        path = tmp_path / "status.json"
+        clock = FakeClock()
+        bus = EventBus()
+        writer = StatusWriter(path, clock=clock, interval_s=2.0)
+        bus.subscribe(writer)
+        bus.publish("campaign_start", {"total": 8})
+        bus.publish("chunk_done", {"done": 2, "outcomes": {"mask": 2}})
+        bus.publish("span", {"name": "s", "wall_s": 0.1, "cycles": 0})
+        assert writer.writes == 1
+        clock.advance(2.5)
+        bus.publish("chunk_done", {"done": 4, "outcomes": {"mask": 2}})
+        assert writer.writes == 2
+        assert read_status(path)["progress"]["done"] == 4
+        bus.publish("retry", {"attempt": 1})  # flight-recorder trigger: at once
+        assert writer.writes == 3
+        writer.flush()  # nothing new since the last write
+        assert writer.writes == 3
+        bus.publish("chunk_done", {"done": 6, "outcomes": {"mask": 2}})
+        writer.flush()
+        assert writer.writes == 4
+        assert read_status(path)["progress"]["done"] == 6
+
     def test_write_replaces_atomically_leaving_no_tmp(self, tmp_path):
         path = tmp_path / "status.json"
         write_status(path, {"schema": 1})

@@ -146,47 +146,54 @@ class TestIntervalResolution:
             Heartbeat(10, interval_s=0.0)
 
 
-class TestQuietMode:
-    def _quiet_heartbeat(self, total: int):
-        clock = FakeClock()
-        stream = io.StringIO()
-        beat = Heartbeat(total, label="campaign gpr", interval_s=2.0,
-                         stream=stream, clock=clock, quiet=True)
-        return beat, clock, stream
+class TestBusSubscriber:
+    def _subscribed(self):
+        from repro.observe.events import EventBus
 
-    def test_quiet_suppresses_lines_but_emits_events(self):
-        from repro.observe import events
+        bus = EventBus()
+        beat, clock, stream = _heartbeat(total=0)
+        bus.subscribe(beat)
+        return bus, beat, clock, stream
 
-        bus = events.install()
-        seen = []
-        bus.subscribe(seen.append)
+    def test_heartbeat_folds_campaign_events(self):
+        bus, beat, clock, stream = self._subscribed()
+        bus.publish("campaign_start", {"mode": "uniform", "kind": "gpr", "total": 10})
+        clock.advance(1.0)
+        bus.publish("chunk_done", {"done": 5, "outcomes": {"mask": 5}})
+        bus.publish("note", {"note": "resumed from journal"})
+        bus.publish("chunk_done", {"done": 10, "outcomes": {"mask": 5}})
+        lines = stream.getvalue().splitlines()
+        assert lines[0].startswith("[campaign gpr] 5/10 injections")
+        assert lines[1] == "[campaign gpr] resumed from journal"
+        assert lines[2].startswith("[campaign gpr] 10/10 injections")
+        assert lines[2].endswith("| resumed from journal")
+
+    def test_stratified_campaign_prints_notes_only(self):
+        bus, beat, clock, stream = self._subscribed()
+        bus.publish("campaign_start", {"mode": "stratified", "kind": "gpr", "total": None})
+        bus.publish("chunk_done", {"done": 8, "outcomes": {"mask": 8}})
+        bus.publish("note", {"note": "round 1: 8 draws"})
+        assert stream.getvalue().splitlines() == [
+            "[campaign gpr (stratified)] round 1: 8 draws"
+        ]
+
+    def test_quiet_or_untraced_campaign_attaches_no_heartbeat(self):
+        from repro import telemetry
+        from repro.faultinject.campaign import CampaignConfig
+        from repro.faultinject.registers import RegKind
+
+        config = CampaignConfig(n_injections=1, kind=RegKind.GPR)
+        telemetry.disable()
+        with telemetry.campaign_heartbeat(config) as beat:
+            assert beat is None
+        tracer = telemetry.enable()
         try:
-            beat, clock, stream = self._quiet_heartbeat(total=10)
-            clock.advance(1.0)
-            beat.update(5)
-            beat.annotate("resumed from journal")
-            beat.update(10)
+            config.quiet = True
+            with telemetry.campaign_heartbeat(config) as beat:
+                assert beat is None
+            config.quiet = False
+            with telemetry.campaign_heartbeat(config) as beat:
+                assert beat is not None
+            assert telemetry.get_tracer() is tracer
         finally:
-            events.uninstall()
-        assert stream.getvalue() == ""
-        assert beat.lines_emitted == 0
-        kinds = [event.kind for event in seen]
-        assert kinds == ["heartbeat", "note", "heartbeat"]
-        assert seen[0].payload["done"] == 5
-        assert seen[1].payload["note"] == "resumed from journal"
-
-    def test_loud_heartbeat_also_publishes_events(self):
-        from repro.observe import events
-
-        bus = events.install()
-        seen = []
-        bus.subscribe(seen.append)
-        try:
-            beat, clock, stream = _heartbeat(total=10)
-            clock.advance(1.0)
-            beat.update(5)
-        finally:
-            events.uninstall()
-        assert "5/10" in stream.getvalue()
-        assert [event.kind for event in seen] == ["heartbeat"]
-        assert seen[0].payload["total"] == 10
+            telemetry.disable()

@@ -139,28 +139,48 @@ class TestTracedDecorator:
         assert "helper" in tracer.events[0]["name"]
 
 
-class TestWorkerSwap:
-    def test_swap_in_fresh_tracer_isolates_and_restores(self):
+class TestChunkBuffer:
+    def test_chunk_bus_isolates_and_restores(self):
+        from repro.observe import events
+        from repro.telemetry.metrics import run_buffered
+
         parent = telemetry.enable()
+        bus = events.current()
         telemetry.counter_inc("parent.metric")
 
-        fresh, previous = telemetry.swap_in_fresh_tracer()
-        assert previous is parent
-        assert telemetry.get_tracer() is fresh
-        telemetry.counter_inc("chunk.metric")
-        assert fresh.registry.counter("parent.metric") == 0
+        def chunk():
+            assert events.current() is not bus
+            telemetry.counter_inc("chunk.metric")
+            events.emit("golden_tail", frame=3)
+            with telemetry.span("chunk.stage"):
+                pass
+            return "done"
 
-        telemetry.restore_tracer(previous)
-        assert telemetry.get_tracer() is parent
+        result, chunk_events = run_buffered(chunk)
+        assert result == "done"
+        assert events.current() is bus
         assert parent.registry.counter("chunk.metric") == 0
-        parent.registry.merge_snapshot(fresh.registry.snapshot())
+        kinds = [kind for kind, _ in chunk_events]
+        assert kinds == ["golden_tail", "metrics"]
+        snapshot = chunk_events[-1][1]
+        assert snapshot["counters"] == {"chunk.metric": 1}
+        assert "parent.metric" not in snapshot["counters"]
+        assert snapshot["timers"]["span.chunk.stage"]["count"] == 1
+        for kind, payload in chunk_events:
+            bus.publish(kind, payload)
         assert parent.registry.counter("chunk.metric") == 1
+        assert parent.registry.counter("campaign.fanout.golden_tail") == 1
 
-    def test_swap_from_disabled_state(self):
-        fresh, previous = telemetry.swap_in_fresh_tracer()
-        assert previous is None
-        assert telemetry.enabled()
-        telemetry.restore_tracer(previous)
+    def test_chunk_bus_restored_when_chunk_raises(self):
+        from repro.observe import events
+        from repro.telemetry.metrics import run_buffered
+
+        def chunk():
+            raise KeyError("boom")
+
+        with pytest.raises(KeyError):
+            run_buffered(chunk)
+        assert events.current() is None
         assert not telemetry.enabled()
 
 

@@ -66,12 +66,27 @@ and every member injection clones its mutable state copy-on-write from
 that shared base instead of re-decoding the tape.  Fan-out members
 additionally carry a convergence watch: once the flip has fired, every
 frame boundary of the live suffix is compared against the golden tape,
-and when the member's complete loop state (cycles, cells, RNG, chain,
-features, canvases) is *exactly* the golden state again, the rest of
-the run is by construction an exact golden replay — so the engine
-synthesizes it (golden output, golden cycle count, golden probe tail)
-instead of executing it.  Most masked runs re-converge at the first
-boundary after the fire, which is where the fan-out speedup comes from.
+and the engine synthesizes the rest of the run instead of executing it
+as soon as the member's state equals the golden state apart from a
+*residue* the tail reads only in closed form:
+
+* **closed mini-panoramas** (every mini but the current one) — the loop
+  never reads or writes them again, they reach the output only through
+  the final stack, so the output is the live closed canvases stacked
+  over the golden rows from the current mini on;
+* **a cycle offset** — the golden tail charges the same cycles from an
+  equal state, so the run ends at the golden count plus the offset
+  (spliced only when that cannot cross the watchdog, so a hang is
+  never synthesized);
+* **a loop bound raised above the frame count** — ``total`` is read
+  only by the loop test, so the run replays the golden frames and then
+  faults with the pipeline's "frame table overrun" at the golden
+  loop-exit cycles plus the offset.
+
+With no residue this is the exact golden tail.  Most masked runs
+re-converge at the first boundary after the fire, which is where the
+fan-out speedup comes from; SDCs confined to a closed mini, drifted
+cycle counts and loop-bound overruns end there too.
 
 What is *not* bit-identical under fast-forward: telemetry traces (the
 skipped prefix emits no spans; a predicted run emits no spans or
@@ -106,6 +121,7 @@ from repro.faultinject.registers import (
 from repro.forensics import probes
 from repro.observe import events as observe_events
 from repro.runtime.context import Cell, CostProfile, ExecutionContext
+from repro.runtime.errors import SegmentationFault
 from repro.summarize.pipeline import (
     PipelineState,
     _ransac_seed,
@@ -288,6 +304,8 @@ class SnapshotTape:
     allocs: list[AllocRecord]
     probe_events: list[tuple[str, int]]
     golden_cycles: int
+    #: ``ctx.cycles`` of the golden run when its frame loop exited.
+    exit_cycles: int
     frame_shape: tuple[int, int]
     #: The golden output panorama, kept so a fan-out member whose state
     #: re-converges to the tape can synthesize its golden tail without
@@ -550,11 +568,15 @@ def capture_tape(
         )
     if not recorder.boundaries:
         raise SnapshotUnsupported("the run has no frame boundary to resume from")
+    if probe.last_stage != "stitch":
+        # A synthesized tail recomputes the final stitch probe.
+        raise SnapshotUnsupported("the run does not end with a stitch probe")
     return SnapshotTape(
         boundaries=recorder.boundaries,
         allocs=recorder.allocs,
         probe_events=list(probe.events),
         golden_cycles=golden_cycles,
+        exit_cycles=result.loop_exit_cycles,
         frame_shape=frame_shape if frame_shape is not None else (0, 0),
         golden_output=golden_output.copy(),
         fire_log=recorder.fire_log,
@@ -661,25 +683,101 @@ class FastForward:
             }
         return self._snapshot_by_frame
 
-    def _synthesize_tail(self, ctx: ExecutionContext, snapshot: FrameSnapshot) -> np.ndarray:
+    def _residue(
+        self,
+        snapshot: FrameSnapshot,
+        ctx: ExecutionContext,
+        rng: np.random.Generator,
+        state: PipelineState,
+    ) -> "Residue | None":
+        """What the member's loop state still differs from ``snapshot`` in.
+
+        None when it differs in anything the loop reads forward of the
+        boundary; otherwise the closed-form :class:`Residue` that
+        :meth:`_synthesize_tail` completes the run from.  Cheap fields
+        first, so runs that stay divergent pay almost nothing.
+        """
+        # ``state.outcomes`` is deliberately not compared: the loop only
+        # appends to it forward of a boundary (never reads it), and the
+        # member's own per-frame outcomes are not part of its result.
+        total = int(state.total.value)
+        overrun = total != snapshot.total
+        if overrun and not (total > snapshot.total == len(self._frames)):
+            return None
+        if (
+            int(state.failures.value) != snapshot.failures
+            or len(state.minis) != len(snapshot.minis)
+            or (state.prev_chain is None) != (snapshot.prev_chain is None)
+            or (state.prev_features is None) != (snapshot.features is None)
+        ):
+            return None
+        offset = ctx.cycles - snapshot.cycles
+        end = (self.tape.exit_cycles if overrun else self.tape.golden_cycles) + offset
+        if ctx.watchdog_cycles is not None and end > ctx.watchdog_cycles:
+            return None  # the watchdog decides this run: execute it
+        if rng.bit_generator.state != snapshot.rng_state:
+            return None
+        if state.prev_chain is not None and not np.array_equal(
+            state.prev_chain, snapshot.prev_chain
+        ):
+            return None
+        if snapshot.features is not None:
+            coords, descriptors, angles = snapshot.features
+            prev = state.prev_features
+            if not (
+                np.array_equal(prev.coords, coords)
+                and np.array_equal(prev.descriptors, descriptors)
+                and np.array_equal(prev.angles, angles)
+            ):
+                return None
+        # The current mini (``state.current``) is ``minis[-1]``.
+        if state.minis and not _mini_equal(state.minis[-1], snapshot.minis[-1]):
+            return None
+        closed = sum(
+            not _mini_equal(mini, snap) for mini, snap in zip(state.minis[:-1], snapshot.minis)
+        )
+        return Residue(cycle_offset=offset, closed_minis=closed, overrun=overrun)
+
+    def _synthesize_tail(
+        self,
+        ctx: ExecutionContext,
+        snapshot: FrameSnapshot,
+        residue: "Residue",
+        state: PipelineState,
+    ) -> np.ndarray:
         """Complete a re-converged run from the tape, without executing.
 
         At ``snapshot``'s boundary the member's loop state equals the
-        golden run's exactly, and the loop forward of a boundary is a
-        pure function of that state — so the remaining frames would
-        reproduce the golden run byte-for-byte.  Emit what they would
-        have emitted: the golden probe tail from this boundary on, the
-        golden final cycle count, and a fresh copy of the golden output.
+        golden run's up to ``residue``, and the loop forward of a
+        boundary is a pure function of what it reads — so the remaining
+        frames would replay the golden frames verbatim.  Emit what they
+        would have emitted: the golden probe tail from this boundary on,
+        then either the overrun fault at the golden loop-exit cycles
+        plus the offset (the loop raises before the stitch probe), or
+        the golden final cycles plus the offset, the output stacked
+        from the live closed minis over the golden rows from the
+        current mini on, and its stitch probe.
         """
-        probes.replay_prefix(self.tape.probe_events[snapshot.probe_count :])
-        ctx.preload(self.tape.golden_cycles)
+        tape = self.tape
+        probes.replay_prefix(tape.probe_events[snapshot.probe_count : -1])
         # The one golden-tail tally: the registry counts these events.
         observe_events.emit(
             "golden_tail",
             frame=snapshot.frame_index,
-            skipped_probe_events=len(self.tape.probe_events) - snapshot.probe_count,
+            skipped_probe_events=len(tape.probe_events) - snapshot.probe_count,
+            cycle_offset=residue.cycle_offset,
+            closed_minis=residue.closed_minis,
+            overrun=residue.overrun,
         )
-        return self.tape.golden_output.copy()
+        if residue.overrun:
+            ctx.preload(tape.exit_cycles + residue.cycle_offset)
+            raise SegmentationFault(len(self._frames), "frame table overrun")
+        ctx.preload(tape.golden_cycles + residue.cycle_offset)
+        closed = state.minis[:-1]
+        rows = sum(mini.canvas.shape[0] for mini in closed)
+        output = np.vstack([mini.canvas for mini in closed] + [tape.golden_output[rows:]])
+        probes.record("stitch", output)
+        return output
 
     # -- application state ------------------------------------------------
     def _restore_app(
@@ -887,15 +985,39 @@ class BoundaryFanOut:
             rng = np.random.default_rng(_ransac_seed(ff.config, ff.stream_name))
             rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
             # The watch only observes until it proves the rest of the run
-            # is a golden replay.
-            injector.frame_boundary = _ConvergenceWatch(injector, ff._by_frame())
+            # is a golden replay up to a closed-form residue.
+            injector.frame_boundary = _ConvergenceWatch(injector, ff)
             try:
                 result = run_vs_resumed(
                     ff.config, ctx, state, rng, ff._frames, ff._frame_shape
                 )
             except _GoldenTailReached as reached:
-                return ff._synthesize_tail(ctx, reached.snapshot)
+                return ff._synthesize_tail(ctx, reached.snapshot, reached.residue, state)
             return result.panorama
+
+
+@dataclass(frozen=True)
+class Residue:
+    """What a re-converged member still differs from the golden tape in.
+
+    Everything else the loop reads forward of the boundary is equal, so
+    the rest of the run is the golden tail shifted by ``cycle_offset``,
+    with ``closed_minis`` differing closed canvases in its output, or —
+    with ``overrun`` — faulting past the frame table where the golden
+    loop exits.  The all-zero residue is the exact golden tail.
+    """
+
+    cycle_offset: int
+    closed_minis: int
+    overrun: bool
+
+
+def _mini_equal(mini: MiniPanorama, snap: MiniSnapshot) -> bool:
+    return (
+        mini.frames_composited == snap.frames_composited
+        and np.array_equal(mini.coverage, snap.coverage)
+        and np.array_equal(mini.canvas, snap.canvas)
+    )
 
 
 class _GoldenTailReached(Exception):
@@ -907,79 +1029,40 @@ class _GoldenTailReached(Exception):
     it never escapes to outcome classification.
     """
 
-    def __init__(self, snapshot: FrameSnapshot) -> None:
+    def __init__(self, snapshot: FrameSnapshot, residue: Residue) -> None:
         super().__init__(f"golden tail at frame {snapshot.frame_index}")
         self.snapshot = snapshot
+        self.residue = residue
 
 
 class _ConvergenceWatch:
     """``frame_boundary`` hook armed on fan-out members.
 
     Until the injector fires it is a single attribute check per frame.
-    After the fire, each boundary compares the member's complete loop
-    state against the tape's snapshot for that frame index — cheapest
-    fields first, so runs that stay divergent pay almost nothing — and
-    raises :class:`_GoldenTailReached` on exact equality.  Equality is
-    a *proof*: ``PipelineState`` plus the RANSAC RNG and the cycle
-    counter is everything the loop reads forward of a boundary (the
-    fired injector is spent and never consults machine state again),
-    so an equal state replays the golden tail verbatim.
+    After the fire, each boundary takes the member's residue against the
+    tape's snapshot for that frame index (:meth:`FastForward._residue`)
+    and raises :class:`_GoldenTailReached` once there is one.  That is a
+    *proof*: ``PipelineState`` plus the RANSAC RNG and the cycle counter
+    is everything the loop reads forward of a boundary, the fired
+    injector is spent and never consults machine state again, and the
+    residue is exactly what the tail reads only in closed form.
     """
 
-    __slots__ = ("injector", "by_frame")
+    __slots__ = ("injector", "fast_forward")
 
-    def __init__(self, injector: "FaultInjector", by_frame: dict[int, FrameSnapshot]) -> None:
+    def __init__(self, injector: "FaultInjector", fast_forward: FastForward) -> None:
         self.injector = injector
-        self.by_frame = by_frame
+        self.fast_forward = fast_forward
 
     def __call__(
         self, ctx: ExecutionContext, rng: np.random.Generator, state: PipelineState
     ) -> None:
         if not self.injector.record.fired:
             return
-        snapshot = self.by_frame.get(int(state.index.value))
-        if snapshot is None or ctx.cycles != snapshot.cycles:
+        ff = self.fast_forward
+        snapshot = ff._by_frame().get(int(state.index.value))
+        if snapshot is None:
             return
-        if _matches_snapshot(snapshot, rng, state):
-            raise _GoldenTailReached(snapshot)
-
-
-def _matches_snapshot(
-    snapshot: FrameSnapshot, rng: np.random.Generator, state: PipelineState
-) -> bool:
-    """Exact loop-state equality against a tape snapshot (cheap first)."""
-    # ``state.outcomes`` is deliberately not compared: the loop only
-    # appends to it forward of a boundary (never reads it), and the
-    # member's own per-frame outcomes are not part of its result — so
-    # it cannot influence the tail.  Everything else is load-bearing.
-    if (
-        int(state.total.value) != snapshot.total
-        or int(state.failures.value) != snapshot.failures
-        or len(state.minis) != len(snapshot.minis)
-        or (state.prev_chain is None) != (snapshot.prev_chain is None)
-        or (state.prev_features is None) != (snapshot.features is None)
-    ):
-        return False
-    if rng.bit_generator.state != snapshot.rng_state:
-        return False
-    if state.prev_chain is not None and not np.array_equal(
-        state.prev_chain, snapshot.prev_chain
-    ):
-        return False
-    if snapshot.features is not None:
-        coords, descriptors, angles = snapshot.features
-        prev = state.prev_features
-        if not (
-            np.array_equal(prev.coords, coords)
-            and np.array_equal(prev.descriptors, descriptors)
-            and np.array_equal(prev.angles, angles)
-        ):
-            return False
-    for mini, mini_snap in zip(state.minis, snapshot.minis):
-        if (
-            mini.frames_composited != mini_snap.frames_composited
-            or not np.array_equal(mini.coverage, mini_snap.coverage)
-            or not np.array_equal(mini.canvas, mini_snap.canvas)
-        ):
-            return False
-    return True
+        residue = ff._residue(snapshot, ctx, rng, state)
+        if residue is not None:
+            raise _GoldenTailReached(snapshot, residue)

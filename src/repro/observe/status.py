@@ -43,6 +43,7 @@ STATUS_COUNTERS = {
     "degrades": "campaign.degraded",
     "watchdog_hangs": "campaign.watchdog_hangs",
     "golden_tails": "campaign.fanout.golden_tail",
+    "spliced": "campaign.fanout.spliced",
     "journal_checkpoints": "campaign.journal_checkpoints",
     "notes": "campaign.notes",
 }

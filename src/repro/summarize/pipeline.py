@@ -55,6 +55,9 @@ class VSResult:
     minis: list[MiniPanorama] = field(default_factory=list)
     outcomes: list[FrameOutcome] = field(default_factory=list)
     cycles: int = 0
+    #: ``ctx.cycles`` when the frame loop's bound test failed: where a
+    #: run whose loop bound was raised past the frame table overruns it.
+    loop_exit_cycles: int = 0
 
     @property
     def frames_stitched(self) -> int:
@@ -285,6 +288,7 @@ def _run_loop(
         )
         index.value = int(index.value) + 1
 
+    loop_exit_cycles = ctx.cycles
     minis, outcomes = state.minis, state.outcomes
     panorama = _stack_minis(minis)
     # Divergence probe: the stitch stage's output is the full stacked
@@ -296,6 +300,7 @@ def _run_loop(
         minis=minis,
         outcomes=outcomes,
         cycles=ctx.cycles,
+        loop_exit_cycles=loop_exit_cycles,
     )
 
 

@@ -16,7 +16,10 @@ records to equal the oracle's, outcome classes, cycle counts, SDC
 payloads and divergence records included.
 
 A genuine HANG, which no uniform draw reaches on the tiny workload, is
-a targeted oracle test.  The dead-fire predictor is checked
+a targeted oracle test, and so is each residue a golden tail may be
+spliced past (a raised loop bound, a closed mini, a cycle offset) or
+must not be (a lowered bound, a drift past the watchdog).  The
+dead-fire predictor is checked
 exhaustively against the real injector at every golden checkpoint; the
 snapshot-restore property and the boundary lookup are checked directly.
 """
@@ -42,8 +45,8 @@ from repro.faultinject.addrspace import AddressSpace
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.injector import FaultInjector, InjectionPlan, InjectionRecord
 from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted, serialize_result
-from repro.faultinject.monitor import FaultMonitor
-from repro.faultinject.outcomes import HangKind, Outcome
+from repro.faultinject.monitor import DEFAULT_HANG_FACTOR, FaultMonitor
+from repro.faultinject.outcomes import CrashKind, HangKind, Outcome
 from repro.faultinject.parallel import VSWorkloadSpec
 from repro.faultinject.registers import (
     NUM_REGISTERS,
@@ -109,11 +112,15 @@ class _CheckpointLog:
 
 
 @functools.lru_cache(maxsize=None)
-def _checkpoint_cycles(approximation: str) -> tuple[int, ...]:
-    """Cycles of every checkpoint of the golden run, logged independently."""
+def _checkpoints(approximation: str) -> tuple[tuple[str, int], ...]:
+    """``(site, cycle)`` of every checkpoint of the golden run, logged independently."""
     log = _CheckpointLog()
     _workload(approximation)[3](ExecutionContext(injector=log))
-    return tuple(cycle for _site, cycle in log.events)
+    return tuple(log.events)
+
+
+def _checkpoint_cycles(approximation: str) -> tuple[int, ...]:
+    return tuple(cycle for _site, cycle in _checkpoints(approximation))
 
 
 def _pinned_target(approximation: str, pin: str | None) -> int | None:
@@ -261,6 +268,34 @@ def _pinning_first_target(target: int | None):
     liveness="default",
     pin="boundary-0",
 )
+# Spliced tails: plan 2 raises the loop bound and overruns the frame
+# table, with probes on.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=2,
+    n_injections=3,
+    workers=1,
+    probe=True,
+    interrupt_after=None,
+    site_filter=None,
+    liveness="default",
+    pin=None,
+)
+# Plan 14 is an SDC confined to a closed mini with a cycle offset, plan
+# 16 an overrun crash; in a journaled pool interrupted mid-way.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=1,
+    n_injections=17,
+    workers=2,
+    probe=False,
+    interrupt_after=1,
+    site_filter=None,
+    liveness="default",
+    pin=None,
+)
 def test_campaign_records_match_oracle(
     approximation,
     kind,
@@ -345,6 +380,131 @@ class TestHangEquivalence:
         assert full_result.outcome is Outcome.HANG
         assert full_result.hang_kind is HangKind.SIMULATED
         assert serialize_result(full_result) == serialize_result(fast_result)
+
+
+class TestSpliceEquivalence:
+    """Directed runs whose golden tail splices past a residue, or must not.
+
+    Each plan aims one bit at a binding: the slot it occupies is read off
+    the tape's register file (as in :class:`TestHangEquivalence`) and the
+    target is the middle golden checkpoint of its site within a window of
+    frames.  Every record must equal the unrestored monitor's byte for
+    byte, probes on and off; the ``golden_tail`` events of the fast-forward
+    run show whether the tail was synthesized, and past which residue.
+    """
+
+    def _plan(self, vs, site: str, name: str, bit: int, frames: tuple[int, int], pick=None):
+        stream, config, _, _, _ = vs
+        tape = golden_fast_forward(stream, config).tape
+        register = tape.boundaries[-1].regfile[0][(RegKind.GPR, site, name)]
+        lo, hi = (tape.boundary_cycles[frame] for frame in frames)
+        targets = [c for s, c in _checkpoints("VS") if s == site and lo < c < hi]
+        assert targets, f"no {site} checkpoint between frames {frames}"
+        target = targets[len(targets) // 2 if pick is None else pick]
+        return InjectionPlan(target, RegKind.GPR, register, bit)
+
+    def _frame_total_plan(self, vs, bit: int, frame: int) -> InjectionPlan:
+        return self._plan(vs, "summarize.pipeline.frame", "frame_total", bit, (frame, frame + 1))
+
+    def _drift_plan(self, vs) -> InjectionPlan:
+        # The second row of one frame's matcher: cutting its row loop
+        # short drops rows no accepted match came from.
+        return self._plan(vs, "vision.matching.hamming", "match_row", 32, (14, 15), pick=1)
+
+    def _compare(self, vs, plan, probe: bool, hang_factor: float = DEFAULT_HANG_FACTOR):
+        """(oracle result, golden-tail payloads of the fast-forward run)."""
+        stream, config, golden, workload, _ = vs
+        fast_forward = golden_fast_forward(stream, config)
+        monitors = [
+            FaultMonitor(
+                workload,
+                golden.output,
+                golden.total_cycles,
+                hang_factor=hang_factor,
+                probe=probe,
+                fast_forward=handle,
+            )
+            for handle in (None, fast_forward)
+        ]
+        expected = monitors[0].run_injected(plan, np.random.default_rng(11))
+        tails: list[dict] = []
+        previous = events.current()
+        events.install(
+            events.EventBus(
+                [lambda e: tails.append(dict(e.payload)) if e.kind == "golden_tail" else None]
+            )
+        )
+        try:
+            result = monitors[1].run_injected(plan, np.random.default_rng(11))
+        finally:
+            events.restore(previous)
+        assert serialize_result(result) == serialize_result(expected)
+        return expected, tails
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_raised_bound_overrun_crash_splices(self, vs, probe):
+        """A high bit of ``frame_total`` only raises the loop bound: the
+        run replays the golden frames and overruns the frame table where
+        the golden loop exits."""
+        plan = self._frame_total_plan(vs, bit=40, frame=6)
+        expected, tails = self._compare(vs, plan, probe)
+        stream, config, _, _, _ = vs
+        tape = golden_fast_forward(stream, config).tape
+        assert expected.outcome is Outcome.CRASH and expected.crash_kind is CrashKind.SEGV
+        assert expected.cycles == tape.exit_cycles
+        assert [(t["overrun"], t["cycle_offset"], t["closed_minis"]) for t in tails] == [
+            (True, 0, 0)
+        ]
+        if probe:
+            assert expected.divergence.last_stage != "stitch"
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_lowered_bound_executes(self, vs, probe):
+        """Clearing the top set bit of ``frame_total`` ends the loop early:
+        no golden tail, the run executes to its own end."""
+        n_frames = len(_workload("VS")[0])
+        plan = self._frame_total_plan(vs, bit=n_frames.bit_length() - 1, frame=4)
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.record.binding_name == "frame_total"
+        assert expected.outcome is Outcome.SDC
+        assert tails == []
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_closed_mini_sdc_splices(self, vs, probe):
+        """A warp gather flip corrupts the first mini-panorama; once the
+        next mini opens, the output is the corrupted closed canvas over
+        the golden rows."""
+        stream, config, _, _, _ = vs
+        tape = golden_fast_forward(stream, config).tape
+        closes = next(b.frame_index for b in tape.boundaries if len(b.minis) == 2)
+        plan = self._plan(vs, "imaging.warp.gather", "gather_x", 53, (1, closes - 1))
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.outcome is Outcome.SDC
+        assert len(tails) == 1 and tails[0]["closed_minis"] >= 1
+        assert not tails[0]["overrun"]
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_cycle_drift_mask_splices(self, vs, probe):
+        """A matcher row flip changes the work done but not the result:
+        the golden tail is spliced at the drifted cycle count."""
+        plan = self._drift_plan(vs)
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.outcome is Outcome.MASKED
+        assert len(tails) == 1 and tails[0]["cycle_offset"] != 0
+        assert (tails[0]["closed_minis"], tails[0]["overrun"]) == (0, False)
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_drift_past_watchdog_executes(self, vs, probe):
+        """The same drift under a watchdog one cycle short of the drifted
+        end: splicing would miss the hang, so the run executes into it."""
+        stream, config, golden, _, _ = vs
+        plan = self._drift_plan(vs)
+        _, tails = self._compare(vs, plan, probe)
+        end = golden.total_cycles + tails[0]["cycle_offset"]
+        hang_factor = (end - 0.5) / golden.total_cycles
+        expected, tails = self._compare(vs, plan, probe, hang_factor=hang_factor)
+        assert expected.outcome is Outcome.HANG
+        assert tails == []
 
 
 class TestPreFirstBoundary:

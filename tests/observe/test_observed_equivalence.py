@@ -287,6 +287,8 @@ class TestWorkerCountAgreement:
         Pool workers buffer their chunk events and the parent re-publishes
         them, so golden tails found inside workers reach the status
         counters, and the registry folds the same counters as in-process.
+        Plan 0 overruns the frame table after a raised loop bound, so the
+        tails include a spliced one.
         """
         from repro.analysis.experiments import TINY, input_stream, vs_workload
         from repro.faultinject.parallel import VSWorkloadSpec
@@ -325,6 +327,8 @@ class TestWorkerCountAgreement:
         serial_status, serial_counters, serial_ring = observed(1)
         pool_status, pool_counters, pool_ring = observed(2)
         assert serial_status["counters"]["golden_tails"] > 0
+        assert serial_status["counters"]["spliced"] >= 1
+        assert pool_counters["campaign.fanout.spliced"] == pool_status["counters"]["spliced"]
         assert pool_status["counters"] == serial_status["counters"]
         assert pool_status["outcomes"] == serial_status["outcomes"]
         assert pool_counters == serial_counters

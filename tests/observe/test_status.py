@@ -83,7 +83,8 @@ class TestEventFolding:
         bus.publish("retry", {"attempt": 1})
         bus.publish("degrade", {"to_workers": 1})
         bus.publish("watchdog_hang", {"index": 3, "count": 2})
-        bus.publish("golden_tail", {"frame": 5})
+        bus.publish("golden_tail", {"frame": 5, "cycle_offset": 0, "closed_minis": 0})
+        bus.publish("golden_tail", {"frame": 6, "cycle_offset": -70, "closed_minis": 1})
         bus.publish("journal_checkpoint", {"unit": "chunk", "index": 0})
         bus.publish("note", {"note": "probe on"})
         bus.publish("journal_resume", {"replayed": 3, "injections": 24})
@@ -91,7 +92,8 @@ class TestEventFolding:
             "retries": 1,
             "degrades": 1,
             "watchdog_hangs": 2,
-            "golden_tails": 1,
+            "golden_tails": 2,
+            "spliced": 1,
             "journal_checkpoints": 1,
             "notes": 1,
         }

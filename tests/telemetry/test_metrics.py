@@ -34,6 +34,15 @@ class TestRecording:
         assert total == 1.75
         assert peak == 1.0
 
+    def test_golden_tails_with_a_residue_count_as_spliced(self):
+        reg = MetricsRegistry()
+        reg.fold("golden_tail", {"frame": 3, "cycle_offset": 0, "closed_minis": 0, "overrun": False})
+        reg.fold("golden_tail", {"frame": 4, "cycle_offset": -70, "closed_minis": 0, "overrun": False})
+        reg.fold("golden_tail", {"frame": 5, "cycle_offset": 0, "closed_minis": 1, "overrun": False})
+        reg.fold("golden_tail", {"frame": 6, "cycle_offset": 0, "closed_minis": 0, "overrun": True})
+        assert reg.counter("campaign.fanout.golden_tail") == 4
+        assert reg.counter("campaign.fanout.spliced") == 3
+
 
 class TestSnapshot:
     def test_snapshot_is_json_serializable_and_sorted(self):

@@ -55,7 +55,12 @@ at every prefix checkpoint:
   distinct allocations — just like a full run does.
 
 Restores are destructive (the flip may corrupt any restored object), so
-every restore rebuilds its mutable state from the immutable tape.
+every restore rebuilds its mutable state from the immutable tape.  The
+tape holds bytes and descriptors only: the capture pins the arrays it
+records while it runs (their ids and data pointers must stay valid) and
+drops them when it returns, and a mini-panorama that has not changed
+since the previous boundary — every closed one — shares that
+boundary's snapshot, checked equal at capture.
 
 Every restore runs through **boundary fan-out** (:class:`BoundaryFanOut`),
 which amortizes it across a campaign: plans are grouped by the boundary
@@ -163,15 +168,14 @@ _LIVE_CELLS = ("index", "total", "failures")
 class AllocRecord:
     """One array the injector would have mapped during the prefix.
 
-    ``array`` pins the capture-run object so its ``id`` stays unique for
-    the recorder's lifetime.  ``frozen`` holds the byte content at the
-    first boundary where the array was no longer live program state;
-    live arrays are never frozen (they are rebuilt from the pipeline
-    snapshot instead).
+    Pure tape data: the capture-run array itself is pinned by the
+    :class:`SnapshotRecorder` only while it records, never by the tape.
+    ``frozen`` holds the byte content at the first boundary where the
+    array was no longer live program state; live arrays are never
+    frozen (they are rebuilt from the pipeline snapshot instead).
     """
 
     aid: int
-    array: np.ndarray
     dtype: np.dtype
     shape: tuple
     nbytes: int
@@ -180,7 +184,11 @@ class AllocRecord:
 
 @dataclass
 class MiniSnapshot:
-    """Copy-on-restore state of one mini-panorama at a boundary."""
+    """Copy-on-restore state of one mini-panorama at a boundary.
+
+    Immutable once captured, so boundaries share one snapshot while the
+    mini stays unchanged (every closed mini does).
+    """
 
     canvas: np.ndarray
     coverage: np.ndarray
@@ -338,6 +346,10 @@ class SnapshotRecorder:
     capture run is *armed*: kernels build the same windows, take the
     same armed-only code paths, and produce the same prefix byte
     content an injected run's prefix would.
+
+    The recorder pins every array it records, so ``id``s stay unique and
+    data pointers stay valid while it lives; the tape it leaves behind
+    holds no capture-run array.
     """
 
     observing = True
@@ -348,6 +360,11 @@ class SnapshotRecorder:
         self.boundaries: list[FrameSnapshot] = []
         self.allocs: list[AllocRecord] = []
         self._alloc_by_id: dict[int, AllocRecord] = {}
+        #: aid -> the pinned capture-run array and its data pointer.
+        self._arrays: list[np.ndarray] = []
+        self._pointers: list[int] = []
+        #: Records not frozen yet: only these can die at a boundary.
+        self._unfrozen: list[AllocRecord] = []
         self.probe: probes.StageProbe | None = None
         self.profile: CostProfile | None = None
 
@@ -378,13 +395,15 @@ class SnapshotRecorder:
             return
         record = AllocRecord(
             aid=len(self.allocs),
-            array=array,
             dtype=array.dtype,
             shape=tuple(array.shape),
             nbytes=max(int(array.nbytes), 1),
         )
         self.allocs.append(record)
         self._alloc_by_id[id(array)] = record
+        self._arrays.append(array)
+        self._pointers.append(array.ctypes.data)
+        self._unfrozen.append(record)
 
     # -- pipeline hook ---------------------------------------------------
     def frame_boundary(
@@ -395,18 +414,8 @@ class SnapshotRecorder:
             # Boundary 0 resumes every plan before boundary 1, which is
             # exact only when no checkpoint could have fired before it.
             raise SnapshotUnsupported("a checkpoint precedes the first frame boundary")
-        live_bases = _live_bases(state)
-        live_map: dict[int, tuple[tuple, int, bool]] = {}
-        for record in self.allocs:
-            placement = _resolve_live(record, live_bases)
-            if placement is not None:
-                live_map[record.aid] = placement
-            elif record.frozen is None:
-                # First boundary where this allocation is dead: its byte
-                # content is final from the program's point of view, so
-                # freeze it once for all later restores.
-                record.frozen = record.array.tobytes()
-
+        live_map = self._settle(_live_bases(state))
+        previous = self.boundaries[-1].minis if self.boundaries else []
         self.boundaries.append(
             FrameSnapshot(
                 cycles=ctx.cycles,
@@ -425,12 +434,8 @@ class SnapshotRecorder:
                     )
                 ),
                 minis=[
-                    MiniSnapshot(
-                        canvas=mini.canvas.copy(),
-                        coverage=mini.coverage.copy(),
-                        frames_composited=mini.frames_composited,
-                    )
-                    for mini in state.minis
+                    _snapshot_mini(mini, previous[k] if k < len(previous) else None)
+                    for k, mini in enumerate(state.minis)
                 ],
                 outcomes=list(state.outcomes),
                 n_allocs=len(self.allocs),
@@ -442,6 +447,44 @@ class SnapshotRecorder:
                 probe_count=0 if self.probe is None else len(self.probe.events),
             )
         )
+
+    def _settle(
+        self, live_bases: list[tuple[tuple, np.ndarray]]
+    ) -> dict[int, tuple[tuple, int, bool]]:
+        """Place the live allocations; freeze the newly dead ones.
+
+        Returns the boundary's ``live_map``, in aid order.
+        :func:`_resolve_live` places an array only if it is a live base
+        or its data pointer lies within a base's ``nbytes``.  The pointer
+        index narrows each boundary to those candidates and
+        ``_resolve_live`` decides each one exactly, so the map equals a
+        scan of every record.
+        """
+        pointers = np.array(self._pointers, dtype=np.uint64)
+        candidates: set[int] = set()
+        for _, base in live_bases:
+            record = self._alloc_by_id.get(id(base))
+            if record is not None:
+                candidates.add(record.aid)
+            start = base.ctypes.data
+            inside = (pointers >= start) & (pointers < start + base.nbytes)
+            candidates.update(np.flatnonzero(inside).tolist())
+        live_map: dict[int, tuple[tuple, int, bool]] = {}
+        for aid in sorted(candidates):
+            placement = _resolve_live(self._arrays[aid], self.allocs[aid].nbytes, live_bases)
+            if placement is not None:
+                live_map[aid] = placement
+        unfrozen: list[AllocRecord] = []
+        for record in self._unfrozen:
+            if record.aid in live_map:
+                unfrozen.append(record)
+            else:
+                # First boundary where this allocation is dead: its byte
+                # content is final from the program's point of view, so
+                # freeze it once for all later restores.
+                record.frozen = self._arrays[record.aid].tobytes()
+        self._unfrozen = unfrozen
+        return live_map
 
     # -- register-file descriptors ---------------------------------------
     def _describe_regfile(self, state: PipelineState) -> tuple:
@@ -521,9 +564,9 @@ def _live_bases(state: PipelineState) -> list[tuple[tuple, np.ndarray]]:
 
 
 def _resolve_live(
-    record: AllocRecord, bases: list[tuple[tuple, np.ndarray]]
+    array: np.ndarray, nbytes: int, bases: list[tuple[tuple, np.ndarray]]
 ) -> tuple[tuple, int, bool] | None:
-    """Place ``record`` relative to a live base array, if it is live.
+    """Place a recorded array (``nbytes`` as recorded) in a live base, if live.
 
     Returns ``(base_key, byte_offset, is_identity)``.  Identity matters:
     the restored pipeline re-binds its own live arrays, and those binds
@@ -533,13 +576,24 @@ def _resolve_live(
     a separate simulated allocation.
     """
     for key, base in bases:
-        if record.array is base:
+        if array is base:
             return (key, 0, True)
-        if base.nbytes and np.may_share_memory(record.array, base):
-            offset = record.array.ctypes.data - base.ctypes.data
-            if 0 <= offset and offset + record.nbytes <= base.nbytes:
+        if base.nbytes and np.may_share_memory(array, base):
+            offset = array.ctypes.data - base.ctypes.data
+            if 0 <= offset and offset + nbytes <= base.nbytes:
                 return (key, offset, False)
     return None
+
+
+def _snapshot_mini(mini: MiniPanorama, previous: MiniSnapshot | None) -> MiniSnapshot:
+    """``mini``'s snapshot: the previous boundary's when verified equal."""
+    if previous is not None and _mini_equal(mini, previous):
+        return previous
+    return MiniSnapshot(
+        canvas=mini.canvas.copy(),
+        coverage=mini.coverage.copy(),
+        frames_composited=mini.frames_composited,
+    )
 
 
 def capture_tape(

@@ -23,8 +23,9 @@ def fill_disk(field: np.ndarray, cx: float, cy: float, radius: float, value: flo
     y1 = min(h, int(np.ceil(cy + radius)) + 1)
     if x0 >= x1 or y0 >= y1:
         return
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius**2
+    dx2 = (np.arange(x0, x1) - cx) ** 2
+    dy2 = (np.arange(y0, y1) - cy) ** 2
+    mask = dx2[np.newaxis, :] + dy2[:, np.newaxis] <= radius**2
     field[y0:y1, x0:x1][mask] = value
 
 
@@ -37,18 +38,24 @@ def draw_line(
     value: float,
     thickness: int = 1,
 ) -> None:
-    """Draw a straight line by dense sampling (adequate for world textures)."""
+    """Draw a straight line by dense sampling (adequate for world textures).
+
+    Each of the ~2 samples per pixel of length stamps the
+    ``(2 * (thickness // 2) + 1)``-pixel square around its truncated
+    position, clipped to the field.  Every stamped pixel gets the same
+    value, so all squares are written in one scatter.
+    """
     length = float(np.hypot(x1 - x0, y1 - y0))
     steps = max(2, int(length * 2))
     ts = np.linspace(0.0, 1.0, steps)
-    xs = x0 + ts * (x1 - x0)
-    ys = y0 + ts * (y1 - y0)
+    # astype truncates toward zero, as int() does on each sample.
+    px = (x0 + ts * (x1 - x0)).astype(np.intp)
+    py = (y0 + ts * (y1 - y0)).astype(np.intp)
     half = max(0, thickness // 2)
+    offsets = np.arange(-half, half + 1)
     h, w = field.shape
-    for px, py in zip(xs, ys):
-        cx0 = max(0, int(px) - half)
-        cx1 = min(w, int(px) + half + 1)
-        cy0 = max(0, int(py) - half)
-        cy1 = min(h, int(py) + half + 1)
-        if cx0 < cx1 and cy0 < cy1:
-            field[cy0:cy1, cx0:cx1] = value
+    cols = (px[:, np.newaxis] + offsets)[:, np.newaxis, :]
+    rows = (py[:, np.newaxis] + offsets)[:, :, np.newaxis]
+    cols, rows = np.broadcast_arrays(cols, rows)
+    inside = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
+    field[rows[inside], cols[inside]] = value

@@ -49,9 +49,12 @@ def render_frame(
     noise_rng: np.random.Generator,
     noise_sigma: float = 1.0,
 ) -> np.ndarray:
-    """Sample one camera frame from the landscape (bilinear, clamped)."""
-    world = landscape.astype(np.float64)
-    h, w = world.shape
+    """Sample one camera frame from the landscape (bilinear, clamped).
+
+    Only the gathered samples are converted to float64, never the whole
+    landscape.
+    """
+    h, w = landscape.shape
     transform = state.frame_to_world(frame_w, frame_h)
 
     xs = np.arange(frame_w, dtype=np.float64)
@@ -68,8 +71,11 @@ def render_frame(
     y1 = np.minimum(y0 + 1, h - 1)
     fx = wx - x0
     fy = wy - y0
-    top = world[y0, x0] * (1 - fx) + world[y0, x1] * fx
-    bottom = world[y1, x0] * (1 - fx) + world[y1, x1] * fx
+    c00, c01, c10, c11 = landscape[
+        np.stack([y0, y0, y1, y1]), np.stack([x0, x1, x0, x1])
+    ].astype(np.float64)
+    top = c00 * (1 - fx) + c01 * fx
+    bottom = c10 * (1 - fx) + c11 * fx
     sampled = top * (1 - fy) + bottom * fy
 
     lit = state.gain * sampled + state.offset

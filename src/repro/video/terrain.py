@@ -36,7 +36,12 @@ def value_noise(
 
 
 def _bilinear_upsample(grid: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Bilinearly stretch a coarse grid to ``(height, width)``."""
+    """Bilinearly stretch a coarse grid to ``(height, width)``.
+
+    Separable: every coarse row is interpolated along x once, and the
+    output rows gather those — the same elementwise arithmetic as
+    interpolating each output row from its four corner samples.
+    """
     gh, gw = grid.shape
     ys = np.linspace(0, gh - 1, height)
     xs = np.linspace(0, gw - 1, width)
@@ -45,10 +50,9 @@ def _bilinear_upsample(grid: np.ndarray, height: int, width: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, gh - 1)
     x1 = np.minimum(x0 + 1, gw - 1)
     fy = (ys - y0)[:, np.newaxis]
-    fx = (xs - x0)[np.newaxis, :]
-    top = grid[np.ix_(y0, x0)] * (1 - fx) + grid[np.ix_(y0, x1)] * fx
-    bottom = grid[np.ix_(y1, x0)] * (1 - fx) + grid[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bottom * fy
+    fx = xs - x0
+    rows = grid[:, x0] * (1 - fx) + grid[:, x1] * fx
+    return rows[y0] * (1 - fy) + rows[y1] * fy
 
 
 def make_landscape(seed: int, height: int = 900, width: int = 1200) -> np.ndarray:

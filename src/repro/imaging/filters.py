@@ -25,13 +25,20 @@ def gaussian_kernel_1d(sigma: float, radius: int | None = None) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _convolve_rows(data: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve each row with ``kernel`` using edge replication."""
+def _convolve(data: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Convolve ``data`` along ``axis`` with ``kernel``, replicating edges.
+
+    Every output element is ``((0 + k0*x0) + k1*x1) + ...`` with the taps
+    in kernel order, whatever the axis.
+    """
     radius = len(kernel) // 2
-    padded = np.pad(data, ((0, 0), (radius, radius)), mode="edge")
+    n = data.shape[axis]
+    padded = np.take(data, np.clip(np.arange(-radius, n + radius), 0, n - 1), axis=axis)
+    index = [slice(None)] * data.ndim
     out = np.zeros_like(data)
     for offset, weight in enumerate(kernel):
-        out += weight * padded[:, offset : offset + data.shape[1]]
+        index[axis] = slice(offset, offset + n)
+        out += weight * padded[tuple(index)]
     return out
 
 
@@ -46,9 +53,7 @@ def gaussian_blur(
     if ctx is not None:
         with ctx.scope("imaging.filters.gaussian_blur"):
             ctx.tick(2 * kernel_cost("filter.blur_px") * arr.shape[0] * arr.shape[1])
-    blurred = _convolve_rows(arr, kernel)
-    blurred = _convolve_rows(blurred.T, kernel).T
-    return saturate_cast_u8(blurred)
+    return saturate_cast_u8(_convolve(_convolve(arr, kernel, axis=1), kernel, axis=0))
 
 
 def box_blur(image: np.ndarray, radius: int = 1) -> np.ndarray:
@@ -58,9 +63,7 @@ def box_blur(image: np.ndarray, radius: int = 1) -> np.ndarray:
     arr = as_gray(image).astype(np.float64)
     size = 2 * radius + 1
     kernel = np.full(size, 1.0 / size)
-    blurred = _convolve_rows(arr, kernel)
-    blurred = _convolve_rows(blurred.T, kernel).T
-    return saturate_cast_u8(blurred)
+    return saturate_cast_u8(_convolve(_convolve(arr, kernel, axis=1), kernel, axis=0))
 
 
 def sobel_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +88,10 @@ def sobel_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def harris_response(image: np.ndarray, k: float = 0.04, window_radius: int = 2) -> np.ndarray:
     """Harris corner response map, used to rank FAST keypoints (as ORB does)."""
     gx, gy = sobel_gradients(image)
-    gxx, gyy, gxy = gx * gx, gy * gy, gx * gy
+    products = np.stack([gx * gx, gy * gy, gx * gy])
     size = 2 * window_radius + 1
     kernel = np.full(size, 1.0 / size)
-
-    def smooth(data: np.ndarray) -> np.ndarray:
-        out = _convolve_rows(data, kernel)
-        return _convolve_rows(out.T, kernel).T
-
-    sxx, syy, sxy = smooth(gxx), smooth(gyy), smooth(gxy)
+    sxx, syy, sxy = _convolve(_convolve(products, kernel, axis=2), kernel, axis=1)
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
     return det - k * trace * trace

@@ -5,6 +5,11 @@ The VS algorithm uses FAST detectors for efficient keypoint detection
 when at least ``ARC_LENGTH`` contiguous pixels on the Bresenham circle of
 radius 3 are all brighter than the center plus a threshold, or all darker
 than the center minus it.
+
+The arc test is one lookup of each pixel's packed 16-bit circle mask in
+a table built at import, and scores are summed only at corners.  Outputs
+are bit-identical to summing a ``(16, h, w)`` neighbour stack, for every
+input a fault can produce (NaN, infinities, subnormals, any threshold).
 """
 
 from __future__ import annotations
@@ -40,37 +45,88 @@ class Keypoint:
     score: float
 
 
-def _circle_stack(image_f: np.ndarray) -> np.ndarray:
-    """Stack the 16 circle neighbours of every interior pixel.
+#: Circle offsets as arrays, for flat-index arithmetic.
+_CIRCLE_DX, _CIRCLE_DY = np.array(CIRCLE_OFFSETS, dtype=np.int64).T
 
-    Returns ``(16, h - 6, w - 6)`` float64 values aligned with the
-    interior region ``image[3:-3, 3:-3]``.
+#: Weight of circle pixel ``i`` in a packed 16-bit circle mask.
+_CIRCLE_BITS = (1 << np.arange(16)).astype(np.uint16)
+
+
+def _arc_table(arc: int) -> np.ndarray:
+    """``table[mask]``: does the 16-bit circle ``mask`` hold ``arc``
+    cyclically contiguous set bits?
+
+    Built once by rotate-and-AND: after ANDing the mask with its first
+    ``arc - 1`` cyclic rotations, bit ``i`` survives exactly when bits
+    ``i .. i + arc - 1`` (mod 16) are all set.  The masks go through in
+    blocks of 4096 so that building the table at import does not raise
+    the peak memory of processes that never detect a corner.
+    """
+    table = np.empty(1 << 16, dtype=bool)
+    for low in range(0, 1 << 16, 1 << 12):
+        masks = np.arange(low, low + (1 << 12), dtype=np.uint32)
+        runs = masks.copy()
+        for shift in range(1, arc):
+            runs &= ((masks >> shift) | (masks << (16 - shift))) & 0xFFFF
+        table[low : low + (1 << 12)] = runs != 0
+    return table
+
+
+_ARC_TABLE = _arc_table(ARC_LENGTH)
+
+
+def _circle_masks(flags: np.ndarray) -> np.ndarray:
+    """Pack ``(16, ...)`` boolean circle flags into uint16 masks (bit ``i``
+    is circle pixel ``i``)."""
+    return np.einsum("k,k...->...", _CIRCLE_BITS, flags.view(np.uint8))
+
+
+def _score_map(image_f: np.ndarray, threshold: float) -> np.ndarray:
+    """FAST score of every interior pixel (``image[3:-3, 3:-3]``).
+
+    The score is 0 off corners and ``sum_i max(|p_i - c| - t, 0)`` over
+    the circle on them.  On the flat image the interior rows, together
+    with the ``2 * BORDER`` columns between them, form one contiguous
+    run, so every circle neighbour is a contiguous slice of it; results
+    in the in-between columns are dropped.  Scores are summed only at
+    corners, from 0.0 and one circle pixel at a time in circle order.
+    That is how NumPy reduces a ``(16, h, w)`` stack along its first
+    axis, so every score carries the same bits (NaN payloads included)
+    as the reduction over the full stack.
     """
     h, w = image_f.shape
     inner_h, inner_w = h - 2 * BORDER, w - 2 * BORDER
-    stack = np.empty((16, inner_h, inner_w), dtype=np.float64)
-    for index, (dx, dy) in enumerate(CIRCLE_OFFSETS):
-        stack[index] = image_f[
-            BORDER + dy : BORDER + dy + inner_h, BORDER + dx : BORDER + dx + inner_w
-        ]
-    return stack
-
-
-def _contiguous_arc(flags: np.ndarray, arc: int) -> np.ndarray:
-    """True where any ``arc`` contiguous entries (cyclically) are all set.
-
-    ``flags`` is ``(16, ...)`` boolean.  A window of ``arc`` entries is
-    all-set exactly when its running sum equals ``arc``, so one cumulative
-    sum over the cyclically extended stack replaces the 16 windowed
-    ``all`` reductions.
-    """
-    wrapped = np.concatenate([flags, flags[: arc - 1]], axis=0)
-    counts = np.cumsum(wrapped, axis=0, dtype=np.int16)
-    padded = np.concatenate(
-        [np.zeros((1,) + flags.shape[1:], dtype=np.int16), counts], axis=0
-    )
-    window_sums = padded[arc:] - padded[:-arc]
-    return (window_sums == arc).any(axis=0)
+    flat = image_f.reshape(-1)
+    start = BORDER * w + BORDER
+    span = (inner_h - 1) * w + inner_w
+    offsets = _CIRCLE_DY * w + _CIRCLE_DX
+    center = flat[start : start + span]
+    brighter_than = center + threshold
+    darker_than = center - threshold
+    flags = np.empty((16, 2, span), dtype=bool)
+    for index, offset in enumerate(offsets):
+        ring = flat[start + offset : start + offset + span]
+        np.greater(ring, brighter_than, out=flags[index, 0])
+        np.less(ring, darker_than, out=flags[index, 1])
+    arcs = _ARC_TABLE[_circle_masks(flags)]
+    corners = np.flatnonzero(arcs[0] | arcs[1])
+    rows, cols = np.divmod(corners, w)
+    inside = cols < inner_w
+    pixels = start + corners[inside]
+    over = np.abs(flat[pixels + offsets[:, np.newaxis]] - flat[pixels])
+    over -= threshold
+    np.maximum(over, 0.0, out=over)
+    score = np.zeros((inner_h, inner_w))
+    if score.size == 1:
+        # A one-pixel stack is reduced as one contiguous run of 16
+        # values, which NumPy sums pairwise.
+        values = over.sum(axis=0)
+    else:
+        values = np.zeros(pixels.size)
+        for ring_over in over:
+            values += ring_over
+    score[rows[inside], cols[inside]] = values
+    return score
 
 
 def detect_fast(
@@ -114,6 +170,14 @@ def _detect_fast_arrays(
     threshold: int,
     nms_radius: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Score, suppress and rank FAST corners around two checkpoints.
+
+    ``vision.fast.detect`` binds the image pointer and the threshold
+    before the score map is built from ``image_f``; a flipped pointer
+    copies up to 4 KiB of aliased bytes over its start.
+    ``vision.fast.keypoints`` binds the suppressed corner coordinates and
+    scores before they are ranked.
+    """
     arr = as_gray(image)
     h, w = arr.shape
     if h <= 2 * BORDER or w <= 2 * BORDER:
@@ -132,15 +196,7 @@ def _detect_fast_arrays(
 
     with ctx.scope("vision.fast.detect"):
         ctx.tick(kernel_cost("fast.px") * h * w)
-        effective_threshold = float(thresh_cell.value)
-        center = image_f[BORDER : h - BORDER, BORDER : w - BORDER]
-        circle = _circle_stack(image_f)
-        brighter = circle > center + effective_threshold
-        darker = circle < center - effective_threshold
-        is_corner = _contiguous_arc(brighter, ARC_LENGTH) | _contiguous_arc(darker, ARC_LENGTH)
-        diff = np.abs(circle - center)
-        over = np.maximum(diff - effective_threshold, 0.0)
-        score = np.where(is_corner, over.sum(axis=0), 0.0)
+        score = _score_map(image_f, float(thresh_cell.value))
 
     # Non-maximum suppression on the score map.
     candidates = int(np.count_nonzero(score))
@@ -169,15 +225,20 @@ def _detect_fast_arrays(
 def _nms(score: np.ndarray, radius: int) -> np.ndarray:
     """Boolean map of local maxima within a ``(2r+1)`` square window.
 
-    The square-window maximum is separable, so two sliding 1-D maxima
-    (rows then columns) replace the O((2r+1)^2) shifted-copy loop.
+    The square-window maximum is separable: shifted ``np.maximum`` over
+    the ``-inf``-padded map along rows, then along columns.  Like the
+    window ``max`` it replaces, ``np.maximum`` propagates NaN.
     """
     if radius < 1:
         return score > 0
-    from numpy.lib.stride_tricks import sliding_window_view
-
+    h, w = score.shape
     size = 2 * radius + 1
-    padded = np.pad(score, radius, mode="constant", constant_values=-np.inf)
-    row_max = sliding_window_view(padded, size, axis=1).max(axis=-1)
-    best = sliding_window_view(row_max, size, axis=0).max(axis=-1)
+    padded = np.full((h + 2 * radius, w + 2 * radius), -np.inf)
+    padded[radius : radius + h, radius : radius + w] = score
+    row_max = padded[:, :w].copy()
+    for offset in range(1, size):
+        np.maximum(row_max, padded[:, offset : offset + w], out=row_max)
+    best = row_max[:h].copy()
+    for offset in range(1, size):
+        np.maximum(best, row_max[offset : offset + h], out=best)
     return (score > 0) & (score >= best)

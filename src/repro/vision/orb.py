@@ -96,30 +96,37 @@ def orientation_angles(image_f: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.arctan2(m01, m10)
 
 
-def _steered_samples(coords: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the BRIEF pattern per keypoint; returns two (n, 256, 2) int grids."""
+#: The 512 BRIEF sample points (each test's first point, then each
+#: test's second point) hold 145 distinct offsets, so a batch rotates
+#: only those; ``_FIRST``/``_SECOND`` index each test's two points.
+_OFFSETS, _WHERE = np.unique(
+    np.concatenate([_PATTERN[:, 0, :], _PATTERN[:, 1, :]]), axis=0, return_inverse=True
+)
+_POINT_X, _POINT_Y = _OFFSETS.T.astype(np.float64, order="C")
+_FIRST, _SECOND = _WHERE.reshape(2, DESCRIPTOR_BITS)
+
+
+def _steered_bits(image_f: np.ndarray, coords: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """BRIEF test results ``(n, 256)`` for the pattern steered by ``angles``.
+
+    One rotation of the pattern points per keypoint, rounded and cast to
+    integers once, offset by ``coords``, clamped into the image (border
+    replication) and read in one gather; each test then compares two
+    of the gathered samples.
+    """
+    h, w = image_f.shape
     cos = np.cos(angles)[:, np.newaxis]
     sin = np.sin(angles)[:, np.newaxis]
-    pattern = _PATTERN.astype(np.float64)
-
-    def rotate(points: np.ndarray) -> np.ndarray:
-        px = points[:, 0][np.newaxis, :]
-        py = points[:, 1][np.newaxis, :]
-        rx = np.round(cos * px - sin * py).astype(np.int64)
-        ry = np.round(sin * px + cos * py).astype(np.int64)
-        return np.stack([rx, ry], axis=2)
-
-    first = rotate(pattern[:, 0, :]) + coords[:, np.newaxis, :]
-    second = rotate(pattern[:, 1, :]) + coords[:, np.newaxis, :]
-    return first, second
-
-
-def _gather(image_f: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Sample image values at integer points with border clamping."""
-    h, w = image_f.shape
-    xs = np.clip(points[..., 0], 0, w - 1)
-    ys = np.clip(points[..., 1], 0, h - 1)
-    return image_f[ys, xs]
+    xs = np.round(cos * _POINT_X - sin * _POINT_Y).astype(np.int64)
+    ys = np.round(sin * _POINT_X + cos * _POINT_Y).astype(np.int64)
+    xs += coords[:, 0:1]
+    ys += coords[:, 1:2]
+    np.minimum(np.maximum(xs, 0, out=xs), w - 1, out=xs)
+    np.minimum(np.maximum(ys, 0, out=ys), h - 1, out=ys)
+    ys *= w
+    ys += xs
+    samples = np.take(image_f.reshape(-1), ys)
+    return np.take(samples, _FIRST, axis=1) < np.take(samples, _SECOND, axis=1)
 
 
 def describe(
@@ -168,8 +175,7 @@ def describe(
                 [image_blurred_f.shape[1] - 1 - ORB_BORDER, image_blurred_f.shape[0] - 1 - ORB_BORDER],
             )
             batch_angles = orientation_angles(image_blurred_f, safe_coords)
-            first, second = _steered_samples(safe_coords, batch_angles)
-            bits = _gather(image_blurred_f, first) < _gather(image_blurred_f, second)
+            bits = _steered_bits(image_blurred_f, safe_coords, batch_angles)
             descriptors[start:stop] = np.packbits(bits, axis=1)
             angles[start:stop] = batch_angles
 

@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.runtime.context import CostProfile, ExecutionContext
 from repro.summarize.config import VSConfig
 from repro.summarize.golden import clear_golden_cache
 from repro.video.synthetic import make_input1, make_input2
+
+#: A deeper search for CI jobs that pick it with ``--hypothesis-profile
+#: ci-deep`` (tests that pin ``max_examples`` keep their own budget).
+settings.register_profile("ci-deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture()

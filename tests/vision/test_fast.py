@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.vision.fast import BORDER, CIRCLE_OFFSETS, Keypoint, detect_fast
+from tests.vision.test_frontend_oracle import _circle_stack
 
 
 def stamp_corner(image: np.ndarray, x: int, y: int, bright: int = 220) -> None:
@@ -116,17 +117,17 @@ def _reference_nms(score: np.ndarray, radius: int) -> np.ndarray:
 
 
 class TestVectorizedRewrites:
-    """The cumsum arc test and separable NMS must equal the originals."""
+    """The arc table and separable NMS must equal the originals."""
 
     def test_contiguous_arc_matches_reference(self):
-        from repro.vision.fast import _contiguous_arc
+        from repro.vision.fast import _arc_table, _circle_masks
 
         gen = np.random.default_rng(99)
         for density in (0.3, 0.6, 0.9):
             flags = gen.random((16, 25, 35)) < density
             for arc in (2, 9, 15, 16):
                 assert np.array_equal(
-                    _contiguous_arc(flags, arc), _reference_contiguous_arc(flags, arc)
+                    _arc_table(arc)[_circle_masks(flags)], _reference_contiguous_arc(flags, arc)
                 )
 
     def test_nms_matches_reference(self):
@@ -143,7 +144,7 @@ class TestVectorizedRewrites:
     def test_detect_identical_keypoints_on_random_images(self, ctx):
         """End-to-end: detection on random images must be unchanged by
         the rewrites (keypoints re-derived from the reference kernels)."""
-        from repro.vision.fast import ARC_LENGTH, _circle_stack, detect_fast
+        from repro.vision.fast import ARC_LENGTH, detect_fast
 
         gen = np.random.default_rng(7)
         for trial in range(3):

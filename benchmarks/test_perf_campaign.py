@@ -17,10 +17,9 @@ Knobs (environment):
 * ``REPRO_BENCH_OUT``     — output JSON path (default ``BENCH_campaign.json``).
 * ``REPRO_BENCH_CI_WIDTH`` — Wilson-CI convergence target for the
   stratified stage (default 0.25; the acceptance entry is recorded at
-  0.02, which needs thousands of draws per cell and is far too slow for
-  routine runs).
-* ``REPRO_BENCH_STRATA`` — stratified grid ``RxBxC`` (default ``1x2x2``).
-* ``REPRO_BENCH_ROUND_SIZE`` — per-cell draws per stratified round
+  0.02, which needs thousands of draws per stratum and is far too slow
+  for routine runs).
+* ``REPRO_BENCH_ROUND_SIZE`` — per-stratum draws per stratified round
   (default 64).
 
 Speedup is bounded by the cores the machine actually grants
@@ -65,13 +64,6 @@ def _out_path() -> Path:
 
 def _bench_ci_width() -> float:
     return float(os.environ.get("REPRO_BENCH_CI_WIDTH", "0.25"))
-
-
-def _bench_strata() -> tuple[int, int, int]:
-    raw = os.environ.get("REPRO_BENCH_STRATA", "1x2x2")
-    parts = tuple(int(part) for part in raw.lower().split("x"))
-    assert len(parts) == 3 and all(part >= 1 for part in parts), raw
-    return parts
 
 
 def _bench_round_size() -> int:
@@ -187,15 +179,15 @@ def test_campaign_perf_trajectory(tmp_path):
         stream, config, golden, scale.injections, workers=1, spec=None
     )
 
-    # Adaptive stratified campaign to a matched per-cell Wilson-CI
-    # width.  Uniform sampling cannot stop per cell: to guarantee the
-    # same width in the slowest-converging cell it must keep drawing
-    # until that cell's expected share of a uniform stream reaches the
-    # same count, i.e. ``max_c ceil(draws_c / W_c)`` total draws.  The
-    # stratified planner stops converged cells, so ``draws_saved`` is
-    # the injections it did not have to run.
+    # Adaptive stratified campaign to a matched per-stratum Wilson-CI
+    # width.  Uniform sampling cannot stop per stratum: to guarantee
+    # the same width in the slowest-converging stratum it must keep
+    # drawing until that stratum's expected share of a uniform stream
+    # reaches the same count, i.e. ``max_s ceil(draws_s / W_s)`` total
+    # draws.  The stratified planner never draws the dead mass and
+    # stops converged strata, so ``draws_saved`` is the injections it
+    # did not have to run.
     ci_width = _bench_ci_width()
-    strata = _bench_strata()
     strat_start = time.perf_counter()
     stratified = run_campaign(
         vs_workload(stream, config),
@@ -210,7 +202,6 @@ def test_campaign_perf_trajectory(tmp_path):
             sampling="stratified",
             ci_width=ci_width,
             round_size=_bench_round_size(),
-            strata=strata,
         ),
         spec=spec,
     )
@@ -323,7 +314,7 @@ def test_campaign_perf_trajectory(tmp_path):
         },
         "stratified": {
             "ci_width": ci_width,
-            "strata": list(strata),
+            "dead_mass": round(sampling.stratification.dead_mass, 6),
             "round_size": _bench_round_size(),
             "stratified_s": round(stratified_s, 3),
             "draws": sampling.total_draws,

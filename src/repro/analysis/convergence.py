@@ -4,7 +4,7 @@ The paper estimates the minimum number of error injections by watching
 the outcome-rate trend curves and finding the *knee* — the point after
 which the rates change only trivially (they conclude 1000 injections).
 The adaptive stratified planner (:mod:`repro.faultinject.sampling`)
-replaces eyeballing the knee with a per-cell Wilson-CI width test; the
+replaces eyeballing the knee with a per-stratum Wilson-CI width test; the
 width helper lives here with the rest of the sufficiency machinery.
 """
 

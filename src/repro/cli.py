@@ -41,9 +41,10 @@ v2 layout (lossless, id-stable) and ``repro store rebuild DIR``
 re-derives the SQLite index from the raw record segments.
 
 Adaptive sampling (see ``docs/sampling.md``): ``campaign --sampling
-stratified --ci-width 0.02`` stratifies draws over (register-class x
-bit-octet x resume-boundary) cells and stops each cell once its Wilson
-CI converges, reporting raw and Horvitz-Thompson reweighted rates.
+stratified --ci-width 0.02`` counts the golden fire log's dead mass
+exactly, stratifies the live draws over (fire-site stage x value role)
+strata and stops each stratum once its Wilson CI converges, reporting
+raw and Horvitz-Thompson reweighted rates.
 
 Live observability (see ``docs/observability.md``): ``campaign
 --status PATH`` maintains a crash-safe JSON status snapshot (also via
@@ -92,24 +93,6 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
     return value
-
-
-def _strata_grid(raw: str) -> tuple[int, int, int]:
-    """Parse a ``RxBxC`` stratification grid (e.g. ``4x8x8``)."""
-    parts = raw.lower().split("x")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"must be REGxBITxCYCLE (e.g. 4x8x8), got {raw!r}"
-        )
-    try:
-        grid = tuple(int(part) for part in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be REGxBITxCYCLE (e.g. 4x8x8), got {raw!r}"
-        ) from None
-    if any(value < 1 for value in grid):
-        raise argparse.ArgumentTypeError(f"grid sizes must be >= 1, got {raw!r}")
-    return grid
 
 
 @contextlib.contextmanager
@@ -236,7 +219,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             ci_width=args.ci_width,
             round_size=args.round_size,
             max_injections=args.max_injections,
-            strata=args.strata,
             heartbeat_interval=args.heartbeat_interval,
             quiet=args.quiet,
         )
@@ -287,13 +269,23 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 print(f"  {name:6s} {rate:7.2%} raw | {ht[name]:7.2%} reweighted")
             print(
                 f"  stratified: {sampling.rounds} rounds, "
-                f"{sampling.cells_converged}/{len(sampling.cells)} cells converged, "
+                f"{sampling.cells_converged}/{len(sampling.cells)} strata converged, "
                 f"{sampling.total_draws} draws "
                 f"(uniform-equivalent {sampling.uniform_equivalent_draws()}, "
                 f"saved {sampling.draws_saved()})"
             )
+            print(
+                f"  dead mass {sampling.stratification.dead_mass:.4%} "
+                "(masked without running: an exact lower bound on mask)"
+            )
             if sampling.budget_exhausted:
                 print("  warning: draw budget exhausted before full convergence")
+            unsampled = sampling.unsampled_mass()
+            if unsampled > 0:
+                print(
+                    f"  warning: {unsampled:.2%} of the plan space lies in strata "
+                    "with no draws; the reweighted rates do not cover it"
+                )
         else:
             for name, rate in counts.rates().items():
                 print(f"  {name:6s} {rate:7.2%}")
@@ -633,16 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["uniform", "stratified"],
         help="plan-drawing strategy: 'uniform' (the paper's brute-force "
         "draw, byte-identical across releases for a given seed) or "
-        "'stratified' (adaptive rounds over register/bit/boundary cells "
-        "with per-cell Wilson-CI convergence stopping; -n is ignored — "
-        "see docs/sampling.md)",
+        "'stratified' (exact dead mass from the golden fire log, adaptive "
+        "rounds over the live stage x role strata with per-stratum "
+        "Wilson-CI convergence stopping; -n is ignored — see "
+        "docs/sampling.md)",
     )
     p_camp.add_argument(
         "--ci-width",
         type=float,
         default=0.02,
         metavar="W",
-        help="stratified mode: stop sampling a cell once the widest "
+        help="stratified mode: stop sampling a stratum once the widest "
         "Wilson 95%% CI over its outcome rates is at most W",
     )
     p_camp.add_argument(
@@ -650,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         metavar="K",
-        help="stratified mode: draws per unresolved cell per round "
+        help="stratified mode: draws per unresolved stratum per round "
         "(journals checkpoint once per round)",
     )
     p_camp.add_argument(
@@ -659,16 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stratified mode: hard campaign-wide draw budget "
-        "(default: sample until every cell converges)",
-    )
-    p_camp.add_argument(
-        "--strata",
-        type=_strata_grid,
-        default=(4, 8, 8),
-        metavar="RxBxC",
-        help="stratified mode: cell grid as register-classes x "
-        "bit-octets x max-cycle-strata (default 4x8x8; register classes "
-        "and bit octets must divide 32 and 64)",
+        "(default: sample until every stratum converges)",
     )
     p_camp.add_argument(
         "--store",

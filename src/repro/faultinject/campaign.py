@@ -25,9 +25,8 @@ from repro.faultinject.injector import InjectionPlan, random_plan
 from repro.faultinject.journal import (
     CampaignJournal,
     JournalError,
-    config_fingerprint,
     load_journal,
-    require_sampling_mode,
+    require_same_campaign,
 )
 from repro.faultinject.monitor import InjectionResult, Workload
 from repro.faultinject.outcomes import OutcomeCounts, RunningRates
@@ -82,27 +81,23 @@ class CampaignConfig:
     #: ``"uniform"`` (the default) draws ``n_injections`` plans exactly
     #: as every previous release did — byte-identical for the same seed,
     #: an invariant pinned by tests.  ``"stratified"`` ignores
-    #: ``n_injections`` and instead samples (register-class x bit-octet
-    #: x resume-boundary) cells in rounds, stopping each cell once its
-    #: widest Wilson CI drops below ``ci_width``; results carry both raw
-    #: and Horvitz-Thompson reweighted rates.  Part of the journal
-    #: config fingerprint, so mixed-mode resume is rejected.
+    #: ``n_injections``: it takes the exact dead mass from the golden
+    #: fire log and samples the live (fire-site stage x value role)
+    #: strata in rounds, stopping each stratum once its widest Wilson
+    #: CI drops below ``ci_width``; results carry both raw and
+    #: Horvitz-Thompson reweighted rates.  Part of the journal config
+    #: fingerprint, so mixed-mode resume is rejected.
     sampling: str = "uniform"
-    #: Stratified mode: per-cell convergence target — a cell stops once
-    #: the widest Wilson 95% CI over its outcome rates is at most this.
+    #: Stratified mode: per-stratum convergence target — a stratum stops
+    #: once the widest Wilson 95% CI over its outcome rates is at most this.
     ci_width: float = 0.02
-    #: Stratified mode: injections drawn per still-unresolved cell per
-    #: round (the journal checkpoints once per round).
+    #: Stratified mode: injections drawn per still-unresolved stratum
+    #: per round (the journal checkpoints once per round).
     round_size: int = 8
     #: Stratified mode: hard campaign-wide draw budget; ``None`` keeps
-    #: sampling until every cell converges.  A cell that cannot reach
-    #: ``ci_width`` within the budget is reported unconverged.
+    #: sampling until every stratum converges.  A stratum that cannot
+    #: reach ``ci_width`` within the budget is reported unconverged.
     max_injections: int | None = None
-    #: Stratified mode: the cell grid as (register classes, bit octets,
-    #: max cycle strata).  Register classes and bit octets must divide
-    #: 32 and 64; cycle strata snap to the golden run's frame boundaries
-    #: when a snapshot tape exists.
-    strata: tuple[int, int, int] = (4, 8, 8)
     #: Heartbeat cadence in seconds; ``None`` defers to the
     #: ``REPRO_HEARTBEAT_INTERVAL`` environment variable (default 2.0).
     #: Pure presentation — never part of the journal fingerprint.
@@ -127,7 +122,7 @@ class CampaignResult:
     #: so the full ``results`` list never has to be re-walked (and could
     #: in principle be dropped for huge campaigns).
     fired: OutcomeCounts | None = None
-    #: Stratified-sampling summary (per-cell statistics, raw vs
+    #: Stratified-sampling summary (per-stratum statistics, raw vs
     #: Horvitz-Thompson reweighted rates, draws saved) when the campaign
     #: ran with ``sampling="stratified"``; None for uniform campaigns.
     sampling: "StratifiedSummary | None" = None
@@ -219,16 +214,7 @@ def _prepare_journal(
         return CampaignJournal.create(journal_path, config, groups=groups), groups, {}, False
 
     state = load_journal(journal_path)
-    # Mode mixing gets its own targeted error before the generic
-    # fingerprint comparison (which would also refuse it, less clearly).
-    require_sampling_mode(state.fingerprint, config, journal_path)
-    fingerprint = config_fingerprint(config)
-    if state.fingerprint != fingerprint:
-        raise JournalError(
-            f"journal {journal_path} was written by a different campaign "
-            f"configuration (journal {state.fingerprint} vs requested "
-            f"{fingerprint}); refusing to mix results"
-        )
+    require_same_campaign(state.fingerprint, config, journal_path)
     covered = sorted(index for group in state.groups for index in group)
     if covered != list(range(n_plans)):
         raise JournalError(
@@ -279,9 +265,10 @@ def run_campaign(
     identical results.
 
     ``config.sampling="stratified"`` dispatches to the adaptive planner
-    (see :mod:`repro.faultinject.sampling`): draws are stratified over
-    (register-class x bit-octet x resume-boundary) cells and each cell
-    stops once its Wilson-CI width converges.  The default uniform mode
+    (see :mod:`repro.faultinject.sampling`): the fire log's dead mass is
+    counted exactly, draws are stratified over the live (fire-site stage
+    x value role) strata, and each stratum stops once its Wilson-CI
+    width converges.  The default uniform mode
     is untouched — plans stay byte-identical to previous releases.
     """
     if config.sampling not in ("uniform", "stratified"):

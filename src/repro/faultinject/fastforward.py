@@ -233,6 +233,11 @@ class SlotWrite:
     site: str
     written_cycle: int
 
+    def live_at(self, cycle: int, kind: RegKind, liveness: LivenessModel) -> bool:
+        """Whether a fire at ``cycle`` still finds this value inside its lease."""
+        ttl = self.ttl if self.ttl is not None else liveness.ttl_for(kind, self.role)
+        return cycle - self.written_cycle <= ttl
+
 
 @dataclass
 class FireLog:
@@ -279,11 +284,12 @@ class FireLog:
         The injector fires at the first checkpoint whose cycle is at or
         past the target and, with a site filter, whose site matches.
         """
-        indices, cycles = self._checkpoints(site_filter)
+        indices, cycles = self.firing_checkpoints(site_filter)
         k = bisect.bisect_left(cycles, target_cycle)
         return indices[k] if k < len(indices) else None
 
-    def _checkpoints(self, site_filter: str | None) -> tuple[list[int], list[int]]:
+    def firing_checkpoints(self, site_filter: str | None) -> tuple[list[int], list[int]]:
+        """Indices and cycles of the checkpoints ``site_filter`` lets fire."""
         cached = self._by_filter.get(site_filter)
         if cached is None:
             indices = [
@@ -704,13 +710,10 @@ class FastForward:
         write = log.slot_at(plan.kind, plan.register, checkpoint)
         if write is None:
             effect = FlipEffect.DEAD_EMPTY
+        elif write.live_at(cycle, plan.kind, liveness):
+            return None  # a live value: the flip has to execute
         else:
-            ttl = write.ttl if write.ttl is not None else liveness.ttl_for(plan.kind, write.role)
-            age = cycle - write.written_cycle
-            if age > ttl:
-                effect = FlipEffect.DEAD_STALE
-            else:
-                return None  # a live value: the flip has to execute
+            effect = FlipEffect.DEAD_STALE
             record.binding_name = write.name
             record.role = write.role
         record.fired = True

@@ -8,7 +8,8 @@ appends to as chunks complete:
 * line 1 — a ``header`` record: schema version, a fingerprint of every
   config field that affects results, and the dispatch layout — the
   ``groups`` (lists of plan indices) of a uniform campaign, or the
-  ``stratification`` grid of an adaptive stratified one — so a resume
+  ``stratification`` (dead mass and strata) of an adaptive stratified
+  one — so a resume
   can detect config drift and re-dispatch exactly as the original run
   did (boundary groups depend on the tape, tapeless index ranges on
   the original worker count, stratified rounds on the accumulated
@@ -67,7 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: journal written in one sampling mode cannot be resumed in the other.
 #: v4: one execution path — the header carries ``groups`` or
 #: ``stratification`` only, and the fingerprint lost the fast-forward
-#: and boundary-batching flags.
+#: and boundary-batching flags.  Stratified journals written before
+#: the fire-log strata carry ``strata`` in their fingerprint and are
+#: refused by the fingerprint check.
 JOURNAL_SCHEMA_VERSION = 4
 
 #: Test/CI hook: abort the campaign after this many journal appends, to
@@ -227,7 +230,6 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
                     "ci_width": config.ci_width,
                     "round_size": config.round_size,
                     "max_injections": config.max_injections,
-                    "strata": list(config.strata),
                 }
             }
             if getattr(config, "sampling", "uniform") == "stratified"
@@ -236,14 +238,14 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
     }
 
 
-def require_sampling_mode(
+def require_same_campaign(
     fingerprint: dict, config: "CampaignConfig", path: Path
 ) -> None:
-    """Reject a resume that mixes sampling modes, with a targeted error.
+    """Reject a resume whose journal a different campaign configuration wrote.
 
-    The full fingerprint comparison would also refuse the mix, but its
-    generic "different configuration" message buries the one field that
-    matters; mode mixing deserves a message naming both modes.
+    Mode mixing is checked first, with a targeted error: the generic
+    "different configuration" message would bury the one field that
+    matters.
     """
     journal_mode = fingerprint.get("sampling", "uniform")
     config_mode = getattr(config, "sampling", "uniform")
@@ -253,6 +255,13 @@ def require_sampling_mode(
             f"campaign and cannot be resumed with sampling={config_mode!r}: "
             f"the modes draw different plans and checkpoint at different "
             f"granularities, so their results cannot be mixed"
+        )
+    expected = config_fingerprint(config)
+    if fingerprint != expected:
+        raise JournalError(
+            f"journal {path} was written by a different campaign "
+            f"configuration (journal {fingerprint} vs requested "
+            f"{expected}); refusing to mix results"
         )
 
 
@@ -302,7 +311,7 @@ class CampaignJournal:
 
         Exactly one of ``groups`` (uniform campaigns: one chunk per
         group of plan indices) or ``stratification`` (adaptive
-        stratified campaigns: the cell grid, checkpointed per round)
+        stratified campaigns: the strata, checkpointed per round)
         describes the dispatch layout recorded in the header.
         """
         if (groups is None) == (stratification is None):
@@ -434,7 +443,7 @@ class JournalState:
     #: Dispatch groups (plan indices per chunk) for uniform journals;
     #: None for stratified ones.
     groups: list[list[int]] | None = None
-    #: The stratification grid (see ``Stratification.to_dict``) for
+    #: The stratification (see ``Stratification.to_dict``) for
     #: stratified journals; None otherwise.
     stratification: dict | None = None
     #: Completed chunks, keyed by chunk index.

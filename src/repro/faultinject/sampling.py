@@ -1,22 +1,29 @@
-"""Adaptive campaign planning: stratified, convergence-stopped sampling.
+"""Adaptive campaign planning: fire-log strata, convergence-stopped sampling.
 
 The paper's resiliency figures come from brute-force uniform injection:
-every error site is drawn uniformly at random and every cell runs a
-fixed injection count.  Rare outcome classes (SDC, HANG) therefore need
-disproportionately many draws to resolve.  This module multiplies every
-per-injection speedup by reducing the *number* of injections instead:
+every error site (cycle, register, bit) is drawn uniformly at random and
+every cell runs a fixed injection count.  Rare outcome classes (SDC,
+HANG) therefore need disproportionately many draws to resolve.  This
+module multiplies every per-injection speedup by reducing the *number*
+of injections instead:
 
-* the uniform error-site space is **stratified** over
-  (register-class x bit-octet x resume-boundary) cells, each a product
-  of index ranges with an exactly known population weight;
-* sampling proceeds in **rounds**: every still-unresolved cell draws a
-  fixed number of plans per round from a deterministic per-(round,
-  cell) seed, and a cell stops as soon as the widest Wilson confidence
-  interval across its outcome rates drops below ``--ci-width``;
+* the golden run's fire log (:class:`~repro.faultinject.fastforward.FireLog`)
+  already decides, for every (cycle, register), whether a flip lands in
+  an empty or expired slot or never fires — a run that *is* the golden
+  run, outcome MASKED.  One sweep over it gives the **exact dead mass**
+  of the uniform draw and splits the live remainder into **strata**
+  keyed by (fire-site stage x value role), each with an exactly known
+  weight;
+* sampling proceeds in **rounds**: every still-unresolved stratum draws
+  a fixed number of plans per round from a deterministic per-(round,
+  stratum) seed, and a stratum stops as soon as the widest Wilson
+  confidence interval across its outcome rates drops below
+  ``--ci-width``;
 * campaign-level rates are reported both **raw** (what was observed,
   biased toward oversampled strata) and **Horvitz-Thompson reweighted**
-  (each cell's rate scaled by its population weight), so stratified
-  campaigns stay comparable to the paper's uniform figures.
+  (the dead mass as MASKED plus each stratum's rate scaled by its
+  weight), so stratified campaigns stay comparable to the paper's
+  uniform figures.
 
 Uniform mode is untouched: ``CampaignConfig(sampling="uniform")`` —
 the default — draws plans byte-identically to every previous release,
@@ -26,7 +33,6 @@ the estimator math and a worked example.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,9 +46,8 @@ from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.journal import (
     CampaignJournal,
     JournalError,
-    config_fingerprint,
     load_journal,
-    require_sampling_mode,
+    require_same_campaign,
 )
 from repro.faultinject.outcomes import Outcome, OutcomeCounts
 from repro.faultinject.parallel import execute_plans_parallel, fast_forward_for, plan_groups
@@ -51,18 +56,12 @@ from repro.observe import events as observe_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.faultinject.campaign import CampaignConfig, CampaignResult
+    from repro.faultinject.fastforward import FireLog
     from repro.faultinject.monitor import InjectionResult, Workload
     from repro.faultinject.parallel import WorkloadSpec
 
 #: Recognized ``CampaignConfig.sampling`` values.
 SAMPLING_MODES = ("uniform", "stratified")
-
-#: Default stratification grid: (register classes, bit octets, max
-#: cycle strata).  Register classes and bit octets must divide the
-#: register/bit counts; cycle strata are either the golden run's frame
-#: boundaries (capped at the grid value) or equal-width cycle buckets
-#: when no snapshot tape is available.
-DEFAULT_STRATA = (4, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -70,165 +69,139 @@ DEFAULT_STRATA = (4, 8, 8)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StratumCell:
-    """One stratum: a product of half-open index ranges.
+class Stratum:
+    """One live stratum: the (cycle, register) pairs of one (stage, role).
 
-    ``weight`` is the cell's exact share of the uniform plan space —
-    the probability that one uniformly drawn plan lands in this cell —
-    so the weights of a full stratification sum to 1.
+    ``rows`` is an ``(m, 3)`` table of ``(cycle lo, cycle hi, register)``
+    with ``[lo, hi)`` half-open; ``mass`` counts the stratum's (cycle,
+    register) pairs — its weight numerator over ``golden_cycles x 32``.
     """
 
-    index: int
-    registers: tuple[int, int]  # [lo, hi)
-    bits: tuple[int, int]  # [lo, hi)
-    cycles: tuple[int, int]  # [lo, hi)
-    weight: float
+    def __init__(self, index: int, stage: str, role: str, rows: Sequence) -> None:
+        self.index = index
+        self.stage = stage
+        self.role = role
+        self.rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        #: Row ``r`` covers the draw offsets ``[ends[r] - span, ends[r])``.
+        self.ends = np.cumsum(self.rows[:, 1] - self.rows[:, 0])
+        self.mass = int(self.ends[-1])
 
-    def describe(self) -> str:
-        """Compact human-readable cell label."""
-        return (
-            f"r{self.registers[0]}-{self.registers[1] - 1}/"
-            f"b{self.bits[0]}-{self.bits[1] - 1}/"
-            f"c{self.cycles[0]}-{self.cycles[1] - 1}"
+    def draw(
+        self, kind: RegKind, n: int, seed: int, round_index: int
+    ) -> list[InjectionPlan]:
+        """Draw ``n`` uniform plans *within* this stratum, deterministically.
+
+        One offset into the stratum's cycle-register mass picks a row
+        with probability proportional to its cycle span and a cycle
+        uniformly inside it; the bit is uniform over all 64.  The RNG
+        derives from ``(seed, round, stratum)`` alone, so any round of
+        any stratum can be re-drawn independently — the property resume
+        relies on — and no draw ever consumes another stratum's stream.
+        """
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(round_index, self.index))
         )
-
-
-def uniform_cycle_edges(total_cycles: int, n_strata: int) -> list[int]:
-    """Equal-width cycle stratum edges (the no-tape fallback)."""
-    if total_cycles <= 0:
-        raise ValueError(f"total_cycles must be positive, got {total_cycles}")
-    n_strata = max(1, min(n_strata, total_cycles))
-    edges = np.linspace(0, total_cycles, n_strata + 1).astype(int)
-    return sorted(set(int(edge) for edge in edges))
-
-
-def boundary_cycle_edges(
-    boundary_cycles: Sequence[int], total_cycles: int, max_strata: int
-) -> list[int]:
-    """Cycle stratum edges derived from golden frame boundaries.
-
-    Plans within one stratum share (or are near) the same fast-forward
-    resume boundary, which is exactly the grouping the boundary fan-out
-    scheduler amortizes over.  When the tape has more boundaries than
-    ``max_strata``, an evenly spaced subset of edges is kept so the
-    stratification stays coarse enough to resolve.
-    """
-    interior = sorted({int(c) for c in boundary_cycles if 0 < int(c) < total_cycles})
-    edges = [0, *interior, total_cycles]
-    if len(edges) - 1 <= max_strata:
-        return edges
-    keep = np.linspace(0, len(edges) - 1, max_strata + 1).astype(int)
-    return [edges[int(i)] for i in sorted(set(keep.tolist()))]
+        offsets = rng.integers(0, self.mass, size=n)
+        bits = rng.integers(0, REGISTER_BITS, size=n)
+        rows = np.searchsorted(self.ends, offsets, side="right")
+        cycles = self.rows[rows, 1] - (self.ends[rows] - offsets)
+        return [
+            InjectionPlan(int(cycle), kind, int(register), int(bit))
+            for cycle, register, bit in zip(cycles, self.rows[rows, 2], bits)
+        ]
 
 
 @dataclass(frozen=True)
 class Stratification:
-    """A full partition of the uniform plan space into strata cells."""
+    """The uniform plan space as exact dead mass plus live strata.
+
+    Masses count (cycle, register) pairs out of ``golden_cycles x 32``
+    (the bit is uniform in every stratum); ``dead`` plus the strata
+    masses is exactly that total, so the weights sum to 1 with no
+    rounding.
+    """
 
     kind: RegKind
-    total_cycles: int
-    register_classes: int
-    bit_octets: int
-    cycle_edges: tuple[int, ...]
-    cells: tuple[StratumCell, ...] = field(default=())
+    golden_cycles: int
+    dead: int
+    strata: tuple[Stratum, ...]
 
-    @classmethod
-    def build(
-        cls,
-        kind: RegKind,
-        total_cycles: int,
-        cycle_edges: Sequence[int] | None = None,
-        register_classes: int = DEFAULT_STRATA[0],
-        bit_octets: int = DEFAULT_STRATA[1],
-    ) -> "Stratification":
-        """Build the cell grid; cells partition the plan space exactly."""
-        if total_cycles <= 0:
-            raise ValueError(f"total_cycles must be positive, got {total_cycles}")
-        if register_classes < 1 or NUM_REGISTERS % register_classes:
-            raise ValueError(
-                f"register_classes must divide {NUM_REGISTERS}, got {register_classes}"
-            )
-        if bit_octets < 1 or REGISTER_BITS % bit_octets:
-            raise ValueError(f"bit_octets must divide {REGISTER_BITS}, got {bit_octets}")
-        if cycle_edges is None:
-            cycle_edges = uniform_cycle_edges(total_cycles, DEFAULT_STRATA[2])
-        edges = tuple(int(edge) for edge in cycle_edges)
-        if len(edges) < 2 or edges[0] != 0 or edges[-1] != total_cycles:
-            raise ValueError(
-                f"cycle_edges must run from 0 to total_cycles={total_cycles}, got {edges!r}"
-            )
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError(f"cycle_edges must be strictly increasing, got {edges!r}")
-        reg_span = NUM_REGISTERS // register_classes
-        bit_span = REGISTER_BITS // bit_octets
-        cells: list[StratumCell] = []
-        for reg_class in range(register_classes):
-            for octet in range(bit_octets):
-                for lo, hi in zip(edges, edges[1:]):
-                    cells.append(
-                        StratumCell(
-                            index=len(cells),
-                            registers=(reg_class * reg_span, (reg_class + 1) * reg_span),
-                            bits=(octet * bit_span, (octet + 1) * bit_span),
-                            cycles=(lo, hi),
-                            weight=(reg_span / NUM_REGISTERS)
-                            * (bit_span / REGISTER_BITS)
-                            * ((hi - lo) / total_cycles),
-                        )
-                    )
-        return cls(
-            kind=kind,
-            total_cycles=total_cycles,
-            register_classes=register_classes,
-            bit_octets=bit_octets,
-            cycle_edges=edges,
-            cells=tuple(cells),
-        )
+    @property
+    def total(self) -> int:
+        return self.golden_cycles * NUM_REGISTERS
 
-    def cell_index_for(self, plan: InjectionPlan) -> int:
-        """The cell containing one plan (cells partition the space)."""
-        reg_span = NUM_REGISTERS // self.register_classes
-        bit_span = REGISTER_BITS // self.bit_octets
-        cycle_stratum = bisect.bisect_right(self.cycle_edges, plan.target_cycle) - 1
-        cycle_stratum = min(max(cycle_stratum, 0), len(self.cycle_edges) - 2)
-        n_cycle = len(self.cycle_edges) - 1
-        return (
-            (plan.register // reg_span) * self.bit_octets + plan.bit // bit_span
-        ) * n_cycle + cycle_stratum
+    @property
+    def dead_mass(self) -> float:
+        """Probability that a uniform plan is decided MASKED unexecuted."""
+        return self.dead / self.total
+
+    def weights(self) -> list[float]:
+        """Each stratum's share of the uniform plan space."""
+        return [stratum.mass / self.total for stratum in self.strata]
 
     def to_dict(self) -> dict:
         """JSON-stable description (journal header, store records)."""
         return {
             "kind": self.kind.value,
-            "total_cycles": self.total_cycles,
-            "register_classes": self.register_classes,
-            "bit_octets": self.bit_octets,
-            "cycle_edges": list(self.cycle_edges),
+            "golden_cycles": self.golden_cycles,
+            "dead": self.dead,
+            "dead_mass": round(self.dead_mass, 9),
+            "strata": [
+                {
+                    "stage": stratum.stage,
+                    "role": stratum.role,
+                    "mass": stratum.mass,
+                    "rows": len(stratum.rows),
+                }
+                for stratum in self.strata
+            ],
         }
 
 
-def draw_cell_plans(
-    cell: StratumCell, kind: RegKind, n: int, seed: int, round_index: int
-) -> list[InjectionPlan]:
-    """Draw ``n`` uniform plans *within* one cell, deterministically.
+def stratify(
+    config: "CampaignConfig", golden_cycles: int, fire_log: "FireLog | None" = None
+) -> Stratification:
+    """The campaign's strata from one sweep over the golden fire log.
 
-    The RNG derives from ``(seed, round, cell)`` alone, so any round of
-    any cell can be re-drawn independently — the property resume relies
-    on — and no draw ever consumes another cell's stream.
+    A target cycle in ``(c[k-1], c[k]]`` fires at the ``k``-th
+    checkpoint ``config.site_filter`` lets fire.  There every register
+    slot holds its last golden write, which is empty, stale or live
+    under ``config.liveness`` — exactly what
+    :meth:`~repro.faultinject.fastforward.FastForward.predict_masked`
+    decides per plan.  Empty and stale slots, and the targets past the
+    last firing checkpoint, are dead mass; a live slot's cycles join the
+    stratum of (fire-site stage, value role), the stage being the site's
+    first two dot-parts (``vision.orb``, ``imaging.warp``).  Without a
+    fire log (custom workloads, WP) nothing is known to be dead: one
+    stratum holds every register over ``[0, golden_cycles)``.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(round_index, cell.index))
+    if golden_cycles <= 0:
+        raise ValueError(f"golden_cycles must be positive, got {golden_cycles}")
+    kind = config.kind
+    dead = 0
+    rows: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
+    if fire_log is None:
+        rows[("all", "all")] = [(0, golden_cycles, slot) for slot in range(NUM_REGISTERS)]
+    else:
+        lo = 0
+        for index, cycle in zip(*fire_log.firing_checkpoints(config.site_filter)):
+            hi = min(cycle + 1, golden_cycles)
+            if hi <= lo:
+                continue
+            stage = ".".join(fire_log.sites[index].split(".")[:2])
+            for slot in range(NUM_REGISTERS):
+                write = fire_log.slot_at(kind, slot, index)
+                if write is None or not write.live_at(cycle, kind, config.liveness):
+                    dead += hi - lo
+                else:
+                    rows.setdefault((stage, write.role.value), []).append((lo, hi, slot))
+            lo = hi
+        dead += (golden_cycles - lo) * NUM_REGISTERS
+    strata = tuple(
+        Stratum(index, stage, role, rows[(stage, role)])
+        for index, (stage, role) in enumerate(sorted(rows))
     )
-    return [
-        InjectionPlan(
-            target_cycle=int(rng.integers(cell.cycles[0], cell.cycles[1])),
-            kind=kind,
-            register=int(rng.integers(cell.registers[0], cell.registers[1])),
-            bit=int(rng.integers(cell.bits[0], cell.bits[1])),
-        )
-        for _ in range(n)
-    ]
+    return Stratification(kind, golden_cycles, dead, strata)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +212,16 @@ def draw_cell_plans(
 def reweighted_rates(
     weights: Sequence[float], counts: Sequence[OutcomeCounts]
 ) -> dict[str, float]:
-    """Horvitz-Thompson (stratified) estimate of campaign outcome rates.
+    """Horvitz-Thompson (stratified) estimate of outcome rates.
 
     Each sampled cell contributes its within-cell rate scaled by its
     population weight: ``p_hat = sum_c W_c * p_hat_c``.  Cells without
     draws carry no information and are excluded, with the remaining
-    weights renormalized (when every cell was sampled the weights sum
-    to 1 and the renormalization is a float-hygiene no-op).  With equal
-    weights and equal per-cell draws this reduces exactly to the plain
-    pooled rate — a property the test suite pins.
+    weights renormalized (when every cell was sampled this rescales the
+    weights to sum to 1).  With equal weights and equal per-cell draws
+    this reduces exactly to the plain pooled rate — a property the test
+    suite pins.  :meth:`StratifiedSummary.unsampled_mass` reports what
+    the renormalization covered up.
     """
     if len(weights) != len(counts):
         raise ValueError(
@@ -294,14 +268,9 @@ def cell_max_ci_width(counts: OutcomeCounts, z: float = 1.96) -> float:
     """
     if counts.total == 0:
         return 1.0
-    per_outcome = {
-        Outcome.MASKED: counts.masked,
-        Outcome.SDC: counts.sdc,
-        Outcome.CRASH: counts.crash,
-        Outcome.HANG: counts.hang,
-    }
     return max(
-        wilson_width(successes, counts.total, z) for successes in per_outcome.values()
+        wilson_width(successes, counts.total, z)
+        for successes in (counts.masked, counts.sdc, counts.crash, counts.hang)
     )
 
 
@@ -316,7 +285,7 @@ class CellStats:
 
     counts: OutcomeCounts = field(default_factory=OutcomeCounts)
     draws: int = 0
-    #: Round index after which the cell's widest Wilson CI dropped below
+    #: Round index after which the stratum's widest Wilson CI dropped below
     #: the target width; ``None`` while (or if never) unresolved.
     converged_round: int | None = None
 
@@ -327,10 +296,11 @@ class StratifiedSummary:
 
     Attached to :class:`~repro.faultinject.campaign.CampaignResult` as
     ``result.sampling`` so reports can show raw next to reweighted
-    rates and the per-cell CI table.
+    rates and the per-stratum CI table.
     """
 
     stratification: Stratification
+    #: One entry per stratum, in stratum order.
     cells: list[CellStats]
     ci_width: float
     rounds: int
@@ -352,31 +322,62 @@ class StratifiedSummary:
             pooled.hang += stats.counts.hang
         return pooled.rates()
 
-    def ht_rates(self) -> dict[str, float]:
-        """Horvitz-Thompson reweighted campaign rates."""
-        return reweighted_rates(
-            [cell.weight for cell in self.stratification.cells],
-            [stats.counts for stats in self.cells],
+    def _live_estimate(self, estimator) -> dict[str, float]:
+        return estimator(
+            self.stratification.weights(), [stats.counts for stats in self.cells]
         )
 
+    def ht_rates(self) -> dict[str, float]:
+        """Horvitz-Thompson reweighted campaign rates.
+
+        ``dead * [MASK] + sum_s W_s * p_hat_s``: the dead mass is MASKED
+        with certainty, and the live strata are reweighted over the live
+        mass (renormalized over the sampled strata, see
+        :meth:`unsampled_mass`).
+        """
+        strat = self.stratification
+        live = (strat.total - strat.dead) / strat.total
+        rates = {key: live * rate for key, rate in self._live_estimate(reweighted_rates).items()}
+        rates[Outcome.MASKED.value] += strat.dead_mass
+        return rates
+
     def ht_variance(self) -> dict[str, float]:
-        return reweighted_variance(
-            [cell.weight for cell in self.stratification.cells],
-            [stats.counts for stats in self.cells],
+        """Variance of :meth:`ht_rates`; the dead mass adds none."""
+        strat = self.stratification
+        live = (strat.total - strat.dead) / strat.total
+        return {
+            key: live**2 * variance
+            for key, variance in self._live_estimate(reweighted_variance).items()
+        }
+
+    def unsampled_mass(self) -> float:
+        """Live weight of the strata with no draws.
+
+        The reweighted rates say nothing about this share of the plan
+        space (a budget that ran out before every stratum drew); it is
+        0 whenever every stratum was sampled.
+        """
+        strat = self.stratification
+        unsampled = sum(
+            stratum.mass
+            for stratum, stats in zip(strat.strata, self.cells)
+            if stats.draws == 0
         )
+        return unsampled / strat.total
 
     def uniform_equivalent_draws(self) -> int:
         """Draws a *uniform* campaign needs to match this precision.
 
-        Uniform sampling hits cell ``c`` with probability ``W_c``, so
-        giving it the ``n_c`` draws it took to converge requires
-        ``n_c / W_c`` total draws in expectation; the binding (most
-        undersampled-by-uniform) cell sets the campaign total.
+        Uniform sampling hits stratum ``s`` with probability ``W_s``, so
+        giving it the ``n_s`` draws it took to converge requires
+        ``n_s / W_s`` total draws in expectation; the binding (most
+        undersampled-by-uniform) stratum sets the campaign total.  The
+        dead mass needs no draws, so it is where most savings come from.
         """
         needed = 0
-        for cell, stats in zip(self.stratification.cells, self.cells):
+        for weight, stats in zip(self.stratification.weights(), self.cells):
             if stats.draws > 0:
-                needed = max(needed, math.ceil(stats.draws / cell.weight))
+                needed = max(needed, math.ceil(stats.draws / weight))
         return needed
 
     def draws_saved(self) -> int:
@@ -386,14 +387,14 @@ class StratifiedSummary:
     def to_dict(self) -> dict:
         """JSON-stable summary for stored records and ``--out`` files."""
         cell_rows = []
-        for cell, stats in zip(self.stratification.cells, self.cells):
+        weights = self.stratification.weights()
+        for stratum, weight, stats in zip(self.stratification.strata, weights, self.cells):
             cell_rows.append(
                 {
-                    "cell": cell.index,
-                    "registers": list(cell.registers),
-                    "bits": list(cell.bits),
-                    "cycles": list(cell.cycles),
-                    "weight": round(cell.weight, 9),
+                    "cell": stratum.index,
+                    "stage": stratum.stage,
+                    "role": stratum.role,
+                    "weight": round(weight, 9),
                     "draws": stats.draws,
                     "counts": {
                         "masked": stats.counts.masked,
@@ -415,6 +416,7 @@ class StratifiedSummary:
             "uniform_equivalent_draws": self.uniform_equivalent_draws(),
             "draws_saved": self.draws_saved(),
             "budget_exhausted": self.budget_exhausted,
+            "unsampled_mass": round(self.unsampled_mass(), 9),
             "cells_converged": self.cells_converged,
             "raw_rates": {k: round(v, 6) for k, v in self.raw_rates().items()},
             "ht_rates": {k: round(v, 6) for k, v in self.ht_rates().items()},
@@ -438,7 +440,7 @@ class _StratifiedState:
     def __init__(self, stratification: Stratification, config: "CampaignConfig") -> None:
         self.stratification = stratification
         self.config = config
-        self.cells = [CellStats() for _ in stratification.cells]
+        self.cells = [CellStats() for _ in stratification.strata]
         self.results: list["InjectionResult"] = []
         self.rounds_done = 0
         self.budget_exhausted = False
@@ -447,24 +449,28 @@ class _StratifiedState:
     def total_draws(self) -> int:
         return len(self.results)
 
-    def unconverged(self) -> list[int]:
-        return [
-            index
-            for index, stats in enumerate(self.cells)
-            if stats.converged_round is None
-        ]
-
     def budget_left(self) -> int | None:
         if self.config.max_injections is None:
             return None
         return max(0, self.config.max_injections - self.total_draws)
 
-    def absorb_round(self, results: list["InjectionResult"]) -> None:
-        """Fold one round's ordered results into the cell statistics."""
-        for result in results:
-            stats = self.cells[self.stratification.cell_index_for(result.plan)]
-            stats.counts.add(result.outcome, result.crash_kind)
-            stats.draws += 1
+    def absorb_round(
+        self, results: list["InjectionResult"], allocation: list[tuple[int, int]]
+    ) -> None:
+        """Fold one round's ordered results into the stratum statistics.
+
+        ``allocation`` is the round's :meth:`allocate`: the results come
+        in that order, ``k`` plans per stratum.
+        """
+        if len(results) != sum(k for _, k in allocation):
+            raise JournalError(f"round {self.rounds_done} does not match its plan")
+        position = 0
+        for index, k in allocation:
+            stats = self.cells[index]
+            for result in results[position : position + k]:
+                stats.counts.add(result.outcome, result.crash_kind)
+            stats.draws += k
+            position += k
         self.results.extend(results)
         newly_converged: list[int] = []
         for index, stats in enumerate(self.cells):
@@ -519,33 +525,39 @@ class _StratifiedState:
             cell_ci_widths=widths,
         )
 
-    def plan_round(self) -> list[InjectionPlan]:
-        """Draw the next round's plans for every unresolved cell.
+    def allocate(self) -> list[tuple[int, int]]:
+        """``(stratum, draws)`` of the next round, for every unresolved stratum.
 
-        A pure function of ``(seed, rounds_done, unconverged cells,
-        remaining budget)`` — all of which replay identically from the
-        journal — drawn in ascending cell order so the budget truncates
+        A pure function of ``(rounds_done, unconverged strata, remaining
+        budget)`` — all of which replay identically from the journal —
+        in ascending stratum order so the budget truncates
         deterministically.
         """
         budget = self.budget_left()
-        plans: list[InjectionPlan] = []
-        for cell_index in self.unconverged():
+        allocation: list[tuple[int, int]] = []
+        planned = 0
+        for index, stats in enumerate(self.cells):
+            if stats.converged_round is not None:
+                continue
             k = self.config.round_size
             if budget is not None:
-                k = min(k, budget - len(plans))
+                k = min(k, budget - planned)
             if k <= 0:
                 self.budget_exhausted = True
                 break
-            plans.extend(
-                draw_cell_plans(
-                    self.stratification.cells[cell_index],
-                    self.config.kind,
-                    k,
-                    self.config.seed,
-                    self.rounds_done,
-                )
+            allocation.append((index, k))
+            planned += k
+        return allocation
+
+    def plan_round(self, allocation: list[tuple[int, int]]) -> list[InjectionPlan]:
+        """Draw the round's plans, stratum by stratum."""
+        return [
+            plan
+            for index, k in allocation
+            for plan in self.stratification.strata[index].draw(
+                self.config.kind, k, self.config.seed, self.rounds_done
             )
-        return plans
+        ]
 
     def summary(self) -> StratifiedSummary:
         return StratifiedSummary(
@@ -556,33 +568,6 @@ class _StratifiedState:
             total_draws=self.total_draws,
             budget_exhausted=self.budget_exhausted,
         )
-
-
-def build_stratification(
-    config: "CampaignConfig", golden_cycles: int, fast_forward=None
-) -> Stratification:
-    """The campaign's cell grid from its config and golden run.
-
-    Cycle strata follow the snapshot tape's frame boundaries when a
-    fast-forward handle exists (so strata align with the boundary
-    fan-out scheduler's groups), else equal-width cycle buckets.
-    """
-    register_classes, bit_octets, max_cycle = config.strata
-    if max_cycle < 1:
-        raise ValueError(f"strata cycle count must be >= 1, got {max_cycle}")
-    tape = getattr(fast_forward, "tape", None)
-    boundary_cycles = getattr(tape, "boundary_cycles", None)
-    if boundary_cycles:
-        edges = boundary_cycle_edges(boundary_cycles, golden_cycles, max_cycle)
-    else:
-        edges = uniform_cycle_edges(golden_cycles, max_cycle)
-    return Stratification.build(
-        config.kind,
-        golden_cycles,
-        cycle_edges=edges,
-        register_classes=register_classes,
-        bit_octets=bit_octets,
-    )
 
 
 def _validate_stratified_config(config: "CampaignConfig") -> None:
@@ -619,19 +604,12 @@ def _prepare_stratified_journal(
         )
         return journal, [], False
     state = load_journal(journal_path)
-    require_sampling_mode(state.fingerprint, config, journal_path)
-    fingerprint = config_fingerprint(config)
-    if state.fingerprint != fingerprint:
-        raise JournalError(
-            f"journal {journal_path} was written by a different campaign "
-            f"configuration (journal {state.fingerprint} vs requested "
-            f"{fingerprint}); refusing to mix results"
-        )
+    require_same_campaign(state.fingerprint, config, journal_path)
     if state.stratification != stratification.to_dict():
         raise JournalError(
             f"journal {journal_path} records a different stratification "
             f"({state.stratification!r} vs {stratification.to_dict()!r}); "
-            f"the golden run or strata grid drifted since it was written"
+            f"the golden run or liveness model drifted since it was written"
         )
     replayable: list[list["InjectionResult"]] = []
     while len(replayable) in state.rounds:
@@ -652,9 +630,9 @@ def run_stratified_campaign(
     """Run one adaptive, stratified, convergence-stopped campaign.
 
     Fully deterministic given ``config.seed``: every round's draws
-    derive from ``(seed, round, cell)``, every run's injector RNG from
-    ``(seed, global draw index)``, and the set of cells sampled each
-    round is a pure function of the accumulated statistics — so a
+    derive from ``(seed, round, stratum)``, every run's injector RNG
+    from ``(seed, global draw index)``, and the set of strata sampled
+    each round is a pure function of the accumulated statistics — so a
     journaled campaign interrupted at any round boundary (or killed
     mid-round) resumes bit-identically, and worker count never changes
     results.  Rounds reuse the campaign scheduler: each round's plans
@@ -667,7 +645,9 @@ def run_stratified_campaign(
 
     _validate_stratified_config(config)
     ff = fast_forward_for(spec, config)
-    stratification = build_stratification(config, golden_cycles, fast_forward=ff)
+    stratification = stratify(
+        config, golden_cycles, ff.tape.fire_log if ff is not None else None
+    )
     state = _StratifiedState(stratification, config)
 
     observe_events.emit(
@@ -679,12 +659,14 @@ def run_stratified_campaign(
         seed=config.seed,
         journaled=journal_path is not None,
         resume=resume,
-        cells=len(stratification.cells),
+        cells=len(stratification.strata),
+        dead_mass=round(stratification.dead_mass, 6),
         ci_width=config.ci_width,
     )
     observe_events.emit(
         "note",
-        note=f"stratified sampling on: {len(stratification.cells)} cells, "
+        note=f"stratified sampling on: {len(stratification.strata)} strata, "
+        f"dead mass {stratification.dead_mass:.4f}, "
         f"ci-width target {config.ci_width:g}",
     )
 
@@ -695,7 +677,7 @@ def run_stratified_campaign(
             config, stratification, journal_path, resume
         )
         for round_results in replayed:
-            state.absorb_round(round_results)
+            state.absorb_round(round_results, state.allocate())
         if resume:
             observe_events.emit(
                 "journal_resume",
@@ -712,17 +694,12 @@ def run_stratified_campaign(
     try:
         with telemetry.span("campaign.execute"):
             while True:
-                unconverged = state.unconverged()
-                if not unconverged:
-                    break
-                budget = state.budget_left()
-                if budget is not None and budget <= 0:
-                    state.budget_exhausted = True
-                    break
                 with telemetry.span("campaign.sampling.draw_round"):
-                    plans = state.plan_round()
-                if not plans:
-                    break
+                    # Empty once every stratum converged or the budget ran out.
+                    allocation = state.allocate()
+                    if not allocation:
+                        break
+                    plans = state.plan_round(allocation)
                 groups, workers = plan_groups(spec, config, plans)
                 results = execute_plans_parallel(
                     spec,
@@ -737,7 +714,7 @@ def run_stratified_campaign(
                     # Durability first: a round only counts once fsync'd.
                     # May raise CampaignInterrupted (abort-after hook).
                     journal.append_round(state.rounds_done, results)
-                state.absorb_round(results)
+                state.absorb_round(results, allocation)
                 telemetry.counter_inc("campaign.sampling.rounds")
                 if observe_events.enabled():
                     converged = sum(
@@ -746,7 +723,7 @@ def run_stratified_campaign(
                     observe_events.emit(
                         "note",
                         note=f"round {state.rounds_done}: {state.total_draws} draws, "
-                        f"{converged}/{len(state.cells)} cells converged",
+                        f"{converged}/{len(state.cells)} strata converged",
                     )
     finally:
         if journal is not None:

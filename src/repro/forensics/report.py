@@ -106,37 +106,57 @@ def _rates_section(record: dict) -> Section:
     return section
 
 
-#: Per-cell rows shown in the stratified CI table before capping to the
+#: Per-cell rows shown in a legacy grid's CI table before capping to the
 #: widest-interval cells (full grids can run to hundreds of cells).
 MAX_CELL_ROWS = 24
 
 
 def _sampling_sections(record: dict) -> list[Section]:
-    """Stratified-campaign sections: estimator table + per-cell CIs.
+    """Stratified-campaign sections: estimator table + per-stratum CIs.
 
     Only stratified records carry a ``sampling`` block; uniform reports
-    are unchanged.
+    are unchanged.  Records stored before the fire-log strata carry a
+    register x bit x cycle grid and render as they always did.
     """
     sampling = record.get("sampling")
     if not sampling:
         return []
     grid = sampling["stratification"]
-    overview = Section("Stratified sampling", headers=["field", "value"])
-    overview.rows = [
-        [
-            "strata grid",
-            f"{grid['register_classes']} reg x {grid['bit_octets']} bit x "
-            f"{len(grid['cycle_edges']) - 1} cycle",
-        ],
-        ["cells", len(sampling["cells"])],
-        ["cells converged", sampling["cells_converged"]],
+    legacy = "register_classes" in grid
+    effort = [
         ["ci-width target", f"{sampling['ci_width']:g}"],
         ["rounds", sampling["rounds"]],
         ["draws", sampling["draws"]],
         ["uniform-equivalent draws", sampling["uniform_equivalent_draws"]],
         ["draws saved", sampling["draws_saved"]],
-        ["budget exhausted", "yes" if sampling["budget_exhausted"] else "no"],
     ]
+    budget = ["budget exhausted", "yes" if sampling["budget_exhausted"] else "no"]
+    overview = Section("Stratified sampling", headers=["field", "value"])
+    if legacy:
+        overview.rows = [
+            [
+                "strata grid",
+                f"{grid['register_classes']} reg x {grid['bit_octets']} bit x "
+                f"{len(grid['cycle_edges']) - 1} cycle",
+            ],
+            ["cells", len(sampling["cells"])],
+            ["cells converged", sampling["cells_converged"]],
+            *effort,
+            budget,
+        ]
+    else:
+        overview.rows = [
+            ["dead mass", _fmt_rate(grid["dead_mass"])],
+            ["strata", len(sampling["cells"])],
+            ["strata converged", sampling["cells_converged"]],
+            *effort,
+            ["unsampled mass", _fmt_rate(sampling["unsampled_mass"])],
+            budget,
+        ]
+        overview.notes.append(
+            "dead mass: the exact share of uniform plans the golden fire "
+            "log decides MASKED without running them"
+        )
 
     rates = Section(
         "Raw vs reweighted outcome rates",
@@ -155,22 +175,25 @@ def _sampling_sections(record: dict) -> list[Section]:
         "campaigns; raw rates are biased toward oversampled strata "
         "(see docs/sampling.md)"
     )
-
-    cells = Section(
-        "Per-cell Wilson-CI widths",
-        headers=["cell", "registers", "bits", "cycles", "draws", "max_ci_width", "converged_round"],
-    )
-    rows = sorted(
-        sampling["cells"], key=lambda cell: (-cell["max_ci_width"], cell["cell"])
-    )
-    shown = rows[:MAX_CELL_ROWS]
+    if legacy:
+        title, columns = "Per-cell Wilson-CI widths", ["cell", "registers", "bits", "cycles"]
+        rows = sorted(
+            sampling["cells"], key=lambda cell: (-cell["max_ci_width"], cell["cell"])
+        )
+        shown = rows[:MAX_CELL_ROWS]
+    else:
+        title, columns = "Per-stratum Wilson-CI widths", ["stratum", "stage", "role", "weight"]
+        rows = shown = sampling["cells"]
+    cells = Section(title, headers=[*columns, "draws", "max_ci_width", "converged_round"])
     for cell in shown:
+        if legacy:
+            where = [f"{cell[axis][0]}-{cell[axis][1] - 1}" for axis in columns[1:]]
+        else:
+            where = [cell["stage"], cell["role"], _fmt_rate(cell["weight"])]
         cells.rows.append(
             [
                 cell["cell"],
-                f"{cell['registers'][0]}-{cell['registers'][1] - 1}",
-                f"{cell['bits'][0]}-{cell['bits'][1] - 1}",
-                f"{cell['cycles'][0]}-{cell['cycles'][1] - 1}",
+                *where,
                 cell["draws"],
                 _fmt_rate(cell["max_ci_width"]),
                 cell["converged_round"] if cell["converged_round"] is not None else "-",

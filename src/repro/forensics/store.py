@@ -223,8 +223,7 @@ def build_record(
 # ---------------------------------------------------------------------------
 
 #: Bits per octet column; 64 bits fold into 8 octets, 32 registers into
-#: 4 register classes (matching the report heatmaps and the stratified
-#: sampler's default axes).
+#: 4 register classes (matching the report heatmaps).
 OCTET = 8
 REGISTERS_PER_CLASS = 8
 

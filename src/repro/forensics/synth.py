@@ -197,15 +197,18 @@ def _sampling_block(record: dict, rng: np.random.Generator) -> dict:
     weights = {key: max(rate + float(rng.uniform(-0.01, 0.01)), 0.0) for key, rate in raw_rates.items()}
     norm = sum(weights.values()) or 1.0
     ht_rates = {key: round(value / norm, 9) for key, value in weights.items()}
+    strata = (
+        ("imaging.warp", "address"), ("imaging.warp", "data"),
+        ("vision.orb", "control"), ("vision.orb", "data"),
+    )
     cells = []
-    for index in range(4):
+    for index, (stage, role) in enumerate(strata):
         draws = total // 4 + (1 if index < total % 4 else 0)
         cells.append(
             {
                 "cell": index,
-                "registers": [index * 8, index * 8 + 8],
-                "bits": [0, 64],
-                "cycles": [0, 1000],
+                "stage": stage,
+                "role": role,
                 "weight": 0.25,
                 "draws": draws,
                 "counts": {
@@ -223,10 +226,13 @@ def _sampling_block(record: dict, rng: np.random.Generator) -> dict:
     return {
         "stratification": {
             "kind": record["fingerprint"]["kind"],
-            "total_cycles": 1000,
-            "register_classes": 4,
-            "bit_octets": 1,
-            "cycle_edges": [0, 1000],
+            "golden_cycles": 1000,
+            "dead": 0,
+            "dead_mass": 0.0,
+            "strata": [
+                {"stage": stage, "role": role, "mass": 8000, "rows": 8}
+                for stage, role in strata
+            ],
         },
         "cells": cells,
         "cells_converged": len(cells),
@@ -236,6 +242,7 @@ def _sampling_block(record: dict, rng: np.random.Generator) -> dict:
         "uniform_equivalent_draws": total + int(rng.integers(0, total // 2 + 1)),
         "draws_saved": int(rng.integers(0, total // 2 + 1)),
         "budget_exhausted": False,
+        "unsampled_mass": 0.0,
         "raw_rates": raw_rates,
         "ht_rates": ht_rates,
     }

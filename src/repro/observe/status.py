@@ -4,11 +4,12 @@ A :class:`StatusWriter` subscribes to the event bus and folds every
 event into one JSON payload — progress, rate and ETA, running outcome
 rates with Wilson 95% CIs, counters (a view of its
 :class:`~repro.telemetry.metrics.MetricsRegistry` fold, which
-``/metrics`` renders), and per-cell CI widths in stratified mode.  With
-a path it rewrites the file by write-temp-then-``os.replace`` — at once
-on start/finish/interrupt and flight-recorder triggers, else at most
-once per heartbeat interval — so a reader always sees a complete JSON
-document, even across a SIGKILL (``tests/faultinject/test_kill_resume.py``).
+``/metrics`` renders), and the dead mass and per-stratum CI widths in
+stratified mode.  With a path it rewrites the file by
+write-temp-then-``os.replace`` — at once on start/finish/interrupt and
+flight-recorder triggers, else at most once per heartbeat interval — so
+a reader always sees a complete JSON document, even across a SIGKILL
+(``tests/faultinject/test_kill_resume.py``).
 
 ``repro watch <status.json>`` tails the file live;
 :func:`validate_status` is the schema gate CI runs against ``/status``
@@ -111,6 +112,11 @@ class StatusWriter:
             total = payload.get("total")
             self.total = int(total) if isinstance(total, int) else None
             self.started = self.clock()
+            if payload.get("mode") == "stratified":
+                self.stratified = {
+                    "dead_mass": payload.get("dead_mass"),
+                    "cells_total": payload.get("cells"),
+                }
         elif kind in _PROGRESS_KINDS:
             done = payload.get("done")
             if isinstance(done, int):
@@ -362,9 +368,10 @@ def render_status(payload: dict) -> str:
     stratified = payload.get("stratified")
     if stratified:
         lines.append(
-            f"  stratified: round {stratified.get('round', '?')}, "
+            f"  stratified: dead mass {stratified.get('dead_mass', '?')}, "
+            f"round {stratified.get('round', '?')}, "
             f"{stratified.get('cells_converged', 0)}/{stratified.get('cells_total', '?')} "
-            f"cells converged, max CI width {stratified.get('max_ci_width', '?')}"
+            f"strata converged, max CI width {stratified.get('max_ci_width', '?')}"
         )
     resume = payload.get("resume")
     if resume:

@@ -111,7 +111,6 @@ class TestNeverConvergingCell:
             # within the budget.
             ci_width=0.001,
             round_size=8,
-            strata=(1, 2, 2),
             max_injections=64,
         )
         campaign = run_campaign(toy_workload, golden, ctx.cycles, config)

@@ -72,7 +72,6 @@ def _config(stratified: bool) -> CampaignConfig:
             sampling="stratified",
             ci_width=0.3,
             round_size=4,
-            strata=(2, 2, 2),
             max_injections=400,
         )
     return CampaignConfig(n_injections=N_INJECTIONS, kind=RegKind.GPR, seed=SEED, workers=1)

@@ -1,7 +1,11 @@
 """Tests for the adaptive stratified campaign planner and estimators.
 
-Three invariants anchor this file:
+Four invariants anchor this file:
 
+* the fire-log strata are exact: the dead mass equals one
+  ``predict_masked`` call per firing checkpoint and register, the live
+  strata partition the rest, and every drawn plan is live and lands
+  back in its own (stage, role) stratum;
 * the Horvitz-Thompson reweighted estimator is *unbiased* (checked by
   seeded Monte-Carlo replication against an analytic error bound) and
   reduces exactly to the plain pooled rate under equal weights and
@@ -16,6 +20,8 @@ Three invariants anchor this file:
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 
 import numpy as np
@@ -24,25 +30,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.analysis.experiments import TINY, input_stream, vs_workload
+from repro.analysis.hot import WARP_SITE_PREFIX
 from repro.faultinject.campaign import CampaignConfig, draw_plans, run_campaign
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.journal import (
     ABORT_AFTER_ENV,
+    JOURNAL_SCHEMA_VERSION,
     CampaignInterrupted,
     JournalError,
     config_fingerprint,
 )
 from repro.faultinject.outcomes import Outcome, OutcomeCounts
-from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, RegKind
+from repro.faultinject.parallel import VSWorkloadSpec
+from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, LivenessModel, RegKind
 from repro.faultinject.sampling import (
-    Stratification,
-    boundary_cycle_edges,
+    Stratum,
     cell_max_ci_width,
-    draw_cell_plans,
     reweighted_rates,
     reweighted_variance,
-    uniform_cycle_edges,
+    stratify,
 )
+from repro.summarize.approximations import config_for
+from repro.summarize.golden import golden_fast_forward, golden_run
 from tests.faultinject.test_parallel import toy_workload
 
 
@@ -173,79 +183,154 @@ class TestReweightedRates:
 
 
 # ---------------------------------------------------------------------------
-# Stratification geometry
+# Fire-log strata
 # ---------------------------------------------------------------------------
 
 
-class TestStratification:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_cells_partition_the_plan_space(self, data):
-        """Every plan lands in exactly the cell whose ranges contain it."""
-        register_classes = data.draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
-        bit_octets = data.draw(st.sampled_from([1, 2, 4, 8, 16]))
-        total_cycles = data.draw(st.integers(10, 100_000))
-        n_cycle = data.draw(st.integers(1, 6))
-        strat = Stratification.build(
-            RegKind.GPR,
-            total_cycles,
-            cycle_edges=uniform_cycle_edges(total_cycles, n_cycle),
-            register_classes=register_classes,
-            bit_octets=bit_octets,
-        )
-        assert sum(cell.weight for cell in strat.cells) == pytest.approx(1.0)
+@functools.lru_cache(maxsize=None)
+def _vs_tiny():
+    """input1/VS at TINY scale: (stream, config, golden, fast-forward handle)."""
+    stream = input_stream("input1", TINY)
+    config = config_for("VS")
+    golden = golden_run(stream, config)
+    return stream, config, golden, golden_fast_forward(stream, config)
 
-        plan = InjectionPlan(
-            target_cycle=data.draw(st.integers(0, total_cycles - 1)),
-            kind=RegKind.GPR,
-            register=data.draw(st.integers(0, NUM_REGISTERS - 1)),
-            bit=data.draw(st.integers(0, REGISTER_BITS - 1)),
+
+#: (kind, site filter) pairs the strata tests sweep.
+_KINDS_AND_FILTERS = [
+    (kind, site_filter)
+    for kind in (RegKind.GPR, RegKind.FPR)
+    for site_filter in (None, WARP_SITE_PREFIX)
+]
+
+
+def _stage(site: str) -> str:
+    return ".".join(site.split(".")[:2])
+
+
+def _dead_oracle(fast_forward, kind, liveness, site_filter, golden_cycles) -> int:
+    """Dead (cycle, register) pairs, one ``predict_masked`` per checkpoint and register.
+
+    Every target in ``(c[k-1], c[k]]`` fires at checkpoint ``k``, so
+    one plan aimed at ``c[k]`` decides the whole interval; targets past
+    the last firing checkpoint are decided by one plan at the last cycle.
+    """
+    log = fast_forward.tape.fire_log
+    firing = [
+        (index, cycle)
+        for index, (cycle, site) in enumerate(zip(log.cycles, log.sites))
+        if site_filter is None or site.startswith(site_filter)
+    ]
+
+    def dead_registers(target: int) -> int:
+        return sum(
+            fast_forward.predict_masked(
+                InjectionPlan(target, kind, register, 0), liveness, site_filter
+            )
+            is not None
+            for register in range(NUM_REGISTERS)
         )
-        cell = strat.cells[strat.cell_index_for(plan)]
-        assert cell.registers[0] <= plan.register < cell.registers[1]
-        assert cell.bits[0] <= plan.bit < cell.bits[1]
-        assert cell.cycles[0] <= plan.target_cycle < cell.cycles[1]
+
+    dead = 0
+    previous = -1
+    for _index, cycle in firing:
+        last = min(cycle, golden_cycles - 1)
+        if last > previous:
+            dead += (last - previous) * dead_registers(cycle)
+            previous = last
+    if previous < golden_cycles - 1:
+        dead += (golden_cycles - 1 - previous) * dead_registers(golden_cycles - 1)
+    return dead
+
+
+class TestStratification:
+    @pytest.mark.parametrize("kind", [RegKind.GPR, RegKind.FPR])
+    @pytest.mark.parametrize("site_filter", [None, WARP_SITE_PREFIX])
+    @settings(max_examples=4, deadline=None)
+    @given(
+        ttls=st.tuples(*(st.integers(0, 3_000_000) for _ in range(4))),
+    )
+    def test_dead_mass_equals_predict_masked_oracle(self, kind, site_filter, ttls):
+        _, _, golden, fast_forward = _vs_tiny()
+        liveness = LivenessModel(*ttls)
+        config = CampaignConfig(
+            n_injections=1, kind=kind, liveness=liveness, site_filter=site_filter
+        )
+        strat = stratify(config, golden.total_cycles, fast_forward.tape.fire_log)
+        assert strat.dead == _dead_oracle(
+            fast_forward, kind, liveness, site_filter, golden.total_cycles
+        )
+        assert strat.dead + sum(s.mass for s in strat.strata) == strat.total
+
+    def test_cells_partition_the_plan_space(self):
+        """Strata rows never overlap, and with the dead mass cover it all."""
+        _, _, golden, fast_forward = _vs_tiny()
+        for kind, site_filter in _KINDS_AND_FILTERS:
+            config = CampaignConfig(n_injections=1, kind=kind, site_filter=site_filter)
+            strat = stratify(config, golden.total_cycles, fast_forward.tape.fire_log)
+            rows = np.concatenate([stratum.rows for stratum in strat.strata])
+            assert (rows[:, 0] < rows[:, 1]).all()
+            assert rows[:, 1].max() <= golden.total_cycles and rows[:, 0].min() >= 0
+            for register in range(NUM_REGISTERS):
+                spans = sorted(map(tuple, rows[rows[:, 2] == register, :2].tolist()))
+                assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+            assert strat.dead + int((rows[:, 1] - rows[:, 0]).sum()) == strat.total
+            assert strat.dead_mass + sum(strat.weights()) == pytest.approx(1.0, abs=1e-12)
 
     def test_cell_draws_land_in_their_own_cell(self):
-        strat = Stratification.build(
-            RegKind.GPR, 5000, register_classes=4, bit_octets=4
-        )
-        for cell in strat.cells:
-            for plan in draw_cell_plans(cell, RegKind.GPR, 16, seed=3, round_index=2):
-                assert strat.cell_index_for(plan) == cell.index
+        """Every drawn plan is live and falls back into its own (stage, role)."""
+        _, _, golden, fast_forward = _vs_tiny()
+        log = fast_forward.tape.fire_log
+        for kind, site_filter in _KINDS_AND_FILTERS:
+            config = CampaignConfig(n_injections=1, kind=kind, site_filter=site_filter)
+            strat = stratify(config, golden.total_cycles, log)
+            assert strat.strata
+            for stratum in strat.strata:
+                for plan in stratum.draw(kind, 32, seed=3, round_index=2):
+                    assert 0 <= plan.target_cycle < golden.total_cycles
+                    assert 0 <= plan.bit < REGISTER_BITS
+                    assert (
+                        fast_forward.predict_masked(plan, config.liveness, site_filter)
+                        is None
+                    )
+                    checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
+                    write = log.slot_at(kind, plan.register, checkpoint)
+                    assert (_stage(log.sites[checkpoint]), write.role.value) == (
+                        stratum.stage,
+                        stratum.role,
+                    )
 
     def test_cell_draws_are_deterministic_per_round_and_cell(self):
-        strat = Stratification.build(RegKind.GPR, 5000)
-        cell = strat.cells[5]
-        first = draw_cell_plans(cell, RegKind.GPR, 8, seed=7, round_index=1)
-        again = draw_cell_plans(cell, RegKind.GPR, 8, seed=7, round_index=1)
-        other_round = draw_cell_plans(cell, RegKind.GPR, 8, seed=7, round_index=2)
-        assert first == again
-        assert first != other_round
+        _, _, golden, fast_forward = _vs_tiny()
+        config = CampaignConfig(n_injections=1, kind=RegKind.GPR)
+        strat = stratify(config, golden.total_cycles, fast_forward.tape.fire_log)
+        stratum = strat.strata[1]
+        first = stratum.draw(RegKind.GPR, 8, seed=7, round_index=1)
+        assert first == stratum.draw(RegKind.GPR, 8, seed=7, round_index=1)
+        assert first != stratum.draw(RegKind.GPR, 8, seed=7, round_index=2)
+        assert first != strat.strata[2].draw(RegKind.GPR, 8, seed=7, round_index=1)
 
-    def test_build_rejects_bad_grids(self):
-        with pytest.raises(ValueError, match="register_classes"):
-            Stratification.build(RegKind.GPR, 1000, register_classes=5)
-        with pytest.raises(ValueError, match="bit_octets"):
-            Stratification.build(RegKind.GPR, 1000, bit_octets=7)
-        with pytest.raises(ValueError, match="total_cycles"):
-            Stratification.build(RegKind.GPR, 0)
-        with pytest.raises(ValueError, match="cycle_edges"):
-            Stratification.build(RegKind.GPR, 1000, cycle_edges=[0, 500, 400, 1000])
-        with pytest.raises(ValueError, match="cycle_edges"):
-            Stratification.build(RegKind.GPR, 1000, cycle_edges=[100, 1000])
+    def test_no_fire_log_is_one_stratum_over_every_register(self):
+        config = CampaignConfig(n_injections=1, kind=RegKind.FPR)
+        strat = stratify(config, 5000)
+        assert strat.dead == 0 and strat.dead_mass == 0.0
+        (stratum,) = strat.strata
+        assert stratum.rows.tolist() == [[0, 5000, r] for r in range(NUM_REGISTERS)]
+        assert stratum.mass == strat.total == 5000 * NUM_REGISTERS
+        plans = stratum.draw(RegKind.FPR, 200, seed=1, round_index=0)
+        assert all(0 <= plan.target_cycle < 5000 for plan in plans)
+        with pytest.raises(ValueError, match="golden_cycles"):
+            stratify(config, 0)
 
-    def test_boundary_edges_cap_and_cover(self):
-        edges = boundary_cycle_edges(range(100, 10_000, 100), 10_000, max_strata=4)
-        assert edges[0] == 0 and edges[-1] == 10_000
-        assert len(edges) - 1 <= 4
-        assert edges == sorted(edges)
-
-    def test_uniform_edges_degenerate_totals(self):
-        assert uniform_cycle_edges(3, 8) == [0, 1, 2, 3]
-        assert uniform_cycle_edges(1, 4) == [0, 1]
-        with pytest.raises(ValueError):
-            uniform_cycle_edges(0, 4)
+    def test_draws_cover_exactly_the_rows(self):
+        """Every (cycle, register) of the table is drawn, and nothing else."""
+        stratum = Stratum(0, "vision.orb", "data", [(0, 2, 5), (10, 11, 7), (3, 4, 5)])
+        assert stratum.mass == 4
+        plans = stratum.draw(RegKind.GPR, 400, seed=2, round_index=0)
+        assert {(plan.target_cycle, plan.register) for plan in plans} == {
+            (0, 5), (1, 5), (10, 7), (3, 5),
+        }
+        assert {plan.bit for plan in plans} == set(range(REGISTER_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +373,6 @@ class TestUniformPin:
             ci_width=0.5,
             round_size=3,
             max_injections=7,
-            strata=(2, 2, 2),
         )
         assert draw_plans(base, golden_cycles) == draw_plans(tweaked, golden_cycles)
         assert config_fingerprint(base) == config_fingerprint(tweaked)
@@ -317,7 +401,6 @@ def _stratified_config(**overrides) -> CampaignConfig:
         sampling="stratified",
         ci_width=0.3,
         round_size=8,
-        strata=(2, 2, 2),
     )
     base.update(overrides)
     return CampaignConfig(**base)
@@ -505,3 +588,114 @@ class TestStratifiedCampaign:
         record = store.get(cid)
         assert record["sampling"]["mode"] == "stratified"
         assert record["sampling"]["draws"] == campaign.sampling.total_draws
+
+    def test_pre_fire_log_journal_is_refused(self, tmp_path):
+        """A grid-era journal fails the fingerprint check, schema unchanged."""
+        golden, cycles = _toy()
+        config = _stratified_config()
+        fingerprint = config_fingerprint(config)
+        fingerprint["stratified"]["strata"] = [4, 8, 8]
+        header = {
+            "type": "header",
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "fingerprint": fingerprint,
+            "stratification": {
+                "kind": "gpr",
+                "total_cycles": cycles,
+                "register_classes": 4,
+                "bit_octets": 8,
+                "cycle_edges": [0, cycles],
+            },
+        }
+        journal = tmp_path / "grid.jsonl"
+        journal.write_text(json.dumps(header) + "\n")
+        with pytest.raises(JournalError, match="different campaign configuration"):
+            run_campaign(
+                toy_workload, golden, cycles, config, journal_path=journal, resume=True
+            )
+
+
+# ---------------------------------------------------------------------------
+# The stratified campaign on a workload with a fire log
+# ---------------------------------------------------------------------------
+
+
+def _vs_campaign(config: CampaignConfig, **kwargs):
+    stream, vs_config, golden, _ = _vs_tiny()
+    return run_campaign(
+        vs_workload(stream, vs_config),
+        golden.output,
+        golden.total_cycles,
+        config,
+        spec=VSWorkloadSpec.for_stream(stream, vs_config),
+        **kwargs,
+    )
+
+
+class TestFireLogCampaign:
+    def test_budget_below_one_round_reports_unsampled_mass(self):
+        """The reweighted rates never silently describe part of the space."""
+        config = _stratified_config(
+            kind=RegKind.GPR, round_size=4, max_injections=8, keep_sdc_outputs=False
+        )
+        summary = _vs_campaign(config).sampling
+        strat = summary.stratification
+        assert len(strat.strata) * config.round_size > config.max_injections
+        assert summary.budget_exhausted
+        assert [stats.draws for stats in summary.cells[:2]] == [4, 4]
+        unsampled = sum(s.mass for s in strat.strata[2:]) / strat.total
+        assert summary.unsampled_mass() == pytest.approx(unsampled, abs=1e-15)
+        assert 0 < summary.unsampled_mass() < 1 - strat.dead_mass
+        assert summary.to_dict()["unsampled_mass"] == round(unsampled, 9)
+
+    def test_dead_mass_is_a_floor_on_the_reweighted_mask_rate(self, tmp_path, monkeypatch):
+        config = _stratified_config(
+            kind=RegKind.FPR, round_size=2, ci_width=0.5, keep_sdc_outputs=False
+        )
+        journal = tmp_path / "fpr.jsonl"
+        monkeypatch.setenv(ABORT_AFTER_ENV, "1")
+        with pytest.raises(CampaignInterrupted):
+            _vs_campaign(config, journal_path=journal)
+        monkeypatch.delenv(ABORT_AFTER_ENV)
+        resumed = _vs_campaign(config, journal_path=journal, resume=True)
+        reference = _vs_campaign(config)
+        assert _outcome_sequence(resumed) == _outcome_sequence(reference)
+        summary = reference.sampling
+        assert resumed.sampling.to_dict() == summary.to_dict()
+        assert summary.stratification.dead_mass > 0.9
+        assert summary.unsampled_mass() == 0.0
+        rates = summary.ht_rates()
+        assert rates["mask"] >= summary.stratification.dead_mass
+        assert sum(rates.values()) == pytest.approx(1.0)
+        # The dead mass adds nothing: sum_s W_s^2 p_s (1 - p_s) / n_s.
+        expected = sum(
+            weight**2 * stats.counts.rate(Outcome.SDC) * (1 - stats.counts.rate(Outcome.SDC))
+            / stats.draws
+            for weight, stats in zip(summary.stratification.weights(), summary.cells)
+        )
+        assert summary.ht_variance()["sdc"] == pytest.approx(expected, rel=1e-12)
+
+    def test_cli_prints_dead_mass_and_warns_on_unsampled_mass(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "runs"
+        args = [
+            "campaign", "--input", "input1", "--frames", "8", "--workers", "1",
+            "--sampling", "stratified", "--round-size", "4", "--max-injections", "4",
+            "--store", str(store), "--out", str(tmp_path / "strat.json"),
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "dead mass" in out
+        assert "lies in strata with no draws" in out
+        sampling = json.loads((tmp_path / "strat.json").read_text())["sampling"]
+        assert sampling["unsampled_mass"] > 0
+        assert 0 < sampling["stratification"]["dead_mass"] < 1
+
+        assert main(["report", "list", str(store)]) == 0
+        cid = capsys.readouterr().out.split()[0]
+        assert main(["report", "show", str(store), cid, "--format", "markdown"]) == 0
+        report = capsys.readouterr().out
+        assert "| dead mass |" in report
+        assert "| unsampled mass |" in report
+        assert "## Per-stratum Wilson-CI widths" in report

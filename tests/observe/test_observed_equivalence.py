@@ -51,7 +51,6 @@ def _stratified_config(**overrides) -> CampaignConfig:
         sampling="stratified",
         ci_width=0.3,
         round_size=8,
-        strata=(2, 2, 2),
     )
     base.update(overrides)
     return CampaignConfig(**base)

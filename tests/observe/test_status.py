@@ -78,6 +78,18 @@ class TestEventFolding:
         assert writer.stratified["cells_total"] == 8
         assert writer.stratified["max_ci_width"] == 0.41
 
+    def test_stratified_block_carries_the_dead_mass(self):
+        bus, writer = _wired()
+        bus.publish(
+            "campaign_start",
+            {"mode": "stratified", "total": None, "cells": 18, "dead_mass": 0.2237},
+        )
+        assert writer.stratified == {"dead_mass": 0.2237, "cells_total": 18}
+        bus.publish("round_done", {"round": 0, "done": 144, "cells_converged": 3})
+        assert writer.stratified["dead_mass"] == 0.2237
+        text = render_status(writer.snapshot())
+        assert "stratified: dead mass 0.2237, round 0, 3/18 strata converged" in text
+
     def test_counters_and_resume(self):
         bus, writer = _wired()
         bus.publish("retry", {"attempt": 1})

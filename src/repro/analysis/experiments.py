@@ -29,7 +29,7 @@ from repro.quality import EDCurve, SDCQuality, build_curve, compare_outputs
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import ALGORITHM_FACTORIES, config_for
 from repro.summarize.config import VSConfig
-from repro.summarize.golden import GoldenRun, golden_run
+from repro.summarize.golden import GoldenRun, golden_run, golden_with_tape
 from repro.summarize.pipeline import run_vs
 from repro.video.frames import FrameStream
 from repro.video.synthetic import cached_input
@@ -228,7 +228,7 @@ def fig09_coverage(scale: Scale, seed: int = 9, workers: int | None = None) -> C
     """Reproduce Fig. 9 on the baseline VS algorithm, Input 1, GPRs."""
     stream = input_stream("input1", scale)
     config = config_for("VS")
-    golden = golden_run(stream, config)
+    golden = golden_with_tape(stream, config)
     campaign = run_campaign(
         vs_workload(stream, config),
         golden.output,
@@ -279,7 +279,7 @@ def fig10_resiliency(
     config = config_for("VS")
     for input_name in INPUTS:
         stream = input_stream(input_name, scale)
-        golden = golden_run(stream, config)
+        golden = golden_with_tape(stream, config)
         for kind in (RegKind.GPR, RegKind.FPR):
             campaign = run_campaign(
                 vs_workload(stream, config),
@@ -321,7 +321,7 @@ def fig11a_approx_resiliency(
         stream = input_stream(input_name, scale)
         for offset, algorithm in enumerate(ALGORITHMS):
             config = config_for(algorithm)
-            golden = golden_run(stream, config)
+            golden = golden_with_tape(stream, config)
             campaign = run_campaign(
                 vs_workload(stream, config),
                 golden.output,
@@ -395,13 +395,13 @@ def fig12_sdc_quality(
     studies = []
     for input_name in INPUTS:
         stream = input_stream(input_name, scale)
-        vs_golden = golden_run(stream, config_for("VS"))
+        vs_golden = golden_with_tape(stream, config_for("VS"))
         vs_curves: dict[str, EDCurve] = {}
         approx_curves: dict[str, EDCurve] = {}
         sdc_counts: dict[str, int] = {}
         for offset, algorithm in enumerate(ALGORITHMS):
             config = config_for(algorithm)
-            golden = golden_run(stream, config)
+            golden = golden_with_tape(stream, config)
             campaign = run_campaign(
                 vs_workload(stream, config),
                 golden.output,

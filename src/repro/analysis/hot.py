@@ -21,15 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faultinject.campaign import CampaignConfig, CampaignResult, run_campaign
-from repro.faultinject.monitor import Workload
 from repro.faultinject.outcomes import OutcomeCounts
-from repro.faultinject.parallel import VSWorkloadSpec
+from repro.faultinject.parallel import VSWorkloadSpec, WorkerState
 from repro.faultinject.registers import RegKind
 from repro.imaging.geometry import rotation, translation
 from repro.imaging.warp import warp_perspective
 from repro.runtime.context import ExecutionContext
 from repro.summarize.config import VSConfig
-from repro.summarize.golden import golden_run
+from repro.summarize.golden import golden_with_tape
 from repro.summarize.pipeline import run_vs
 from repro.video.frames import FrameStream
 
@@ -81,8 +80,8 @@ class WPWorkloadSpec:
         frame_h, frame_w = stream.frame_shape
         return WPWorkloadSpec(stream.name, len(stream), (frame_w, frame_h))
 
-    def build(self) -> tuple[Workload, np.ndarray, int]:
-        """Rebuild the WP workload and its golden run."""
+    def build(self) -> WorkerState:
+        """Rebuild the WP workload and its golden run (no tape)."""
         from repro.video.synthetic import cached_input
 
         stream = cached_input(self.input_name, n_frames=self.n_frames, frame_size=self.frame_size)
@@ -92,7 +91,7 @@ class WPWorkloadSpec:
         workload = make_wp_workload(frame, transform, (frame_h * 2, frame_w * 2))
         ctx = ExecutionContext()
         golden = workload(ctx)
-        return workload, golden, ctx.cycles
+        return WorkerState(workload, golden, ctx.cycles)
 
 
 @dataclass
@@ -119,7 +118,7 @@ def run_hot_function_study(
     workers: int | None = None,
 ) -> HotFunctionStudy:
     """Run both halves of the Fig. 11b comparison (GPR injections)."""
-    golden = golden_run(stream, config)
+    golden = golden_with_tape(stream, config)
 
     def vs_workload(ctx: ExecutionContext) -> np.ndarray:
         return run_vs(stream, config, ctx).panorama

@@ -83,7 +83,7 @@ from repro.faultinject.registers import RegKind
 from repro.imaging.io import save_pgm
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import ALGORITHM_FACTORIES, config_for
-from repro.summarize.golden import golden_run
+from repro.summarize.golden import golden_with_tape
 from repro.summarize.pipeline import run_vs
 from repro.video.synthetic import make_event_input, make_input
 
@@ -193,7 +193,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         stream = make_input(args.input, n_frames=args.frames)
         config = config_for(args.algorithm)
         golden_start = time.perf_counter()
-        golden = golden_run(stream, config)
+        golden = golden_with_tape(stream, config)
         golden_wall_s = time.perf_counter() - golden_start
 
         def workload(ctx: ExecutionContext) -> np.ndarray:
@@ -536,7 +536,7 @@ def cmd_protect(args: argparse.Namespace) -> int:
 
     stream = make_input(args.input, n_frames=args.frames)
     config = config_for(args.algorithm)
-    golden = golden_run(stream, config)
+    golden = golden_with_tape(stream, config)
 
     def workload(ctx: ExecutionContext) -> np.ndarray:
         return run_vs(stream, config, ctx).panorama
@@ -546,6 +546,7 @@ def cmd_protect(args: argparse.Namespace) -> int:
         golden.output,
         golden.total_cycles,
         CampaignConfig(n_injections=args.n, kind=RegKind.GPR, seed=args.seed),
+        spec=VSWorkloadSpec.for_stream(stream, config),
     )
     qualities = {
         index: compare_outputs(golden.output, result.output)
@@ -611,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="F",
         help="enable the wall-clock watchdog: an injected run still going "
-        "after F times the golden run's wall time is classified HANG",
+        "after F times the golden run's wall time is classified HANG (the "
+        "golden run is the tape capture, about 1.4x a plain run)",
     )
     p_camp.add_argument(
         "--probe",

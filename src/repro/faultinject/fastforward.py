@@ -127,6 +127,7 @@ from repro.forensics import probes
 from repro.observe import events as observe_events
 from repro.runtime.context import Cell, CostProfile, ExecutionContext
 from repro.runtime.errors import SegmentationFault
+from repro.summarize.golden import GoldenRun
 from repro.summarize.pipeline import (
     PipelineState,
     _ransac_seed,
@@ -602,15 +603,14 @@ def _snapshot_mini(mini: MiniPanorama, previous: MiniSnapshot | None) -> MiniSna
     )
 
 
-def capture_tape(
-    stream: "FrameStream", config: "VSConfig", golden_output: np.ndarray, golden_cycles: int
-) -> SnapshotTape:
-    """One instrumented golden run -> the workload's snapshot tape.
+def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
+    """One instrumented golden run -> the workload's golden run and tape.
 
     Runs the pipeline once with a :class:`SnapshotRecorder` armed and a
-    stage probe capturing, then cross-checks the run against the cached
-    golden output and cycle count — a capture that does not reproduce
-    the golden run exactly would silently poison every restore.
+    stage probe capturing.  The armed run computes exactly what a plain
+    golden run computes (output, cycles, profile, probe stream), so the
+    returned :class:`~repro.summarize.golden.GoldenRun` carries them
+    with a :class:`FastForward` handle over the tape.
     """
     frames, frame_shape = materialize_frames(stream, config)
     recorder = SnapshotRecorder()
@@ -619,27 +619,32 @@ def capture_tape(
     profile = CostProfile()
     recorder.profile = profile
     ctx = ExecutionContext(injector=recorder, profile=profile)
-    with probes.capturing(probe):
+    with probes.capturing(probe), telemetry.span("summarize.golden", ctx=ctx):
         result = run_vs(stream, config, ctx)
-    if ctx.cycles != golden_cycles or not np.array_equal(result.panorama, golden_output):
-        raise RuntimeError(
-            "fast-forward capture diverged from the golden run "
-            f"(cycles {ctx.cycles} vs {golden_cycles})"
-        )
     if not recorder.boundaries:
         raise SnapshotUnsupported("the run has no frame boundary to resume from")
     if probe.last_stage != "stitch":
         # A synthesized tail recomputes the final stitch probe.
         raise SnapshotUnsupported("the run does not end with a stitch probe")
-    return SnapshotTape(
+    output = result.panorama.copy()
+    tape = SnapshotTape(
         boundaries=recorder.boundaries,
         allocs=recorder.allocs,
         probe_events=list(probe.events),
-        golden_cycles=golden_cycles,
+        golden_cycles=ctx.cycles,
         exit_cycles=result.loop_exit_cycles,
         frame_shape=frame_shape if frame_shape is not None else (0, 0),
-        golden_output=golden_output.copy(),
+        golden_output=output,
         fire_log=recorder.fire_log,
+    )
+    return GoldenRun(
+        config=config,
+        stream_name=stream.name,
+        result=result,
+        output=output,
+        total_cycles=ctx.cycles,
+        profile=profile,
+        fast_forward=FastForward(tape, stream, config),
     )
 
 
@@ -652,7 +657,7 @@ class FastForward:
     """Per-workload fast-forward handle: boundary lookup + restore.
 
     Built once per ``(config, stream)`` per process (see
-    :func:`repro.summarize.golden.golden_fast_forward`) and shared by
+    :func:`repro.summarize.golden.golden_with_tape`) and shared by
     every injected run of a campaign.  The tape and the materialized
     frame table are immutable; every fan-out member rebuilds fresh
     mutable state from them.
@@ -665,7 +670,7 @@ class FastForward:
         self._frames, self._frame_shape = materialize_frames(stream, config)
         #: boundary index -> shared fan-out state, lazily built.  Hangs
         #: off the handle so "materialize once per worker" falls out of
-        #: the per-process handle cache in ``summarize.golden``.
+        #: the per-process golden-run cache in ``summarize.golden``.
         self._fanouts: dict[int, BoundaryFanOut] = {}
         self._snapshot_by_frame: dict[int, FrameSnapshot] | None = None
 

@@ -59,6 +59,30 @@ class InjectionResult:
         return self.outcome is Outcome.SDC
 
 
+def golden_signature(
+    workload: Workload, golden_output: np.ndarray, fast_forward=None
+) -> dict[str, tuple[int, ...]]:
+    """Per-stage golden checksum sequences of ``workload``.
+
+    A tape-backed workload replays the probe stream its capture run
+    recorded; the capture is the golden run, so nothing executes.  A
+    tapeless one re-runs the (deterministic) workload on a clean
+    context under a probe, checked against ``golden_output`` as cheap
+    insurance.
+    """
+    probe = probes.StageProbe()
+    with probes.capturing(probe):
+        if fast_forward is not None:
+            probes.replay_prefix(fast_forward.tape.probe_events)
+        elif not images_equal(workload(ExecutionContext()), golden_output):
+            raise ValueError(
+                "probed golden capture does not reproduce the golden output; "
+                "the workload is not deterministic or the golden reference "
+                "belongs to a different workload"
+            )
+    return probe.signature()
+
+
 class FaultMonitor:
     """Runs workloads under injection and classifies the outcomes."""
 
@@ -74,6 +98,7 @@ class FaultMonitor:
         watchdog: Optional[WatchdogPolicy] = None,
         probe: bool = False,
         fast_forward=None,
+        golden_signature: Callable[[], dict[str, tuple[int, ...]]] | None = None,
     ) -> None:
         if golden_cycles <= 0:
             raise ValueError(f"golden_cycles must be positive, got {golden_cycles}")
@@ -97,6 +122,8 @@ class FaultMonitor:
         #: execution.  Without one every run executes in full: the
         #: reference the differential tests compare campaigns against.
         self.fast_forward = fast_forward
+        self._signature_source = golden_signature
+        self._golden_signature: dict[str, tuple[int, ...]] | None = None
 
     def run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
         """Execute one injected run and classify the result."""
@@ -119,25 +146,18 @@ class FaultMonitor:
     def golden_signature(self) -> dict[str, tuple[int, ...]]:
         """Per-stage golden checksum sequences for this workload.
 
-        Captured once per (process, workload) by re-running the workload
-        on a clean context under a probe — the golden run is
-        deterministic, so the re-run reproduces it exactly (checked
-        against ``golden_output`` as cheap insurance).  Cached through
-        :func:`repro.forensics.probes.golden_signature_for`.
+        Taken from the ``golden_signature`` source the monitor was built
+        with (a worker state shares one per process), else computed by
+        :func:`golden_signature` on first use and kept for this monitor.
         """
-        return probes.golden_signature_for(self.workload, self._capture_golden_signature)
-
-    def _capture_golden_signature(self) -> dict[str, tuple[int, ...]]:
-        probe = probes.StageProbe()
-        with probes.capturing(probe):
-            output = self.workload(ExecutionContext())
-        if not images_equal(output, self.golden_output):
-            raise ValueError(
-                "probed golden capture does not reproduce the golden output; "
-                "the workload is not deterministic or the golden reference "
-                "belongs to a different workload"
+        if self._golden_signature is None:
+            source = self._signature_source
+            self._golden_signature = (
+                source()
+                if source is not None
+                else golden_signature(self.workload, self.golden_output, self.fast_forward)
             )
-        return probe.signature()
+        return self._golden_signature
 
     def _run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
         probe: probes.StageProbe | None = None

@@ -38,13 +38,13 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.faultinject.injector import InjectionPlan
-from repro.faultinject.monitor import FaultMonitor, InjectionResult, Workload
+from repro.faultinject.monitor import FaultMonitor, InjectionResult, Workload, golden_signature
 from repro.faultinject.outcomes import HangKind
 from repro.observe import events as observe_events
 from repro.telemetry.metrics import run_buffered
@@ -91,6 +91,31 @@ class RetryPolicy:
         return base * (1.0 + self.jitter_frac * rng.random())
 
 
+@dataclass
+class WorkerState:
+    """One workload as a process executes it: everything a monitor needs.
+
+    Built once per process per spec (:func:`_workload_state`) and shared
+    by every chunk the process runs.
+    """
+
+    workload: Workload
+    golden_output: np.ndarray
+    golden_cycles: int
+    #: The fast-forward handle; ``None`` for tapeless workloads (the WP
+    #: spec, toy specs), which run every injection in full.
+    fast_forward: object | None = None
+    _signature: dict[str, tuple[int, ...]] | None = field(default=None, repr=False)
+
+    def golden_signature(self) -> dict[str, tuple[int, ...]]:
+        """The per-stage golden checksum sequences, computed on first use."""
+        if self._signature is None:
+            self._signature = golden_signature(
+                self.workload, self.golden_output, self.fast_forward
+            )
+        return self._signature
+
+
 @runtime_checkable
 class WorkloadSpec(Protocol):
     """A picklable recipe for rebuilding a workload in a worker process.
@@ -100,8 +125,8 @@ class WorkloadSpec(Protocol):
     worker process and its result is cached.
     """
 
-    def build(self) -> tuple[Workload, np.ndarray, int]:
-        """Return ``(workload, golden_output, golden_cycles)``."""
+    def build(self) -> WorkerState:
+        """Rebuild the workload and its golden reference."""
         ...
 
 
@@ -132,33 +157,21 @@ class VSWorkloadSpec:
             frame_size=(frame_w, frame_h),
         )
 
-    def build(self) -> tuple[Workload, np.ndarray, int]:
-        """Rebuild the stream, golden run and workload closure."""
-        from repro.summarize.golden import golden_run
+    def build(self) -> WorkerState:
+        """Rebuild the stream and workload closure; take the golden run
+        and its tape from the process's golden cache (one capture)."""
+        from repro.summarize.golden import golden_with_tape
         from repro.summarize.pipeline import run_vs
         from repro.video.synthetic import cached_input
 
         stream = cached_input(self.input_name, n_frames=self.n_frames, frame_size=self.frame_size)
-        golden = golden_run(stream, self.config)
+        golden = golden_with_tape(stream, self.config)
         config = self.config
 
         def workload(ctx) -> np.ndarray:
             return run_vs(stream, config, ctx).panorama
 
-        return workload, golden.output, golden.total_cycles
-
-    def build_fast_forward(self):
-        """The fast-forward handle for this workload (or ``None``).
-
-        Captured against the same cached input and golden run ``build``
-        uses, so parent- and worker-side snapshots describe the same
-        deterministic execution.
-        """
-        from repro.summarize.golden import golden_fast_forward
-        from repro.video.synthetic import cached_input
-
-        stream = cached_input(self.input_name, n_frames=self.n_frames, frame_size=self.frame_size)
-        return golden_fast_forward(stream, self.config)
+        return WorkerState(workload, golden.output, golden.total_cycles, golden.fast_forward)
 
 
 def _parse_workers(raw: str | int, source: str) -> int:
@@ -220,51 +233,26 @@ def default_workers() -> int:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Per-process cache: spec -> (workload, golden_output, golden_cycles).
-#: Shared by all chunks a worker executes, so the golden output is
-#: materialized once per process, not once per task.
-_WORKER_STATE: dict[WorkloadSpec, tuple[Workload, np.ndarray, int]] = {}
+#: Per-process cache: spec -> its worker state.  Shared by all chunks a
+#: process executes, so the golden reference is materialized once per
+#: process, not once per task.  Cleared by
+#: :func:`repro.summarize.golden.clear_golden_cache`.
+_WORKER_STATE: dict[WorkloadSpec, WorkerState] = {}
 
 
-def _workload_state(spec: WorkloadSpec) -> tuple[Workload, np.ndarray, int]:
+def _workload_state(spec: WorkloadSpec) -> WorkerState:
     state = _WORKER_STATE.get(spec)
     if state is None:
-        state = spec.build()
-        _WORKER_STATE[spec] = state
+        state = _WORKER_STATE[spec] = spec.build()
     return state
 
 
-#: Per-process cache: spec -> FastForward handle (or None when the spec
-#: offers no tape).
-_WORKER_FF: dict[WorkloadSpec, object] = {}
-
-
-def clear_fast_forward_cache() -> None:
-    """Drop this process's cached fast-forward handles (test isolation).
-
-    Called from :func:`repro.summarize.golden.clear_golden_cache`: the
-    handles wrap tapes captured against golden runs, so clearing one
-    without the other would leave handles over stale tapes.
-    """
-    _WORKER_FF.clear()
-
-
 def fast_forward_for(spec: WorkloadSpec | None, config: "CampaignConfig | None" = None):
-    """The (cached) fast-forward handle for ``spec``'s workload.
+    """``spec``'s fast-forward handle (``None`` without a spec or tape).
 
-    Returns ``None`` when there is no spec to rebuild a tape from
-    (custom workload closures run in full) or when the spec does not
-    support snapshotting (the WP workload).  The handle does not depend
-    on ``config``; the parameter is accepted for existing callers.
+    ``config`` is unused; the parameter is accepted for existing callers.
     """
-    if spec is None:
-        return None
-    builder = getattr(spec, "build_fast_forward", None)
-    if builder is None:
-        return None
-    if spec not in _WORKER_FF:
-        _WORKER_FF[spec] = builder()
-    return _WORKER_FF[spec]
+    return _workload_state(spec).fast_forward if spec is not None else None
 
 
 def monitor_for(
@@ -272,9 +260,13 @@ def monitor_for(
     golden_output: np.ndarray,
     golden_cycles: int,
     config: "CampaignConfig",
-    fast_forward=None,
+    state: WorkerState | None = None,
 ) -> FaultMonitor:
-    """A fault monitor configured exactly as the campaign prescribes."""
+    """A fault monitor configured exactly as the campaign prescribes.
+
+    ``state`` (the spec's worker state) supplies the fast-forward handle
+    and the process-shared golden signature.
+    """
     return FaultMonitor(
         workload,
         golden_output,
@@ -285,7 +277,8 @@ def monitor_for(
         keep_sdc_outputs=config.keep_sdc_outputs,
         watchdog=config.watchdog,
         probe=config.probe,
-        fast_forward=fast_forward,
+        fast_forward=state.fast_forward if state is not None else None,
+        golden_signature=state.golden_signature if state is not None else None,
     )
 
 
@@ -317,14 +310,8 @@ def run_injection_chunk(
     The module-level entry point workers import; also usable in-process
     (the tests go through the same code).
     """
-    workload, golden_output, golden_cycles = _workload_state(spec)
-    monitor = monitor_for(
-        workload,
-        golden_output,
-        golden_cycles,
-        config,
-        fast_forward=fast_forward_for(spec, config),
-    )
+    state = _workload_state(spec)
+    monitor = monitor_for(state.workload, state.golden_output, state.golden_cycles, config, state)
     return run_chunk_on_monitor(monitor, config, chunk)
 
 
@@ -674,21 +661,14 @@ def execute_plans_parallel(
         # In-process execution (one worker, no spec, or the retry
         # budget's fallback): same chunk runner, same RNG derivation,
         # same results.
-        if local_state is not None:
-            workload, golden_output, golden_cycles = local_state
-        elif spec is not None:
-            workload, golden_output, golden_cycles = _workload_state(spec)
-        else:
-            raise ValueError(
-                "execute_plans_parallel needs a spec or local_state to run chunks"
-            )
-        monitor = monitor_for(
-            workload,
-            golden_output,
-            golden_cycles,
-            config,
-            fast_forward=fast_forward_for(spec, config),
-        )
+        state = _workload_state(spec) if spec is not None else None
+        if local_state is None:
+            if state is None:
+                raise ValueError(
+                    "execute_plans_parallel needs a spec or local_state to run chunks"
+                )
+            local_state = (state.workload, state.golden_output, state.golden_cycles)
+        monitor = monitor_for(*local_state, config, state)
         for index in list(pending):
             collector.secure(
                 index, run_observed(observed, run_chunk_on_monitor, monitor, config, chunks[index])

@@ -29,8 +29,6 @@ from repro.forensics.probes import (
     active,
     capturing,
     checksum_parts,
-    clear_golden_signatures,
-    golden_signature_for,
     record,
 )
 
@@ -44,7 +42,5 @@ __all__ = [
     "active",
     "capturing",
     "checksum_parts",
-    "clear_golden_signatures",
-    "golden_signature_for",
     "record",
 ]

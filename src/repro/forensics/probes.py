@@ -158,33 +158,3 @@ def capture_run(run: Callable[[], object]) -> StageProbe:
     with capturing(probe):
         run()
     return probe
-
-
-# ---------------------------------------------------------------------------
-# Golden-signature cache
-# ---------------------------------------------------------------------------
-
-#: Per-process cache: id(workload) -> (pinned workload, signature).
-#: The workload object is pinned so its id can never be recycled while
-#: the entry lives; campaigns create one monitor per chunk but share the
-#: workload closure, so the golden run is re-probed once per process,
-#: not once per chunk.
-_GOLDEN_SIGNATURES: dict[int, tuple[object, dict[str, tuple[int, ...]]]] = {}
-
-
-def golden_signature_for(
-    workload: object, compute: Callable[[], dict[str, tuple[int, ...]]]
-) -> dict[str, tuple[int, ...]]:
-    """The cached per-stage golden checksum sequences for ``workload``."""
-    key = id(workload)
-    entry = _GOLDEN_SIGNATURES.get(key)
-    if entry is not None and entry[0] is workload:
-        return entry[1]
-    signature = compute()
-    _GOLDEN_SIGNATURES[key] = (workload, signature)
-    return signature
-
-
-def clear_golden_signatures() -> None:
-    """Drop all cached golden signatures (test isolation)."""
-    _GOLDEN_SIGNATURES.clear()

@@ -15,6 +15,7 @@ from repro.summarize.golden import (
     clear_golden_cache,
     golden_cache_stats,
     golden_run,
+    golden_with_tape,
 )
 from repro.summarize.pipeline import FrameOutcome, VSResult, run_vs
 from repro.summarize.stitcher import (
@@ -43,6 +44,7 @@ __all__ = [
     "matching_subset",
     "GoldenRun",
     "golden_run",
+    "golden_with_tape",
     "clear_golden_cache",
     "golden_cache_stats",
     "GoldenCacheStats",

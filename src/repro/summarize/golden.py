@@ -5,6 +5,13 @@ image (the SDC reference), the golden cycle count (to draw uniformly
 random injection cycles and to set the hang watchdog), and the execution
 profile.  Golden runs are cached in-process because campaigns reuse them
 across hundreds of injected runs.
+
+One cache entry per workload holds all of it.  Campaign workloads also
+need the snapshot tape, and the tape-capture run (see
+:func:`repro.faultinject.fastforward.capture_tape`) *is* a golden run:
+:func:`golden_with_tape` builds the entry from the capture, so a
+campaign executes the clean pipeline once.  :func:`golden_run` serves
+figures that need no tape (Figs. 5, 6, 8 and 13) with a plain run.
 """
 
 from __future__ import annotations
@@ -30,12 +37,21 @@ class GoldenRun:
     output: np.ndarray  # the golden output image
     total_cycles: int
     profile: CostProfile
+    #: The :class:`~repro.faultinject.fastforward.FastForward` handle
+    #: over this run's snapshot tape, once :func:`golden_with_tape` has
+    #: captured one.  Cached with the run so boundary fan-out state
+    #: hanging off the handle survives across campaigns in the process.
+    fast_forward: object | None = None
 
 
 @dataclass
 class GoldenCacheStats:
     """Counters for golden-run cache effectiveness (tests assert on
-    ``computes`` to prove figure entry points share golden runs)."""
+    ``computes`` to prove entry points share golden runs).
+
+    ``computes`` counts clean executions, plain or tape capture;
+    ``hits`` counts lookups that executed nothing.
+    """
 
     computes: int = 0
     hits: int = 0
@@ -43,17 +59,6 @@ class GoldenCacheStats:
 
 _CACHE: dict[tuple, GoldenRun] = {}
 _STATS = GoldenCacheStats()
-
-#: Fast-forward snapshot tapes, cached alongside the golden runs they
-#: are captured against.  ``None`` marks a workload whose shape the
-#: recorder cannot snapshot (it degrades to full executions).
-_TAPES: dict[tuple, object] = {}
-
-#: Per-process FastForward handles over the cached tapes.  Cached so the
-#: boundary fan-out state hanging off a handle (shared per-boundary
-#: restores, materialized once per worker) survives across campaigns in
-#: the same process instead of being rebuilt per campaign.
-_FF_HANDLES: dict[tuple, object] = {}
 
 
 def _cache_key(stream: FrameStream, config: VSConfig) -> tuple:
@@ -67,13 +72,14 @@ def _cache_key(stream: FrameStream, config: VSConfig) -> tuple:
     return (stream.name, len(stream), shape, config.name, hash(config))
 
 
-def golden_run(stream: FrameStream, config: VSConfig, use_cache: bool = True) -> GoldenRun:
+def golden_run(stream: FrameStream, config: VSConfig) -> GoldenRun:
     """Run (or fetch) the golden execution for ``(config, stream)``."""
     key = _cache_key(stream, config)
-    if use_cache and key in _CACHE:
+    run = _CACHE.get(key)
+    if run is not None:
         _STATS.hits += 1
         telemetry.counter_inc("golden.cache_hit")
-        return _CACHE[key]
+        return run
 
     _STATS.computes += 1
     telemetry.counter_inc("golden.cache_compute")
@@ -89,71 +95,48 @@ def golden_run(stream: FrameStream, config: VSConfig, use_cache: bool = True) ->
         total_cycles=ctx.cycles,
         profile=profile,
     )
-    if use_cache:
-        _CACHE[key] = run
+    _CACHE[key] = run
     return run
 
 
-def golden_stage_signature(stream: FrameStream, config: VSConfig) -> dict[str, tuple[int, ...]]:
-    """Per-stage golden checksum sequences for ``(config, stream)``.
+def golden_with_tape(stream: FrameStream, config: VSConfig) -> GoldenRun:
+    """The golden run for ``(config, stream)`` with its snapshot tape.
 
-    Re-runs the (deterministic) golden execution once under a stage
-    probe — see :mod:`repro.forensics.probes` — and returns each
-    pipeline stage's checksum sequence.  This is the reference that
-    per-injection divergence records are computed against; campaign
-    workloads capture it through
-    :meth:`repro.faultinject.monitor.FaultMonitor.golden_signature`,
-    which memoizes per workload, so the probed re-run happens once per
-    process, not once per injection.
+    Captures the tape at most once per process per workload.  With no
+    cached run, the capture becomes the cached run, so a later
+    :func:`golden_run` is a hit.  A plain run cached earlier keeps its
+    identity and gets the tape attached, after checking the capture
+    reproduced it exactly — a capture that differs would silently
+    poison every restore.  A workload the recorder cannot snapshot
+    falls back to the plain run, with ``fast_forward`` left ``None``.
     """
-    from repro.forensics import probes
-
-    probe = probes.StageProbe()
-    ctx = ExecutionContext()
-    with probes.capturing(probe), telemetry.span("summarize.golden_probe", ctx=ctx):
-        run_vs(stream, config, ctx)
-    return probe.signature()
-
-
-def golden_fast_forward(stream: FrameStream, config: VSConfig):
-    """The fast-forward handle for ``(config, stream)``, or ``None``.
-
-    Captures the snapshot tape once per process per workload — one
-    instrumented golden-run's worth of work — and caches it next to the
-    golden run itself, since both share a lifetime (anything that
-    invalidates the golden run invalidates every snapshot).  Returns the
-    process-cached :class:`~repro.faultinject.fastforward.FastForward`
-    handle over the cached tape (cached so boundary fan-out state
-    amortizes across campaigns), or ``None`` when the workload cannot
-    be snapshotted.
-    """
-    from repro.faultinject.fastforward import (
-        FastForward,
-        SnapshotUnsupported,
-        capture_tape,
-    )
+    from repro.faultinject import fastforward
 
     key = _cache_key(stream, config)
-    handle = _FF_HANDLES.get(key)
-    if handle is not None:
+    run = _CACHE.get(key)
+    if run is not None and run.fast_forward is not None:
+        _STATS.hits += 1
         telemetry.counter_inc("golden.tape_hit")
-        return handle
-    if key in _TAPES:
-        telemetry.counter_inc("golden.tape_hit")
-        tape = _TAPES[key]
-    else:
-        telemetry.counter_inc("golden.tape_capture")
-        golden = golden_run(stream, config)
-        try:
-            tape = capture_tape(stream, config, golden.output, golden.total_cycles)
-        except SnapshotUnsupported:
-            tape = None
-        _TAPES[key] = tape
-    if tape is None:
-        return None
-    handle = FastForward(tape, stream, config)
-    _FF_HANDLES[key] = handle
-    return handle
+        return run
+
+    _STATS.computes += 1
+    telemetry.counter_inc("golden.tape_capture")
+    try:
+        captured = fastforward.capture_tape(stream, config)
+    except fastforward.SnapshotUnsupported:
+        return golden_run(stream, config)
+    if run is None:
+        _CACHE[key] = captured
+        return captured
+    if captured.total_cycles != run.total_cycles or not np.array_equal(
+        captured.output, run.output
+    ):
+        raise RuntimeError(
+            "fast-forward capture diverged from the golden run "
+            f"(cycles {captured.total_cycles} vs {run.total_cycles})"
+        )
+    run.fast_forward = captured.fast_forward
+    return run
 
 
 def golden_cache_stats() -> GoldenCacheStats:
@@ -162,20 +145,14 @@ def golden_cache_stats() -> GoldenCacheStats:
 
 
 def clear_golden_cache() -> None:
-    """Drop all cached golden runs and reset the counters (test isolation).
+    """Drop every cached golden run and worker state, and reset the counters.
 
-    Also drops the forensics layer's cached golden stage signatures
-    (keyed by workload identity, so resetting golden runs invalidates
-    the workloads they were captured from) and the parallel engine's
-    cached fast-forward handles (they wrap tapes cached here).
+    The parallel engine's per-spec worker states hold golden outputs and
+    fast-forward handles taken from this cache, so they go with it.
     """
-    from repro.faultinject.parallel import clear_fast_forward_cache
-    from repro.forensics import probes
+    from repro.faultinject.parallel import _WORKER_STATE
 
     _CACHE.clear()
-    _TAPES.clear()
-    _FF_HANDLES.clear()
+    _WORKER_STATE.clear()
     _STATS.computes = 0
     _STATS.hits = 0
-    probes.clear_golden_signatures()
-    clear_fast_forward_cache()

@@ -80,7 +80,8 @@ def _config(stratified: bool) -> CampaignConfig:
 def main(argv: list[str]) -> int:
     mode, journal, out = argv[0], argv[1], argv[2]
     delay_s = float(argv[3]) if len(argv) > 3 else 0.0
-    _, golden, golden_cycles = ToyWorkloadSpec().build()
+    state = ToyWorkloadSpec().build()
+    golden, golden_cycles = state.golden_output, state.golden_cycles
 
     def workload(ctx):
         if delay_s:

@@ -25,7 +25,6 @@ from repro.analysis.experiments import TINY, input_stream
 from repro.faultinject import fastforward
 from repro.faultinject.fastforward import SnapshotRecorder, _resolve_live, capture_tape
 from repro.summarize.approximations import config_for
-from repro.summarize.golden import golden_run
 
 
 class _FullScanRecorder(SnapshotRecorder):
@@ -60,7 +59,6 @@ class _FullScanRecorder(SnapshotRecorder):
 
 
 def _capture(stream, config, recorder_cls, monkeypatch):
-    golden = golden_run(stream, config)
     made: list[SnapshotRecorder] = []
 
     def build():
@@ -69,7 +67,7 @@ def _capture(stream, config, recorder_cls, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(fastforward, "SnapshotRecorder", build)
-        tape = capture_tape(stream, config, golden.output, golden.total_cycles)
+        tape = capture_tape(stream, config).fast_forward.tape
     return tape, made[0]
 
 

@@ -27,7 +27,7 @@ from repro.faultinject.parallel import (
 from repro.faultinject.registers import RegKind
 from repro.observe import events
 from repro.summarize.approximations import config_for
-from repro.summarize.golden import clear_golden_cache, golden_fast_forward, golden_run
+from repro.summarize.golden import clear_golden_cache, golden_run, golden_with_tape
 from repro.telemetry.export import render_summary, summarize_trace, write_trace
 
 
@@ -83,7 +83,7 @@ class TestGroupPartition:
 
     def test_real_tape_lookup_honours_strictly_before(self, vs):
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         assert fast_forward is not None
         cycles = fast_forward.tape.boundary_cycles
         # At or before boundary 1: the boundary-0 group.
@@ -127,7 +127,7 @@ class TestWorkerClamp:
 
     def test_campaign_clamps_pool_to_groups(self, vs):
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         from repro.faultinject.campaign import draw_plans
 
         campaign_config = _config(n_injections=12, seed=10, workers=64)
@@ -140,7 +140,7 @@ class TestWorkerClamp:
 class TestJournalInterplay:
     def test_journal_checkpoints_at_group_granularity(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         from repro.faultinject.campaign import draw_plans
 
         campaign_config = _config(n_injections=12, seed=10, workers=3)

@@ -63,7 +63,7 @@ from repro.faultinject.registers import (
 from repro.runtime.context import ExecutionContext
 from repro.observe import events
 from repro.summarize.approximations import config_for
-from repro.summarize.golden import golden_fast_forward, golden_run
+from repro.summarize.golden import golden_run, golden_with_tape
 
 #: The VS variants the property draws from.
 APPROXIMATIONS = ("VS", "VS_KDS")
@@ -366,7 +366,7 @@ class TestHangEquivalence:
 
     def test_hang_outcome_identical(self, vs):
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         assert fast_forward is not None
         plan = self._hang_plan(workload, fast_forward)
         assert fast_forward.boundary_index_for(plan.target_cycle) > 0
@@ -395,7 +395,7 @@ class TestSpliceEquivalence:
 
     def _plan(self, vs, site: str, name: str, bit: int, frames: tuple[int, int], pick=None):
         stream, config, _, _, _ = vs
-        tape = golden_fast_forward(stream, config).tape
+        tape = golden_with_tape(stream, config).fast_forward.tape
         register = tape.boundaries[-1].regfile[0][(RegKind.GPR, site, name)]
         lo, hi = (tape.boundary_cycles[frame] for frame in frames)
         targets = [c for s, c in _checkpoints("VS") if s == site and lo < c < hi]
@@ -414,7 +414,7 @@ class TestSpliceEquivalence:
     def _compare(self, vs, plan, probe: bool, hang_factor: float = DEFAULT_HANG_FACTOR):
         """(oracle result, golden-tail payloads of the fast-forward run)."""
         stream, config, golden, workload, _ = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         monitors = [
             FaultMonitor(
                 workload,
@@ -449,7 +449,7 @@ class TestSpliceEquivalence:
         plan = self._frame_total_plan(vs, bit=40, frame=6)
         expected, tails = self._compare(vs, plan, probe)
         stream, config, _, _, _ = vs
-        tape = golden_fast_forward(stream, config).tape
+        tape = golden_with_tape(stream, config).fast_forward.tape
         assert expected.outcome is Outcome.CRASH and expected.crash_kind is CrashKind.SEGV
         assert expected.cycles == tape.exit_cycles
         assert [(t["overrun"], t["cycle_offset"], t["closed_minis"]) for t in tails] == [
@@ -475,7 +475,7 @@ class TestSpliceEquivalence:
         next mini opens, the output is the corrupted closed canvas over
         the golden rows."""
         stream, config, _, _, _ = vs
-        tape = golden_fast_forward(stream, config).tape
+        tape = golden_with_tape(stream, config).fast_forward.tape
         closes = next(b.frame_index for b in tape.boundaries if len(b.minis) == 2)
         plan = self._plan(vs, "imaging.warp.gather", "gather_x", 53, (1, closes - 1))
         expected, tails = self._compare(vs, plan, probe)
@@ -514,7 +514,7 @@ class TestPreFirstBoundary:
         convergence watch — and is bit-identical to the oracle, for a
         live fire and for a dead one."""
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         boundary = fast_forward.tape.boundaries[0]
         assert boundary.cycles == 0 and boundary.n_allocs == 0
         production = FaultMonitor(
@@ -545,7 +545,7 @@ class TestSnapshotRestore:
         count — the snapshot captured the frame-boundary state exactly.
         """
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         assert fast_forward is not None
         tape = fast_forward.tape
         assert len(tape.boundaries) >= 2
@@ -566,7 +566,7 @@ class TestSnapshotRestore:
 
     def test_boundary_lookup_is_strictly_before(self, vs):
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         cycles = fast_forward.tape.boundary_cycles
         assert cycles[0] == 0
         # Every target has a boundary: up to boundary 1 it is boundary 0.
@@ -681,7 +681,7 @@ class TestFireLogPrediction:
     @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
     def test_predictor_matches_injector_at_every_checkpoint(self, vs, site_filter):
         stream, config, golden, workload, spec = vs
-        fast_forward = golden_fast_forward(stream, config)
+        fast_forward = golden_with_tape(stream, config).fast_forward
         cycles = _checkpoint_cycles("VS")
         targets = sorted({0, *cycles, cycles[-1] + 1})
         flips: list[str] = []

@@ -64,7 +64,8 @@ def _config(**overrides) -> CampaignConfig:
 @pytest.fixture()
 def toy():
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     return spec, golden, cycles
 
 

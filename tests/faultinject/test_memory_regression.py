@@ -19,7 +19,8 @@ from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
 
 def _run(keep: bool, workers: int = 1):
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     return run_campaign(
         toy_workload,
         golden,

@@ -20,6 +20,7 @@ from repro.faultinject.campaign import CampaignConfig, CampaignResult, run_campa
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.parallel import (
     VSWorkloadSpec,
+    WorkerState,
     chunks_from_groups,
     default_workers,
     plan_groups,
@@ -58,7 +59,7 @@ class ToyWorkloadSpec:
     def build(self):
         ctx = ExecutionContext()
         golden = toy_workload(ctx)
-        return toy_workload, golden, ctx.cycles
+        return WorkerState(toy_workload, golden, ctx.cycles)
 
 
 def _crashing_workload(ctx: ExecutionContext) -> np.ndarray:
@@ -71,7 +72,7 @@ class CrashingSpec:
 
     def build(self):
         golden = np.zeros((4, 4), dtype=np.uint8)
-        return _crashing_workload, golden, 1000
+        return WorkerState(_crashing_workload, golden, 1000)
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def _campaigns_equal(first: CampaignResult, second: CampaignResult) -> None:
 class TestToyEquivalence:
     def test_parallel_matches_serial_bit_for_bit(self):
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         serial = run_campaign(
             toy_workload,
             golden,
@@ -122,7 +124,8 @@ class TestToyEquivalence:
 
     def test_sdc_output_hashes_match(self):
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         config = CampaignConfig(
             n_injections=80, kind=RegKind.GPR, seed=0, keep_sdc_outputs=True
         )
@@ -146,7 +149,8 @@ class TestToyEquivalence:
 
     def test_without_spec_falls_back_to_serial(self):
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         campaign = run_campaign(
             toy_workload,
             golden,
@@ -268,7 +272,8 @@ class TestMeteredChunkTracerRestore:
         parent_bus = events.current()
         try:
             spec = CrashingSpec()
-            _, golden, cycles = spec.build()
+            state = spec.build()
+            golden, cycles = state.golden_output, state.golden_cycles
             config = CampaignConfig(n_injections=2, kind=RegKind.GPR, seed=0)
             plans = [
                 InjectionPlan(target_cycle=0, kind=RegKind.GPR, register=0, bit=0)

@@ -25,7 +25,7 @@ import pytest
 from repro import telemetry
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.outcomes import HangKind, Outcome
-from repro.faultinject.parallel import RetryPolicy
+from repro.faultinject.parallel import RetryPolicy, WorkerState
 from repro.faultinject.registers import RegKind
 from repro.faultinject.watchdog import WatchdogExpired, WatchdogPolicy, call_with_deadline
 from repro.runtime.errors import HangDetected
@@ -73,7 +73,7 @@ class KillOnceSpec:
                 os.kill(os.getpid(), signal.SIGKILL)
             return toy_workload(run_ctx)
 
-        return workload, golden, ctx.cycles
+        return WorkerState(workload, golden, ctx.cycles)
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,14 @@ class KillAlwaysSpec:
                 os.kill(os.getpid(), signal.SIGKILL)
             return toy_workload(run_ctx)
 
-        return workload, golden, ctx.cycles
+        return WorkerState(workload, golden, ctx.cycles)
 
 
 @pytest.fixture()
 def toy():
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     return spec, golden, cycles
 
 

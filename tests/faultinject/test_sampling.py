@@ -52,7 +52,7 @@ from repro.faultinject.sampling import (
     stratify,
 )
 from repro.summarize.approximations import config_for
-from repro.summarize.golden import golden_fast_forward, golden_run
+from repro.summarize.golden import golden_run, golden_with_tape
 from tests.faultinject.test_parallel import toy_workload
 
 
@@ -193,7 +193,7 @@ def _vs_tiny():
     stream = input_stream("input1", TINY)
     config = config_for("VS")
     golden = golden_run(stream, config)
-    return stream, config, golden, golden_fast_forward(stream, config)
+    return stream, config, golden, golden_with_tape(stream, config).fast_forward
 
 
 #: (kind, site filter) pairs the strata tests sweep.

@@ -122,7 +122,7 @@ class TestV1StoreRefused:
     """A v1 store exits 2 with the migrate pointer, never a traceback."""
 
     def test_campaign_fails_before_the_golden_run(self, v1_store_root, capsys, monkeypatch):
-        monkeypatch.setattr(repro.cli, "golden_run", None)  # calling it would raise
+        monkeypatch.setattr(repro.cli, "golden_with_tape", None)  # calling it would raise
         code = main(["campaign", "-n", "2", "--store", str(v1_store_root)])
         assert code == 2
         assert f"repro store migrate {v1_store_root}" in capsys.readouterr().err

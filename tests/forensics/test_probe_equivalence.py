@@ -27,7 +27,8 @@ from tests.faultinject.test_parallel import (
 
 def _toy_campaign(workers: int, probe: bool, **overrides) -> CampaignResult:
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     base = dict(n_injections=60, kind=RegKind.GPR, seed=9, workers=workers, probe=probe)
     base.update(overrides)
     return run_campaign(
@@ -124,7 +125,8 @@ class TestJournaledProbeResume:
 
     def test_interrupt_resume_preserves_divergence(self, tmp_path):
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         reference = run_campaign(toy_workload, golden, cycles, self._config())
         journal = tmp_path / "probed.jsonl"
         with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
@@ -141,7 +143,8 @@ class TestJournaledProbeResume:
 
     def test_probe_flag_in_fingerprint_refuses_mixed_resume(self, tmp_path):
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         journal = tmp_path / "probed.jsonl"
         with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: "1"}):
             with pytest.raises(CampaignInterrupted):

@@ -100,22 +100,3 @@ class TestCapturing:
     def test_capture_run_returns_probe(self):
         probe = probes.capture_run(lambda: probes.record("stitch", 9))
         assert probe.last_stage == "stitch"
-
-
-class TestGoldenSignatureCache:
-    def test_compute_once_per_workload(self):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"fast": (1,)}
-
-        workload = object()
-        first = probes.golden_signature_for(workload, compute)
-        second = probes.golden_signature_for(workload, compute)
-        assert first is second
-        assert len(calls) == 1
-        probes.clear_golden_signatures()
-        probes.golden_signature_for(workload, compute)
-        assert len(calls) == 2
-        probes.clear_golden_signatures()

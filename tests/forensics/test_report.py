@@ -22,7 +22,8 @@ from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
 @pytest.fixture(scope="module")
 def toy_record():
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     campaign = run_campaign(
         toy_workload,
         golden,
@@ -44,7 +45,7 @@ def _crashier_workload(ctx: ExecutionContext):
 def regressed_record(toy_record):
     _, golden = toy_record
     spec = ToyWorkloadSpec()
-    _, _, cycles = spec.build()
+    cycles = spec.build().golden_cycles
     campaign = run_campaign(
         _crashier_workload,
         golden,

@@ -26,7 +26,8 @@ from tests.forensics.test_migrate import write_v1_log
 @pytest.fixture(scope="module")
 def toy_campaign():
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     campaign = run_campaign(
         toy_workload,
         golden,

@@ -11,7 +11,7 @@ from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.outcomes import Outcome
 from repro.faultinject.registers import RegKind
 from repro.runtime.context import ExecutionContext
-from repro.summarize.golden import golden_run
+from repro.summarize.golden import clear_golden_cache, golden_run
 from repro.summarize.pipeline import run_vs
 
 
@@ -23,7 +23,8 @@ def campaign_setup():
 
     stream = make_input2(n_frames=10)
     config = VSConfig()
-    golden = golden_run(stream, config, use_cache=False)
+    clear_golden_cache()
+    golden = golden_run(stream, config)
 
     def workload(ctx: ExecutionContext) -> np.ndarray:
         return run_vs(stream, config, ctx).panorama

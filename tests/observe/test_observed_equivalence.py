@@ -59,7 +59,8 @@ def _stratified_config(**overrides) -> CampaignConfig:
 @pytest.fixture()
 def toy():
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     return spec, golden, cycles
 
 

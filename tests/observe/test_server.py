@@ -103,7 +103,9 @@ class TestSingleFold:
         from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
         from tests.faultinject.test_resilience import FAST_RETRY, KillOnceSpec
 
-        _, golden, cycles = ToyWorkloadSpec().build()
+        state = ToyWorkloadSpec().build()
+
+        golden, cycles = state.golden_output, state.golden_cycles
         telemetry.enable()
         try:
             with observe_campaign(None, serve=True) as session:

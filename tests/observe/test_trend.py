@@ -31,7 +31,8 @@ def history_store(tmp_path_factory):
     """A store holding a baseline and a crash-regressed campaign."""
     root = tmp_path_factory.mktemp("trend-store")
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     store = CampaignStore(root)
     baseline = run_campaign(
         toy_workload,

@@ -21,7 +21,8 @@ from tests.faultinject.test_parallel import (
 
 def _toy_campaign(workers: int, traced: bool) -> CampaignResult:
     spec = ToyWorkloadSpec()
-    _, golden, cycles = spec.build()
+    state = spec.build()
+    golden, cycles = state.golden_output, state.golden_cycles
     config = CampaignConfig(
         n_injections=60, kind=RegKind.GPR, seed=9, workers=workers
     )
@@ -53,7 +54,8 @@ class TestToyCampaignEquivalence:
 class TestMergedCounters:
     def _counters_for(self, workers: int) -> tuple[dict, CampaignResult]:
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         tracer = telemetry.enable()
         try:
             campaign = run_campaign(
@@ -88,7 +90,8 @@ class TestMergedCounters:
 
     def test_parallel_campaign_aggregates_stage_timers(self):
         spec = ToyWorkloadSpec()
-        _, golden, cycles = spec.build()
+        state = spec.build()
+        golden, cycles = state.golden_output, state.golden_cycles
         tracer = telemetry.enable()
         try:
             run_campaign(

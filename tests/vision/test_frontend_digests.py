@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.experiments import ALGORITHMS, INPUTS, QUICK, TINY, input_stream
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import config_for
-from repro.summarize.golden import golden_run
+from repro.summarize.golden import clear_golden_cache, golden_run
 from repro.vision.orb import orb_features
 
 FEATURE_DIGESTS = {
@@ -62,7 +62,8 @@ def feature_digest(input_name: str, scale_name: str) -> str:
 
 def golden_digest(input_name: str, algorithm: str) -> str:
     """sha256 over one golden run's panorama bytes and total cycles."""
-    run = golden_run(input_stream(input_name, TINY), config_for(algorithm), use_cache=False)
+    clear_golden_cache()
+    run = golden_run(input_stream(input_name, TINY), config_for(algorithm))
     digest = hashlib.sha256()
     digest.update(run.output.tobytes())
     digest.update(str(run.output.shape).encode())

@@ -14,27 +14,47 @@ byte heap), so the vast majority of single-bit pointer flips leave the
 mapped region — which is what produces the paper's segfault-dominated
 GPR crash profile.
 
-Placement is lazy.  :meth:`AddressSpace.note` records an array's first
-use (type and contiguity are checked at once) and draws nothing; the
-pending arrays are placed, in first-use order and with the same RNG
-calls eager placement would make, the first time an address is needed:
-:meth:`~AddressSpace.ensure`'s return value, :meth:`~AddressSpace.resolve`,
-:meth:`~AddressSpace.byte_window`, ``len`` or
-:attr:`~AddressSpace.mapped_bytes`.  The bases are identical to eager
-placement because allocation *i*'s base depends only on the allocations
-before it.  Injected runs note every array they bind but only a pointer
-flip ever asks for an address, so most runs never place anything — and
-a "too crowded" placement error can only surface when placement is
-forced.
+Placement is lazy and batched.  :meth:`AddressSpace.note` (or
+:meth:`~AddressSpace.note_all` for a run of arrays) records first use
+— type and contiguity are checked at once — and draws nothing.  The
+pending arrays are placed the first time an address is needed:
+:meth:`~AddressSpace.ensure`'s return value,
+:meth:`~AddressSpace.resolve`, :meth:`~AddressSpace.byte_window`,
+``len`` or :attr:`~AddressSpace.mapped_bytes`.  One ``rng.integers``
+call draws a page for every pending array (the same values and final
+generator state as one scalar call per array), and the longest prefix
+that overlaps neither the map nor itself is accepted.  At a collision
+the generator is rewound to just after the colliding draw and the
+next round redraws from there, so every array retries exactly as a
+one-at-a-time placement would, up to the same 64 attempts.  Allocation
+*i*'s base therefore depends only on the allocations before it, and
+the bases equal eager placement's.  Injected runs note every array
+they bind but only a pointer flip ever asks for an address, so most
+runs never place anything, and a "too crowded" placement error can
+only surface when placement is forced.
+
+**Shared stand-ins.**  A restored fan-out member maps its prefix's
+dead allocations as *shared read-only stand-ins*: the one decoded copy
+of their frozen bytes that every member of the group maps (see
+:mod:`repro.faultinject.fastforward`).  Only a corrupted pointer can
+reach one, and every pointer goes through
+:meth:`~AddressSpace.resolve`, which swaps the allocation it lands in
+for a private copy before returning it.  So ``byte_window``, pointer
+flips and every other caller get a writable array of their own, and
+the shared bytes stay pristine.  The stand-ins are named explicitly
+(``note_all(..., shared=...)``), not inferred from
+``flags.writeable``: a full run may map read-only arrays of its own,
+and those alias as themselves.
 """
 
 from __future__ import annotations
 
-import bisect
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro.runtime.errors import SegmentationFault
 
 #: Page size used for alignment of simulated allocations.
@@ -45,6 +65,9 @@ HEAP_BASE = 1 << 40
 
 #: Size of the region allocations are scattered across.
 HEAP_SPAN = (1 << 46) - (1 << 40)
+
+#: Draws one allocation may make before placement gives up.
+MAX_ATTEMPTS = 64
 
 
 @dataclass
@@ -70,23 +93,31 @@ class AddressSpace:
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self._bases: list[int] = []  # sorted allocation bases
-        self._allocs: list[Allocation] = []  # parallel to _bases
-        self._by_id: dict[int, Allocation] = {}
-        #: id -> array for every noted array; pins the ids.
-        self._noted: dict[int, np.ndarray] = {}
-        #: Noted but not yet placed, in first-use order.
-        self._pending: list[np.ndarray] = []
+        #: Every noted array in first-use order; pins the ids below.
+        self._arrays: list[np.ndarray] = []
+        #: id -> position in ``_arrays``.
+        self._position: dict[int, int] = {}
+        #: ids of the shared read-only stand-ins among ``_arrays``.
+        self._shared: Collection[int] = frozenset()
+        #: Stand-ins ``resolve`` swapped for a private copy (pins their ids).
+        self._swapped: list[np.ndarray] = []
+        #: Base of every placed array, by position: placement is a
+        #: prefix of ``_arrays``, the rest is pending.
+        self._bases: list[int] = []
+        #: The map sorted by base: start, end (base + nbytes), position.
+        self._starts = np.empty(0, dtype=np.int64)
+        self._ends = np.empty(0, dtype=np.int64)
+        self._order = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
         self._place_pending()
-        return len(self._allocs)
+        return len(self._bases)
 
     @property
     def mapped_bytes(self) -> int:
         """Total number of mapped bytes."""
         self._place_pending()
-        return sum(alloc.nbytes for alloc in self._allocs)
+        return int((self._ends - self._starts).sum())
 
     def note(self, array: np.ndarray) -> None:
         """Record ``array``'s first use; its placement is deferred.
@@ -96,66 +127,130 @@ class AddressSpace:
         space.
         """
         key = id(array)
-        if key in self._noted:
+        if key in self._position:
             return
-        if not isinstance(array, np.ndarray):
-            raise TypeError(f"only numpy arrays can be mapped, got {type(array)!r}")
-        if not array.flags.c_contiguous:
-            raise ValueError("only C-contiguous arrays can be mapped")
-        self._noted[key] = array
-        self._pending.append(array)
+        _check_mappable(array)
+        self._position[key] = len(self._arrays)
+        self._arrays.append(array)
+
+    def note_all(
+        self, arrays: Sequence[np.ndarray], shared: Collection[int] = frozenset()
+    ) -> None:
+        """Note ``arrays`` in order, exactly as one :meth:`note` each would.
+
+        ``shared`` holds the ids of the arrays among them that are
+        shared read-only stand-ins (see the module docstring); the
+        space keeps a reference to it, so it must not change.
+        """
+        position, noted = self._position, self._arrays
+        for array in arrays:
+            key = id(array)
+            if key not in position:
+                _check_mappable(array)
+                position[key] = len(noted)
+                noted.append(array)
+        if shared:
+            self._shared = shared if not self._shared else {*self._shared, *shared}
 
     def ensure(self, array: np.ndarray) -> int:
         """Return the base address of ``array``, allocating on first use."""
         self.note(array)
         self._place_pending()
-        return self._by_id[id(array)].base
+        return self._bases[self._position[id(array)]]
 
     def _place_pending(self) -> None:
-        """Place every noted allocation, in first-use order."""
-        placed = 0
-        try:
-            for array in self._pending:
-                nbytes = max(int(array.nbytes), 1)
-                base = self._place(nbytes)
-                alloc = Allocation(base=base, nbytes=nbytes, array=array)
-                index = bisect.bisect_left(self._bases, base)
-                self._bases.insert(index, base)
-                self._allocs.insert(index, alloc)
-                self._by_id[id(array)] = alloc
-                placed += 1
-        finally:
-            del self._pending[:placed]
-
-    def _place(self, nbytes: int) -> int:
-        """Pick a random page-aligned, non-overlapping base address."""
+        """Place every noted allocation, in first-use order, in batched draws."""
+        first = len(self._bases)
+        pending = self._arrays[first:]
+        if not pending:
+            return
+        nbytes = np.fromiter((array.nbytes for array in pending), np.int64, len(pending))
+        nbytes = np.maximum(nbytes, 1)
         pages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-        span_pages = HEAP_SPAN // PAGE_SIZE - pages
-        for _ in range(64):
-            page = int(self._rng.integers(0, span_pages))
-            base = HEAP_BASE + page * PAGE_SIZE
-            if not self._overlaps(base, pages * PAGE_SIZE):
-                return base
-        raise RuntimeError("address space too crowded to place a new allocation")
+        highs = HEAP_SPAN // PAGE_SIZE - pages
+        # An array larger than the heap fails its first draw, after
+        # every array before it has been placed.
+        too_large = np.flatnonzero(highs <= 0)
+        limit = int(too_large[0]) if too_large.size else len(pending)
+        rng = self._rng
+        start = 0
+        attempts = 0  # failed draws of the array at ``start``
+        while start < len(pending):
+            if start == limit:
+                raise ValueError("allocation does not fit in the heap span")
+            state = rng.bit_generator.state
+            bases = HEAP_BASE + rng.integers(0, highs[start:limit]) * PAGE_SIZE
+            accepted = self._free_prefix(bases, pages[start:limit] * PAGE_SIZE)
+            if start + accepted < limit:
+                # The array after the accepted prefix collided: rewind
+                # to just after its draw, so the next round is its retry.
+                rng.bit_generator.state = state
+                rng.integers(0, highs[start : start + accepted + 1])
+                attempts = attempts + 1 if accepted == 0 else 1
+            self._map(bases[:accepted], nbytes[start : start + accepted])
+            start += accepted
+            if attempts == MAX_ATTEMPTS:
+                raise RuntimeError("address space too crowded to place a new allocation")
 
-    def _overlaps(self, base: int, length: int) -> bool:
-        index = bisect.bisect_right(self._bases, base + length - 1)
-        if index > 0:
-            prev = self._allocs[index - 1]
-            if prev.end > base:
-                return True
-        if index < len(self._allocs) and self._allocs[index].base < base + length:
-            return True
-        return False
+    def _free_prefix(self, bases: np.ndarray, lengths: np.ndarray) -> int:
+        """How many leading candidates overlap neither the map nor each other.
+
+        Candidates span whole pages.  Every base is page-aligned, so a
+        candidate overlaps a placed array's bytes exactly when it
+        overlaps its pages, and the map keeps byte ends for ``resolve``.
+        """
+        ends = bases + lengths
+        limit = len(bases)
+        if self._starts.size:
+            # The last allocation starting inside a candidate is the only
+            # one that can overlap it: the map itself is disjoint.
+            index = np.searchsorted(self._starts, ends - 1, side="right")
+            hits = (index > 0) & (self._ends[index - 1] > bases)
+            if hits.any():
+                limit = int(hits.argmax())
+        if _disjoint(bases[:limit], ends[:limit]):
+            return limit
+        # Disjointness only fails for longer prefixes: bisect the length.
+        low, high = 0, limit
+        while high - low > 1:
+            middle = (low + high) // 2
+            if _disjoint(bases[:middle], ends[:middle]):
+                low = middle
+            else:
+                high = middle
+        return low
+
+    def _map(self, bases: np.ndarray, nbytes: np.ndarray) -> None:
+        """Add the next ``len(bases)`` pending arrays to the map."""
+        first = len(self._bases)
+        starts = np.concatenate((self._starts, bases))
+        order = np.argsort(starts)
+        self._starts = starts[order]
+        self._ends = np.concatenate((self._ends, bases + nbytes))[order]
+        positions = np.arange(first, first + len(bases), dtype=np.int64)
+        self._order = np.concatenate((self._order, positions))[order]
+        self._bases.extend(bases.tolist())
 
     def resolve(self, address: int) -> tuple[Allocation, int]:
-        """Map ``address`` to ``(allocation, byte_offset)`` or segfault."""
+        """Map ``address`` to ``(allocation, byte_offset)`` or segfault.
+
+        A shared stand-in is swapped for a private copy first, so the
+        returned allocation's array is always the caller's to write.
+        """
         self._place_pending()
-        index = bisect.bisect_right(self._bases, address) - 1
-        if index >= 0:
-            alloc = self._allocs[index]
-            if alloc.contains(address):
-                return alloc, address - alloc.base
+        starts, ends = self._starts, self._ends
+        # The last allocation by base ends highest: the map is disjoint.
+        if starts.size and int(starts[0]) <= address < int(ends[-1]):
+            index = int(np.searchsorted(starts, address, side="right")) - 1
+            base, end = int(starts[index]), int(ends[index])
+            if address < end:
+                position = int(self._order[index])
+                array = self._arrays[position]
+                if id(array) in self._shared:
+                    self._swapped.append(array)
+                    array = self._arrays[position] = array.copy()
+                    telemetry.counter_inc("campaign.fanout.cow_clones")
+                return Allocation(base=base, nbytes=end - base, array=array), address - base
         raise SegmentationFault(address)
 
     def byte_window(self, address: int, length: int) -> tuple[np.ndarray, int]:
@@ -170,3 +265,17 @@ class AddressSpace:
             raise SegmentationFault(address + alloc.nbytes - offset, "access crosses allocation end")
         view = alloc.array.reshape(-1).view(np.uint8)
         return view, offset
+
+
+def _check_mappable(array: np.ndarray) -> None:
+    """Only C-contiguous numpy arrays can be mapped."""
+    if not isinstance(array, np.ndarray):
+        raise TypeError(f"only numpy arrays can be mapped, got {type(array)!r}")
+    if not array.flags.c_contiguous:
+        raise ValueError("only C-contiguous arrays can be mapped")
+
+
+def _disjoint(bases: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether the extents ``[bases, ends)`` are pairwise disjoint."""
+    order = np.argsort(bases)
+    return not (bases[order][1:] < ends[order][:-1]).any()

@@ -45,8 +45,8 @@ at every prefix checkpoint:
   *from* whatever allocation it lands in, so the byte content of every
   prefix allocation matters at fire time.  Arrays that are dead at a
   boundary (kernel-local temporaries, frame copies) are frozen by
-  content and rebuilt as fresh stand-ins per restore; arrays that are
-  still live program state (mini-panorama canvases, the previous
+  content and mapped as read-only stand-ins of those bytes; arrays
+  that are still live program state (mini-panorama canvases, the previous
   frame's feature arrays) are restored as the *same objects* the
   resumed pipeline mutates, so corruption flows downstream exactly as
   in a full run.  Views that share memory with a live base (descriptor
@@ -54,10 +54,10 @@ at every prefix checkpoint:
   real memory sharing while the simulated heap keeps treating them as
   distinct allocations — just like a full run does.
 
-Restores are destructive (the flip may corrupt any restored object), so
-every restore rebuilds its mutable state from the immutable tape.  The
-tape holds bytes and descriptors only: the capture pins the arrays it
-records while it runs (their ids and data pointers must stay valid) and
+Restores are destructive (the flip may corrupt any restored object it
+can reach), so every restore rebuilds what a flip can reach from the
+immutable tape.  The tape holds bytes and descriptors only: the capture
+pins the arrays it records while it runs (their ids and data pointers must stay valid) and
 drops them when it returns, and a mini-panorama that has not changed
 since the previous boundary — every closed one — shares that
 boundary's snapshot, checked equal at capture.
@@ -67,8 +67,14 @@ which amortizes it across a campaign: plans are grouped by the boundary
 they resume from (see :func:`repro.faultinject.parallel.plan_groups`),
 each boundary's restore source is materialized **once per worker** — the
 frozen dead-allocation bytes are decoded into a shared read-only base —
-and every member injection clones its mutable state copy-on-write from
-that shared base instead of re-decoding the tape.  Fan-out members
+and every member maps that base as is.  A restore copies only what a
+flip can write: the live pipeline state, and the few dead allocations
+the restored register file binds (a bound array is flipped in place, a
+read pointer copies into its own array).  Every other dead allocation
+is reachable only by a corrupted pointer, and the member's address
+space hands out a private copy of the one allocation a pointer lands
+in (:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
+flip costs one copy, not one per dead allocation.  Fan-out members
 additionally carry a convergence watch: once the flip has fired, every
 frame boundary of the live suffix is compared against the golden tape,
 and the engine synthesizes the rest of the run instead of executing it
@@ -122,6 +128,7 @@ from repro.faultinject.registers import (
     RegisterFileState,
     RegKind,
     Role,
+    SlotEntry,
 )
 from repro.forensics import probes
 from repro.observe import events as observe_events
@@ -874,63 +881,14 @@ class FastForward:
             index=Cell(snapshot.frame_index),
             total=Cell(snapshot.total),
         )
+        # Every live base above is a copy, and so is the chain.
+        telemetry.counter_inc(
+            "campaign.fanout.cow_clones",
+            len(live_bases) + int(snapshot.prev_chain is not None),
+        )
         return state, live_bases
 
-    # -- machine state ----------------------------------------------------
-    def _restore_machine(
-        self,
-        snapshot: FrameSnapshot,
-        injector: "FaultInjector",
-        live_bases: dict[tuple, np.ndarray],
-        state: PipelineState,
-        dead_base: dict[int, np.ndarray],
-    ) -> None:
-        # Replay the prefix's first-use allocation sequence, in order,
-        # into the injected run's fresh address space: the heap layout
-        # (and the RNG draws behind it, made when placement is first
-        # forced) is bit-identical to a full run's.
-        objects: dict[int, np.ndarray] = {}
-        for record in self.tape.allocs[: snapshot.n_allocs]:
-            placement = snapshot.live_map.get(record.aid)
-            if placement is not None:
-                key, offset, identity = placement
-                base = live_bases[key]
-                if identity:
-                    array = base
-                else:
-                    flat = base.reshape(-1).view(np.uint8)
-                    array = (
-                        flat[offset : offset + record.nbytes]
-                        .view(record.dtype)
-                        .reshape(record.shape)
-                    )
-            else:
-                # Dead allocation: a writable copy-on-write clone of the
-                # group's shared read-only base (the flip may corrupt
-                # it; the base and the tape stay pristine).
-                array = dead_base[record.aid].copy()
-            injector.space.note(array)
-            objects[record.aid] = array
-
-        assigned, next_slot, described = snapshot.regfile
-        from repro.faultinject.registers import SlotEntry
-
-        slots = {
-            kind: [
-                None
-                if item is None
-                else SlotEntry(
-                    binding=self._build_binding(item[0], objects, state),
-                    site=item[1],
-                    written_cycle=item[2],
-                )
-                for item in entries
-            ]
-            for kind, entries in described.items()
-        }
-        injector.regfile.import_state(assigned, next_slot, slots)
-
-    def _build_binding(self, desc: tuple, objects: dict[int, np.ndarray], state: PipelineState):
+    def _build_binding(self, desc: tuple, objects: list[np.ndarray], state: PipelineState):
         tag = desc[0]
         if tag == "cell-live":
             _, name, role, ttl, cell_name = desc
@@ -978,13 +936,16 @@ class BoundaryFanOut:
 
     Materialized lazily on the first member: the boundary's frozen
     dead-allocation bytes are decoded **once** into read-only arrays —
-    zero-copy views of the tape's immutable ``frozen`` buffers — and
-    every member clones its writable stand-ins copy-on-write from that
-    shared base instead of re-decoding the tape per restore.  The clones
-    are mandatory, not an optimization to skip: restores are destructive
-    (a fired flip may corrupt any restored object), so nothing mutable
-    is ever shared between members.  The differential suite checks
-    campaigns byte-for-byte against unrestored full runs.
+    zero-copy views of the tape's immutable ``frozen`` buffers — that
+    every member maps as its dead stand-ins.  Restores are destructive
+    (a fired flip may corrupt whatever it reaches), so a member copies
+    exactly what its flip can write: the live pipeline state, the dead
+    arrays its restored register file binds, and — through
+    :meth:`~repro.faultinject.addrspace.AddressSpace.resolve` — the one
+    allocation a corrupted pointer lands in.  Nothing writable is
+    shared between members, and the base and the tape stay pristine.
+    The differential suite checks campaigns byte-for-byte against
+    unrestored full runs.
     """
 
     def __init__(self, fast_forward: FastForward, index: int) -> None:
@@ -992,28 +953,38 @@ class BoundaryFanOut:
         self.index = index
         self.snapshot = fast_forward.tape.boundaries[index]
         self.members_run = 0
-        self._dead_base: dict[int, np.ndarray] | None = None
-        self._clones_per_member = 0
+        #: aid -> the shared read-only stand-in, None for live aids.
+        self._stand_ins: list[np.ndarray | None] | None = None
+        #: Dead aids the register file binds: cloned per member.
+        self._bound: list[int] = []
+        #: ids of the stand-ins members map as shared (all but the bound).
+        self._shared: frozenset[int] = frozenset()
 
-    def _materialize(self) -> dict[int, np.ndarray]:
+    def _materialize(self) -> None:
         """Decode this boundary's dead allocations once, read-only."""
         snapshot = self.snapshot
-        base: dict[int, np.ndarray] = {}
-        for record in self.fast_forward.tape.allocs[: snapshot.n_allocs]:
-            if record.aid in snapshot.live_map:
-                continue
-            # np.frombuffer over the frozen bytes is read-only, so the
-            # shared base is immune to member corruption by construction.
-            base[record.aid] = np.frombuffer(record.frozen, dtype=record.dtype).reshape(
-                record.shape
-            )
-        self._clones_per_member = (
-            len(base)
-            + 2 * len(snapshot.minis)
-            + (0 if snapshot.features is None else 3)
-            + (0 if snapshot.prev_chain is None else 1)
+        # np.frombuffer over the frozen bytes is read-only, so the
+        # shared base is immune to member corruption by construction.
+        stand_ins = [
+            None
+            if record.aid in snapshot.live_map
+            else np.frombuffer(record.frozen, dtype=record.dtype).reshape(record.shape)
+            for record in self.fast_forward.tape.allocs[: snapshot.n_allocs]
+        ]
+        # "array" and "address" descriptors end with the bound aid.
+        bound = {
+            item[0][-1]
+            for entries in snapshot.regfile[2].values()
+            for item in entries
+            if item is not None and item[0][0] in ("array", "address")
+        }
+        self._bound = sorted(aid for aid in bound if stand_ins[aid] is not None)
+        self._shared = frozenset(
+            id(array)
+            for aid, array in enumerate(stand_ins)
+            if array is not None and aid not in bound
         )
-        return base
+        self._stand_ins = stand_ins
 
     def resume_member(self, ctx: ExecutionContext) -> np.ndarray:
         """Restore this boundary into ``ctx`` and run the live suffix.
@@ -1023,8 +994,8 @@ class BoundaryFanOut:
         boundary (any cycle for boundary 0).  Returns the run's output
         panorama, exactly as the full workload closure would.
         """
-        if self._dead_base is None:
-            self._dead_base = self._materialize()
+        if self._stand_ins is None:
+            self._materialize()
             telemetry.counter_inc("campaign.fanout.shared_restores")
         elif observe_events.enabled():
             telemetry.counter_inc(
@@ -1032,7 +1003,6 @@ class BoundaryFanOut:
             )
         self.members_run += 1
         if observe_events.enabled():
-            telemetry.counter_inc("campaign.fanout.cow_clones", self._clones_per_member)
             telemetry.counter_inc(
                 f"campaign.fanout.b{self.snapshot.frame_index}.members"
             )
@@ -1041,7 +1011,7 @@ class BoundaryFanOut:
         injector = ctx.injector
         with telemetry.span(f"fanout.suffix.b{snapshot.frame_index}", ctx=ctx):
             state, live_bases = ff._restore_app(snapshot)
-            ff._restore_machine(snapshot, injector, live_bases, state, self._dead_base)
+            self._restore_machine(injector, live_bases, state)
             ctx.preload(snapshot.cycles, snapshot.profile_by_scope)
             probes.replay_prefix(ff.tape.probe_events[: snapshot.probe_count])
             rng = np.random.default_rng(_ransac_seed(ff.config, ff.stream_name))
@@ -1056,6 +1026,53 @@ class BoundaryFanOut:
             except _GoldenTailReached as reached:
                 return ff._synthesize_tail(ctx, reached.snapshot, reached.residue, state)
             return result.panorama
+
+    def _restore_machine(
+        self,
+        injector: "FaultInjector",
+        live_bases: dict[tuple, np.ndarray],
+        state: PipelineState,
+    ) -> None:
+        """Rebuild the member's address space and register file."""
+        ff = self.fast_forward
+        snapshot = self.snapshot
+        # The dead aids map the shared stand-ins, except the bound ones,
+        # which get a private clone (a flip writes them in place).
+        objects = list(self._stand_ins)
+        for aid in self._bound:
+            objects[aid] = objects[aid].copy()
+        telemetry.counter_inc("campaign.fanout.cow_clones", len(self._bound))
+        for aid, (key, offset, identity) in snapshot.live_map.items():
+            base = live_bases[key]
+            if identity:
+                objects[aid] = base
+            else:
+                record = ff.tape.allocs[aid]
+                flat = base.reshape(-1).view(np.uint8)
+                objects[aid] = (
+                    flat[offset : offset + record.nbytes].view(record.dtype).reshape(record.shape)
+                )
+        # Replay the prefix's first-use allocation sequence, in order,
+        # into the injected run's fresh address space: the heap layout
+        # (and the RNG draws behind it, made when placement is first
+        # forced) is bit-identical to a full run's.
+        injector.space.note_all(objects, shared=self._shared)
+
+        assigned, next_slot, described = snapshot.regfile
+        slots = {
+            kind: [
+                None
+                if item is None
+                else SlotEntry(
+                    binding=ff._build_binding(item[0], objects, state),
+                    site=item[1],
+                    written_cycle=item[2],
+                )
+                for item in entries
+            ]
+            for kind, entries in described.items()
+        }
+        injector.regfile.import_state(assigned, next_slot, slots)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Tests for the simulated address space."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.faultinject import addrspace
 from repro.faultinject.addrspace import HEAP_BASE, HEAP_SPAN, PAGE_SIZE, AddressSpace
 from repro.runtime.errors import SegmentationFault
 
@@ -172,3 +175,74 @@ class TestLazyPlacement:
             AddressSpace().note([1, 2, 3])
         with pytest.raises(ValueError):
             AddressSpace().note(np.zeros((10, 10), dtype=np.uint8)[:, ::2])
+
+
+def _scalar_placement(seed: int, sizes: list[int], span_pages: int):
+    """Reference: place ``sizes`` one array and one draw at a time.
+
+    Each array draws a page until its pages overlap no allocation placed
+    before it, at most 64 times.  Returns the bases placed, the
+    exception type that stopped placement (None if none did) and the
+    generator afterwards.
+    """
+    rng = np.random.default_rng(seed)
+    placed: list[tuple[int, int]] = []
+    for size in sizes:
+        nbytes = max(size, 1)
+        pages = -(-nbytes // PAGE_SIZE)
+        for _ in range(64):
+            try:
+                page = int(rng.integers(0, span_pages - pages))
+            except ValueError:
+                return [base for base, _ in placed], ValueError, rng
+            base = HEAP_BASE + page * PAGE_SIZE
+            if all(base + pages * PAGE_SIZE <= b or b + n <= base for b, n in placed):
+                placed.append((base, nbytes))
+                break
+        else:
+            return [base for base, _ in placed], RuntimeError, rng
+    return [base for base, _ in placed], None, rng
+
+
+class TestBatchedPlacement:
+    """One batched draw per flush equals the scalar loop, collisions included."""
+
+    # A heap of a few hundred pages or less makes redraws common and
+    # the "too crowded" error (and, below 7 pages, arrays that cannot
+    # fit at all) reachable.  The budget is the active profile's, so
+    # ``--hypothesis-profile ci-deep`` searches 1000 cases.
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        span_pages=st.integers(4, 300),
+        sizes=st.lists(st.integers(0, 6 * PAGE_SIZE), min_size=1, max_size=60),
+        split=st.integers(0, 60),
+    )
+    # Seven one-page slots for nine one-page arrays: redraws, then the
+    # "too crowded" error at the eighth.
+    @example(seed=0, span_pages=8, sizes=[PAGE_SIZE] * 9, split=0)
+    # A nine-page array in an eight-page heap, after two that fit.
+    @example(seed=1, span_pages=8, sizes=[1, 2 * PAGE_SIZE, 9 * PAGE_SIZE], split=2)
+    @settings(deadline=None, max_examples=settings.default.max_examples)
+    def test_batched_equals_scalar(self, seed, span_pages, sizes, split):
+        """Noted in two runs with a forced flush between them, the space
+        places the same bases, leaves the generator in the same state
+        and stops with the same error at the same array as the scalar
+        reference."""
+        expected, error, reference = _scalar_placement(seed, sizes, span_pages)
+        arrays = [np.zeros(size, dtype=np.uint8) for size in sizes]
+        space = AddressSpace(seed=seed)
+        raised = None
+        with mock.patch.object(addrspace, "HEAP_SPAN", span_pages * PAGE_SIZE):
+            for chunk in (arrays[:split], arrays[split:]):
+                space.note_all(chunk)
+                try:
+                    len(space)
+                except (RuntimeError, ValueError) as exc:
+                    raised = type(exc)
+                    break
+        assert raised is error
+        assert space._bases == expected
+        assert space._rng.bit_generator.state == reference.bit_generator.state
+        for array, base in zip(arrays, expected):
+            alloc, _ = space.resolve(base + max(array.nbytes, 1) - 1)
+            assert alloc.array is array and alloc.base == base

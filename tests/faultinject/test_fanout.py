@@ -190,6 +190,8 @@ class TestTelemetry:
         assert groups >= 1
         assert registry.counter("campaign.fanout.shared_restores") == groups
         assert registry.counter("campaign.fanout.cow_clones") > 0
+        # The clones made: bound dead arrays, live state, pointer landings.
+        assert registry.counter("campaign.fanout.cow_clones") == 311
         # The bench seed produces masked runs, and masked fan-out
         # members re-converge to the tape — at least one golden tail
         # must have been synthesized (this is where the speedup lives).

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -40,8 +42,9 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.analysis.experiments import TINY, input_stream, vs_workload
+from repro.faultinject import addrspace
 from repro.faultinject import campaign as campaign_module
-from repro.faultinject.addrspace import AddressSpace
+from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.injector import FaultInjector, InjectionPlan, InjectionRecord
 from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted, serialize_result
@@ -723,3 +726,147 @@ class TestFireLogPrediction:
                             predicted += 1
                             assert prediction == record, (name, plan)
         assert predicted and executed
+
+
+class TestDeadStandIns:
+    """Pointer flips into a dead allocation's shared read-only stand-in.
+
+    A restored member maps the prefix's dead allocations as its fan-out's
+    shared read-only stand-ins, clones only the ones its register file
+    binds, and gets a private copy of the allocation a pointer lands in
+    from ``AddressSpace.resolve``.  A write that missed the copy would
+    raise ``ValueError`` on read-only bytes: an ABORT outcome, not a test
+    error.  So each record is checked against the unrestored oracle and
+    the ABORT is ruled out.
+
+    In the real sparse heap a flipped pointer almost never lands in
+    another allocation, so the heap span shrinks to four times the
+    workload's pages, for the oracle and the fast-forward run alike, and
+    the first bit whose flip lands in a stand-in is taken.
+    """
+
+    #: The boundary resumed from: a late one keeps every suffix short.
+    BOUNDARY = -3
+
+    @pytest.mark.parametrize(
+        "name, restored",
+        [
+            # A write pointer bound at the fire checkpoint smashes a
+            # stand-in's bytes.
+            ("canvas_ptr", False),
+            # A read pointer restored from the register file: its own
+            # array is a bound dead clone, written with a stand-in's bytes.
+            ("src_ptr", True),
+        ],
+    )
+    def test_flip_into_stand_in_matches_oracle(self, vs, name, restored):
+        stream, config, golden, workload, _ = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        tape = fast_forward.tape
+        index = len(tape.boundaries) + self.BOUNDARY
+        boundary = tape.boundaries[index]
+        register = next(
+            slot
+            for (kind, _site, binding), slot in boundary.regfile[0].items()
+            if kind is RegKind.GPR and binding == name
+        )
+        target = boundary.cycles + 1
+        log = tape.fire_log
+        write = log.slot_at(RegKind.GPR, register, log.fire_checkpoint(target, None))
+        assert write.name == name
+        assert (write.written_cycle < boundary.cycles) == restored
+        fan = fast_forward.fanout(index)
+        digests = [
+            record.frozen and hashlib.sha256(record.frozen).digest() for record in tape.allocs
+        ]
+
+        landings: list = []
+        resolve = AddressSpace.resolve
+
+        def spy(space, address):
+            swapped = len(space._swapped)
+            alloc, offset = resolve(space, address)
+            landings.append((address, alloc) if len(space._swapped) > swapped else None)
+            return alloc, offset
+
+        monitors = [
+            FaultMonitor(workload, golden.output, golden.total_cycles, fast_forward=handle)
+            for handle in (fast_forward, None)
+        ]
+        pages = sum(-(-record.nbytes // PAGE_SIZE) for record in tape.allocs)
+        with contextlib.ExitStack() as patches:
+            patches.enter_context(mock.patch.object(addrspace, "HEAP_SPAN", 4 * pages * PAGE_SIZE))
+            patches.enter_context(mock.patch.object(AddressSpace, "resolve", spy))
+            for bit in range(12, 40):
+                landings.clear()
+                plan = InjectionPlan(target, RegKind.GPR, register, bit)
+                result = monitors[0].run_injected(plan, np.random.default_rng(11))
+                if landings and landings[-1] is not None:
+                    break
+            else:
+                pytest.fail(f"no {name} flip lands in a stand-in")
+            address, private = landings[-1]
+            expected = monitors[1].run_injected(plan, np.random.default_rng(11))
+
+            # The next member of the group resolves the same address to
+            # the pristine bytes.
+            space = AddressSpace(seed=target)
+            never = InjectionPlan(tape.golden_cycles * 10, RegKind.GPR, 0, 0)
+            ctx = ExecutionContext(
+                injector=FaultInjector(never, space=space),
+                watchdog_cycles=tape.golden_cycles * 6,
+            )
+            fan.resume_member(ctx)
+            alloc, _ = space.resolve(address)
+
+        assert serialize_result(result) == serialize_result(expected)
+        assert result.record.binding_name == name
+        assert result.record.effect is FlipEffect.APPLIED
+        assert CrashKind.ABORT not in (result.crash_kind, expected.crash_kind)
+        if restored:
+            aid = boundary.regfile[2][RegKind.GPR][register][0][-1]
+            assert aid in fan._bound
+        stand_in = space._swapped[-1]
+        aid = next(aid for aid, shared in enumerate(fan._stand_ins) if shared is stand_in)
+        assert alloc.array is not stand_in
+        assert alloc.array.tobytes() == tape.allocs[aid].frozen
+        if not restored:
+            # The flip did write: into the first member's private copy.
+            assert private.array.tobytes() != tape.allocs[aid].frozen
+        for record, stand_in, digest in zip(tape.allocs, fan._stand_ins, digests):
+            assert (record.frozen and hashlib.sha256(record.frozen).digest()) == digest
+            if stand_in is not None:
+                assert not stand_in.flags.writeable
+                assert stand_in.tobytes() == record.frozen
+
+    def test_member_allocates_below_dead_bytes(self, vs):
+        """A member copies what its flip can write, not the dead prefix:
+        one resumed at the last boundary peaks well below the bytes of
+        that boundary's dead allocations."""
+        stream, config, _, _, _ = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        tape = fast_forward.tape
+        index = len(tape.boundaries) - 1
+        boundary = tape.boundaries[index]
+        dead = sum(
+            record.nbytes
+            for record in tape.allocs[: boundary.n_allocs]
+            if record.aid not in boundary.live_map
+        )
+        fan = fast_forward.fanout(index)
+
+        def member() -> None:
+            never = InjectionPlan(tape.golden_cycles * 10, RegKind.GPR, 0, 0)
+            ctx = ExecutionContext(
+                injector=FaultInjector(never), watchdog_cycles=tape.golden_cycles * 6
+            )
+            assert np.array_equal(fan.resume_member(ctx), tape.golden_output)
+
+        member()  # materializes the shared stand-ins outside the measurement
+        tracemalloc.start()
+        try:
+            member()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dead // 4

@@ -5,10 +5,15 @@ computes before ``c`` — up to the first checkpoint at or after ``c``,
 an injected run is a byte-for-byte replay of the golden run.  On a
 uniform cycle draw that replay is half of every campaign's work.  This
 module amortizes it: one instrumented golden run records a snapshot at
-every frame boundary of the VS pipeline, and each injected run restores
-the last snapshot strictly before its target cycle (boundary 0, at
-cycle 0, for targets up to boundary 1) and executes only the live
-suffix.
+every restore point of the VS pipeline — the top of every frame, after
+the frame's features are extracted, and, for a frame that stitches,
+after its chain is validated — and each injected run restores the last
+restore point strictly before its target cycle (point 0, at cycle 0,
+for targets up to point 1) and executes only the live suffix.  Every
+restore point lies between two top-level kernel calls of the frame
+loop, so kernel-local state is dead at each of them and the loop's own
+state (:class:`~repro.summarize.pipeline.PipelineState`) plus the RANSAC
+RNG is all a run reads forward of one.
 
 The same golden run also logs every checkpoint and register-file write
 (:class:`FireLog`).  That decides, without executing anything, every
@@ -44,10 +49,11 @@ at every prefix checkpoint:
 * **Aliased memory content** — a corrupted read pointer copies bytes
   *from* whatever allocation it lands in, so the byte content of every
   prefix allocation matters at fire time.  Arrays that are dead at a
-  boundary (kernel-local temporaries, frame copies) are frozen by
-  content and mapped as read-only stand-ins of those bytes; arrays
-  that are still live program state (mini-panorama canvases, the previous
-  frame's feature arrays) are restored as the *same objects* the
+  restore point (kernel-local temporaries, earlier frame copies) are
+  frozen by content and mapped as read-only stand-ins of those bytes;
+  arrays that are still live program state (mini-panorama canvases,
+  the previous frame's feature arrays and, inside a frame, the working
+  frame copy and its features) are restored as the *same objects* the
   resumed pipeline mutates, so corruption flows downstream exactly as
   in a full run.  Views that share memory with a live base (descriptor
   batch slices) are rebuilt as views of the restored base, preserving
@@ -58,14 +64,18 @@ Restores are destructive (the flip may corrupt any restored object it
 can reach), so every restore rebuilds what a flip can reach from the
 immutable tape.  The tape holds bytes and descriptors only: the capture
 pins the arrays it records while it runs (their ids and data pointers must stay valid) and
-drops them when it returns, and a mini-panorama that has not changed
-since the previous boundary — every closed one — shares that
-boundary's snapshot, checked equal at capture.
+drops them when it returns.  A mini-panorama that has not changed
+since the previous restore point — every closed one — shares that
+point's snapshot, and so do feature arrays, checked equal at capture.
+The working frame copy is not taped at all: at every in-frame point it
+still equals its golden frame (checked at capture), so a restore
+copies it from the frame table.
 
 Every restore runs through **boundary fan-out** (:class:`BoundaryFanOut`),
-which amortizes it across a campaign: plans are grouped by the boundary
-they resume from (see :func:`repro.faultinject.parallel.plan_groups`),
-each boundary's restore source is materialized **once per worker** — the
+which amortizes it across a campaign: plans are dispatched in groups by
+the frame their restore point lies in (see
+:func:`repro.faultinject.parallel.plan_groups`), each restore point's
+source is materialized **once per worker** — the
 frozen dead-allocation bytes are decoded into a shared read-only base —
 and every member maps that base as is.  A restore copies only what a
 flip can write: the live pipeline state, and the few dead allocations
@@ -75,8 +85,8 @@ is reachable only by a corrupted pointer, and the member's address
 space hands out a private copy of the one allocation a pointer lands
 in (:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
 flip costs one copy, not one per dead allocation.  Fan-out members
-additionally carry a convergence watch: once the flip has fired, every
-frame boundary of the live suffix is compared against the golden tape,
+additionally carry a convergence watch: once the flip has fired, the
+top of every frame of the live suffix is compared against the golden tape,
 and the engine synthesizes the rest of the run instead of executing it
 as soon as the member's state equals the golden state apart from a
 *residue* the tail reads only in closed form:
@@ -95,7 +105,7 @@ as soon as the member's state equals the golden state apart from a
   loop-exit cycles plus the offset.
 
 With no residue this is the exact golden tail.  Most masked runs
-re-converge at the first boundary after the fire, which is where the
+re-converge at the first frame start after the fire, which is where the
 fan-out speedup comes from; SDCs confined to a closed mini, drifted
 cycle counts and loop-bound overruns end there too.
 
@@ -110,7 +120,7 @@ from __future__ import annotations
 
 import bisect
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,13 +146,14 @@ from repro.runtime.context import Cell, CostProfile, ExecutionContext
 from repro.runtime.errors import SegmentationFault
 from repro.summarize.golden import GoldenRun
 from repro.summarize.pipeline import (
+    FRAME,
     PipelineState,
     _ransac_seed,
     materialize_frames,
     run_vs,
     run_vs_resumed,
 )
-from repro.summarize.stitcher import MiniPanorama
+from repro.summarize.stitcher import MiniPanorama, PairwiseTransform
 from repro.vision.orb import FeatureSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,7 +176,7 @@ class SnapshotUnsupported(Exception):
 # Tape data model
 # ---------------------------------------------------------------------------
 
-#: Names of the pipeline cells that are live across frame boundaries.
+#: Names of the pipeline cells that are live across restore points.
 #: Their slot descriptors must rebind the *restored* cells, not frozen
 #: stand-ins, so a fire that corrupts e.g. the frame index corrupts the
 #: loop the resumed pipeline is actually running.
@@ -178,8 +189,8 @@ class AllocRecord:
 
     Pure tape data: the capture-run array itself is pinned by the
     :class:`SnapshotRecorder` only while it records, never by the tape.
-    ``frozen`` holds the byte content at the first boundary where the
-    array was no longer live program state; live arrays are never
+    ``frozen`` holds the byte content at the first restore point where
+    the array was no longer live program state; live arrays are never
     frozen (they are rebuilt from the pipeline snapshot instead).
     """
 
@@ -192,10 +203,10 @@ class AllocRecord:
 
 @dataclass
 class MiniSnapshot:
-    """Copy-on-restore state of one mini-panorama at a boundary.
+    """Copy-on-restore state of one mini-panorama at a restore point.
 
-    Immutable once captured, so boundaries share one snapshot while the
-    mini stays unchanged (every closed mini does).
+    Immutable once captured, so restore points share one snapshot while
+    the mini stays unchanged (every closed mini does).
     """
 
     canvas: np.ndarray
@@ -203,31 +214,49 @@ class MiniSnapshot:
     frames_composited: int
 
 
+#: A feature set's ``(coords, descriptors, angles)`` copies.
+FeatureArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class FrameSnapshot:
-    """Everything needed to re-enter the run at one frame boundary."""
+    """Everything needed to re-enter the run at one restore point."""
 
+    #: The loop phase the run resumes at (``PipelineState.phase``).
+    phase: str
     cycles: int
     frame_index: int
     total: int
     failures: int
     rng_state: dict
     prev_chain: np.ndarray | None
-    #: ``(coords, descriptors, angles)`` copies, or None before frame 0.
-    features: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    #: The previous frame's features, or None before frame 0.
+    prev_features: FeatureArrays | None
+    #: In-frame points: the current frame's features.  The working
+    #: frame copy is not taped: it equals ``frames[frame_index]``.
+    features: FeatureArrays | None
+    #: ``WARP`` points: the validated chain and the pairwise estimate.
+    chained: np.ndarray | None
+    pairwise: PairwiseTransform | None
     minis: list[MiniSnapshot]
     outcomes: list
-    #: How many allocations existed at this boundary (prefix of the
+    #: How many allocations existed at this point (prefix of the
     #: tape's alloc list, in first-use order).
     n_allocs: int
     #: aid -> (base_key, byte_offset, is_identity) for allocations that
-    #: are live program state at this boundary.
+    #: are live program state at this point.
     live_map: dict[int, tuple[tuple, int, bool]]
     #: Register file as value descriptors: (assigned, next_slot, slots).
     regfile: tuple
     profile_by_scope: dict[str, int]
     #: Number of probe events the golden run had emitted by here.
     probe_count: int
+
+    @property
+    def label(self) -> str:
+        """The point's name in traces: ``b<frame>``, ``b<frame>.<phase>`` in-frame."""
+        suffix = "" if self.phase == FRAME else f".{self.phase}"
+        return f"b{self.frame_index}{suffix}"
 
 
 @dataclass(frozen=True)
@@ -322,6 +351,7 @@ class FireLog:
 class SnapshotTape:
     """The immutable per-workload record all restores are built from."""
 
+    #: Every restore point of the golden run, in run order.
     boundaries: list[FrameSnapshot]
     allocs: list[AllocRecord]
     probe_events: list[tuple[str, int]]
@@ -349,13 +379,13 @@ class SnapshotTape:
 
 
 class SnapshotRecorder:
-    """Pseudo-injector that snapshots machine state at frame boundaries.
+    """Pseudo-injector that snapshots machine state at restore points.
 
     Mirrors what a real :class:`FaultInjector` does at every checkpoint
     — map each binding's backing array, write the binding into the
     register file — and additionally implements the pipeline's
-    ``frame_boundary`` hook to capture a :class:`FrameSnapshot` at the
-    top of every loop iteration.  Like the census probe it observes
+    ``restore_point`` hook to capture a :class:`FrameSnapshot` at every
+    restore point of the loop.  Like the census probe it observes
     every checkpoint of the run (``observing`` is always True), so the
     capture run is *armed*: kernels build the same windows, take the
     same armed-only code paths, and produce the same prefix byte
@@ -377,10 +407,13 @@ class SnapshotRecorder:
         #: aid -> the pinned capture-run array and its data pointer.
         self._arrays: list[np.ndarray] = []
         self._pointers: list[int] = []
-        #: Records not frozen yet: only these can die at a boundary.
+        #: Records not frozen yet: only these can die at a restore point.
         self._unfrozen: list[AllocRecord] = []
         self.probe: probes.StageProbe | None = None
         self.profile: CostProfile | None = None
+        #: The run's frame table: in-frame points check the working
+        #: frame copy against it.
+        self.frames: list[np.ndarray] = []
 
     # -- checkpoint callback (FaultInjector.visit contract) -------------
     def visit(self, ctx: ExecutionContext, window) -> None:
@@ -420,35 +453,44 @@ class SnapshotRecorder:
         self._unfrozen.append(record)
 
     # -- pipeline hook ---------------------------------------------------
-    def frame_boundary(
+    def restore_point(
         self, ctx: ExecutionContext, rng: np.random.Generator, state: PipelineState
     ) -> None:
-        """Capture one frame-boundary snapshot."""
+        """Capture the snapshot of one restore point."""
         if not self.boundaries and self.fire_log.cycles:
-            # Boundary 0 resumes every plan before boundary 1, which is
-            # exact only when no checkpoint could have fired before it.
-            raise SnapshotUnsupported("a checkpoint precedes the first frame boundary")
+            # Point 0 resumes every plan before point 1, which is exact
+            # only when no checkpoint could have fired before it.
+            raise SnapshotUnsupported("a checkpoint precedes the first restore point")
+        frame_index = int(state.index.value)
+        if state.phase != FRAME and not (
+            state.position == frame_index
+            and _same_array(state.frame, self.frames[frame_index])
+        ):
+            # A restore copies the working frame from the frame table.
+            raise SnapshotUnsupported("the working frame differs from its golden frame")
         live_map = self._settle(_live_bases(state))
-        previous = self.boundaries[-1].minis if self.boundaries else []
+        previous = self.boundaries[-1] if self.boundaries else None
+        minis = previous.minis if previous is not None else []
+        shared = (previous.prev_features, previous.features) if previous is not None else ()
         self.boundaries.append(
             FrameSnapshot(
+                phase=state.phase,
                 cycles=ctx.cycles,
-                frame_index=int(state.index.value),
+                frame_index=frame_index,
                 total=int(state.total.value),
                 failures=int(state.failures.value),
                 rng_state=copy.deepcopy(rng.bit_generator.state),
                 prev_chain=None if state.prev_chain is None else state.prev_chain.copy(),
-                features=(
+                prev_features=_snapshot_features(state.prev_features, shared),
+                features=_snapshot_features(state.features, shared),
+                chained=None if state.chained is None else state.chained.copy(),
+                pairwise=(
                     None
-                    if state.prev_features is None
-                    else (
-                        state.prev_features.coords.copy(),
-                        state.prev_features.descriptors.copy(),
-                        state.prev_features.angles.copy(),
-                    )
+                    if state.pairwise is None
+                    else replace(state.pairwise, transform=state.pairwise.transform.copy())
                 ),
                 minis=[
-                    _snapshot_mini(mini, previous[k] if k < len(previous) else None)
+                    _snapshot_mini(mini, minis[k] if k < len(minis) else None)
                     for k, mini in enumerate(state.minis)
                 ],
                 outcomes=list(state.outcomes),
@@ -467,10 +509,10 @@ class SnapshotRecorder:
     ) -> dict[int, tuple[tuple, int, bool]]:
         """Place the live allocations; freeze the newly dead ones.
 
-        Returns the boundary's ``live_map``, in aid order.
+        Returns the point's ``live_map``, in aid order.
         :func:`_resolve_live` places an array only if it is a live base
         or its data pointer lies within a base's ``nbytes``.  The pointer
-        index narrows each boundary to those candidates and
+        index narrows each point to those candidates and
         ``_resolve_live`` decides each one exactly, so the map equals a
         scan of every record.
         """
@@ -493,9 +535,9 @@ class SnapshotRecorder:
             if record.aid in live_map:
                 unfrozen.append(record)
             else:
-                # First boundary where this allocation is dead: its byte
-                # content is final from the program's point of view, so
-                # freeze it once for all later restores.
+                # First restore point where this allocation is dead: its
+                # byte content is final from the program's point of view,
+                # so freeze it once for all later restores.
                 record.frozen = self._arrays[record.aid].tobytes()
         self._unfrozen = unfrozen
         return live_map
@@ -529,7 +571,7 @@ class SnapshotRecorder:
                         binding.ttl,
                         cell_name,
                     )
-            # Kernel-local cell: dead at the boundary, value final.
+            # Kernel-local cell: dead at the restore point, value final.
             return ("cell", binding.name, binding.role, binding.ttl, int(binding.cell.value))
         if isinstance(binding, AddressBinding):
             return (
@@ -552,7 +594,7 @@ class SnapshotRecorder:
             )
         if isinstance(binding, IntValueBinding):
             # The apply callback targets kernel-local state that is dead
-            # at a frame boundary, so a no-op stand-in is exact.
+            # at a restore point, so a no-op stand-in is exact.
             return ("ivalue", binding.name, binding.role, binding.ttl, binding.value)
         if isinstance(binding, FloatValueBinding):
             return ("fvalue", binding.name, binding.ttl, binding.value)
@@ -560,21 +602,33 @@ class SnapshotRecorder:
 
 
 def _live_bases(state: PipelineState) -> list[tuple[tuple, np.ndarray]]:
-    """The arrays that are live program state at a frame boundary.
+    """The arrays that are live program state at a restore point.
 
     Everything the resumed pipeline will read *and mutate*: the mini
-    panoramas' canvas/coverage buffers and the previous frame's feature
+    panoramas' canvas/coverage buffers, the previous frame's feature
+    arrays and, inside a frame, the working frame copy and its feature
     arrays.  All other arrays the injector saw are dead temporaries.
+    :meth:`FastForward._restore_app` rebuilds the same keys.
     """
     bases: list[tuple[tuple, np.ndarray]] = []
     for k, mini in enumerate(state.minis):
         bases.append((("mini", k, "canvas"), mini.canvas))
         bases.append((("mini", k, "coverage"), mini.coverage))
-    if state.prev_features is not None:
-        bases.append((("prev", "coords"), state.prev_features.coords))
-        bases.append((("prev", "descriptors"), state.prev_features.descriptors))
-        bases.append((("prev", "angles"), state.prev_features.angles))
+    bases.extend(_feature_bases("prev", state.prev_features))
+    if state.phase != FRAME:
+        bases.append((("frame",), state.frame))
+        bases.extend(_feature_bases("current", state.features))
     return bases
+
+
+def _feature_bases(key: str, features: FeatureSet | None) -> list[tuple[tuple, np.ndarray]]:
+    if features is None:
+        return []
+    return [
+        ((key, "coords"), features.coords),
+        ((key, "descriptors"), features.descriptors),
+        ((key, "angles"), features.angles),
+    ]
 
 
 def _resolve_live(
@@ -599,8 +653,25 @@ def _resolve_live(
     return None
 
 
+def _same_array(array: np.ndarray, other: np.ndarray) -> bool:
+    return array.dtype == other.dtype and np.array_equal(array, other)
+
+
+def _snapshot_features(
+    features: FeatureSet | None, shared: tuple[FeatureArrays | None, ...]
+) -> FeatureArrays | None:
+    """Copies of ``features``: a previous point's copies when verified equal."""
+    if features is None:
+        return None
+    arrays = (features.coords, features.descriptors, features.angles)
+    for candidate in shared:
+        if candidate is not None and all(map(_same_array, arrays, candidate)):
+            return candidate
+    return (arrays[0].copy(), arrays[1].copy(), arrays[2].copy())
+
+
 def _snapshot_mini(mini: MiniPanorama, previous: MiniSnapshot | None) -> MiniSnapshot:
-    """``mini``'s snapshot: the previous boundary's when verified equal."""
+    """``mini``'s snapshot: the previous point's when verified equal."""
     if previous is not None and _mini_equal(mini, previous):
         return previous
     return MiniSnapshot(
@@ -621,6 +692,7 @@ def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
     """
     frames, frame_shape = materialize_frames(stream, config)
     recorder = SnapshotRecorder()
+    recorder.frames = frames
     probe = probes.StageProbe()
     recorder.probe = probe
     profile = CostProfile()
@@ -629,7 +701,7 @@ def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
     with probes.capturing(probe), telemetry.span("summarize.golden", ctx=ctx):
         result = run_vs(stream, config, ctx)
     if not recorder.boundaries:
-        raise SnapshotUnsupported("the run has no frame boundary to resume from")
+        raise SnapshotUnsupported("the run has no restore point to resume from")
     if probe.last_stage != "stitch":
         # A synthesized tail recomputes the final stitch probe.
         raise SnapshotUnsupported("the run does not end with a stitch probe")
@@ -661,7 +733,7 @@ def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
 
 
 class FastForward:
-    """Per-workload fast-forward handle: boundary lookup + restore.
+    """Per-workload fast-forward handle: restore-point lookup + restore.
 
     Built once per ``(config, stream)`` per process (see
     :func:`repro.summarize.golden.golden_with_tape`) and shared by
@@ -675,27 +747,32 @@ class FastForward:
         self.config = config
         self.stream_name = stream.name
         self._frames, self._frame_shape = materialize_frames(stream, config)
-        #: boundary index -> shared fan-out state, lazily built.  Hangs
+        #: restore-point index -> shared fan-out state, lazily built.  Hangs
         #: off the handle so "materialize once per worker" falls out of
         #: the per-process golden-run cache in ``summarize.golden``.
         self._fanouts: dict[int, BoundaryFanOut] = {}
         self._snapshot_by_frame: dict[int, FrameSnapshot] | None = None
 
     def boundary_index_for(self, target_cycle: int) -> int:
-        """Index of the last frame boundary strictly before the cycle.
+        """Index of the last restore point strictly before the cycle.
 
         Strictly: no checkpoint of the restored suffix may precede the
-        boundary, so no prefix checkpoint the injector never saw could
-        have fired.  Targets at or before boundary 1 resume boundary 0:
-        no checkpoint precedes it (the capture checks this), so
-        resuming it is exactly a full run plus the convergence watch.
+        point, so no prefix checkpoint the injector never saw could
+        have fired.  Targets at or before point 1 resume point 0: no
+        checkpoint precedes it (the capture checks this), so resuming
+        it is exactly a full run plus the convergence watch.
         """
         index = bisect.bisect_left(self.tape.boundary_cycles, target_cycle) - 1
         return max(index, 0)
 
-    def boundary_for(self, target_cycle: int) -> FrameSnapshot:
-        """The frame boundary a plan targeting ``target_cycle`` resumes from."""
-        return self.tape.boundaries[self.boundary_index_for(target_cycle)]
+    def group_for(self, target_cycle: int) -> int:
+        """The frame whose restore points a plan targeting the cycle resumes in.
+
+        The dispatch key of :func:`repro.faultinject.parallel.plan_groups`:
+        a campaign runs and journals its plans grouped by frame, and each
+        member resumes its own restore point inside the group.
+        """
+        return self.tape.boundaries[self.boundary_index_for(target_cycle)].frame_index
 
     def predict_masked(
         self,
@@ -737,7 +814,7 @@ class FastForward:
         return record
 
     def fanout(self, index: int) -> "BoundaryFanOut":
-        """The shared fan-out state for boundary ``index`` (lazy)."""
+        """The shared fan-out state for restore point ``index`` (lazy)."""
         fan = self._fanouts.get(index)
         if fan is None:
             fan = BoundaryFanOut(self, index)
@@ -746,9 +823,10 @@ class FastForward:
         return fan
 
     def _by_frame(self) -> dict[int, FrameSnapshot]:
+        """Frame index -> the snapshot at the top of that frame."""
         if self._snapshot_by_frame is None:
             self._snapshot_by_frame = {
-                b.frame_index: b for b in self.tape.boundaries
+                b.frame_index: b for b in self.tape.boundaries if b.phase == FRAME
             }
         return self._snapshot_by_frame
 
@@ -762,12 +840,12 @@ class FastForward:
         """What the member's loop state still differs from ``snapshot`` in.
 
         None when it differs in anything the loop reads forward of the
-        boundary; otherwise the closed-form :class:`Residue` that
+        frame start; otherwise the closed-form :class:`Residue` that
         :meth:`_synthesize_tail` completes the run from.  Cheap fields
         first, so runs that stay divergent pay almost nothing.
         """
         # ``state.outcomes`` is deliberately not compared: the loop only
-        # appends to it forward of a boundary (never reads it), and the
+        # appends to it forward of a frame start (never reads it), and the
         # member's own per-frame outcomes are not part of its result.
         total = int(state.total.value)
         overrun = total != snapshot.total
@@ -777,7 +855,7 @@ class FastForward:
             int(state.failures.value) != snapshot.failures
             or len(state.minis) != len(snapshot.minis)
             or (state.prev_chain is None) != (snapshot.prev_chain is None)
-            or (state.prev_features is None) != (snapshot.features is None)
+            or (state.prev_features is None) != (snapshot.prev_features is None)
         ):
             return None
         offset = ctx.cycles - snapshot.cycles
@@ -790,8 +868,8 @@ class FastForward:
             state.prev_chain, snapshot.prev_chain
         ):
             return None
-        if snapshot.features is not None:
-            coords, descriptors, angles = snapshot.features
+        if snapshot.prev_features is not None:
+            coords, descriptors, angles = snapshot.prev_features
             prev = state.prev_features
             if not (
                 np.array_equal(prev.coords, coords)
@@ -816,11 +894,11 @@ class FastForward:
     ) -> np.ndarray:
         """Complete a re-converged run from the tape, without executing.
 
-        At ``snapshot``'s boundary the member's loop state equals the
+        At ``snapshot``'s frame start the member's loop state equals the
         golden run's up to ``residue``, and the loop forward of a
-        boundary is a pure function of what it reads — so the remaining
+        restore point is a pure function of what it reads — so the remaining
         frames would replay the golden frames verbatim.  Emit what they
-        would have emitted: the golden probe tail from this boundary on,
+        would have emitted: the golden probe tail from this point on,
         then either the overrun fault at the golden loop-exit cycles
         plus the offset (the loop raises before the stitch probe), or
         the golden final cycles plus the offset, the output stacked
@@ -852,6 +930,11 @@ class FastForward:
     def _restore_app(
         self, snapshot: FrameSnapshot
     ) -> tuple[PipelineState, dict[tuple, np.ndarray]]:
+        """Fresh pipeline state at ``snapshot``, and its live bases by key.
+
+        Rebuilds the keys :func:`_live_bases` placed at capture, so the
+        register file's bindings of live arrays rebind these objects.
+        """
         live_bases: dict[tuple, np.ndarray] = {}
         minis: list[MiniPanorama] = []
         for k, mini_snap in enumerate(snapshot.minis):
@@ -863,28 +946,31 @@ class FastForward:
             live_bases[("mini", k, "canvas")] = mini.canvas
             live_bases[("mini", k, "coverage")] = mini.coverage
 
-        prev_features: FeatureSet | None = None
-        if snapshot.features is not None:
-            coords, descriptors, angles = snapshot.features
-            prev_features = FeatureSet(coords.copy(), descriptors.copy(), angles.copy())
-            live_bases[("prev", "coords")] = prev_features.coords
-            live_bases[("prev", "descriptors")] = prev_features.descriptors
-            live_bases[("prev", "angles")] = prev_features.angles
-
         state = PipelineState(
             minis=minis,
             outcomes=list(snapshot.outcomes),
             current=minis[-1] if minis else None,
-            prev_features=prev_features,
+            prev_features=_restore_features(snapshot.prev_features),
             prev_chain=None if snapshot.prev_chain is None else snapshot.prev_chain.copy(),
             failures=Cell(snapshot.failures),
             index=Cell(snapshot.frame_index),
             total=Cell(snapshot.total),
+            phase=snapshot.phase,
+            position=snapshot.frame_index,
+            features=_restore_features(snapshot.features),
+            chained=None if snapshot.chained is None else snapshot.chained.copy(),
+            # Read-only past this point: the member shares the tape's.
+            pairwise=snapshot.pairwise,
         )
-        # Every live base above is a copy, and so is the chain.
+        if snapshot.phase != FRAME:
+            state.frame = self._frames[snapshot.frame_index].copy()
+            live_bases[("frame",)] = state.frame
+        for key, features in (("prev", state.prev_features), ("current", state.features)):
+            live_bases.update(_feature_bases(key, features))
+        # Every live base above is a copy, and so are the chains.
         telemetry.counter_inc(
             "campaign.fanout.cow_clones",
-            len(live_bases) + int(snapshot.prev_chain is not None),
+            len(live_bases) + (state.prev_chain is not None) + (state.chained is not None),
         )
         return state, live_bases
 
@@ -918,6 +1004,13 @@ class FastForward:
         raise SnapshotUnsupported(f"unknown binding descriptor {tag!r}")
 
 
+def _restore_features(arrays: FeatureArrays | None) -> FeatureSet | None:
+    if arrays is None:
+        return None
+    coords, descriptors, angles = arrays
+    return FeatureSet(coords.copy(), descriptors.copy(), angles.copy())
+
+
 def _discard_int(value: int) -> None:
     """Stand-in apply for a dead kernel-local integer value binding."""
 
@@ -932,9 +1025,9 @@ def _discard_float(value: float) -> None:
 
 
 class BoundaryFanOut:
-    """Shared restore source for all injections resuming at one boundary.
+    """Shared restore source for all injections resuming at one restore point.
 
-    Materialized lazily on the first member: the boundary's frozen
+    Materialized lazily on the first member: the point's frozen
     dead-allocation bytes are decoded **once** into read-only arrays —
     zero-copy views of the tape's immutable ``frozen`` buffers — that
     every member maps as its dead stand-ins.  Restores are destructive
@@ -952,7 +1045,6 @@ class BoundaryFanOut:
         self.fast_forward = fast_forward
         self.index = index
         self.snapshot = fast_forward.tape.boundaries[index]
-        self.members_run = 0
         #: aid -> the shared read-only stand-in, None for live aids.
         self._stand_ins: list[np.ndarray | None] | None = None
         #: Dead aids the register file binds: cloned per member.
@@ -961,7 +1053,7 @@ class BoundaryFanOut:
         self._shared: frozenset[int] = frozenset()
 
     def _materialize(self) -> None:
-        """Decode this boundary's dead allocations once, read-only."""
+        """Decode this point's dead allocations once, read-only."""
         snapshot = self.snapshot
         # np.frombuffer over the frozen bytes is read-only, so the
         # shared base is immune to member corruption by construction.
@@ -987,29 +1079,24 @@ class BoundaryFanOut:
         self._stand_ins = stand_ins
 
     def resume_member(self, ctx: ExecutionContext) -> np.ndarray:
-        """Restore this boundary into ``ctx`` and run the live suffix.
+        """Restore this point into ``ctx`` and run the live suffix.
 
         ``ctx`` must be a fresh context carrying a real
         :class:`FaultInjector` whose plan targets a cycle after the
-        boundary (any cycle for boundary 0).  Returns the run's output
+        point (any cycle for point 0).  Returns the run's output
         panorama, exactly as the full workload closure would.
         """
+        snapshot = self.snapshot
         if self._stand_ins is None:
             self._materialize()
             telemetry.counter_inc("campaign.fanout.shared_restores")
         elif observe_events.enabled():
-            telemetry.counter_inc(
-                f"campaign.fanout.b{self.snapshot.frame_index}.restores_saved"
-            )
-        self.members_run += 1
+            telemetry.counter_inc(f"campaign.fanout.{snapshot.label}.restores_saved")
         if observe_events.enabled():
-            telemetry.counter_inc(
-                f"campaign.fanout.b{self.snapshot.frame_index}.members"
-            )
+            telemetry.counter_inc(f"campaign.fanout.{snapshot.label}.members")
         ff = self.fast_forward
-        snapshot = self.snapshot
         injector = ctx.injector
-        with telemetry.span(f"fanout.suffix.b{snapshot.frame_index}", ctx=ctx):
+        with telemetry.span(f"fanout.suffix.{snapshot.label}", ctx=ctx):
             state, live_bases = ff._restore_app(snapshot)
             self._restore_machine(injector, live_bases, state)
             ctx.preload(snapshot.cycles, snapshot.profile_by_scope)
@@ -1018,7 +1105,7 @@ class BoundaryFanOut:
             rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
             # The watch only observes until it proves the rest of the run
             # is a golden replay up to a closed-form residue.
-            injector.frame_boundary = _ConvergenceWatch(injector, ff)
+            injector.restore_point = _ConvergenceWatch(injector, ff)
             try:
                 result = run_vs_resumed(
                     ff.config, ctx, state, rng, ff._frames, ff._frame_shape
@@ -1079,7 +1166,7 @@ class BoundaryFanOut:
 class Residue:
     """What a re-converged member still differs from the golden tape in.
 
-    Everything else the loop reads forward of the boundary is equal, so
+    Everything else the loop reads forward of the frame start is equal, so
     the rest of the run is the golden tail shifted by ``cycle_offset``,
     with ``closed_minis`` differing closed canvases in its output, or —
     with ``overrun`` — faulting past the frame table where the golden
@@ -1103,7 +1190,7 @@ class _GoldenTailReached(Exception):
     """Control-flow signal: a fired member re-converged to the tape.
 
     Raised by :class:`_ConvergenceWatch` from the pipeline's
-    ``frame_boundary`` hook and caught inside
+    ``restore_point`` hook and caught inside
     ``BoundaryFanOut.resume_member`` —
     it never escapes to outcome classification.
     """
@@ -1115,14 +1202,15 @@ class _GoldenTailReached(Exception):
 
 
 class _ConvergenceWatch:
-    """``frame_boundary`` hook armed on fan-out members.
+    """``restore_point`` hook armed on fan-out members.
 
-    Until the injector fires it is a single attribute check per frame.
-    After the fire, each boundary takes the member's residue against the
-    tape's snapshot for that frame index (:meth:`FastForward._residue`)
-    and raises :class:`_GoldenTailReached` once there is one.  That is a
+    Until the injector fires it is a single attribute check per restore
+    point.  After the fire, the top of each frame takes the member's
+    residue against the tape's snapshot for that frame index
+    (:meth:`FastForward._residue`) and raises :class:`_GoldenTailReached`
+    once there is one; in-frame points are not compared.  That is a
     *proof*: ``PipelineState`` plus the RANSAC RNG and the cycle counter
-    is everything the loop reads forward of a boundary, the fired
+    is everything the loop reads forward of a frame start, the fired
     injector is spent and never consults machine state again, and the
     residue is exactly what the tail reads only in closed form.
     """
@@ -1136,7 +1224,7 @@ class _ConvergenceWatch:
     def __call__(
         self, ctx: ExecutionContext, rng: np.random.Generator, state: PipelineState
     ) -> None:
-        if not self.injector.record.fired:
+        if not self.injector.record.fired or state.phase != FRAME:
             return
         ff = self.fast_forward
         snapshot = ff._by_frame().get(int(state.index.value))

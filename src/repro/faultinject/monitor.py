@@ -115,8 +115,8 @@ class FaultMonitor:
         #: handle.  When set, a run whose fire the golden fire log
         #: already decides as dead (or that never fires) is classified
         #: without executing; every other run resumes from the last
-        #: golden frame boundary before its plan cycle through that
-        #: boundary's shared
+        #: golden restore point before its plan cycle through that
+        #: point's shared
         #: :class:`~repro.faultinject.fastforward.BoundaryFanOut` and
         #: executes only the suffix — bit-identical to the full
         #: execution.  Without one every run executes in full: the

@@ -361,16 +361,18 @@ def chunks_from_bounds(
 
 
 def group_plan_indices(
-    boundary_index_for: Callable[[int], int],
+    group_for: Callable[[int], int],
     plans: list[InjectionPlan],
 ) -> list[list[int]]:
-    """Partition plan indices by the frame boundary they resume from.
+    """Partition plan indices by the frame they resume in.
 
-    All plans whose target cycle fast-forwards from the same golden
-    frame boundary form one group, so a worker materializes that
-    boundary's restore once and fans every member out of it.  Targets
-    at or before boundary 1 resume boundary 0 (cycle 0) and form its
-    group.
+    ``group_for`` maps a target cycle to its group key
+    (:meth:`~repro.faultinject.fastforward.FastForward.group_for`).  All
+    plans whose target cycle fast-forwards to a restore point of the
+    same golden frame form one group, so one worker materializes each
+    of those points' restores once and fans every member out of it.
+    Targets at or before restore point 1 resume point 0 (cycle 0) and
+    join frame 0's group.
 
     Deterministic and order-preserving: groups are emitted in order of
     their first member's plan index, and members within a group keep
@@ -379,8 +381,7 @@ def group_plan_indices(
     """
     members: dict[int, list[int]] = {}
     for index, plan in enumerate(plans):
-        boundary = boundary_index_for(plan.target_cycle)
-        members.setdefault(boundary, []).append(index)
+        members.setdefault(group_for(plan.target_cycle), []).append(index)
     return sorted(members.values(), key=lambda group: group[0])
 
 
@@ -393,7 +394,7 @@ def plan_groups(
 
     Groups are the scheduler's only unit: each is executed whole by one
     worker and checkpointed as one journal chunk.  With a snapshot tape
-    they are the plans' resume boundaries (:func:`group_plan_indices`);
+    they are the frames the plans resume in (:func:`group_plan_indices`);
     tapeless workloads (the WP spec, spec-less closures) get contiguous
     index ranges (:func:`contiguous_groups`), so they keep their pool
     parallelism.  The worker count is clamped to the group count —
@@ -403,7 +404,7 @@ def plan_groups(
     """
     ff = fast_forward_for(spec, config)
     if ff is not None:
-        groups = group_plan_indices(ff.boundary_index_for, plans)
+        groups = group_plan_indices(ff.group_for, plans)
     else:
         workers = resolve_workers(config.workers, max_useful=len(plans))
         groups = contiguous_groups(len(plans), workers)

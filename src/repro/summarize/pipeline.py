@@ -24,7 +24,7 @@ from repro.perfmodel.cost import kernel_cost
 from repro.runtime.context import Cell, ExecutionContext
 from repro.runtime.errors import InsufficientMatchesError, SegmentationFault
 from repro.summarize.config import VSConfig
-from repro.summarize.stitcher import MiniPanorama, estimate_pairwise
+from repro.summarize.stitcher import MiniPanorama, PairwiseTransform, estimate_pairwise
 from repro.video.frames import FrameStream, drop_frames_randomly
 from repro.vision.orb import FeatureSet, orb_features
 
@@ -80,17 +80,29 @@ class VSResult:
         return len(self.minis)
 
 
+#: The loop's restore points, named by the step the loop runs next:
+#: the top of an iteration (acquire the frame, extract its features),
+#: matching against the previous frame (or anchoring a segment), and
+#: compositing a frame whose chained transform is validated.
+FRAME, MATCH, WARP = "frame", "match", "warp"
+
+
 @dataclass
 class PipelineState:
-    """The complete mutable state of the VS frame loop between frames.
+    """The complete mutable state of the VS frame loop at a restore point.
 
     This is the unit of restoration for golden-prefix fast-forward
-    (:mod:`repro.faultinject.fastforward`): everything the loop body
-    reads or writes across iterations lives here, so a run can be
-    re-entered at any frame boundary from a snapshot.  The invariant
-    ``current is minis[-1]`` (or ``None`` while ``minis`` is empty)
-    holds at every boundary, so ``current`` is not stored separately by
-    snapshots.
+    (:mod:`repro.faultinject.fastforward`).  Every iteration passes up
+    to three restore points, named by ``phase``: its top (``FRAME``),
+    after the frame's features are extracted (``MATCH``), and, for a
+    frame that stitches, after its chain is validated (``WARP``).  Each
+    lies between two top-level kernel calls, so every kernel-local
+    object is dead there, and what the loop body still holds lives
+    here: the in-flight fields below, which are None at ``FRAME``.  A
+    run can be re-entered at any restore point from a snapshot of this
+    state and the RANSAC RNG.  The invariant ``current is minis[-1]``
+    (or ``None`` while ``minis`` is empty) holds at every point, so
+    ``current`` is not stored separately by snapshots.
     """
 
     minis: list[MiniPanorama] = field(default_factory=list)
@@ -101,6 +113,20 @@ class PipelineState:
     failures: Cell = field(default_factory=lambda: Cell(0))
     index: Cell = field(default_factory=lambda: Cell(0))
     total: Cell = field(default_factory=lambda: Cell(0))
+    phase: str = FRAME
+    #: The in-flight frame's table position and working copy.
+    position: int = 0
+    frame: np.ndarray | None = None
+    #: The in-flight frame's features.
+    features: FeatureSet | None = None
+    #: ``WARP`` only: the validated chain and the pairwise estimate.
+    chained: np.ndarray | None = None
+    pairwise: PairwiseTransform | None = None
+
+    def next_frame(self) -> None:
+        """Close the in-flight iteration: the loop is back at ``FRAME``."""
+        self.phase = FRAME
+        self.frame = self.features = self.chained = self.pairwise = None
 
 
 def _ransac_seed(config: VSConfig, stream_name: str) -> int:
@@ -149,8 +175,9 @@ def run_vs_resumed(
 
     Fast-forward entry point: ``ctx`` must already be pre-charged with
     the skipped prefix's cycles (see ``ExecutionContext.preload``) and
-    ``rng``/``state`` must come from a frame-boundary snapshot.  The
-    suffix then executes exactly as it would have in a full run.
+    ``rng``/``state`` must come from a restore-point snapshot; the loop
+    re-enters its iteration at ``state.phase``.  The suffix then
+    executes exactly as it would have in a full run.
     """
     with telemetry.span("summarize.run_vs", ctx=ctx):
         return _run_loop(frames, frame_shape, config, ctx, rng, state)
@@ -176,99 +203,118 @@ def _run_loop(
     frame_px = frame_shape[0] * frame_shape[1]
     failures, index, total = state.failures, state.index, state.total
     # Snapshot hook: the fast-forward recorder (a pseudo-injector, like
-    # the census probe) exposes ``frame_boundary``; real injectors do
+    # the census probe) exposes ``restore_point``; real injectors do
     # not, so injected runs take the fast path through ``getattr``.
-    boundary_hook = getattr(ctx.injector, "frame_boundary", None)
+    # A restored state re-enters its iteration at ``state.phase``.  The
+    # loop test runs first even then: the golden run passed it at the
+    # top of that iteration, and the restored golden state passes it
+    # again.
+    hook = getattr(ctx.injector, "restore_point", None)
 
     while index.value < total.value:
-        if boundary_hook is not None:
-            boundary_hook(ctx, rng, state)
-        i = int(index.value)
-        if i >= len(frames) or i < -len(frames):
-            # A corrupted frame index walks off the frame table.
-            raise SegmentationFault(i, "frame table overrun")
-        # Negative in-range indices alias earlier frames (wrong data, no
-        # trap).  The working copy is the in-memory frame buffer; pointer
-        # corruption mutates it and the corruption flows downstream.
-        frame = frames[i].copy()
+        if state.phase == FRAME:
+            if hook is not None:
+                hook(ctx, rng, state)
+            i = int(index.value)
+            if i >= len(frames) or i < -len(frames):
+                # A corrupted frame index walks off the frame table.
+                raise SegmentationFault(i, "frame table overrun")
+            # Negative in-range indices alias earlier frames (wrong data,
+            # no trap).  The working copy is the in-memory frame buffer;
+            # pointer corruption mutates it and the corruption flows
+            # downstream.
+            frame = frames[i].copy()
 
-        with ctx.scope("summarize.pipeline.frame"):
-            ctx.tick(kernel_cost("frame.acquire_px") * frame_px)
-            ctx.tick(kernel_cost("pipeline.frame_overhead"))
+            with ctx.scope("summarize.pipeline.frame"):
+                ctx.tick(kernel_cost("frame.acquire_px") * frame_px)
+                ctx.tick(kernel_cost("pipeline.frame_overhead"))
 
-        window = ctx.window("summarize.pipeline.frame")
-        if window is not None:
-            from repro.faultinject.registers import Role
+            window = ctx.window("summarize.pipeline.frame")
+            if window is not None:
+                from repro.faultinject.registers import Role
 
-            window.gpr_address("frame_ptr", frame)
-            window.gpr_cell("frame_idx", index, role=Role.CONTROL)
-            window.gpr_cell("frame_total", total, role=Role.CONTROL)
-            window.gpr_cell("fail_count", failures, role=Role.DATA)
-            if state.current is not None:
-                window.gpr_address("canvas_ptr", state.current.canvas, writes=True)
-                window.gpr_address("coverage_ptr", state.current.coverage, writes=True)
-            if state.prev_features is not None and len(state.prev_features):
-                window.gpr_address("prev_desc_ptr", state.prev_features.descriptors)
-                window.gpr_address("prev_coords_ptr", state.prev_features.coords)
-            ctx.checkpoint(window)
+                window.gpr_address("frame_ptr", frame)
+                window.gpr_cell("frame_idx", index, role=Role.CONTROL)
+                window.gpr_cell("frame_total", total, role=Role.CONTROL)
+                window.gpr_cell("fail_count", failures, role=Role.DATA)
+                if state.current is not None:
+                    window.gpr_address("canvas_ptr", state.current.canvas, writes=True)
+                    window.gpr_address("coverage_ptr", state.current.coverage, writes=True)
+                if state.prev_features is not None and len(state.prev_features):
+                    window.gpr_address("prev_desc_ptr", state.prev_features.descriptors)
+                    window.gpr_address("prev_coords_ptr", state.prev_features.coords)
+                ctx.checkpoint(window)
 
-        features = orb_features(
-            frame,
-            ctx,
-            n_keypoints=config.n_keypoints,
-            fast_threshold=config.fast_threshold,
-        )
-
-        if state.current is None or state.prev_features is None or state.prev_chain is None:
-            state.current, state.prev_chain = _start_segment(
-                frame, frame_shape, config, ctx, state.minis
+            state.position, state.frame = i, frame
+            state.features = orb_features(
+                frame,
+                ctx,
+                n_keypoints=config.n_keypoints,
+                fast_threshold=config.fast_threshold,
             )
-            state.prev_features = features
-            state.outcomes.append(
-                FrameOutcome(
-                    index=i,
-                    status="anchor",
-                    chain=state.prev_chain.copy(),
-                    mini_index=len(state.minis) - 1,
-                )
-            )
-            failures.value = 0
-            index.value = int(index.value) + 1
-            continue
+            state.phase = MATCH
 
-        try:
-            pairwise = estimate_pairwise(
-                features, state.prev_features, config, ctx, rng, frame_shape
-            )
-            chained = state.prev_chain @ pairwise.transform
-            chained = state.current.validate_chain(chained, frame_shape)
-        except InsufficientMatchesError:
-            failures.value = int(failures.value) + 1
-            # Library-internal invariant (the abort crash category):
-            # the failure counter must stay within the frame budget.
-            if not 0 < failures.value <= len(frames):
-                from repro.runtime.errors import InternalAbortError
-
-                raise InternalAbortError(
-                    f"failure counter corrupted: {failures.value}"
-                )
-            state.outcomes.append(FrameOutcome(index=i, status="discarded"))
-            if failures.value > config.max_consecutive_failures:
-                # Scene change: anchor a fresh mini-panorama at this frame.
+        i, frame, features = state.position, state.frame, state.features
+        if state.phase == MATCH:
+            if hook is not None:
+                hook(ctx, rng, state)
+            if state.current is None or state.prev_features is None or state.prev_chain is None:
                 state.current, state.prev_chain = _start_segment(
                     frame, frame_shape, config, ctx, state.minis
                 )
                 state.prev_features = features
-                state.outcomes[-1] = FrameOutcome(
-                    index=i,
-                    status="anchor",
-                    chain=state.prev_chain.copy(),
-                    mini_index=len(state.minis) - 1,
+                state.outcomes.append(
+                    FrameOutcome(
+                        index=i,
+                        status="anchor",
+                        chain=state.prev_chain.copy(),
+                        mini_index=len(state.minis) - 1,
+                    )
                 )
                 failures.value = 0
-            index.value = int(index.value) + 1
-            continue
+                index.value = int(index.value) + 1
+                state.next_frame()
+                continue
 
+            try:
+                pairwise = estimate_pairwise(
+                    features, state.prev_features, config, ctx, rng, frame_shape
+                )
+                chained = state.prev_chain @ pairwise.transform
+                chained = state.current.validate_chain(chained, frame_shape)
+            except InsufficientMatchesError:
+                failures.value = int(failures.value) + 1
+                # Library-internal invariant (the abort crash category):
+                # the failure counter must stay within the frame budget.
+                if not 0 < failures.value <= len(frames):
+                    from repro.runtime.errors import InternalAbortError
+
+                    raise InternalAbortError(
+                        f"failure counter corrupted: {failures.value}"
+                    )
+                state.outcomes.append(FrameOutcome(index=i, status="discarded"))
+                if failures.value > config.max_consecutive_failures:
+                    # Scene change: anchor a fresh mini-panorama at this frame.
+                    state.current, state.prev_chain = _start_segment(
+                        frame, frame_shape, config, ctx, state.minis
+                    )
+                    state.prev_features = features
+                    state.outcomes[-1] = FrameOutcome(
+                        index=i,
+                        status="anchor",
+                        chain=state.prev_chain.copy(),
+                        mini_index=len(state.minis) - 1,
+                    )
+                    failures.value = 0
+                index.value = int(index.value) + 1
+                state.next_frame()
+                continue
+            state.chained, state.pairwise = chained, pairwise
+            state.phase = WARP
+
+        if hook is not None:
+            hook(ctx, rng, state)
+        chained, pairwise = state.chained, state.pairwise
         with ctx.scope("summarize.pipeline.chain"):
             ctx.tick(kernel_cost("pipeline.anchor_update"))
         state.current.add(frame, chained, ctx)
@@ -287,6 +333,7 @@ def _run_loop(
             )
         )
         index.value = int(index.value) + 1
+        state.next_frame()
 
     loop_exit_cycles = ctx.cycles
     minis, outcomes = state.minis, state.outcomes

@@ -207,31 +207,39 @@ def render_summary(summary: TraceSummary) -> str:
 def _render_fanout(summary: TraceSummary) -> list[str]:
     """The boundary fan-out amortization table, when a trace has one.
 
-    Built entirely from the existing schema: ``fanout.suffix.b<frame>``
+    Built entirely from the existing schema: ``fanout.suffix.<point>``
     stage timers (one span per member suffix, worker-side timers merge
     through the metrics record like every other stage) and the
-    ``campaign.fanout.b<frame>.*`` counters.
+    ``campaign.fanout.<point>.*`` counters.  A point is named
+    ``b<frame>`` at the top of a frame and ``b<frame>.<phase>`` inside
+    it; every fan-out gets its own row, in run order.
     """
-    prefix = "fanout.suffix.b"
+    prefix = "fanout.suffix."
     rows = []
     for name, stat in summary.stages.items():
         if not name.startswith(prefix):
             continue
-        try:
-            frame = int(name[len(prefix) :])
-        except ValueError:
-            continue
-        members = summary.counters.get(
-            f"campaign.fanout.b{frame}.members", stat.count
-        )
-        saved = summary.counters.get(f"campaign.fanout.b{frame}.restores_saved", 0)
-        rows.append((frame, members, saved, stat.wall_s))
+        point = name[len(prefix) :]
+        members = summary.counters.get(f"campaign.fanout.{point}.members", stat.count)
+        saved = summary.counters.get(f"campaign.fanout.{point}.restores_saved", 0)
+        rows.append((_point_order(point), point, members, saved, stat.wall_s))
     if not rows:
         return []
     lines = ["boundary fan-out (restore amortization per group):"]
-    for frame, members, saved, wall_s in sorted(rows):
+    for _, point, members, saved, wall_s in sorted(rows):
         lines.append(
-            f"  b{frame}: {members} member(s), {saved} restore(s) saved, "
+            f"  {point}: {members} member(s), {saved} restore(s) saved, "
             f"suffix {wall_s:.4f}s"
         )
     return lines
+
+
+def _point_order(point: str) -> tuple[int, str]:
+    """Sort key of a restore-point name: frame number, then phase.
+
+    The phases sort by name in run order ("" < "match" < "warp").  A name
+    without a frame number sorts last rather than being dropped.
+    """
+    frame, _, phase = point.partition(".")
+    number = frame[1:]
+    return (int(number), phase) if frame[:1] == "b" and number.isdigit() else (2**63, point)

@@ -48,8 +48,8 @@ class _FullScanRecorder(SnapshotRecorder):
                 record.frozen = self._arrays[record.aid].tobytes()
         return live_map
 
-    def frame_boundary(self, ctx, rng, state) -> None:
-        super().frame_boundary(ctx, rng, state)
+    def restore_point(self, ctx, rng, state) -> None:
+        super().restore_point(ctx, rng, state)
         self.mini_copies.append(
             [
                 (mini.canvas.copy(), mini.coverage.copy(), mini.frames_composited)

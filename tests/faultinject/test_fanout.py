@@ -10,6 +10,8 @@ per-boundary amortization section of ``repro trace summarize``.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import telemetry
@@ -28,6 +30,7 @@ from repro.faultinject.registers import RegKind
 from repro.observe import events
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import clear_golden_cache, golden_run, golden_with_tape
+from repro.summarize.pipeline import FRAME
 from repro.telemetry.export import render_summary, summarize_trace, write_trace
 
 
@@ -85,13 +88,20 @@ class TestGroupPartition:
         stream, config, golden, workload, spec = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         assert fast_forward is not None
-        cycles = fast_forward.tape.boundary_cycles
-        # At or before boundary 1: the boundary-0 group.
+        tape = fast_forward.tape
+        cycles = [b.cycles for b in tape.boundaries if b.phase == FRAME]
+        # At or before frame 1's start: frame 0's group.
         plans = [_plan(1), _plan(cycles[1]), _plan(cycles[1] + 1)]
-        groups = group_plan_indices(fast_forward.boundary_index_for, plans)
+        groups = group_plan_indices(fast_forward.group_for, plans)
         assert groups == [[0, 1], [2]]
-        assert fast_forward.boundary_index_for(plans[0].target_cycle) == 0
-        assert fast_forward.boundary_index_for(plans[2].target_cycle) == 1
+        assert fast_forward.group_for(plans[0].target_cycle) == 0
+        assert fast_forward.group_for(plans[2].target_cycle) == 1
+        # Frame 0's group holds every point up to frame 1's start: the
+        # last target in it resumes frame 0's last in-frame point.
+        last = fast_forward.boundary_index_for(plans[1].target_cycle)
+        assert tape.boundaries[last].frame_index == 0
+        assert tape.boundaries[last].phase != FRAME
+        assert tape.boundaries[fast_forward.boundary_index_for(cycles[1] + 1)].cycles == cycles[1]
 
 
 class TestChunkBoundEdges:
@@ -133,7 +143,7 @@ class TestWorkerClamp:
         campaign_config = _config(n_injections=12, seed=10, workers=64)
         plans = draw_plans(campaign_config, golden.total_cycles)
         groups, workers = plan_groups(spec, campaign_config, plans)
-        assert groups == group_plan_indices(fast_forward.boundary_index_for, plans)
+        assert groups == group_plan_indices(fast_forward.group_for, plans)
         assert workers == len(groups) <= len(plans)
 
 
@@ -145,7 +155,7 @@ class TestJournalInterplay:
 
         campaign_config = _config(n_injections=12, seed=10, workers=3)
         plans = draw_plans(campaign_config, golden.total_cycles)
-        groups = group_plan_indices(fast_forward.boundary_index_for, plans)
+        groups = group_plan_indices(fast_forward.group_for, plans)
 
         journal = tmp_path / "groups.jsonl"
         run_campaign(
@@ -191,7 +201,7 @@ class TestTelemetry:
         assert registry.counter("campaign.fanout.shared_restores") == groups
         assert registry.counter("campaign.fanout.cow_clones") > 0
         # The clones made: bound dead arrays, live state, pointer landings.
-        assert registry.counter("campaign.fanout.cow_clones") == 311
+        assert registry.counter("campaign.fanout.cow_clones") == 325
         # The bench seed produces masked runs, and masked fan-out
         # members re-converge to the tape — at least one golden tail
         # must have been synthesized (this is where the speedup lives).
@@ -203,7 +213,11 @@ class TestTelemetry:
     def test_trace_summarize_renders_amortization(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
         clear_golden_cache()
-        tracer = telemetry.enable()
+        # A fresh tracer, so the trace covers this campaign alone even
+        # when REPRO_TRACE=1 has tracing on for the whole session.
+        tracer = telemetry.Tracer()
+        previous = events.current()
+        events.install(events.EventBus([tracer]))
         try:
             run_campaign(
                 workload,
@@ -214,11 +228,19 @@ class TestTelemetry:
             )
             trace_path = write_trace(tmp_path / "trace.jsonl", tracer)
         finally:
-            telemetry.disable()
+            events.restore(previous)
         summary = summarize_trace(trace_path)
         assert any(name.startswith("fanout.suffix.b") for name in summary.stages)
         rendered = render_summary(summary)
-        assert "boundary fan-out (restore amortization per group):" in rendered
+        header = "boundary fan-out (restore amortization per group):"
+        assert header in rendered
         assert "restore(s) saved" in rendered
+        # One row per fan-out created, in-frame restore points included.
+        table = rendered.split(header + "\n")[1].splitlines()
+        rows = list(itertools.takewhile(lambda line: line.startswith("  "), table))
+        assert len(rows) == summary.counters["campaign.fanout.groups"]
+        points = [row.split(":")[0].strip() for row in rows]
+        assert len(set(points)) == len(points)
+        assert any("." in point for point in points)
         # Per-boundary counters feed the table, not the counter dump.
         assert "campaign.fanout.b" not in rendered.split("counters:")[-1]

@@ -2,7 +2,8 @@
 
 Every injected run of a campaign resumes through boundary fan-out (see
 ``src/repro/faultinject/fastforward.py``): it restores the last golden
-frame boundary before its target cycle, runs only the live suffix, and
+restore point before its target cycle (a frame start, or a point
+inside a frame), runs only the live suffix, and
 may synthesize a golden tail once it re-converges; a run whose fire
 the golden fire log decides as dead (or that never fires) is not
 executed at all.  The contract is that none of this is visible in the
@@ -11,7 +12,7 @@ handle — every run executes from cycle 0 — driven per plan with the
 campaign's own ``(seed + 1) * 1_000_003 + index`` RNG derivation.  The
 property below generates (approximation, register kind, seed, plan
 subset, worker count, probe, interrupt point, site filter, liveness
-model, pinned first target) and requires the campaign's serialized
+model, pinned first plan) and requires the campaign's serialized
 records to equal the oracle's, outcome classes, cycle counts, SDC
 payloads and divergence records included.
 
@@ -27,6 +28,7 @@ snapshot-restore property and the boundary lookup are checked directly.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import os
@@ -67,6 +69,7 @@ from repro.runtime.context import ExecutionContext
 from repro.observe import events
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import golden_run, golden_with_tape
+from repro.summarize.pipeline import FRAME, MATCH, WARP
 
 #: The VS variants the property draws from.
 APPROXIMATIONS = ("VS", "VS_KDS")
@@ -126,11 +129,45 @@ def _checkpoint_cycles(approximation: str) -> tuple[int, ...]:
     return tuple(cycle for _site, cycle in _checkpoints(approximation))
 
 
-def _pinned_target(approximation: str, pin: str | None) -> int | None:
+#: Pins whose target is the middle golden checkpoint of a stage: a
+#: mid-run frame, resumed from one of its in-frame restore points.
+STAGE_PINS = {"in-match": "vision.matching", "in-warp": "imaging.warp"}
+
+
+def _pinned_plan(approximation: str, pin: str | None) -> dict | None:
+    """The fields ``pin`` replaces in the first plan, or None."""
     if pin == "boundary-0":
-        return 1
+        return {"target_cycle": 1}
     if pin == "past-last-checkpoint":
-        return _checkpoint_cycles(approximation)[-1] + 1
+        return {"target_cycle": _checkpoint_cycles(approximation)[-1] + 1}
+    if pin in STAGE_PINS:
+        cycles = [c for s, c in _checkpoints(approximation) if s.startswith(STAGE_PINS[pin])]
+        return {"target_cycle": cycles[len(cycles) // 2]}
+    if pin == "frame_ptr-in-match":
+        # A low bit of the working frame's pointer while it is live in
+        # the middle of matching: the read copies shifted frame bytes
+        # over the frame the run composites next.  The corruption
+        # reaches the warp probe only if the restored binding is the
+        # restored frame copy itself.
+        stream, config, _, _, _ = _workload(approximation)
+        tape = golden_with_tape(stream, config).fast_forward.tape
+        log = tape.fire_log
+        register = tape.boundaries[-1].regfile[0][
+            (RegKind.GPR, "summarize.pipeline.frame", "frame_ptr")
+        ]
+        live = [
+            cycle
+            for k, (site, cycle) in enumerate(zip(log.sites, log.cycles))
+            if site.startswith("vision.matching")
+            and log.fire_checkpoint(cycle, None) == k
+            and log.slot_at(RegKind.GPR, register, k).name == "frame_ptr"
+        ]
+        return {
+            "target_cycle": live[len(live) // 2],
+            "kind": RegKind.GPR,
+            "register": register,
+            "bit": 3,
+        }
     return None
 
 
@@ -172,15 +209,14 @@ def _run(approximation: str, config: CampaignConfig, journal: Path | None, resum
     )
 
 
-def _pinning_first_target(target: int | None):
-    """``draw_plans`` with the first plan's target cycle replaced."""
+def _pinning_first_plan(fields: dict | None):
+    """``draw_plans`` with the first plan's ``fields`` replaced."""
     draw = campaign_module.draw_plans
 
     def pinned(config, golden_cycles):
         plans = draw(config, golden_cycles)
-        if target is not None and plans:
-            first = plans[0]
-            plans[0] = InjectionPlan(target, first.kind, first.register, first.bit)
+        if fields is not None and plans:
+            plans[0] = dataclasses.replace(plans[0], **fields)
         return plans
 
     return mock.patch.object(campaign_module, "draw_plans", pinned)
@@ -202,7 +238,9 @@ def _pinning_first_target(target: int | None):
     interrupt_after=st.sampled_from([None, 1, 2]),
     site_filter=st.sampled_from(SITE_FILTERS),
     liveness=st.sampled_from(sorted(LIVENESS)),
-    pin=st.sampled_from([None, "boundary-0", "past-last-checkpoint"]),
+    pin=st.sampled_from(
+        [None, "boundary-0", "past-last-checkpoint", *STAGE_PINS, "frame_ptr-in-match"]
+    ),
 )
 # Masked, SDC and crash runs, in a journaled pool interrupted mid-way.
 @example(
@@ -299,6 +337,49 @@ def _pinning_first_target(target: int | None):
     liveness="default",
     pin=None,
 )
+# The first target in the middle of a mid-run frame's matching: it
+# resumes that frame's MATCH point and crashes on a live loop cell.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=3,
+    n_injections=3,
+    workers=1,
+    probe=True,
+    interrupt_after=None,
+    site_filter=None,
+    liveness="default",
+    pin="in-match",
+)
+# The first target inside a mid-run frame's warp: it resumes that
+# frame's WARP point and smashes the live canvas through canvas_ptr;
+# in a journaled pool interrupted mid-way.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=0,
+    n_injections=4,
+    workers=2,
+    probe=False,
+    interrupt_after=1,
+    site_filter=None,
+    liveness="default",
+    pin="in-warp",
+)
+# frame_ptr flipped while matching: the restored binding must be the
+# restored working frame, or the warp probe would not diverge.
+@example(
+    approximation="VS",
+    kind=RegKind.GPR,
+    seed=5,
+    n_injections=3,
+    workers=1,
+    probe=True,
+    interrupt_after=None,
+    site_filter=None,
+    liveness="default",
+    pin="frame_ptr-in-match",
+)
 def test_campaign_records_match_oracle(
     approximation,
     kind,
@@ -322,8 +403,8 @@ def test_campaign_records_match_oracle(
         site_filter=site_filter,
         liveness=LIVENESS[liveness],
     )
-    with tempfile.TemporaryDirectory() as tmp, _pinning_first_target(
-        _pinned_target(approximation, pin)
+    with tempfile.TemporaryDirectory() as tmp, _pinning_first_plan(
+        _pinned_plan(approximation, pin)
     ):
         journal = Path(tmp) / "campaign.jsonl" if interrupt_after is not None else None
         try:
@@ -400,7 +481,8 @@ class TestSpliceEquivalence:
         stream, config, _, _, _ = vs
         tape = golden_with_tape(stream, config).fast_forward.tape
         register = tape.boundaries[-1].regfile[0][(RegKind.GPR, site, name)]
-        lo, hi = (tape.boundary_cycles[frame] for frame in frames)
+        starts = {b.frame_index: b.cycles for b in tape.boundaries if b.phase == FRAME}
+        lo, hi = (starts[frame] for frame in frames)
         targets = [c for s, c in _checkpoints("VS") if s == site and lo < c < hi]
         assert targets, f"no {site} checkpoint between frames {frames}"
         target = targets[len(targets) // 2 if pick is None else pick]
@@ -541,46 +623,146 @@ class TestPreFirstBoundary:
             assert serialize_result(a) == serialize_result(b)
 
 
-class TestSnapshotRestore:
-    def test_every_boundary_reproduces_golden_run(self, vs):
-        """Restoring any boundary under a never-firing injector must
-        complete the run with the golden output and the golden cycle
-        count — the snapshot captured the frame-boundary state exactly.
-        """
-        stream, config, golden, workload, spec = vs
-        fast_forward = golden_with_tape(stream, config).fast_forward
-        assert fast_forward is not None
-        tape = fast_forward.tape
-        assert len(tape.boundaries) >= 2
+@functools.lru_cache(maxsize=None)
+def _tiny(which: str, algorithm: str):
+    """Golden output and fast-forward handle of one tiny workload."""
+    stream = input_stream(which, TINY)
+    config = config_for(algorithm)
+    return golden_run(stream, config).output, golden_with_tape(stream, config).fast_forward
 
-        never = tape.golden_cycles * 10
-        for index in range(len(tape.boundaries)):
-            plan = InjectionPlan(
-                target_cycle=never, kind=RegKind.GPR, register=0, bit=0
-            )
-            injector = FaultInjector(plan, rng=np.random.default_rng(0))
-            ctx = ExecutionContext(
-                injector=injector, watchdog_cycles=tape.golden_cycles * 6
-            )
-            output = fast_forward.fanout(index).resume_member(ctx)
-            assert not injector.record.fired
-            assert ctx.cycles == tape.golden_cycles
-            assert np.array_equal(output, golden.output)
+
+TINY_WORKLOADS = [(which, algorithm) for which in ("input1", "input2") for algorithm in ("VS", "VS_RFD")]
+
+
+class TestSnapshotRestore:
+    def test_every_boundary_reproduces_golden_run(self):
+        """Restoring any restore point, in-frame ones included, under a
+        never-firing injector must complete the run with the golden
+        output and the golden cycle count — the snapshot captured the
+        loop state at that point exactly.  Every tiny workload.
+        """
+        for which, algorithm in TINY_WORKLOADS:
+            golden_output, fast_forward = _tiny(which, algorithm)
+            tape = fast_forward.tape
+            assert {b.phase for b in tape.boundaries} == {FRAME, MATCH, WARP}
+
+            never = tape.golden_cycles * 10
+            for index, point in enumerate(tape.boundaries):
+                plan = InjectionPlan(target_cycle=never, kind=RegKind.GPR, register=0, bit=0)
+                injector = FaultInjector(plan, rng=np.random.default_rng(0))
+                ctx = ExecutionContext(injector=injector, watchdog_cycles=tape.golden_cycles * 6)
+                output = fast_forward.fanout(index).resume_member(ctx)
+                assert not injector.record.fired
+                assert ctx.cycles == tape.golden_cycles, (which, algorithm, point.label)
+                assert np.array_equal(output, golden_output), (which, algorithm, point.label)
 
     def test_boundary_lookup_is_strictly_before(self, vs):
         stream, config, golden, workload, spec = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
-        cycles = fast_forward.tape.boundary_cycles
-        assert cycles[0] == 0
-        # Every target has a boundary: up to boundary 1 it is boundary 0.
+        tape = fast_forward.tape
+        cycles = tape.boundary_cycles
+        assert cycles == sorted(cycles) and cycles[0] == 0
+        # Every target has a restore point: up to point 1 it is point 0.
         assert fast_forward.boundary_index_for(0) == 0
         assert fast_forward.boundary_index_for(1) == 0
         assert fast_forward.boundary_index_for(cycles[1]) == 0
         assert fast_forward.boundary_index_for(cycles[1] + 1) == 1
-        assert fast_forward.boundary_for(cycles[1] + 1).cycles == cycles[1]
-        # A target exactly on a boundary resolves to the previous one.
-        assert fast_forward.boundary_for(cycles[-1]).cycles == cycles[-2]
+        assert tape.boundaries[fast_forward.boundary_index_for(cycles[1] + 1)].cycles == cycles[1]
+        # A target exactly on a point resolves to the previous one, for
+        # in-frame points as for frame starts.
+        for index in range(1, len(cycles)):
+            assert tape.boundaries[fast_forward.boundary_index_for(cycles[index])].cycles < cycles[index]
+            assert fast_forward.boundary_index_for(cycles[index] + 1) == index
+        on_point = next(k for k, b in enumerate(tape.boundaries) if b.phase == WARP)
+        assert fast_forward.boundary_index_for(cycles[on_point]) == on_point - 1
+        assert tape.boundaries[on_point - 1].phase == MATCH
         assert fast_forward.boundary_index_for(cycles[-1] + 1) == len(cycles) - 1
+
+
+    @given(target=st.integers(0, 2**31), near_point=st.booleans(), offset=st.integers(-1, 1))
+    @settings(deadline=None, max_examples=settings.default.max_examples)
+    def test_lookup_equals_scan(self, vs, target, near_point, offset):
+        """The bisected lookup is the last point strictly before the
+        target, and the dispatch group is the frame of the last frame
+        start strictly before it: the frame-level partition a tape
+        without in-frame points produced."""
+        stream, config, _, _, _ = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        tape = fast_forward.tape
+        cycles = tape.boundary_cycles
+        if near_point:
+            target = max(0, cycles[target % len(cycles)] + offset)
+        else:
+            target %= tape.golden_cycles + 2
+        before = [k for k, cycle in enumerate(cycles) if cycle < target]
+        assert fast_forward.boundary_index_for(target) == (before[-1] if before else 0)
+        starts = [b for b in tape.boundaries if b.phase == FRAME]
+        frame = [b.frame_index for b in starts if b.cycles < target]
+        assert fast_forward.group_for(target) == (frame[-1] if frame else 0)
+
+
+class TestInFramePoints:
+    @pytest.mark.parametrize("which, algorithm", TINY_WORKLOADS)
+    def test_live_map_places_frame_and_features_by_identity(self, which, algorithm):
+        """At every in-frame point the working frame copy and the current
+        features are live by identity, so the register file's bindings of
+        them (frame_ptr, desc_bytes, kp_angles) rebind the restored
+        objects; frame starts place neither."""
+        _, fast_forward = _tiny(which, algorithm)
+        tape = fast_forward.tape
+        in_frame = ("frame",), ("current", "coords"), ("current", "descriptors"), ("current", "angles")
+        for point in tape.boundaries:
+            identities = {key for key, _, identity in point.live_map.values() if identity}
+            keys = {key for key, _, _ in point.live_map.values()}
+            if point.phase == FRAME:
+                assert not keys & set(in_frame), point.label
+                continue
+            assert ("frame",) in identities, point.label
+            if len(point.features[0]):
+                # describe() bound the descriptor and angle arrays, and
+                # its key-point batches as views of the coordinates.
+                assert {("current", "descriptors"), ("current", "angles")} <= identities
+                assert ("current", "coords") in keys
+            state, live_bases = fast_forward._restore_app(point)
+            assert live_bases[("frame",)] is state.frame
+            assert live_bases[("current", "descriptors")] is state.features.descriptors
+            assert np.array_equal(state.frame, fast_forward._frames[point.frame_index])
+
+    # Each example runs one resumed member and one full run; the budget
+    # is a tenth of the active profile's, so ``--hypothesis-profile
+    # ci-deep`` searches 100 cases.
+    @given(data=st.data())
+    @settings(
+        deadline=None,
+        max_examples=settings.default.max_examples // 10,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_in_frame_fire_matches_oracle(self, vs, data):
+        """A plan whose target falls after an in-frame restore point
+        resumes that point and yields the unrestored run's record."""
+        stream, config, golden, workload, _ = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        tape = fast_forward.tape
+        cycles = [*tape.boundary_cycles, tape.golden_cycles]
+        index = data.draw(
+            st.sampled_from([k for k, b in enumerate(tape.boundaries) if b.phase != FRAME])
+        )
+        target = data.draw(st.integers(cycles[index] + 1, cycles[index + 1]))
+        assert fast_forward.boundary_index_for(target) == index
+        plan = InjectionPlan(
+            target,
+            data.draw(st.sampled_from(list(RegKind))),
+            data.draw(st.integers(0, NUM_REGISTERS - 1)),
+            data.draw(st.integers(0, 63)),
+        )
+        probe = data.draw(st.booleans())
+        results = [
+            FaultMonitor(
+                workload, golden.output, golden.total_cycles, probe=probe, fast_forward=handle
+            ).run_injected(plan, np.random.default_rng(target))
+            for handle in (fast_forward, None)
+        ]
+        assert serialize_result(results[0]) == serialize_result(results[1])
 
 
 class TestTelemetryCounters:
@@ -745,7 +927,7 @@ class TestDeadStandIns:
     the first bit whose flip lands in a stand-in is taken.
     """
 
-    #: The boundary resumed from: a late one keeps every suffix short.
+    #: The frame whose start is resumed: a late one keeps every suffix short.
     BOUNDARY = -3
 
     @pytest.mark.parametrize(
@@ -763,7 +945,7 @@ class TestDeadStandIns:
         stream, config, golden, workload, _ = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         tape = fast_forward.tape
-        index = len(tape.boundaries) + self.BOUNDARY
+        index = [k for k, b in enumerate(tape.boundaries) if b.phase == FRAME][self.BOUNDARY]
         boundary = tape.boundaries[index]
         register = next(
             slot

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-medium bench-campaign bench-store examples clean
+.PHONY: install test bench bench-medium examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -15,16 +15,6 @@ bench:
 
 bench-medium:
 	REPRO_SCALE=medium $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Times the tracked campaign serial vs parallel and appends the result
-# to BENCH_campaign.json. REPRO_BENCH_SCALE / REPRO_BENCH_WORKERS tune it.
-bench-campaign:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_campaign.py -q -s
-
-# Times store ingest and indexed-vs-scan slicing queries over a >=10k-row
-# synthetic corpus, appending to BENCH_store.json. REPRO_BENCH_STORE_* tune it.
-bench-store:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_store.py -q -s
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -51,8 +51,8 @@ Live observability (see ``docs/observability.md``): ``campaign
 ``REPRO_STATUS=PATH``), ``--serve [PORT]`` adds ``/status`` and
 Prometheus ``/metrics`` HTTP endpoints, a flight recorder dumps the
 recent event ring on interrupts/hangs, and ``repro watch status.json``
-tails a snapshot live.  ``repro report trend <store>`` renders outcome
-and performance trajectories across stored campaigns (exit 4 when the
+tails a snapshot live.  ``repro report trend <store>`` renders
+outcome-rate trajectories across stored campaigns (exit 4 when the
 z-gate flags a shift between adjacent campaigns).
 """
 
@@ -470,7 +470,7 @@ def _report(args: argparse.Namespace, store) -> int:
     if args.report_action == "trend":
         from repro.observe.trend import build_trend, render_trend
 
-        trend = build_trend(store, bench_path=args.bench)
+        trend = build_trend(store)
         text = render_trend(trend, fmt=args.format)
         if args.out:
             Path(args.out).write_text(text)
@@ -782,17 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep_trend = report_sub.add_parser(
         "trend",
-        help="outcome-rate and performance trajectories across stored "
-        "campaigns (exit 4 when adjacent campaigns flag a z-test shift)",
+        help="outcome-rate trajectories across stored campaigns "
+        "(exit 4 when adjacent campaigns flag a z-test shift)",
     )
     p_rep_trend.add_argument("store", type=Path, help="result store directory")
-    p_rep_trend.add_argument(
-        "--bench",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="BENCH_campaign.json perf trajectory to chart alongside",
-    )
     _add_report_io(p_rep_trend)
     p_rep_trend.set_defaults(func=cmd_report)
 

@@ -1,6 +1,6 @@
 """Deterministic synthetic campaign records for benches and fixtures.
 
-Store-scale work (the ``BENCH_store.json`` harness, the query-engine
+Store-scale work (perfbench's ``store-corpus`` workload, the query-engine
 property suite, the committed v1 fixture store CI migrates) needs
 thousands of schema-valid injection rows without paying for thousands
 of real pipeline executions.  :func:`synthesize_record` fabricates a

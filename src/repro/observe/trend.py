@@ -1,14 +1,12 @@
-"""Cross-campaign trend dashboard: outcome rates and perf over history.
+"""Cross-campaign trend dashboard: outcome rates over history.
 
 ``repro report trend`` walks the forensics store in insertion order,
 renders each campaign's outcome rates (Wilson CIs, unicode sparklines)
-as a trajectory, gates **adjacent** campaigns through the same pooled
-two-proportion z-test as ``repro report diff``, and — when a
-``BENCH_campaign.json`` perf trajectory is present — adds the timing
-history alongside.  The output reuses the forensics report renderers,
-so the HTML artifact is byte-deterministic for a given store + bench
-file, and the z-gate exit code makes the dashboard double as a CI
-regression tripwire.
+as a trajectory, and gates **adjacent** campaigns through the same
+pooled two-proportion z-test as ``repro report diff``.  The output
+reuses the forensics report renderers, so the HTML artifact is
+byte-deterministic for a given store, and the z-gate exit code makes
+the dashboard double as a CI regression tripwire.
 
 This module imports the forensics/report stack and must therefore never
 be imported from ``repro.observe.__init__`` (the event-bus side stays
@@ -16,9 +14,6 @@ stdlib-only); consumers import ``repro.observe.trend`` explicitly.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.faultinject.outcomes import wilson_interval
 from repro.forensics.report import (
@@ -69,12 +64,10 @@ def _counts_from_summary(summary: dict) -> tuple[dict[str, int], int] | None:
     }, int(summary["total"])
 
 
-def build_trend(
-    store: CampaignStore, bench_path: Path | str | None = None
-) -> dict:
-    """Fold store + bench history into one trend payload.
+def build_trend(store: CampaignStore) -> dict:
+    """Fold the store's history into one trend payload.
 
-    Returns ``{campaigns, outcomes, gates, flagged, bench}`` where
+    Returns ``{campaigns, gates, flagged, threshold}`` where
     ``gates`` holds one z-test row per adjacent campaign pair and
     outcome, and ``flagged`` lists the significant ones.  Reads go
     through the store index: uniform campaigns are charted from their
@@ -134,34 +127,14 @@ def build_trend(
                 }
             )
 
-    bench_entries = []
-    if bench_path is not None:
-        bench_path = Path(bench_path)
-        if bench_path.exists():
-            bench_entries = json.loads(bench_path.read_text())
-
     return {
         "campaigns": campaigns,
         "gates": gates,
         "flagged": [
             f"{gate['pair']} {gate['metric']}" for gate in gates if gate["flagged"]
         ],
-        "bench": bench_entries,
         "threshold": Z_THRESHOLD,
     }
-
-
-#: Bench timing fields charted in the perf trajectory, in column order.
-BENCH_TIMING_FIELDS = (
-    "serial_s",
-    "parallel_s",
-    "traced_s",
-    "journaled_s",
-    "probed_s",
-    "observed_s",
-    "fastforward_s",
-    "fanout_s",
-)
 
 
 def _trend_sections(trend: dict) -> list[Section]:
@@ -233,41 +206,7 @@ def _trend_sections(trend: dict) -> list[Section]:
     else:
         gate.notes.append("need at least 2 stored campaigns to gate")
 
-    sections = [history, trajectory, gate]
-
-    bench = trend.get("bench") or []
-    if bench:
-        perf = Section(
-            "Performance trajectory (BENCH_campaign.json)",
-            headers=["#", "timestamp", "scale", "workers", *BENCH_TIMING_FIELDS],
-        )
-        for index, entry in enumerate(bench):
-            perf.rows.append(
-                [
-                    index,
-                    entry.get("timestamp", "-"),
-                    entry.get("scale", "-"),
-                    entry.get("workers", "-"),
-                    *[
-                        f"{entry[field_name]:.3f}" if field_name in entry else "-"
-                        for field_name in BENCH_TIMING_FIELDS
-                    ],
-                ]
-            )
-        spark = Section(
-            "Timing sparklines (scaled per stage)",
-            headers=["stage", "trend", "latest_s"],
-        )
-        for field_name in BENCH_TIMING_FIELDS:
-            series = [
-                float(entry[field_name]) for entry in bench if field_name in entry
-            ]
-            if not series:
-                continue
-            spark.rows.append([field_name, sparkline(series), f"{series[-1]:.3f}"])
-        sections.extend([perf, spark])
-
-    return sections
+    return [history, trajectory, gate]
 
 
 def render_trend(trend: dict, fmt: str = "terminal") -> str:

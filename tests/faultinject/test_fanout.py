@@ -4,8 +4,9 @@ Campaign records are checked against the unrestored oracle by the
 differential suite in ``test_fastforward.py``.  This module covers the
 scheduler pieces around it: group partitioning edge cases, contiguous
 groups for tapeless workloads, worker clamping to the group count,
-group-granularity journal checkpoints, and the fan-out counters and
-per-boundary amortization section of ``repro trace summarize``.
+group-granularity journal checkpoints, the ORB calls the fan-out saves
+over full execution, and the fan-out counters and per-boundary
+amortization section of ``repro trace summarize``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.faultinject.parallel import (
 )
 from repro.faultinject.registers import RegKind
 from repro.observe import events
+from repro.summarize import pipeline
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import clear_golden_cache, golden_run, golden_with_tape
 from repro.summarize.pipeline import FRAME
@@ -171,6 +173,36 @@ class TestJournalInterplay:
         assert sorted(state.chunks) == list(range(len(groups)))
         for index, group in enumerate(groups):
             assert len(state.chunks[index]) == len(group)
+
+
+class TestFanoutWork:
+    def test_fanout_runs_a_quarter_of_full_executions_orb_calls(self, vs, monkeypatch):
+        """The fan-out's reason to exist, counted instead of timed.
+
+        Full execution re-runs ORB on every frame of every injected run;
+        the fan-out resumes each run from a restore point and splices
+        golden tails, so it must make at most a quarter of the calls.
+        """
+        stream, config, golden, workload, spec = vs
+        # Capture the tape before counting, so neither side pays for it.
+        golden_with_tape(stream, config)
+        calls = []
+        orb_features = pipeline.orb_features
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return orb_features(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "orb_features", counting)
+        counts = {}
+        for name, campaign_spec in (("fanout", spec), ("full", None)):
+            calls.clear()
+            run_campaign(
+                workload, golden.output, golden.total_cycles, _config(), spec=campaign_spec
+            )
+            counts[name] = len(calls)
+        assert counts["fanout"] > 0
+        assert counts["full"] >= 4 * counts["fanout"], counts
 
 
 class TestTelemetry:

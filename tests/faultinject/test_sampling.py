@@ -648,6 +648,25 @@ class TestFireLogCampaign:
         assert 0 < summary.unsampled_mass() < 1 - strat.dead_mass
         assert summary.to_dict()["unsampled_mass"] == round(unsampled, 9)
 
+    @pytest.mark.parametrize("kind", [RegKind.GPR, RegKind.FPR])
+    def test_adaptive_stopping_saves_draws(self, kind):
+        """Fewer injections than uniform sampling needs for the same CI.
+
+        Uniform sampling must keep drawing until its slowest stratum's
+        share reaches that stratum's stratified count; the planner never
+        draws the dead mass and stops each stratum once it converges.
+        """
+        config = _stratified_config(
+            kind=kind, seed=10, ci_width=0.5, keep_sdc_outputs=False
+        )
+        summary = _vs_campaign(config).sampling
+        assert summary.cells_converged == len(summary.cells)
+        assert not summary.budget_exhausted
+        assert summary.draws_saved() > 0, (
+            summary.total_draws,
+            summary.uniform_equivalent_draws(),
+        )
+
     def test_dead_mass_is_a_floor_on_the_reweighted_mask_rate(self, tmp_path, monkeypatch):
         config = _stratified_config(
             kind=RegKind.FPR, round_size=2, ci_width=0.5, keep_sdc_outputs=False

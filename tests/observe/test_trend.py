@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.registers import RegKind
 from repro.forensics.store import CampaignStore
 from repro.forensics.synth import synthesize_record
-from repro.observe.trend import (
-    BENCH_TIMING_FIELDS,
-    build_trend,
-    render_trend,
-    sparkline,
-)
+from repro.observe.trend import build_trend, render_trend, sparkline
 from repro.runtime.errors import SegmentationFault
 from tests.faultinject.test_parallel import ToyWorkloadSpec, toy_workload
 
@@ -111,29 +104,11 @@ class TestBuildTrend:
         assert trend["gates"] == []
         assert trend["flagged"] == []
 
-    def test_bench_entries_attached_when_present(self, history_store, tmp_path):
-        store, _ = history_store
-        bench = tmp_path / "bench.json"
-        entries = [
-            {"timestamp": "2026-08-01", "scale": 64, "workers": 4, "serial_s": 2.0,
-             "observed_s": 2.05},
-            {"timestamp": "2026-08-07", "scale": 64, "workers": 4, "serial_s": 1.9,
-             "observed_s": 1.95},
-        ]
-        bench.write_text(json.dumps(entries))
-        trend = build_trend(store, bench_path=bench)
-        assert trend["bench"] == entries
-        assert build_trend(store, bench_path=tmp_path / "missing.json")["bench"] == []
-
 
 class TestRenderTrend:
-    def test_byte_deterministic_across_formats(self, history_store, tmp_path):
+    def test_byte_deterministic_across_formats(self, history_store):
         store, _ = history_store
-        bench = tmp_path / "bench.json"
-        bench.write_text(
-            json.dumps([{"timestamp": "t0", "serial_s": 2.0, "observed_s": 2.1}])
-        )
-        trend = build_trend(store, bench_path=bench)
+        trend = build_trend(store)
         for fmt in ("terminal", "markdown", "html"):
             assert render_trend(trend, fmt) == render_trend(trend, fmt)
 
@@ -150,25 +125,6 @@ class TestRenderTrend:
         html = render_trend(build_trend(store), "html")
         assert html.startswith("<!DOCTYPE html>") or "<html" in html
         assert "Campaign trend dashboard" in html
-
-    def test_perf_trajectory_includes_observed_column(self, history_store, tmp_path):
-        store, _ = history_store
-        assert "observed_s" in BENCH_TIMING_FIELDS
-        bench = tmp_path / "bench.json"
-        bench.write_text(
-            json.dumps(
-                [
-                    {"timestamp": "t0", "scale": 64, "workers": 2,
-                     "serial_s": 2.0, "observed_s": 2.1},
-                    {"timestamp": "t1", "scale": 64, "workers": 2,
-                     "serial_s": 1.8, "observed_s": 1.85},
-                ]
-            )
-        )
-        text = render_trend(build_trend(store, bench_path=bench))
-        assert "Performance trajectory" in text
-        assert "observed_s" in text
-        assert "2.100" in text and "1.850" in text
 
     def test_empty_store_renders_guidance(self, tmp_path):
         store = CampaignStore(tmp_path / "empty")

@@ -85,16 +85,25 @@ is reachable only by a corrupted pointer, and the member's address
 space hands out a private copy of the one allocation a pointer lands
 in (:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
 flip costs one copy, not one per dead allocation.  Fan-out members
-additionally carry a convergence watch: once the flip has fired, the
-top of every frame of the live suffix is compared against the golden tape,
-and the engine synthesizes the rest of the run instead of executing it
-as soon as the member's state equals the golden state apart from a
+additionally carry a convergence watch: once the flip has fired, every
+restore point of the live suffix (frame tops and in-frame points alike)
+is compared against the golden tape's snapshot of the same point, and
+the engine synthesizes the rest of the run instead of executing it as
+soon as the member's state equals the golden state apart from a
 *residue* the tail reads only in closed form:
 
 * **closed mini-panoramas** (every mini but the current one) — the loop
   never reads or writes them again, they reach the output only through
   the final stack, so the output is the live closed canvases stacked
   over the golden rows from the current mini on;
+* **differing pixels of the open mini** (probes off) — the loop only
+  stores into the current mini's canvas and coverage, never reads
+  them, so with equal ``frames_composited`` the tail composites the
+  golden frames through the golden chains; a differing canvas pixel
+  that none of those remaining composites stores into keeps the
+  member's value in the output, every other one ends golden.  With
+  probes on, the tail's warp probes checksum the open canvas, so it
+  must equal the tape;
 * **a cycle offset** — the golden tail charges the same cycles from an
   equal state, so the run ends at the golden count plus the offset
   (spliced only when that cannot cross the watchdog, so a hang is
@@ -104,10 +113,13 @@ as soon as the member's state equals the golden state apart from a
   faults with the pipeline's "frame table overrun" at the golden
   loop-exit cycles plus the offset.
 
-With no residue this is the exact golden tail.  Most masked runs
-re-converge at the first frame start after the fire, which is where the
-fan-out speedup comes from; SDCs confined to a closed mini, drifted
-cycle counts and loop-bound overruns end there too.
+At an in-frame point the in-flight fields must be equal too: the
+frame's table position, its working copy (against the frame table),
+its features and, at ``WARP``, the validated chain.  With no residue
+this is the exact golden tail.  Most masked runs re-converge at the
+first restore point after the fire, which is where the fan-out speedup
+comes from; SDCs confined to a closed mini or to open-mini pixels,
+drifted cycle counts and loop-bound overruns end there too.
 
 What is *not* bit-identical under fast-forward: telemetry traces (the
 skipped prefix emits no spans; a predicted run emits no spans or
@@ -141,12 +153,14 @@ from repro.faultinject.registers import (
     SlotEntry,
 )
 from repro.forensics import probes
+from repro.imaging.warp import warp_stores
 from repro.observe import events as observe_events
 from repro.runtime.context import Cell, CostProfile, ExecutionContext
 from repro.runtime.errors import SegmentationFault
 from repro.summarize.golden import GoldenRun
 from repro.summarize.pipeline import (
     FRAME,
+    WARP,
     PipelineState,
     _ransac_seed,
     materialize_frames,
@@ -366,6 +380,10 @@ class SnapshotTape:
     #: The golden run's checkpoints and register-file writes, from which
     #: dead and never-firing plans are decided without executing.
     fire_log: FireLog
+    #: Per mini-panorama, the chain of every golden composite into it,
+    #: in order: which pixels a golden tail still stores into an open
+    #: mini is decided from these without warping.
+    composites: list[list[np.ndarray]]
     boundary_cycles: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -654,7 +672,12 @@ def _resolve_live(
 
 
 def _same_array(array: np.ndarray, other: np.ndarray) -> bool:
-    return array.dtype == other.dtype and np.array_equal(array, other)
+    """Bitwise equality: unlike ``np.array_equal``, ``-0.0`` differs from ``0.0``."""
+    return (
+        array.dtype == other.dtype
+        and array.shape == other.shape
+        and array.tobytes() == other.tobytes()
+    )
 
 
 def _snapshot_features(
@@ -705,6 +728,12 @@ def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
     if probe.last_stage != "stitch":
         # A synthesized tail recomputes the final stitch probe.
         raise SnapshotUnsupported("the run does not end with a stitch probe")
+    composites: list[list[np.ndarray]] = [[] for _ in result.minis]
+    for outcome in result.outcomes:
+        if outcome.status in ("anchor", "stitched"):
+            composites[outcome.mini_index].append(outcome.chain)
+    if [len(chains) for chains in composites] != [m.frames_composited for m in result.minis]:
+        raise SnapshotUnsupported("the frame outcomes do not account for every composite")
     output = result.panorama.copy()
     tape = SnapshotTape(
         boundaries=recorder.boundaries,
@@ -715,6 +744,7 @@ def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
         frame_shape=frame_shape if frame_shape is not None else (0, 0),
         golden_output=output,
         fire_log=recorder.fire_log,
+        composites=composites,
     )
     return GoldenRun(
         config=config,
@@ -751,7 +781,7 @@ class FastForward:
         #: off the handle so "materialize once per worker" falls out of
         #: the per-process golden-run cache in ``summarize.golden``.
         self._fanouts: dict[int, BoundaryFanOut] = {}
-        self._snapshot_by_frame: dict[int, FrameSnapshot] | None = None
+        self._snapshot_by_point: dict[tuple[int, str], FrameSnapshot] | None = None
 
     def boundary_index_for(self, target_cycle: int) -> int:
         """Index of the last restore point strictly before the cycle.
@@ -822,13 +852,13 @@ class FastForward:
             telemetry.counter_inc("campaign.fanout.groups")
         return fan
 
-    def _by_frame(self) -> dict[int, FrameSnapshot]:
-        """Frame index -> the snapshot at the top of that frame."""
-        if self._snapshot_by_frame is None:
-            self._snapshot_by_frame = {
-                b.frame_index: b for b in self.tape.boundaries if b.phase == FRAME
+    def _by_point(self) -> dict[tuple[int, str], FrameSnapshot]:
+        """``(frame index, phase)`` -> the snapshot of that restore point."""
+        if self._snapshot_by_point is None:
+            self._snapshot_by_point = {
+                (b.frame_index, b.phase): b for b in self.tape.boundaries
             }
-        return self._snapshot_by_frame
+        return self._snapshot_by_point
 
     def _residue(
         self,
@@ -840,13 +870,14 @@ class FastForward:
         """What the member's loop state still differs from ``snapshot`` in.
 
         None when it differs in anything the loop reads forward of the
-        frame start; otherwise the closed-form :class:`Residue` that
+        restore point; otherwise the closed-form :class:`Residue` that
         :meth:`_synthesize_tail` completes the run from.  Cheap fields
         first, so runs that stay divergent pay almost nothing.
         """
-        # ``state.outcomes`` is deliberately not compared: the loop only
-        # appends to it forward of a frame start (never reads it), and the
-        # member's own per-frame outcomes are not part of its result.
+        # ``state.outcomes`` and ``state.pairwise`` are deliberately not
+        # compared: forward of a restore point the loop only appends
+        # outcomes (``pairwise`` feeds nothing else), and the member's
+        # own per-frame outcomes are not part of its result.
         total = int(state.total.value)
         overrun = total != snapshot.total
         if overrun and not (total > snapshot.total == len(self._frames)):
@@ -856,6 +887,7 @@ class FastForward:
             or len(state.minis) != len(snapshot.minis)
             or (state.prev_chain is None) != (snapshot.prev_chain is None)
             or (state.prev_features is None) != (snapshot.prev_features is None)
+            or (snapshot.phase != FRAME and state.position != snapshot.frame_index)
         ):
             return None
         offset = ctx.cycles - snapshot.cycles
@@ -864,26 +896,37 @@ class FastForward:
             return None  # the watchdog decides this run: execute it
         if rng.bit_generator.state != snapshot.rng_state:
             return None
-        if state.prev_chain is not None and not np.array_equal(
-            state.prev_chain, snapshot.prev_chain
+        if state.prev_chain is not None and not _same_array(state.prev_chain, snapshot.prev_chain):
+            return None
+        if snapshot.phase == WARP and not _same_array(state.chained, snapshot.chained):
+            return None
+        if snapshot.prev_features is not None and not _features_equal(
+            state.prev_features, snapshot.prev_features
         ):
             return None
-        if snapshot.prev_features is not None:
-            coords, descriptors, angles = snapshot.prev_features
-            prev = state.prev_features
-            if not (
-                np.array_equal(prev.coords, coords)
-                and np.array_equal(prev.descriptors, descriptors)
-                and np.array_equal(prev.angles, angles)
-            ):
-                return None
-        # The current mini (``state.current``) is ``minis[-1]``.
-        if state.minis and not _mini_equal(state.minis[-1], snapshot.minis[-1]):
+        if snapshot.phase != FRAME and not (
+            _features_equal(state.features, snapshot.features)
+            and _same_array(state.frame, self._frames[snapshot.frame_index])
+        ):
             return None
+        # The current mini (``state.current``) is ``minis[-1]``.
+        open_pixels = _NO_PIXELS
+        if state.minis:
+            mini, snap = state.minis[-1], snapshot.minis[-1]
+            if probes.active():
+                # The tail's warp probes checksum the open canvas.
+                if not _mini_equal(mini, snap):
+                    return None
+            elif mini.frames_composited != snap.frames_composited:
+                return None
+            else:
+                open_pixels = np.flatnonzero(mini.canvas != snap.canvas)
         closed = sum(
             not _mini_equal(mini, snap) for mini, snap in zip(state.minis[:-1], snapshot.minis)
         )
-        return Residue(cycle_offset=offset, closed_minis=closed, overrun=overrun)
+        return Residue(
+            cycle_offset=offset, closed_minis=closed, overrun=overrun, open_pixels=open_pixels
+        )
 
     def _synthesize_tail(
         self,
@@ -894,16 +937,17 @@ class FastForward:
     ) -> np.ndarray:
         """Complete a re-converged run from the tape, without executing.
 
-        At ``snapshot``'s frame start the member's loop state equals the
-        golden run's up to ``residue``, and the loop forward of a
-        restore point is a pure function of what it reads — so the remaining
-        frames would replay the golden frames verbatim.  Emit what they
-        would have emitted: the golden probe tail from this point on,
-        then either the overrun fault at the golden loop-exit cycles
-        plus the offset (the loop raises before the stitch probe), or
-        the golden final cycles plus the offset, the output stacked
-        from the live closed minis over the golden rows from the
-        current mini on, and its stitch probe.
+        At ``snapshot`` the member's loop state equals the golden run's
+        up to ``residue``, and the loop forward of a restore point is a
+        pure function of what it reads — so the rest of the run would
+        replay the golden run verbatim.  Emit what it would have
+        emitted: the golden probe tail from this point on, then either
+        the overrun fault at the golden loop-exit cycles plus the
+        offset (the loop raises before the stitch probe), or the golden
+        final cycles plus the offset, the output stacked from the live
+        closed minis over the golden rows from the current mini on —
+        with the open mini's differing pixels that no remaining
+        composite stores into kept — and its stitch probe.
         """
         tape = self.tape
         probes.replay_prefix(tape.probe_events[snapshot.probe_count : -1])
@@ -911,10 +955,12 @@ class FastForward:
         observe_events.emit(
             "golden_tail",
             frame=snapshot.frame_index,
+            phase=snapshot.phase,
             skipped_probe_events=len(tape.probe_events) - snapshot.probe_count,
             cycle_offset=residue.cycle_offset,
             closed_minis=residue.closed_minis,
             overrun=residue.overrun,
+            open_pixels=int(residue.open_pixels.size),
         )
         if residue.overrun:
             ctx.preload(tape.exit_cycles + residue.cycle_offset)
@@ -923,8 +969,26 @@ class FastForward:
         closed = state.minis[:-1]
         rows = sum(mini.canvas.shape[0] for mini in closed)
         output = np.vstack([mini.canvas for mini in closed] + [tape.golden_output[rows:]])
+        if residue.open_pixels.size:
+            mini = state.minis[-1]
+            kept = self._unstored(len(closed), mini, residue.open_pixels)
+            output[rows : rows + mini.canvas.shape[0]].flat[kept] = mini.canvas.flat[kept]
         probes.record("stitch", output)
         return output
+
+    def _unstored(self, mini_index: int, mini: MiniPanorama, pixels: np.ndarray) -> np.ndarray:
+        """The open mini's flat ``pixels`` no remaining golden composite stores into.
+
+        The golden tail composites into the open mini through the
+        chains the tape kept, from its ``frames_composited``-th on;
+        :func:`~repro.imaging.warp.warp_stores` decides each store
+        with the kernel's own arithmetic, at these pixels only.
+        """
+        rows, cols = np.divmod(pixels, mini.canvas.shape[1])
+        for chain in self.tape.composites[mini_index][mini.frames_composited :]:
+            unstored = ~warp_stores(chain, self._frame_shape, mini.canvas.shape, rows, cols)
+            pixels, rows, cols = pixels[unstored], rows[unstored], cols[unstored]
+        return pixels
 
     # -- application state ------------------------------------------------
     def _restore_app(
@@ -1162,20 +1226,38 @@ class BoundaryFanOut:
         injector.regfile.import_state(assigned, next_slot, slots)
 
 
-@dataclass(frozen=True)
+#: An empty pixel list: the open mini equals the tape.
+_NO_PIXELS = np.empty(0, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
 class Residue:
     """What a re-converged member still differs from the golden tape in.
 
-    Everything else the loop reads forward of the frame start is equal, so
-    the rest of the run is the golden tail shifted by ``cycle_offset``,
-    with ``closed_minis`` differing closed canvases in its output, or —
-    with ``overrun`` — faulting past the frame table where the golden
-    loop exits.  The all-zero residue is the exact golden tail.
+    Everything else the loop reads forward of the restore point is
+    equal, so the rest of the run is the golden tail shifted by
+    ``cycle_offset``, with ``closed_minis`` differing closed canvases
+    and the ``open_pixels`` of the open canvas that the tail leaves
+    alone in its output, or — with ``overrun`` — faulting past the
+    frame table where the golden loop exits.  The all-zero residue is
+    the exact golden tail.
     """
 
     cycle_offset: int
     closed_minis: int
     overrun: bool
+    #: Flat indices of the open mini's canvas pixels that differ from
+    #: the tape; always empty while probes are on.
+    open_pixels: np.ndarray
+
+
+def _features_equal(features: FeatureSet, arrays: FeatureArrays) -> bool:
+    coords, descriptors, angles = arrays
+    return (
+        _same_array(features.coords, coords)
+        and _same_array(features.descriptors, descriptors)
+        and _same_array(features.angles, angles)
+    )
 
 
 def _mini_equal(mini: MiniPanorama, snap: MiniSnapshot) -> bool:
@@ -1196,7 +1278,7 @@ class _GoldenTailReached(Exception):
     """
 
     def __init__(self, snapshot: FrameSnapshot, residue: Residue) -> None:
-        super().__init__(f"golden tail at frame {snapshot.frame_index}")
+        super().__init__(f"golden tail at {snapshot.label}")
         self.snapshot = snapshot
         self.residue = residue
 
@@ -1205,14 +1287,15 @@ class _ConvergenceWatch:
     """``restore_point`` hook armed on fan-out members.
 
     Until the injector fires it is a single attribute check per restore
-    point.  After the fire, the top of each frame takes the member's
-    residue against the tape's snapshot for that frame index
-    (:meth:`FastForward._residue`) and raises :class:`_GoldenTailReached`
-    once there is one; in-frame points are not compared.  That is a
-    *proof*: ``PipelineState`` plus the RANSAC RNG and the cycle counter
-    is everything the loop reads forward of a frame start, the fired
-    injector is spent and never consults machine state again, and the
-    residue is exactly what the tail reads only in closed form.
+    point.  After the fire, every restore point the member reaches —
+    frame tops and the in-frame ``MATCH`` and ``WARP`` points — takes
+    the member's residue against the tape's snapshot of the same
+    ``(frame index, phase)`` (:meth:`FastForward._residue`) and raises
+    :class:`_GoldenTailReached` at the first one that has one.  That is
+    a *proof*: ``PipelineState`` plus the RANSAC RNG and the cycle
+    counter is everything the loop reads forward of a restore point,
+    the fired injector is spent and never consults machine state again,
+    and the residue is exactly what the tail reads only in closed form.
     """
 
     __slots__ = ("injector", "fast_forward")
@@ -1224,10 +1307,10 @@ class _ConvergenceWatch:
     def __call__(
         self, ctx: ExecutionContext, rng: np.random.Generator, state: PipelineState
     ) -> None:
-        if not self.injector.record.fired or state.phase != FRAME:
+        if not self.injector.record.fired:
             return
         ff = self.fast_forward
-        snapshot = ff._by_frame().get(int(state.index.value))
+        snapshot = ff._by_point().get((int(state.index.value), state.phase))
         if snapshot is None:
             return
         residue = ff._residue(snapshot, ctx, rng, state)

@@ -250,7 +250,12 @@ def _workload_state(spec: WorkloadSpec) -> WorkerState:
 def fast_forward_for(spec: WorkloadSpec | None, config: "CampaignConfig | None" = None):
     """``spec``'s fast-forward handle (``None`` without a spec or tape).
 
-    ``config`` is unused; the parameter is accepted for existing callers.
+    It only keys dispatch: the frame groups of :func:`plan_groups` and
+    the stratified sampler's groups and fire-log strata.  It decides
+    how plans are batched, never how one executes: execution reads
+    ``WorkerState.fast_forward`` through :func:`monitor_for`, so a
+    ``None`` here still restores and splices every run.  ``config`` is
+    unused; the parameter is accepted for existing callers.
     """
     return _workload_state(spec).fast_forward if spec is not None else None
 

@@ -71,17 +71,10 @@ def _warp_into(
     if canvas.shape != coverage.shape:
         raise ValueError(f"canvas {canvas.shape} and coverage {coverage.shape} differ")
     src = as_gray(src)
-    src_h, src_w = src.shape
-    canvas_h, canvas_w = canvas.shape
 
     mat = validate_homography(transform)
     inv = invert_transform(mat)
-
-    min_x, min_y, max_x, max_y = projected_bounds(mat, src_w, src_h)
-    x_lo = max(0, int(np.floor(min_x)))
-    y_lo = max(0, int(np.floor(min_y)))
-    x_hi = min(canvas_w, int(np.ceil(max_x)) + 1)
-    y_hi = min(canvas_h, int(np.ceil(max_y)) + 1)
+    x_lo, y_lo, x_hi, y_hi = _extent(mat, src.shape, canvas.shape)
     if x_lo >= x_hi or y_lo >= y_hi:
         return 0
 
@@ -126,7 +119,6 @@ def _warp_block(
 ) -> tuple[int, int]:
     """Process one row block; returns ``(pixels_written, next_row)``."""
     canvas_h, canvas_w = canvas.shape
-    src_h, src_w = src_f.shape
 
     row_hint = int(row.value)  # pointer value before the checkpoint
     window = ctx.window("imaging.warp.row_block")
@@ -176,20 +168,7 @@ def _warp_block(
         xs = np.arange(x_lo, x_hi, dtype=np.float64)
         ys = np.arange(r0, r1, dtype=np.float64)
         grid_x, grid_y = np.meshgrid(xs, ys)
-        denom = inv_live[2, 0] * grid_x + inv_live[2, 1] * grid_y + inv_live[2, 2]
-        safe = np.abs(denom) > _MIN_HOMOGENEOUS_W
-        denom = np.where(safe, denom, 1.0)
-        sx = (inv_live[0, 0] * grid_x + inv_live[0, 1] * grid_y + inv_live[0, 2]) / denom
-        sy = (inv_live[1, 0] * grid_x + inv_live[1, 1] * grid_y + inv_live[1, 2]) / denom
-        valid = (
-            safe
-            & np.isfinite(sx)
-            & np.isfinite(sy)
-            & (sx >= 0.0)
-            & (sx <= src_w - 1.0)
-            & (sy >= 0.0)
-            & (sy <= src_h - 1.0)
-        )
+        sx, sy, valid = _inverse_map(inv_live, grid_x, grid_y, src_f.shape)
 
     if not np.any(valid):
         return 0, r1
@@ -224,6 +203,66 @@ def _warp_block(
         block[valid] = stored
         coverage[r0:r1, x_lo:x_hi][valid] = 255
     return int(np.count_nonzero(valid)), r1
+
+
+def warp_stores(
+    transform: np.ndarray,
+    src_shape: tuple[int, int],
+    canvas_shape: tuple[int, int],
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Which canvas pixels ``(rows[k], cols[k])`` a clean warp stores into.
+
+    True where :func:`warp_into` of a ``src_shape`` frame through
+    ``transform`` stores, decided with the kernel's own extent and
+    inverse map at just these pixels.  Every operation of the map is
+    element-wise IEEE arithmetic, so a pixel gets the bits here that it
+    gets in the kernel's row-block grid.
+    """
+    mat = validate_homography(transform)
+    x_lo, y_lo, x_hi, y_hi = _extent(mat, src_shape, canvas_shape)
+    inside = (rows >= y_lo) & (rows < y_hi) & (cols >= x_lo) & (cols < x_hi)
+    _, _, valid = _inverse_map(
+        invert_transform(mat), cols.astype(np.float64), rows.astype(np.float64), src_shape
+    )
+    return inside & valid
+
+
+def _extent(
+    mat: np.ndarray, src_shape: tuple[int, int], canvas_shape: tuple[int, int]
+) -> tuple[int, int, int, int]:
+    """``(x_lo, y_lo, x_hi, y_hi)``: the canvas box the warped frame can reach."""
+    src_h, src_w = src_shape
+    canvas_h, canvas_w = canvas_shape
+    min_x, min_y, max_x, max_y = projected_bounds(mat, src_w, src_h)
+    x_lo = max(0, int(np.floor(min_x)))
+    y_lo = max(0, int(np.floor(min_y)))
+    x_hi = min(canvas_w, int(np.ceil(max_x)) + 1)
+    y_hi = min(canvas_h, int(np.ceil(max_y)) + 1)
+    return x_lo, y_lo, x_hi, y_hi
+
+
+def _inverse_map(
+    inv: np.ndarray, grid_x: np.ndarray, grid_y: np.ndarray, src_shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source coordinates ``(sx, sy)`` of canvas pixels, and which are ``valid``."""
+    src_h, src_w = src_shape
+    denom = inv[2, 0] * grid_x + inv[2, 1] * grid_y + inv[2, 2]
+    safe = np.abs(denom) > _MIN_HOMOGENEOUS_W
+    denom = np.where(safe, denom, 1.0)
+    sx = (inv[0, 0] * grid_x + inv[0, 1] * grid_y + inv[0, 2]) / denom
+    sy = (inv[1, 0] * grid_x + inv[1, 1] * grid_y + inv[1, 2]) / denom
+    valid = (
+        safe
+        & np.isfinite(sx)
+        & np.isfinite(sy)
+        & (sx >= 0.0)
+        & (sx <= src_w - 1.0)
+        & (sy >= 0.0)
+        & (sy <= src_h - 1.0)
+    )
+    return sx, sy, valid
 
 
 def _remap_bilinear(

@@ -30,15 +30,15 @@ from repro.forensics.store import CampaignStore
 SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
-def sparkline(values: list[float], ceiling: float | None = None) -> str:
+def sparkline(values: list[float]) -> str:
     """Map ``values`` onto block characters; deterministic, no deps.
 
-    ``ceiling`` pins the scale (rates use 1.0 is wasteful — the default
-    scales to the series maximum so small movements stay visible).
+    The scale tops out at the series maximum, not at a rate's 1.0, so
+    small movements of a low rate stay visible.
     """
     if not values:
         return ""
-    top = ceiling if ceiling is not None else max(values)
+    top = max(values)
     if top <= 0:
         return SPARK_BLOCKS[0] * len(values)
     chars = []

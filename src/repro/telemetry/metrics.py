@@ -82,7 +82,8 @@ class MetricsRegistry:
         elif kind in EVENT_COUNTERS:
             self.inc(EVENT_COUNTERS[kind], int(payload.get("count", 1)))
             if kind == "golden_tail" and any(
-                payload.get(field) for field in ("cycle_offset", "closed_minis", "overrun")
+                payload.get(field)
+                for field in ("cycle_offset", "closed_minis", "overrun", "open_pixels")
             ):
                 # A tail spliced past a nonzero residue, not an exact one.
                 self.inc("campaign.fanout.spliced")

@@ -18,8 +18,9 @@ payloads and divergence records included.
 
 A genuine HANG, which no uniform draw reaches on the tiny workload, is
 a targeted oracle test, and so is each residue a golden tail may be
-spliced past (a raised loop bound, a closed mini, a cycle offset) or
-must not be (a lowered bound, a drift past the watchdog).  The
+spliced past (a raised loop bound, a closed mini, differing open-mini
+pixels, a cycle offset) or must not be (a lowered bound, a drift past
+the watchdog), and a splice at each kind of in-frame restore point.  The
 dead-fire predictor is checked
 exhaustively against the real injector at every golden checkpoint; the
 snapshot-restore property and the boundary lookup are checked directly.
@@ -127,6 +128,10 @@ def _checkpoints(approximation: str) -> tuple[tuple[str, int], ...]:
 
 def _checkpoint_cycles(approximation: str) -> tuple[int, ...]:
     return tuple(cycle for _site, cycle in _checkpoints(approximation))
+
+
+#: Checkpoint site prefixes of the open-mini splice property.
+OPEN_MINI_SITES = ("imaging.warp.", "vision.fast.", "vision.matching.")
 
 
 #: Pins whose target is the middle golden checkpoint of a stage: a
@@ -471,20 +476,24 @@ class TestSpliceEquivalence:
 
     Each plan aims one bit at a binding: the slot it occupies is read off
     the tape's register file (as in :class:`TestHangEquivalence`) and the
-    target is the middle golden checkpoint of its site within a window of
-    frames.  Every record must equal the unrestored monitor's byte for
-    byte, probes on and off; the ``golden_tail`` events of the fast-forward
-    run show whether the tail was synthesized, and past which residue.
+    target is the middle golden checkpoint of its site (or of the site
+    ``at``) within a window of frames.  Every record must equal the
+    unrestored monitor's byte for byte, probes on and off; the
+    ``golden_tail`` events of the fast-forward run show whether the tail
+    was synthesized, at which restore point, and past which residue.
     """
 
-    def _plan(self, vs, site: str, name: str, bit: int, frames: tuple[int, int], pick=None):
+    def _plan(
+        self, vs, site: str, name: str, bit: int, frames: tuple[int, int], pick=None, at=None
+    ):
         stream, config, _, _, _ = vs
         tape = golden_with_tape(stream, config).fast_forward.tape
         register = tape.boundaries[-1].regfile[0][(RegKind.GPR, site, name)]
         starts = {b.frame_index: b.cycles for b in tape.boundaries if b.phase == FRAME}
         lo, hi = (starts[frame] for frame in frames)
-        targets = [c for s, c in _checkpoints("VS") if s == site and lo < c < hi]
-        assert targets, f"no {site} checkpoint between frames {frames}"
+        at = at or site
+        targets = [c for s, c in _checkpoints("VS") if s == at and lo < c < hi]
+        assert targets, f"no {at} checkpoint between frames {frames}"
         target = targets[len(targets) // 2 if pick is None else pick]
         return InjectionPlan(target, RegKind.GPR, register, bit)
 
@@ -556,17 +565,107 @@ class TestSpliceEquivalence:
 
     @pytest.mark.parametrize("probe", [False, True])
     def test_closed_mini_sdc_splices(self, vs, probe):
-        """A warp gather flip corrupts the first mini-panorama; once the
-        next mini opens, the output is the corrupted closed canvas over
-        the golden rows."""
+        """A warp gather flip corrupts the first mini-panorama.  Probed,
+        the tail waits for the next mini to open and the output is the
+        corrupted closed canvas over the golden rows; unprobed, it
+        splices at the next frame with the pixel as an open-mini residue."""
         stream, config, _, _, _ = vs
         tape = golden_with_tape(stream, config).fast_forward.tape
         closes = next(b.frame_index for b in tape.boundaries if len(b.minis) == 2)
         plan = self._plan(vs, "imaging.warp.gather", "gather_x", 53, (1, closes - 1))
         expected, tails = self._compare(vs, plan, probe)
         assert expected.outcome is Outcome.SDC
-        assert len(tails) == 1 and tails[0]["closed_minis"] >= 1
+        if probe:
+            assert len(tails) == 1 and tails[0]["closed_minis"] >= 1
+        else:
+            assert len(tails) == 1 and tails[0]["frame"] < closes
+            assert (tails[0]["closed_minis"], tails[0]["open_pixels"]) == (0, 1)
         assert not tails[0]["overrun"]
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_splices_at_match_point(self, vs, probe):
+        """A flip into the previous frame's matcher row counter, still
+        leased but never read again, while this frame's descriptors are
+        built: the features come out golden, so the tail splices at the
+        frame's ``match`` point."""
+        plan = self._plan(
+            vs, "vision.matching.hamming", "match_row", 3, (12, 13), at="vision.orb.descriptors"
+        )
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.outcome is Outcome.MASKED
+        assert expected.record.binding_name == "match_row"
+        assert [(t["frame"], t["phase"]) for t in tails] == [(12, MATCH)]
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_splices_at_warp_point(self, vs, probe):
+        """A RANSAC consensus-count flip that leaves the model unchanged:
+        the chain is validated golden, so the tail splices at the frame's
+        ``warp`` point, before its composite."""
+        plan = self._plan(vs, "vision.ransac.hypotheses", "best_count", 0, (5, 6))
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.outcome is Outcome.MASKED
+        assert [(t["frame"], t["phase"], t["open_pixels"]) for t in tails] == [(5, WARP, 0)]
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_open_mini_pixel_survives(self, vs, probe):
+        """A gather flip mis-samples one pixel of the open mini and no
+        later composite stores there: unprobed, the tail splices at the
+        next frame and keeps the member's pixel, an SDC."""
+        plan = self._plan(vs, "imaging.warp.gather", "gather_x", 0, (2, 3))
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.outcome is Outcome.SDC
+        if not probe:
+            assert [(t["frame"], t["phase"], t["open_pixels"]) for t in tails] == [(3, FRAME, 1)]
+        else:
+            assert all(t["open_pixels"] == 0 for t in tails)
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_open_mini_pixel_overwritten(self, vs, probe):
+        """The same flip at the frame's last gather: a later stitch into
+        the same mini overwrites the pixel, so the spliced output is the
+        golden one, a mask."""
+        plan = self._plan(vs, "imaging.warp.gather", "gather_x", 0, (2, 3), pick=-1)
+        expected, tails = self._compare(vs, plan, probe)
+        assert expected.outcome is Outcome.MASKED
+        if not probe:
+            assert [(t["frame"], t["phase"], t["open_pixels"]) for t in tails] == [(3, FRAME, 1)]
+        else:
+            assert all(t["open_pixels"] == 0 for t in tails)
+
+    # Each example runs one resumed member and one full run; the budget
+    # is a tenth of the active profile's, so ``--hypothesis-profile
+    # ci-deep`` searches 100 cases.
+    @given(data=st.data())
+    @settings(
+        deadline=None,
+        max_examples=settings.default.max_examples // 10,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_open_mini_fire_matches_oracle(self, vs, data):
+        """A GPR flip at a warp, FAST or matcher checkpoint of a frame
+        that composites into an open mini — into a register that stage
+        binds, or any register — yields the unrestored run's record,
+        probes on and off, wherever the watch splices it."""
+        stream, config, golden, workload, _ = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        tape = fast_forward.tape
+        first = next(b.cycles for b in tape.boundaries if b.minis)
+        prefix = data.draw(st.sampled_from(OPEN_MINI_SITES))
+        target = data.draw(
+            st.sampled_from(
+                [c for s, c in _checkpoints("VS") if s.startswith(prefix) and c > first]
+            )
+        )
+        bound = sorted(
+            slot
+            for (kind, site, _), slot in tape.boundaries[-1].regfile[0].items()
+            if kind is RegKind.GPR and site.startswith(prefix)
+        )
+        register = data.draw(
+            st.one_of(st.sampled_from(bound), st.integers(0, NUM_REGISTERS - 1))
+        )
+        plan = InjectionPlan(target, RegKind.GPR, register, data.draw(st.integers(0, 63)))
+        self._compare(vs, plan, probe=data.draw(st.booleans()))
 
     @pytest.mark.parametrize("probe", [False, True])
     def test_cycle_drift_mask_splices(self, vs, probe):

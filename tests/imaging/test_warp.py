@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.imaging.geometry import identity, rotation, scaling, translation
 from repro.imaging.image import blank
-from repro.imaging.warp import warp_into, warp_perspective
+from repro.imaging.warp import warp_into, warp_perspective, warp_stores
 from repro.runtime.context import CostProfile, ExecutionContext
 from repro.runtime.errors import DegenerateModelError
 
@@ -103,3 +105,34 @@ class TestWarpInto:
             for _ in range(2)
         ]
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestWarpStores:
+    """``warp_stores`` at any pixel subset is the kernel's store mask there."""
+
+    @given(
+        angle=st.floats(-0.6, 0.6),
+        tx=st.floats(-30.0, 50.0),
+        ty=st.floats(-30.0, 40.0),
+        scale=st.floats(0.5, 2.0),
+        tilt=st.floats(-2e-3, 2e-3),
+        subset=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None)
+    def test_subset_matches_full_warp(self, angle, tx, ty, scale, tilt, subset):
+        gradient_image = np.tile(np.arange(40, dtype=np.uint8), (30, 1))
+        mat = translation(tx, ty) @ rotation(angle, (20.0, 15.0)) @ scaling(scale)
+        mat[2, 0] = tilt
+        canvas, coverage = blank(50, 60), blank(50, 60)
+        try:
+            warp_into(canvas, coverage, gradient_image, mat, ExecutionContext())
+        except DegenerateModelError:
+            return
+        rows, cols = np.divmod(np.arange(canvas.size), canvas.shape[1])
+        stores = warp_stores(mat, gradient_image.shape, canvas.shape, rows, cols)
+        assert np.array_equal(stores, coverage.ravel() == 255)
+        pick = np.random.default_rng(subset).random(canvas.size) < 0.05
+        assert np.array_equal(
+            warp_stores(mat, gradient_image.shape, canvas.shape, rows[pick], cols[pick]),
+            stores[pick],
+        )

@@ -59,9 +59,6 @@ class TestSparkline:
         assert line[0] == " "
         assert line[2] == "█"
 
-    def test_ceiling_pins_the_scale(self):
-        assert sparkline([0.5], ceiling=1.0) != sparkline([0.5])
-
     def test_deterministic(self):
         series = [0.1, 0.4, 0.2, 0.9]
         assert sparkline(series) == sparkline(series)

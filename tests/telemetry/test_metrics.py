@@ -40,8 +40,12 @@ class TestRecording:
         reg.fold("golden_tail", {"frame": 4, "cycle_offset": -70, "closed_minis": 0, "overrun": False})
         reg.fold("golden_tail", {"frame": 5, "cycle_offset": 0, "closed_minis": 1, "overrun": False})
         reg.fold("golden_tail", {"frame": 6, "cycle_offset": 0, "closed_minis": 0, "overrun": True})
-        assert reg.counter("campaign.fanout.golden_tail") == 4
-        assert reg.counter("campaign.fanout.spliced") == 3
+        reg.fold(
+            "golden_tail",
+            {"frame": 7, "cycle_offset": 0, "closed_minis": 0, "overrun": False, "open_pixels": 1},
+        )
+        assert reg.counter("campaign.fanout.golden_tail") == 5
+        assert reg.counter("campaign.fanout.spliced") == 4
 
 
 class TestSnapshot:

@@ -15,8 +15,9 @@ mapped region — which is what produces the paper's segfault-dominated
 GPR crash profile.
 
 Placement is lazy and batched.  :meth:`AddressSpace.note` (or
-:meth:`~AddressSpace.note_all` for a run of arrays) records first use
-— type and contiguity are checked at once — and draws nothing.  The
+:meth:`~AddressSpace.note_prefix` for a restored run's prefix) records
+first use — type and contiguity are checked at once — and draws
+nothing.  The
 pending arrays are placed the first time an address is needed:
 :meth:`~AddressSpace.ensure`'s return value,
 :meth:`~AddressSpace.resolve`, :meth:`~AddressSpace.byte_window`,
@@ -31,7 +32,11 @@ one-at-a-time placement would, up to the same 64 attempts.  Allocation
 the bases equal eager placement's.  Injected runs note every array
 they bind but only a pointer flip ever asks for an address, so most
 runs never place anything, and a "too crowded" placement error can
-only surface when placement is forced.
+only surface when placement is forced.  The draw runs over allocation
+sizes alone (:meth:`~AddressSpace._place`), so :meth:`AddressSpace.layout`
+can rebuild a run's heap from a list of sizes and decide where a
+corrupted pointer lands (:meth:`~AddressSpace.fault`) without the
+arrays.
 
 **Shared stand-ins.**  A restored fan-out member maps its prefix's
 dead allocations as *shared read-only stand-ins*: the one decoded copy
@@ -42,14 +47,16 @@ reach one, and every pointer goes through
 for a private copy before returning it.  So ``byte_window``, pointer
 flips and every other caller get a writable array of their own, and
 the shared bytes stay pristine.  The stand-ins are named explicitly
-(``note_all(..., shared=...)``), not inferred from
-``flags.writeable``: a full run may map read-only arrays of its own,
-and those alias as themselves.
+(:func:`shared_positions`, passed to ``note_prefix``), not inferred
+from ``flags.writeable``: a full run may map read-only arrays of its
+own, and those alias as themselves.  Their checks and their id ->
+position map are made once per fan-out; a member copies the map and
+checks only the arrays it owns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +105,7 @@ class AddressSpace:
         #: id -> position in ``_arrays``.
         self._position: dict[int, int] = {}
         #: ids of the shared read-only stand-ins among ``_arrays``.
-        self._shared: Collection[int] = frozenset()
+        self._shared: dict[int, int] = {}
         #: Stand-ins ``resolve`` swapped for a private copy (pins their ids).
         self._swapped: list[np.ndarray] = []
         #: Base of every placed array, by position: placement is a
@@ -133,49 +140,72 @@ class AddressSpace:
         self._position[key] = len(self._arrays)
         self._arrays.append(array)
 
-    def note_all(
-        self, arrays: Sequence[np.ndarray], shared: Collection[int] = frozenset()
+    def note_prefix(
+        self, arrays: list[np.ndarray], shared: dict[int, int], private: Iterable[int]
     ) -> None:
-        """Note ``arrays`` in order, exactly as one :meth:`note` each would.
+        """Note a restored prefix into this empty space, as one :meth:`note` each would.
 
-        ``shared`` holds the ids of the arrays among them that are
-        shared read-only stand-ins (see the module docstring); the
-        space keeps a reference to it, so it must not change.
+        ``arrays`` is the prefix in first-use order, without repeats.
+        ``shared`` is the id -> position map of the shared read-only
+        stand-ins among them (see the module docstring), made and
+        checked once per fan-out by :func:`shared_positions`; the
+        arrays at the ``private`` positions are checked here.  The
+        space keeps both ``arrays`` and ``shared``, so neither may
+        change.
         """
-        position, noted = self._position, self._arrays
-        for array in arrays:
-            key = id(array)
-            if key not in position:
-                _check_mappable(array)
-                position[key] = len(noted)
-                noted.append(array)
-        if shared:
-            self._shared = shared if not self._shared else {*self._shared, *shared}
+        if self._arrays:
+            raise ValueError("a prefix can only be noted into an empty address space")
+        position = shared.copy()
+        for index in private:
+            array = arrays[index]
+            _check_mappable(array)
+            position[id(array)] = index
+        if len(position) != len(arrays):
+            raise ValueError("the prefix is not covered once by its shared and private arrays")
+        self._arrays, self._position, self._shared = arrays, position, shared
 
     def ensure(self, array: np.ndarray) -> int:
         """Return the base address of ``array``, allocating on first use."""
         self.note(array)
+        return self.base(self._position[id(array)])
+
+    @classmethod
+    def layout(cls, seed: int, nbytes: np.ndarray) -> "AddressSpace":
+        """The heap a space seeded ``seed`` draws for allocations of these sizes.
+
+        Places them exactly as noting arrays of these ``nbytes``, in
+        order, and forcing placement would, but holds no array: its
+        bases (:meth:`base`) and :meth:`fault` are defined, resolving
+        an address is not.  Raises what that placement raises.
+        """
+        space = cls(seed)
+        space._place(nbytes)
+        return space
+
+    def base(self, position: int) -> int:
+        """Base address of the allocation noted at ``position``."""
         self._place_pending()
-        return self._bases[self._position[id(array)]]
+        return self._bases[position]
 
     def _place_pending(self) -> None:
-        """Place every noted allocation, in first-use order, in batched draws."""
-        first = len(self._bases)
-        pending = self._arrays[first:]
-        if not pending:
-            return
-        nbytes = np.fromiter((array.nbytes for array in pending), np.int64, len(pending))
+        """Place every noted allocation, in first-use order."""
+        pending = self._arrays[len(self._bases) :]
+        if pending:
+            self._place(np.fromiter((array.nbytes for array in pending), np.int64, len(pending)))
+
+    def _place(self, nbytes: np.ndarray) -> None:
+        """Place the next ``len(nbytes)`` allocations, of these sizes, in batched draws."""
         nbytes = np.maximum(nbytes, 1)
         pages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
         highs = HEAP_SPAN // PAGE_SIZE - pages
         # An array larger than the heap fails its first draw, after
         # every array before it has been placed.
         too_large = np.flatnonzero(highs <= 0)
-        limit = int(too_large[0]) if too_large.size else len(pending)
+        limit = int(too_large[0]) if too_large.size else len(nbytes)
         rng = self._rng
         start = 0
         attempts = 0  # failed draws of the array at ``start``
-        while start < len(pending):
+        while start < len(nbytes):
             if start == limit:
                 raise ValueError("allocation does not fit in the heap span")
             state = rng.bit_generator.state
@@ -231,40 +261,76 @@ class AddressSpace:
         self._order = np.concatenate((self._order, positions))[order]
         self._bases.extend(bases.tolist())
 
+    def _find(self, address: int) -> int | None:
+        """Index, in base order, of the allocation holding ``address``, if any."""
+        self._place_pending()
+        starts, ends = self._starts, self._ends
+        # The last allocation by base ends highest: the map is disjoint.
+        if starts.size and int(starts[0]) <= address < int(ends[-1]):
+            index = int(np.searchsorted(starts, address, side="right")) - 1
+            if address < int(ends[index]):
+                return index
+        return None
+
+    def fault(self, address: int, length: int) -> SegmentationFault | None:
+        """The fault a ``length``-byte access at ``address`` takes, or None.
+
+        The whole window must be mapped, matching the first-fault
+        behaviour of a streaming access: an unmapped ``address``
+        faults there, a window crossing the end of its allocation
+        faults at that end.
+        """
+        index = self._find(address)
+        if index is None:
+            return SegmentationFault(address)
+        end = int(self._ends[index])
+        if address + length > end:
+            return SegmentationFault(end, "access crosses allocation end")
+        return None
+
     def resolve(self, address: int) -> tuple[Allocation, int]:
         """Map ``address`` to ``(allocation, byte_offset)`` or segfault.
 
         A shared stand-in is swapped for a private copy first, so the
         returned allocation's array is always the caller's to write.
         """
-        self._place_pending()
-        starts, ends = self._starts, self._ends
-        # The last allocation by base ends highest: the map is disjoint.
-        if starts.size and int(starts[0]) <= address < int(ends[-1]):
-            index = int(np.searchsorted(starts, address, side="right")) - 1
-            base, end = int(starts[index]), int(ends[index])
-            if address < end:
-                position = int(self._order[index])
-                array = self._arrays[position]
-                if id(array) in self._shared:
-                    self._swapped.append(array)
-                    array = self._arrays[position] = array.copy()
-                    telemetry.counter_inc("campaign.fanout.cow_clones")
-                return Allocation(base=base, nbytes=end - base, array=array), address - base
-        raise SegmentationFault(address)
+        index = self._find(address)
+        if index is None:
+            raise SegmentationFault(address)
+        base, end = int(self._starts[index]), int(self._ends[index])
+        position = int(self._order[index])
+        array = self._arrays[position]
+        if id(array) in self._shared:
+            self._swapped.append(array)
+            array = self._arrays[position] = array.copy()
+            telemetry.counter_inc("campaign.fanout.cow_clones")
+        return Allocation(base=base, nbytes=end - base, array=array), address - base
 
     def byte_window(self, address: int, length: int) -> tuple[np.ndarray, int]:
         """Resolve a read/write of ``length`` bytes at ``address``.
 
-        Returns ``(flat_uint8_view, offset)`` into the owning allocation.
-        The whole window must be mapped, matching the first-fault
-        behaviour of a streaming access.
+        Returns ``(flat_uint8_view, offset)`` into the owning allocation,
+        or raises the access's :meth:`fault`.
         """
+        fault = self.fault(address, length)
+        if fault is not None:
+            raise fault
         alloc, offset = self.resolve(address)
-        if offset + length > alloc.nbytes:
-            raise SegmentationFault(address + alloc.nbytes - offset, "access crosses allocation end")
         view = alloc.array.reshape(-1).view(np.uint8)
         return view, offset
+
+
+def shared_positions(arrays: Iterable[tuple[int, np.ndarray]]) -> dict[int, int]:
+    """The id -> position map of shared stand-ins ``(position, array)``, each checked once.
+
+    Made once per fan-out and handed to every member's
+    :meth:`AddressSpace.note_prefix`.
+    """
+    positions: dict[int, int] = {}
+    for index, array in arrays:
+        _check_mappable(array)
+        positions[id(array)] = index
+    return positions
 
 
 def _check_mappable(array: np.ndarray) -> None:

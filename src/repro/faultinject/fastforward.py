@@ -16,12 +16,30 @@ state (:class:`~repro.summarize.pipeline.PipelineState`) plus the RANSAC
 RNG is all a run reads forward of one.
 
 The same golden run also logs every checkpoint and register-file write
-(:class:`FireLog`).  That decides, without executing anything, every
-run whose flip lands in an empty slot or an expired value, or that
-never fires: those paths never call ``flip``, so program state is
-untouched and the spent injector ignores every later checkpoint — the
-run *is* the golden run (:meth:`FastForward.predict_masked`).  This is
-the paper's dead-register masking, and most FPR runs end here.
+(:class:`FireLog`).  That decides, without executing anything (see
+:meth:`FastForward.predict`):
+
+* every run whose flip lands in an empty slot or an expired value, or
+  that never fires: those paths never call ``flip``, so program state
+  is untouched and the spent injector ignores every later checkpoint —
+  the run *is* the golden run.  This is the paper's dead-register
+  masking, and most FPR runs end here;
+* every GPR flip of a live pointer that segfaults at the fire, the
+  paper's dominant crash.  Up to its fire the run is the golden run,
+  so the heap it fires in holds exactly the golden allocations noted
+  by then, and their placement is a pure function of their sizes and
+  the plan's seed.  The log keeps, per checkpoint, how many
+  allocations are noted once its window is and how many probe events
+  precede it, and, per pointer write, the allocation, offset and
+  window it binds.  Placing those sizes
+  (:meth:`~repro.faultinject.addrspace.AddressSpace.layout`, the lazy
+  placement's own routine) and flipping the bit gives the corrupted
+  address; ``flip`` segfaults exactly when that address is unmapped
+  or its window crosses the end of its allocation
+  (:meth:`~repro.faultinject.addrspace.AddressSpace.fault`), before it
+  writes anything.  The run then ends at the fire checkpoint's cycle
+  with the golden probe events before it.  A mapped landing, and a
+  placement that raises, execute.
 
 The hard requirement is the repo's standing invariant: a fast-forwarded
 campaign must be **bit-identical** to a full one — outcomes, counts,
@@ -138,7 +156,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry
+from repro.faultinject.addrspace import AddressSpace, shared_positions
 from repro.faultinject.injector import InjectionPlan, InjectionRecord
+from repro.faultinject.outcomes import CrashKind, Outcome, classify_exception
 from repro.faultinject.registers import (
     AddressBinding,
     ArrayBinding,
@@ -151,6 +171,7 @@ from repro.faultinject.registers import (
     RegKind,
     Role,
     SlotEntry,
+    flip_pointer,
 )
 from repro.forensics import probes
 from repro.imaging.warp import warp_stores
@@ -283,6 +304,9 @@ class SlotWrite:
     ttl: int | None
     site: str
     written_cycle: int
+    #: An ``AddressBinding``'s ``(aid, byte_offset, window)``: the
+    #: allocation it points into, where, and the bytes it accesses.
+    pointer: tuple[int, int, int] | None = None
 
     def live_at(self, cycle: int, kind: RegKind, liveness: LivenessModel) -> bool:
         """Whether a fire at ``cycle`` still finds this value inside its lease."""
@@ -297,15 +321,21 @@ class FireLog:
     An injected run is the golden run up to its fire, and what the fire
     hits depends only on the checkpoint it fires at and on the slot's
     last write before it — so this log decides every fire that leaves
-    the program untouched without executing anything (see
-    :meth:`FastForward.predict_masked`).  Per ``(kind, slot)`` only the
-    last write of each checkpoint is kept, which is what the register
-    file holds once the checkpoint's window is written.
+    the program untouched, and every pointer flip that segfaults at the
+    fire, without executing anything (see :meth:`FastForward.predict`).
+    Per ``(kind, slot)`` only the last write of each checkpoint is kept,
+    which is what the register file holds once the checkpoint's window
+    is written.
     """
 
     #: ``ctx.cycles`` of every checkpoint, in run order (nondecreasing).
     cycles: list[int] = field(default_factory=list)
     sites: list[str] = field(default_factory=list)
+    #: Per checkpoint, the allocations noted once its window is: the
+    #: heap a fire there flips a pointer in.
+    n_allocs: list[int] = field(default_factory=list)
+    #: Per checkpoint, the probe events the golden run emitted before it.
+    probe_counts: list[int] = field(default_factory=list)
     #: ``(kind, slot)`` -> writes in checkpoint order.
     writes: dict[tuple[RegKind, int], list[SlotWrite]] = field(default_factory=dict)
     #: ``(kind, slot)`` -> index of the checkpoint behind each write.
@@ -313,21 +343,28 @@ class FireLog:
     #: site filter -> (indices, cycles) of the checkpoints it lets fire.
     _by_filter: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def log_checkpoint(self, cycle: int, site: str) -> int:
-        """Append one checkpoint; returns its index."""
+    def log_checkpoint(
+        self,
+        cycle: int,
+        site: str,
+        n_allocs: int,
+        probe_count: int,
+        writes: list[tuple[RegKind, int, SlotWrite]],
+    ) -> None:
+        """Append one checkpoint and its window's ``(kind, slot, write)``s, in order."""
+        checkpoint = len(self.cycles)
         self.cycles.append(cycle)
         self.sites.append(site)
-        return len(self.cycles) - 1
-
-    def log_write(self, kind: RegKind, slot: int, checkpoint: int, write: SlotWrite) -> None:
-        """Record ``write`` as the slot's contents from ``checkpoint`` on."""
-        writes = self.writes.setdefault((kind, slot), [])
-        checkpoints = self.write_checkpoints.setdefault((kind, slot), [])
-        if checkpoints and checkpoints[-1] == checkpoint:
-            writes[-1] = write
-        else:
-            writes.append(write)
-            checkpoints.append(checkpoint)
+        self.n_allocs.append(n_allocs)
+        self.probe_counts.append(probe_count)
+        for kind, slot, write in writes:
+            slot_writes = self.writes.setdefault((kind, slot), [])
+            checkpoints = self.write_checkpoints.setdefault((kind, slot), [])
+            if checkpoints and checkpoints[-1] == checkpoint:
+                slot_writes[-1] = write
+            else:
+                slot_writes.append(write)
+                checkpoints.append(checkpoint)
 
     def fire_checkpoint(self, target_cycle: int, site_filter: str | None) -> int | None:
         """Index of the checkpoint a plan fires at, or None if it never fires.
@@ -359,6 +396,19 @@ class FireLog:
             return None
         k = bisect.bisect_right(checkpoints, checkpoint) - 1
         return self.writes[(kind, slot)][k] if k >= 0 else None
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """A run :meth:`FastForward.predict` decides from the fire log."""
+
+    record: InjectionRecord
+    outcome: Outcome
+    crash_kind: CrashKind | None
+    #: The run's final ``ctx.cycles``.
+    cycles: int
+    #: The run's probe stream: this many golden probe events.
+    probe_count: int
 
 
 @dataclass
@@ -438,22 +488,29 @@ class SnapshotRecorder:
         """Track register-file writes and first-use allocations."""
         cycle = ctx.cycles
         site = window.site
-        checkpoint = self.fire_log.log_checkpoint(cycle, site)
+        writes: list[tuple[RegKind, int, SlotWrite]] = []
         for binding in window.bindings:
             backing = getattr(binding, "array", None)
             if backing is not None:
                 self._ensure(backing)
-            if isinstance(binding, AddressBinding) and binding.on_alias is not None:
-                raise SnapshotUnsupported(
-                    f"binding {binding.name!r} at {site!r} uses on_alias"
-                )
+            pointer = None
+            if isinstance(binding, AddressBinding):
+                if binding.on_alias is not None:
+                    raise SnapshotUnsupported(
+                        f"binding {binding.name!r} at {site!r} uses on_alias"
+                    )
+                aid = self._alloc_by_id[id(binding.array)].aid
+                pointer = (aid, binding.byte_offset, binding.window)
             slot = self.regfile.write(binding, site, cycle)
-            self.fire_log.log_write(
-                binding.kind,
-                slot,
-                checkpoint,
-                SlotWrite(binding.name, binding.role, binding.ttl, site, cycle),
-            )
+            write = SlotWrite(binding.name, binding.role, binding.ttl, site, cycle, pointer)
+            writes.append((binding.kind, slot, write))
+        self.fire_log.log_checkpoint(
+            cycle,
+            site,
+            len(self.allocs),
+            0 if self.probe is None else len(self.probe.events),
+            writes,
+        )
 
     def _ensure(self, array: np.ndarray) -> None:
         if id(array) in self._alloc_by_id:
@@ -777,6 +834,11 @@ class FastForward:
         self.config = config
         self.stream_name = stream.name
         self._frames, self._frame_shape = materialize_frames(stream, config)
+        #: Byte size of every allocation, in first-use order: the heap
+        #: a predicted pointer flip is placed in.
+        self._nbytes = np.fromiter(
+            (record.nbytes for record in tape.allocs), np.int64, len(tape.allocs)
+        )
         #: restore-point index -> shared fan-out state, lazily built.  Hangs
         #: off the handle so "materialize once per worker" falls out of
         #: the per-process golden-run cache in ``summarize.golden``.
@@ -804,44 +866,78 @@ class FastForward:
         """
         return self.tape.boundaries[self.boundary_index_for(target_cycle)].frame_index
 
-    def predict_masked(
+    def predict(
         self,
         plan: InjectionPlan,
         liveness: LivenessModel,
         site_filter: str | None,
-    ) -> InjectionRecord | None:
-        """The record of a run the fire log already decides, else None.
+    ) -> Prediction | None:
+        """The run the fire log already decides, else None.
 
         Mirrors ``FaultInjector.visit``/``_fire`` against the golden
-        fire log.  Returns the record only when the plan never fires
-        or fires into a dead register (``DEAD_EMPTY``/``DEAD_STALE``):
-        neither path calls ``flip``, so program state is untouched and
-        the spent injector ignores every later checkpoint — the run is
-        the golden run, outcome MASKED.  Returns None when the flip
-        would hit a live value; that run has to execute.
+        fire log, and decides without executing:
+
+        * a plan that never fires or fires into a dead register
+          (``DEAD_EMPTY``/``DEAD_STALE``): neither path calls ``flip``,
+          so program state is untouched and the spent injector ignores
+          every later checkpoint — the run is the golden run, MASKED;
+        * a flip of a live pointer whose corrupted address is unmapped,
+          or whose window crosses the end of the allocation it lands
+          in: ``flip`` raises that segfault before writing anything, so
+          the run ends CRASH/SEGV (``effect=APPLIED``) at the fire
+          checkpoint's cycle, with the golden probe events before it.
+          The heap is the one the run's own address space would place:
+          the fire checkpoint's allocations, by size, with the plan's
+          seed.
+
+        Returns None when the flip has to execute: any other live
+        value, a mapped landing, or a placement that raises (the run
+        raises it too).
         """
-        log = self.tape.fire_log
+        tape = self.tape
+        log = tape.fire_log
         record = InjectionRecord(plan)
+        # A dead or absent fire: the golden run, probe stream included.
+        masked = Prediction(
+            record, Outcome.MASKED, None, tape.golden_cycles, len(tape.probe_events)
+        )
         checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
         if checkpoint is None:
-            return record
+            return masked
         cycle = log.cycles[checkpoint]
         write = log.slot_at(plan.kind, plan.register, checkpoint)
-        if write is None:
-            effect = FlipEffect.DEAD_EMPTY
-        elif write.live_at(cycle, plan.kind, liveness):
-            return None  # a live value: the flip has to execute
-        else:
-            effect = FlipEffect.DEAD_STALE
-            record.binding_name = write.name
-            record.role = write.role
         record.fired = True
         record.fired_cycle = cycle
         record.site = log.sites[checkpoint]
-        record.effect = effect
         if site_filter is not None:
             record.in_study = write is not None and write.site.startswith(site_filter)
-        return record
+        if write is None:
+            record.effect = FlipEffect.DEAD_EMPTY
+            return masked
+        record.binding_name = write.name
+        record.role = write.role
+        if not write.live_at(cycle, plan.kind, liveness):
+            record.effect = FlipEffect.DEAD_STALE
+            return masked
+        fault = self._pointer_fault(plan, write.pointer, log.n_allocs[checkpoint])
+        if fault is None:
+            return None  # not a pointer, a mapped landing or a placement error: execute
+        record.effect = FlipEffect.APPLIED
+        outcome, crash_kind = classify_exception(fault)
+        return Prediction(record, outcome, crash_kind, cycle, log.probe_counts[checkpoint])
+
+    def _pointer_fault(
+        self, plan: InjectionPlan, pointer: tuple[int, int, int] | None, n_allocs: int
+    ) -> SegmentationFault | None:
+        """The segfault flipping ``plan.bit`` of ``pointer`` takes in the fire's heap, if any."""
+        if pointer is None:
+            return None
+        aid, byte_offset, window = pointer
+        try:
+            space = AddressSpace.layout(plan.target_cycle, self._nbytes[:n_allocs])
+        except (ValueError, RuntimeError):
+            return None  # "too crowded" or too large: executed, the flip raises it
+        return space.fault(flip_pointer(space.base(aid) + byte_offset, plan.bit), window)
 
     def fanout(self, index: int) -> "BoundaryFanOut":
         """The shared fan-out state for restore point ``index`` (lazy)."""
@@ -1113,8 +1209,9 @@ class BoundaryFanOut:
         self._stand_ins: list[np.ndarray | None] | None = None
         #: Dead aids the register file binds: cloned per member.
         self._bound: list[int] = []
-        #: ids of the stand-ins members map as shared (all but the bound).
-        self._shared: frozenset[int] = frozenset()
+        #: id -> aid of the stand-ins members map as shared (all but the
+        #: bound), checked mappable once for every member.
+        self._shared: dict[int, int] = {}
 
     def _materialize(self) -> None:
         """Decode this point's dead allocations once, read-only."""
@@ -1135,8 +1232,8 @@ class BoundaryFanOut:
             if item is not None and item[0][0] in ("array", "address")
         }
         self._bound = sorted(aid for aid in bound if stand_ins[aid] is not None)
-        self._shared = frozenset(
-            id(array)
+        self._shared = shared_positions(
+            (aid, array)
             for aid, array in enumerate(stand_ins)
             if array is not None and aid not in bound
         )
@@ -1206,8 +1303,10 @@ class BoundaryFanOut:
         # Replay the prefix's first-use allocation sequence, in order,
         # into the injected run's fresh address space: the heap layout
         # (and the RNG draws behind it, made when placement is first
-        # forced) is bit-identical to a full run's.
-        injector.space.note_all(objects, shared=self._shared)
+        # forced) is bit-identical to a full run's.  The shared
+        # stand-ins were checked once per fan-out; only the member's
+        # own arrays are checked here.
+        injector.space.note_prefix(objects, self._shared, [*self._bound, *snapshot.live_map])
 
         assigned, next_slot, described = snapshot.regfile
         slots = {

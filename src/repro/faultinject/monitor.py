@@ -113,7 +113,8 @@ class FaultMonitor:
         self.probe = probe
         #: Optional :class:`repro.faultinject.fastforward.FastForward`
         #: handle.  When set, a run whose fire the golden fire log
-        #: already decides as dead (or that never fires) is classified
+        #: already decides (a dead register, no fire at all, or a
+        #: pointer flip that segfaults at the fire) is classified
         #: without executing; every other run resumes from the last
         #: golden restore point before its plan cycle through that
         #: point's shared
@@ -173,22 +174,23 @@ class FaultMonitor:
         )
         ff = self.fast_forward
         if ff is not None:
-            predicted = ff.predict_masked(plan, self.liveness, self.site_filter)
+            predicted = ff.predict(plan, self.liveness, self.site_filter)
             if predicted is not None:
-                # The flip never touches program state: the run is the
-                # golden run, probe stream included.
+                # The run is the golden run up to its end: the whole of
+                # it for a masked fire, up to the fire for a segfault.
                 if observe_events.enabled():
                     telemetry.counter_inc("campaign.fastforward.predicted")
                     telemetry.counter_inc(
-                        "campaign.fastforward.skipped_cycles", self.golden_cycles
+                        "campaign.fastforward.skipped_cycles", predicted.cycles
                     )
                 with probes.capturing(probe):
-                    probes.replay_prefix(ff.tape.probe_events)
+                    probes.replay_prefix(ff.tape.probe_events[: predicted.probe_count])
                 return InjectionResult(
                     plan=plan,
-                    record=predicted,
-                    outcome=Outcome.MASKED,
-                    cycles=self.golden_cycles,
+                    record=predicted.record,
+                    outcome=predicted.outcome,
+                    crash_kind=predicted.crash_kind,
+                    cycles=predicted.cycles,
                     divergence=divergence(),
                 )
         injector = FaultInjector(

@@ -294,9 +294,7 @@ class AddressBinding(Binding):
         self.on_alias = on_alias
 
     def flip(self, bit: int, rng: np.random.Generator, space: AddressSpace) -> FlipEffect:
-        base = space.ensure(self.array)
-        raw = _to_raw64(base + self.byte_offset)
-        corrupted = raw ^ (1 << bit)
+        corrupted = flip_pointer(space.ensure(self.array) + self.byte_offset, bit)
         view, offset = space.byte_window(corrupted, self.window)  # may segfault
         if self.on_alias is not None:
             self.on_alias(view, offset)
@@ -309,6 +307,11 @@ class AddressBinding(Binding):
             span = min(self.window, own.size)
             own[:span] = view[offset : offset + span]
         return FlipEffect.APPLIED
+
+
+def flip_pointer(address: int, bit: int) -> int:
+    """The raw 64-bit address a pointer register holds once ``bit`` flips."""
+    return _to_raw64(address) ^ (1 << bit)
 
 
 def slot_for(site: str, name: str) -> int:

@@ -167,8 +167,8 @@ def stratify(
     checkpoint ``config.site_filter`` lets fire.  There every register
     slot holds its last golden write, which is empty, stale or live
     under ``config.liveness`` — exactly what
-    :meth:`~repro.faultinject.fastforward.FastForward.predict_masked`
-    decides per plan.  Empty and stale slots, and the targets past the
+    :meth:`~repro.faultinject.fastforward.FastForward.predict` decides
+    MASKED per plan.  Empty and stale slots, and the targets past the
     last firing checkpoint, are dead mass; a live slot's cycles join the
     stratum of (fire-site stage, value role), the stage being the site's
     first two dot-parts (``vision.orb``, ``imaging.warp``).  Without a

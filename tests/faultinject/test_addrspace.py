@@ -234,7 +234,8 @@ class TestBatchedPlacement:
         raised = None
         with mock.patch.object(addrspace, "HEAP_SPAN", span_pages * PAGE_SIZE):
             for chunk in (arrays[:split], arrays[split:]):
-                space.note_all(chunk)
+                for array in chunk:
+                    space.note(array)
                 try:
                     len(space)
                 except (RuntimeError, ValueError) as exc:
@@ -246,3 +247,31 @@ class TestBatchedPlacement:
         for array, base in zip(arrays, expected):
             alloc, _ = space.resolve(base + max(array.nbytes, 1) - 1)
             assert alloc.array is array and alloc.base == base
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        span_pages=st.integers(4, 300),
+        sizes=st.lists(st.integers(0, 6 * PAGE_SIZE), min_size=1, max_size=60),
+    )
+    @example(seed=0, span_pages=8, sizes=[PAGE_SIZE] * 9)
+    @example(seed=1, span_pages=8, sizes=[1, 2 * PAGE_SIZE, 9 * PAGE_SIZE])
+    @settings(deadline=None, max_examples=settings.default.max_examples)
+    def test_layout_equals_scalar(self, seed, span_pages, sizes):
+        """A layout placed from sizes alone draws the noted arrays' heap:
+        the scalar reference's bases and generator state, or its error."""
+        expected, error, reference = _scalar_placement(seed, sizes, span_pages)
+        with mock.patch.object(addrspace, "HEAP_SPAN", span_pages * PAGE_SIZE):
+            if error is not None:
+                with pytest.raises(error):
+                    AddressSpace.layout(seed, np.array(sizes, dtype=np.int64))
+                return
+            layout = AddressSpace.layout(seed, np.array(sizes, dtype=np.int64))
+        assert [layout.base(position) for position in range(len(sizes))] == expected
+        assert layout._rng.bit_generator.state == reference.bit_generator.state
+        for size, base in zip(sizes, expected):
+            end = base + max(size, 1)
+            assert layout.fault(base, end - base) is None
+            assert layout.fault(end - 1, 2).address == end
+            if end % PAGE_SIZE:
+                # The rest of the last page is unmapped.
+                assert layout.fault(end, 1).address == end

@@ -21,8 +21,9 @@ a targeted oracle test, and so is each residue a golden tail may be
 spliced past (a raised loop bound, a closed mini, differing open-mini
 pixels, a cycle offset) or must not be (a lowered bound, a drift past
 the watchdog), and a splice at each kind of in-frame restore point.  The
-dead-fire predictor is checked
-exhaustively against the real injector at every golden checkpoint; the
+fire-log predictor is checked
+exhaustively against the real injector at every golden checkpoint, and
+its segfault decisions by a property over live pointer flips; the
 snapshot-restore property and the boundary lookup are checked directly.
 """
 
@@ -40,7 +41,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -65,8 +66,10 @@ from repro.faultinject.registers import (
     LivenessModel,
     RegisterFileState,
     RegKind,
+    flip_pointer,
 )
 from repro.runtime.context import ExecutionContext
+from repro.runtime.errors import SegmentationFault
 from repro.observe import events
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import golden_run, golden_with_tape
@@ -712,7 +715,8 @@ class TestPreFirstBoundary:
         ]
 
         def predicted(plan):
-            return fast_forward.predict_masked(plan, LivenessModel(), None) is not None
+            prediction = fast_forward.predict(plan, LivenessModel(), None)
+            return prediction is not None and prediction.outcome is Outcome.MASKED
 
         live = next(plan for plan in plans if not predicted(plan))
         dead = next(plan for plan in plans if predicted(plan))
@@ -953,13 +957,14 @@ class _FireOracle:
 
 
 class TestFireLogPrediction:
-    """``FastForward.predict_masked`` against the real injector, exhaustively.
+    """``FastForward.predict`` against the real injector, exhaustively.
 
     Targets are 0, every distinct golden checkpoint cycle and one past
     the last checkpoint; each is tried for every register of both kinds
-    under two liveness models.  The predictor must return None exactly
-    when the injector would call ``flip``, and otherwise the injector's
-    record.
+    under two liveness models.  The predictor must decide MASKED exactly
+    when the injector would not call ``flip``, and any run it decides
+    must carry the injector's record (a bit-0 pointer flip whose window
+    crosses the end of its allocation is a decided crash).
     """
 
     @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
@@ -999,13 +1004,14 @@ class TestFireLogPrediction:
                             record, flipped = FaultInjector(plan).record, False
                         else:
                             record, flipped = oracle.records[(name, plan)]
-                        prediction = fast_forward.predict_masked(plan, liveness, site_filter)
-                        assert (prediction is None) == flipped, (name, plan, record)
+                        prediction = fast_forward.predict(plan, liveness, site_filter)
+                        masked = prediction is not None and prediction.outcome is Outcome.MASKED
+                        assert masked != flipped, (name, plan, record)
                         if prediction is None:
                             executed += 1
                         else:
                             predicted += 1
-                            assert prediction == record, (name, plan)
+                            assert prediction.record == record, (name, plan)
         assert predicted and executed
 
 
@@ -1151,3 +1157,164 @@ class TestDeadStandIns:
         finally:
             tracemalloc.stop()
         assert peak < dead // 4
+
+
+@functools.lru_cache(maxsize=None)
+def _pointer_fires(which: str, algorithm: str, site_filter: str | None) -> tuple:
+    """``(target cycle, register, checkpoint)`` of every fire that flips a live pointer.
+
+    Each target is a firing checkpoint's cycle, so the plan fires there
+    (the first checkpoint with that cycle, as the injector does).
+    """
+    _, fast_forward = _tiny(which, algorithm)
+    log = fast_forward.tape.fire_log
+    fires = []
+    for index, cycle in zip(*log.firing_checkpoints(site_filter)):
+        if log.fire_checkpoint(cycle, site_filter) != index:
+            continue
+        for register in range(NUM_REGISTERS):
+            write = log.slot_at(RegKind.GPR, register, index)
+            if write is not None and write.pointer is not None and write.live_at(
+                cycle, RegKind.GPR, LivenessModel()
+            ):
+                fires.append((cycle, register, index))
+    return tuple(fires)
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_monitor(which: str, algorithm: str, probe: bool, site_filter, fast: bool):
+    """A monitor of one tiny workload, with the tape's handle when ``fast``."""
+    stream = input_stream(which, TINY)
+    config = config_for(algorithm)
+    golden = golden_run(stream, config)
+    return FaultMonitor(
+        vs_workload(stream, config),
+        golden.output,
+        golden.total_cycles,
+        site_filter=site_filter,
+        probe=probe,
+        fast_forward=_tiny(which, algorithm)[1] if fast else None,
+    )
+
+
+def _dense_span(fast_forward) -> int:
+    """A heap span four times the workload's pages, where flips land in allocations."""
+    pages = sum(-(-record.nbytes // PAGE_SIZE) for record in fast_forward.tape.allocs)
+    return 4 * pages * PAGE_SIZE
+
+
+def _landing(fast_forward, plan: InjectionPlan, checkpoint: int) -> str:
+    """Where ``plan``'s flip of the pointer live at ``checkpoint`` lands.
+
+    ``unmapped``, ``crosses-end`` (of the allocation it lands in), or
+    mapped in the pointer's own allocation (``mapped``) or in another
+    one (``elsewhere``).
+    """
+    log = fast_forward.tape.fire_log
+    aid, offset, window = log.slot_at(plan.kind, plan.register, checkpoint).pointer
+    sizes = [record.nbytes for record in fast_forward.tape.allocs[: log.n_allocs[checkpoint]]]
+    space = AddressSpace.layout(plan.target_cycle, np.array(sizes, dtype=np.int64))
+    address = flip_pointer(space.base(aid) + offset, plan.bit)
+    fault = space.fault(address, window)
+    if fault is not None:
+        return "crosses-end" if "crosses allocation end" in str(fault) else "unmapped"
+    return "mapped" if int(space._order[space._find(address)]) == aid else "elsewhere"
+
+
+class TestPredictedSegfaults:
+    """Pointer flips the fire log decides as segfaults, against the oracle.
+
+    Plans flip a bit of a live pointer at its fire, on the tiny
+    input1/VS and input2/VS_RFD tapes, probes on and off, with and
+    without a site filter, in the sparse heap and in one shrunk to four
+    times the workload's pages (where flips land in other allocations,
+    so the placement itself decides).  The unrestored oracle runs with
+    ``AddressBinding.flip`` spied on.  Sound: every decided run's
+    record equals the oracle's.  Complete: no run left to execute
+    segfaults inside ``flip``, which is always at its fire checkpoint.
+    Examples pin an unmapped landing, a window crossing the end of an
+    allocation, and mapped landings in the pointer's own allocation
+    and in another one, each checked by the oracle's own fault.
+    """
+
+    def _pinned(self, which, algorithm, site_filter, landing):
+        """The first fire and bit whose flip lands as ``landing``."""
+        _, fast_forward = _tiny(which, algorithm)
+        for cycle, register, checkpoint in _pointer_fires(which, algorithm, site_filter):
+            for bit in range(64):
+                plan = InjectionPlan(cycle, RegKind.GPR, register, bit)
+                if _landing(fast_forward, plan, checkpoint) == landing:
+                    return plan, checkpoint
+        raise AssertionError(f"no {landing} landing")
+
+    # Each example runs one full oracle run; the budget is a quarter of
+    # the active profile's, so ``--hypothesis-profile ci-deep`` searches
+    # 250 cases.
+    @given(
+        workload=st.sampled_from([("input1", "VS"), ("input2", "VS_RFD")]),
+        probe=st.booleans(),
+        site_filter=st.sampled_from([None, "imaging.warp"]),
+        dense=st.booleans(),
+        fire=st.integers(0, 2**16),
+        bit=st.integers(0, 63),
+        pin=st.none(),
+    )
+    @example(("input1", "VS"), False, None, False, 0, 0, "unmapped")
+    @example(("input2", "VS_RFD"), True, None, False, 0, 0, "crosses-end")
+    @example(("input1", "VS"), True, "imaging.warp", False, 0, 0, "mapped")
+    @example(("input1", "VS"), False, None, True, 0, 0, "elsewhere")
+    @settings(
+        deadline=None,
+        max_examples=settings.default.max_examples // 4,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_decided_segfaults_match_oracle(
+        self, workload, probe, site_filter, dense, fire, bit, pin
+    ):
+        which, algorithm = workload
+        _, fast_forward = _tiny(which, algorithm)
+        faults: list[SegmentationFault] = []
+        flip = AddressBinding.flip
+
+        def spy(binding, bit, rng, space):
+            try:
+                return flip(binding, bit, rng, space)
+            except SegmentationFault as fault:
+                faults.append(fault)
+                raise
+
+        with contextlib.ExitStack() as patches:
+            if dense:
+                span = _dense_span(fast_forward)
+                patches.enter_context(mock.patch.object(addrspace, "HEAP_SPAN", span))
+                # A page-or-more jump that stays near the heap.
+                bit = 12 + bit % (span.bit_length() - 11)
+            if pin is None:
+                fires = _pointer_fires(which, algorithm, site_filter)
+                cycle, register, checkpoint = fires[fire % len(fires)]
+                plan = InjectionPlan(cycle, RegKind.GPR, register, bit)
+            else:
+                plan, checkpoint = self._pinned(which, algorithm, site_filter, pin)
+            landing = _landing(fast_forward, plan, checkpoint)
+            event(f"{landing}, {'dense' if dense else 'sparse'} heap")
+            prediction = fast_forward.predict(plan, LivenessModel(), site_filter)
+            with mock.patch.object(AddressBinding, "flip", spy):
+                expected = _tiny_monitor(which, algorithm, probe, site_filter, False).run_injected(
+                    plan, np.random.default_rng(plan.target_cycle)
+                )
+            result = _tiny_monitor(which, algorithm, probe, site_filter, True).run_injected(
+                plan, np.random.default_rng(plan.target_cycle)
+            )
+        assert serialize_result(result) == serialize_result(expected)
+        assert (prediction is not None) == bool(faults), (plan, landing, faults)
+        assert len(faults) <= 1
+        if prediction is not None:
+            assert prediction.outcome is Outcome.CRASH
+            assert result.crash_kind is CrashKind.SEGV
+            assert result.record.effect is FlipEffect.APPLIED
+            assert result.cycles == prediction.cycles == result.record.fired_cycle
+        if faults:
+            crosses = "crosses allocation end" in str(faults[0])
+            assert landing == ("crosses-end" if crosses else "unmapped")
+        else:
+            assert landing in ("mapped", "elsewhere")

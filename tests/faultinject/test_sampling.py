@@ -3,7 +3,8 @@
 Four invariants anchor this file:
 
 * the fire-log strata are exact: the dead mass equals one
-  ``predict_masked`` call per firing checkpoint and register, the live
+  ``FastForward.predict`` call per firing checkpoint and register that
+  decides MASKED, the live
   strata partition the rest, and every drawn plan is live and lands
   back in its own (stage, role) stratum;
 * the Horvitz-Thompson reweighted estimator is *unbiased* (checked by
@@ -208,8 +209,14 @@ def _stage(site: str) -> str:
     return ".".join(site.split(".")[:2])
 
 
+def _predicted_masked(fast_forward, plan, liveness, site_filter) -> bool:
+    """Whether the fire log decides ``plan`` as masked (a dead or absent fire)."""
+    prediction = fast_forward.predict(plan, liveness, site_filter)
+    return prediction is not None and prediction.outcome is Outcome.MASKED
+
+
 def _dead_oracle(fast_forward, kind, liveness, site_filter, golden_cycles) -> int:
-    """Dead (cycle, register) pairs, one ``predict_masked`` per checkpoint and register.
+    """Dead (cycle, register) pairs, one ``predict`` per checkpoint and register.
 
     Every target in ``(c[k-1], c[k]]`` fires at checkpoint ``k``, so
     one plan aimed at ``c[k]`` decides the whole interval; targets past
@@ -224,10 +231,9 @@ def _dead_oracle(fast_forward, kind, liveness, site_filter, golden_cycles) -> in
 
     def dead_registers(target: int) -> int:
         return sum(
-            fast_forward.predict_masked(
-                InjectionPlan(target, kind, register, 0), liveness, site_filter
+            _predicted_masked(
+                fast_forward, InjectionPlan(target, kind, register, 0), liveness, site_filter
             )
-            is not None
             for register in range(NUM_REGISTERS)
         )
 
@@ -289,10 +295,7 @@ class TestStratification:
                 for plan in stratum.draw(kind, 32, seed=3, round_index=2):
                     assert 0 <= plan.target_cycle < golden.total_cycles
                     assert 0 <= plan.bit < REGISTER_BITS
-                    assert (
-                        fast_forward.predict_masked(plan, config.liveness, site_filter)
-                        is None
-                    )
+                    assert not _predicted_masked(fast_forward, plan, config.liveness, site_filter)
                     checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
                     write = log.slot_at(kind, plan.register, checkpoint)
                     assert (_stage(log.sites[checkpoint]), write.role.value) == (

@@ -59,15 +59,16 @@ QUICK = Scale("quick", 48, (96, 72), 100, 150, 300, 150)
 MEDIUM = Scale("medium", 48, (96, 72), 400, 700, 1200, 500)
 PAPER = Scale("paper", 1000, (96, 72), 1000, 5000, 2500, 1000)
 
-_SCALES = {scale.name: scale for scale in (TINY, QUICK, MEDIUM, PAPER)}
+#: Every experiment scale by name.
+SCALES = {scale.name: scale for scale in (TINY, QUICK, MEDIUM, PAPER)}
 
 
 def scale_from_env(default: str = "quick") -> Scale:
     """Pick the experiment scale from ``REPRO_SCALE``."""
     name = os.environ.get("REPRO_SCALE", default).lower()
-    if name not in _SCALES:
-        raise ValueError(f"unknown REPRO_SCALE {name!r}; expected one of {sorted(_SCALES)}")
-    return _SCALES[name]
+    if name not in SCALES:
+        raise ValueError(f"unknown REPRO_SCALE {name!r}; expected one of {sorted(SCALES)}")
+    return SCALES[name]
 
 
 def input_stream(which: str, scale: Scale) -> FrameStream:

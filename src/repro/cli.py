@@ -75,11 +75,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.experiments import scale_from_env
+from repro.analysis.experiments import SCALES
 from repro.analysis.reporting import campaign_to_dict, save_json
 from repro.faultinject.campaign import CampaignConfig, run_campaign
 from repro.faultinject.parallel import VSWorkloadSpec, default_workers
 from repro.faultinject.registers import RegKind
+from repro.faultinject.sampling import SAMPLING_MODES
 from repro.imaging.io import save_pgm
 from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import ALGORITHM_FACTORIES, config_for
@@ -335,12 +336,9 @@ def cmd_events(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run one paper experiment by figure name."""
-    import os
-
     from repro.analysis import experiments
 
-    os.environ.setdefault("REPRO_SCALE", args.scale)
-    scale = scale_from_env(default=args.scale)
+    scale = SCALES[args.scale]
     entry_points = {
         "fig05": experiments.fig05_perf_energy,
         "fig06": experiments.fig06_output_quality,
@@ -602,9 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         metavar="PATH",
-        help="resume a previous campaign from its journal: replay "
-        "journaled chunks, run only the remainder, keep journaling to "
-        "the same file (bit-identical to an uninterrupted run)",
+        help="resume a previous campaign from its journal: skip the "
+        "journaled injections, run only the remainder (at any --workers), "
+        "keep journaling to the same file (bit-identical to an "
+        "uninterrupted run)",
     )
     p_camp.add_argument(
         "--watchdog-factor",
@@ -624,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--sampling",
         default="uniform",
-        choices=["uniform", "stratified"],
+        choices=SAMPLING_MODES,
         help="plan-drawing strategy: 'uniform' (the paper's brute-force "
         "draw, byte-identical across releases for a given seed) or "
         "'stratified' (exact dead mass from the golden fire log, adaptive "
@@ -645,8 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         metavar="K",
-        help="stratified mode: draws per unresolved stratum per round "
-        "(journals checkpoint once per round)",
+        help="stratified mode: draws per unresolved stratum per round",
     )
     p_camp.add_argument(
         "--max-injections",
@@ -730,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure",
         choices=["fig05", "fig06", "fig08", "fig09", "fig10", "fig11a", "fig11b", "fig12", "fig13"],
     )
-    p_exp.add_argument("--scale", default="tiny", choices=["tiny", "quick", "medium", "paper"])
+    p_exp.add_argument("--scale", default="tiny", choices=list(SCALES))
     p_exp.add_argument(
         "--workers",
         type=_positive_int,

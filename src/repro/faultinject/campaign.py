@@ -92,7 +92,7 @@ class CampaignConfig:
     #: once the widest Wilson 95% CI over its outcome rates is at most this.
     ci_width: float = 0.02
     #: Stratified mode: injections drawn per still-unresolved stratum
-    #: per round (the journal checkpoints once per round).
+    #: per round.
     round_size: int = 8
     #: Stratified mode: hard campaign-wide draw budget; ``None`` keeps
     #: sampling until every stratum converges.  A stratum that cannot
@@ -196,33 +196,96 @@ def assemble_campaign(
     )
 
 
-def _prepare_journal(
-    config: CampaignConfig,
-    n_plans: int,
-    journal_path: Path,
-    resume: bool,
-    groups: list[list[int]],
-) -> tuple[CampaignJournal, list[list[int]], dict[int, list[InjectionResult]], bool]:
-    """Open (or reopen) the journal.
+class UniformPlanner:
+    """A uniform campaign as a one-round sampled campaign: the seed's draw.
 
-    Returns ``(journal, groups, completed, partial)``.  On resume the
-    groups are whatever the journal header recorded: the original run's
-    dispatch must be replayed verbatim.
+    The planner interface :func:`run_campaign` drives, shared with
+    :class:`~repro.faultinject.sampling.StratifiedPlanner`.
     """
-    journal_path = Path(journal_path)
-    if not resume:
-        return CampaignJournal.create(journal_path, config, groups=groups), groups, {}, False
 
-    state = load_journal(journal_path)
-    require_same_campaign(state.fingerprint, config, journal_path)
-    covered = sorted(index for group in state.groups for index in group)
-    if covered != list(range(n_plans)):
+    stratification = None
+
+    def __init__(self, config: CampaignConfig, golden_cycles: int) -> None:
+        self.config = config
+        self.golden_cycles = golden_cycles
+        self.results: list[InjectionResult] = []
+        self.rounds_done = 0
+
+    @property
+    def total_draws(self) -> int:
+        return len(self.results)
+
+    def start_fields(self, groups: list[list[int]]) -> tuple[dict, str]:
+        """``campaign_start`` fields and the banner note of this mode."""
+        fields = dict(total=self.config.n_injections, groups=len(groups))
+        return fields, f"{len(groups)} dispatch groups"
+
+    def next_round(self) -> list[InjectionPlan]:
+        if self.rounds_done:
+            return []
+        with telemetry.span("campaign.draw_plans"):
+            return draw_plans(self.config, self.golden_cycles)
+
+    def absorb_round(self, results: list[InjectionResult]) -> None:
+        self.results.extend(results)
+        self.rounds_done += 1
+
+    def finish(self, campaign: CampaignResult) -> dict:
+        return {}
+
+
+def _open_journal(
+    config: CampaignConfig, path: Path, resume: bool, stratification: dict | None
+) -> tuple[CampaignJournal, dict[int, InjectionResult]]:
+    """Create the journal, or reopen it for a resume.
+
+    Returns ``(journal, journaled)``: the results journaled so far keyed
+    by plan index (empty for a fresh journal).
+    """
+    if not resume:
+        return CampaignJournal.create(path, config, stratification), {}
+    state = load_journal(path)
+    require_same_campaign(state.fingerprint, config, path)
+    if state.stratification != stratification:
         raise JournalError(
-            f"journal {journal_path} groups do not cover the campaign's "
-            f"{n_plans} injections"
+            f"journal {path} records a different stratification "
+            f"({state.stratification!r} vs {stratification!r}); "
+            f"the golden run or liveness model drifted since it was written"
         )
-    journal = CampaignJournal.append_to(journal_path, chunks_written=len(state.chunks))
-    return journal, state.groups, state.chunks, state.discarded_partial
+    observe_events.emit(
+        "journal_resume",
+        replayed=state.chunks,
+        injections=len(state.results),
+        discarded_partial=state.discarded_partial,
+    )
+    note = f"resumed {state.chunks} journaled chunk(s), {len(state.results)} injection(s)"
+    if state.discarded_partial:
+        note += " (discarded a torn or corrupt record)"
+    observe_events.emit("note", note=note)
+    return CampaignJournal.append_to(path, chunks_written=state.chunks), state.results
+
+
+def _journaled_round(
+    journaled: dict[int, InjectionResult], plans: list[InjectionPlan], base: int, path: Path | None
+) -> dict[int, InjectionResult]:
+    """Take this round's results out of ``journaled``, refusing drift.
+
+    A journaled result whose plan differs from the plan drawn at its
+    index was written by a different campaign (golden run, liveness
+    model or plan draw changed since).
+    """
+    done = {}
+    for index, plan in enumerate(plans, start=base):
+        result = journaled.pop(index, None)
+        if result is None:
+            continue
+        if result.plan != plan:
+            raise JournalError(
+                f"journal {path}: plan index {index} records {result.plan}, but the "
+                f"campaign draws {plan} there; the journal is from another campaign"
+            )
+        done[index] = result
+    return done
 
 
 def run_campaign(
@@ -237,110 +300,107 @@ def run_campaign(
     """Run a full statistical injection campaign.
 
     Fully deterministic given ``config.seed``: plans are drawn from a
-    seeded generator and each run's injector RNG is derived from it.
+    seeded generator and each run's injector RNG is derived from
+    ``(seed, plan index)``.
 
-    Plans are dispatched in groups (see
+    One loop serves both sampling modes.  A planner yields rounds of
+    plans: ``config.sampling="uniform"`` one round, the seed's full
+    draw (byte-identical to previous releases); ``"stratified"`` the
+    adaptive rounds of :class:`~repro.faultinject.sampling.StratifiedPlanner`
+    (exact dead mass from the fire log, draws over the live fire-site
+    stage x value role strata, each stratum stopped once its Wilson-CI
+    width converges) until every stratum converged or the budget ran out.
+
+    Each round's plans are dispatched in groups (see
     :func:`repro.faultinject.parallel.plan_groups`): with a snapshot
-    tape, one group per resume boundary, whose members share one
-    fast-forward restore.  When ``spec`` (a picklable recipe that
-    rebuilds the workload) is given and the resolved worker count
-    exceeds 1, groups are sharded across a process pool and results
-    reassembled in plan order — bit-identical at any worker count.
-    Worker deaths and stalled chunks retry under ``config.retry`` and
-    degrade toward in-process execution rather than aborting (see
+    tape, one group per resume frame, whose members share its restores.
+    When ``spec`` (a picklable recipe that rebuilds the workload) is
+    given and the resolved worker count exceeds 1, groups are sharded
+    across a process pool — bit-identical at any worker count.  Worker
+    deaths and stalled chunks retry under ``config.retry`` and degrade
+    toward in-process execution rather than aborting (see
     ``docs/resilience.md``).
 
     ``journal_path`` makes the campaign **crash-safe**: every completed
     group is durably appended (fsync'd) to a JSONL checkpoint journal.
-    ``resume=True`` replays the journal's completed chunks — after
-    validating that its config fingerprint matches — and executes only
-    the remainder, producing a result bit-identical to an uninterrupted
-    run.  A torn trailing record from a mid-write crash is detected and
-    discarded; that chunk simply re-runs.
+    ``resume=True`` validates the journal's config fingerprint, then
+    runs the same loop, skipping every plan index already journaled —
+    bit-identical to an uninterrupted run, at any worker count.  A torn
+    or corrupt record is discarded; its indices simply re-run.
 
     With telemetry enabled (see :mod:`repro.telemetry`) the campaign
     additionally records phase spans, per-outcome counters and (unless
     ``config.quiet``) a progress heartbeat on stderr — none of which
     feed back into the campaign, so traced and untraced runs produce
     identical results.
-
-    ``config.sampling="stratified"`` dispatches to the adaptive planner
-    (see :mod:`repro.faultinject.sampling`): the fire log's dead mass is
-    counted exactly, draws are stratified over the live (fire-site stage
-    x value role) strata, and each stratum stops once its Wilson-CI
-    width converges.  The default uniform mode
-    is untouched — plans stay byte-identical to previous releases.
     """
-    if config.sampling not in ("uniform", "stratified"):
-        raise ValueError(
-            f"sampling must be 'uniform' or 'stratified', got {config.sampling!r}"
-        )
-    if config.sampling == "stratified":
-        from repro.faultinject.sampling import run_stratified_campaign
+    # Lazy import: sampling imports repro.analysis, which imports this module.
+    from repro.faultinject.sampling import SAMPLING_MODES, StratifiedPlanner
 
-        with telemetry.campaign_heartbeat(config):
-            return run_stratified_campaign(
-                workload,
-                golden_output,
-                golden_cycles,
-                config,
-                spec=spec,
-                journal_path=journal_path,
-                resume=resume,
-            )
-    with telemetry.span("campaign.draw_plans"):
-        plans = draw_plans(config, golden_cycles)
-    with telemetry.span("campaign.group_plans"):
-        groups, workers = plan_groups(spec, config, plans)
+    if config.sampling not in SAMPLING_MODES:
+        raise ValueError(f"sampling must be one of {SAMPLING_MODES}, got {config.sampling!r}")
+    if config.sampling == "stratified":
+        planner = StratifiedPlanner.for_campaign(config, golden_cycles, spec)
+    else:
+        planner = UniformPlanner(config, golden_cycles)
 
     with telemetry.campaign_heartbeat(config):
+        plans = planner.next_round()
+        with telemetry.span("campaign.group_plans"):
+            groups, workers = plan_groups(spec, config, plans)
+        fields, banner = planner.start_fields(groups)
         observe_events.emit(
             "campaign_start",
-            mode="uniform",
+            mode=config.sampling,
             kind=config.kind.value,
-            total=len(plans),
             workers=workers,
             seed=config.seed,
             journaled=journal_path is not None,
             resume=resume,
-            groups=len(groups),
+            **fields,
         )
         if config.probe:
             observe_events.emit("note", note="divergence probes on")
-        observe_events.emit("note", note=f"{len(groups)} dispatch groups")
+        observe_events.emit("note", note=banner)
 
         journal: CampaignJournal | None = None
-        done: dict[int, list[InjectionResult]] = {}
+        journaled: dict[int, InjectionResult] = {}
         if journal_path is not None:
-            journal, groups, done, partial = _prepare_journal(
-                config, len(plans), journal_path, resume, groups
-            )
-            if resume:
-                observe_events.emit(
-                    "journal_resume",
-                    replayed=len(done),
-                    units=len(groups),
-                    injections=sum(len(res) for res in done.values()),
-                    discarded_partial=partial,
-                )
-                note = f"resumed {len(done)}/{len(groups)} journaled chunks"
-                if partial:
-                    note += " (discarded one torn record)"
-                observe_events.emit("note", note=note)
-        with telemetry.span("campaign.execute"), journal or contextlib.nullcontext():
-            results = execute_plans_parallel(
-                spec,
+            stratification = planner.stratification
+            journal, journaled = _open_journal(
                 config,
-                plans,
-                workers,
-                groups=groups,
-                local_state=(workload, golden_output, golden_cycles),
-                completed=done,
-                journal=journal,
+                Path(journal_path),
+                resume,
+                stratification.to_dict() if stratification is not None else None,
+            )
+        with telemetry.span("campaign.execute"), journal or contextlib.nullcontext():
+            while plans:
+                base = planner.total_draws
+                results = execute_plans_parallel(
+                    spec,
+                    config,
+                    plans,
+                    workers,
+                    groups=groups,
+                    local_state=(workload, golden_output, golden_cycles),
+                    completed=_journaled_round(journaled, plans, base, journal_path),
+                    journal=journal,
+                    index_base=base,
+                    round_index=planner.rounds_done,
+                )
+                planner.absorb_round(results)
+                plans = planner.next_round()
+                groups, workers = plan_groups(spec, config, plans)
+        if journaled:
+            raise JournalError(
+                f"journal {journal_path} holds results for plan indices the "
+                f"campaign never draws (first {min(journaled)}); it is from "
+                f"another campaign"
             )
 
         with telemetry.span("campaign.assemble"):
-            campaign = assemble_campaign(config, results)
+            campaign = assemble_campaign(config, planner.results)
+        extra = planner.finish(campaign)
         observe_events.emit(
             "campaign_finish",
             total=campaign.counts.total,
@@ -350,5 +410,6 @@ def run_campaign(
                 "crash": campaign.counts.crash,
                 "hang": campaign.counts.hang,
             },
+            **extra,
         )
         return campaign

@@ -5,32 +5,28 @@ of completed work to one crashed worker, an OOM kill, or a power cut.
 The journal is a schema-versioned JSONL file the campaign engine
 appends to as chunks complete:
 
-* line 1 — a ``header`` record: schema version, a fingerprint of every
-  config field that affects results, and the dispatch layout — the
-  ``groups`` (lists of plan indices) of a uniform campaign, or the
-  ``stratification`` (dead mass and strata) of an adaptive stratified
-  one — so a resume
-  can detect config drift and re-dispatch exactly as the original run
-  did (boundary groups depend on the tape, tapeless index ranges on
-  the original worker count, stratified rounds on the accumulated
-  statistics);
-* then one ``chunk`` record per completed injection chunk (or one
-  ``round`` record per completed stratified sampling round), carrying
-  the fully serialized :class:`InjectionResult` list plus a CRC32
-  of the payload.  Every append is flushed **and fsync'd**, so a record
-  that made it into the file survives the process.
+* line 1 — a ``header`` record: schema version and a fingerprint of
+  every config field that affects results (plus the ``stratification``
+  — dead mass and strata — of an adaptive stratified campaign), so a
+  resume can detect config drift;
+* then one ``chunk`` record per completed injection chunk, carrying its
+  sampling ``round``, the campaign-global plan ``indices`` it ran and
+  their fully serialized :class:`InjectionResult` list, plus a CRC32
+  over indices and results.  Every append is flushed **and fsync'd**,
+  so a record that made it into the file survives the process.
 
 ``repro campaign --resume PATH`` (and ``run_campaign(...,
-journal_path=..., resume=True)``) replays journaled chunks and executes
-only the remainder — bit-identical to an uninterrupted run, because
-results are reassembled in plan order before statistics are computed
-and every per-run RNG derives from ``(seed, index)`` alone.
+journal_path=..., resume=True)``) re-plans the campaign and executes
+only the plan indices not yet journaled — bit-identical to an
+uninterrupted run, because every per-run RNG derives from ``(seed,
+index)`` alone and results never depend on how plans were grouped, so
+the resume may even use another worker count.
 
-A torn final record (truncated line, or a line whose CRC does not match
-— the write raced the crash) is detected on load and **discarded**; its
-chunk simply re-runs.  Payload arrays (SDC outputs) round-trip through
-base64 with dtype and shape, so restored corrupted outputs are
-byte-identical to freshly computed ones.
+A torn or corrupt record (truncated line, or a line whose CRC does not
+match — the write raced the crash) is detected on load and
+**discarded**; its indices simply re-run.  Payload arrays (SDC outputs)
+round-trip through base64 with dtype and shape, so restored corrupted
+outputs are byte-identical to freshly computed ones.
 """
 
 from __future__ import annotations
@@ -71,7 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: and boundary-batching flags.  Stratified journals written before
 #: the fire-log strata carry ``strata`` in their fingerprint and are
 #: refused by the fingerprint check.
-JOURNAL_SCHEMA_VERSION = 4
+#: v5: one record type — every ``chunk`` record carries its ``round``
+#: and global plan ``indices`` (both modes), and the header no longer
+#: records dispatch ``groups``: a resume re-plans and skips journaled
+#: indices.
+JOURNAL_SCHEMA_VERSION = 5
 
 #: Test/CI hook: abort the campaign after this many journal appends, to
 #: exercise the interrupt->resume path deterministically.
@@ -217,10 +217,9 @@ def config_fingerprint(config: "CampaignConfig") -> dict:
         "keep_sdc_outputs": config.keep_sdc_outputs,
         "watchdog_soft_deadline_s": watchdog.soft_deadline_s if watchdog else None,
         "probe": config.probe,
-        # Sampling mode decides what the journal even records (dispatch
-        # groups vs adaptive rounds) and which plans
-        # exist at all, so uniform and stratified journals are different
-        # campaigns by construction.  The stratified knobs join only in
+        # Sampling mode decides which plans exist at all, so uniform
+        # and stratified journals are different campaigns by
+        # construction.  The stratified knobs join only in
         # stratified mode: changing them must invalidate stratified
         # journals without perturbing every uniform fingerprint.
         "sampling": getattr(config, "sampling", "uniform"),
@@ -253,8 +252,7 @@ def require_same_campaign(
         raise JournalError(
             f"journal {path} was written by a sampling={journal_mode!r} "
             f"campaign and cannot be resumed with sampling={config_mode!r}: "
-            f"the modes draw different plans and checkpoint at different "
-            f"granularities, so their results cannot be mixed"
+            f"the modes draw different plans, so their results cannot be mixed"
         )
     expected = config_fingerprint(config)
     if fingerprint != expected:
@@ -301,26 +299,15 @@ class CampaignJournal:
 
     @classmethod
     def create(
-        cls,
-        path: Path,
-        config: "CampaignConfig",
-        groups: list[list[int]] | None = None,
-        stratification: dict | None = None,
+        cls, path: Path, config: "CampaignConfig", stratification: dict | None = None
     ) -> "CampaignJournal":
         """Start a fresh journal at ``path`` (truncating any old file).
 
-        Exactly one of ``groups`` (uniform campaigns: one chunk per
-        group of plan indices) or ``stratification`` (adaptive
-        stratified campaigns: the strata, checkpointed per round)
-        describes the dispatch layout recorded in the header.
+        A stratified campaign passes its ``stratification`` for the
+        header, so a resume can refuse a drifted golden run.
         """
-        if (groups is None) == (stratification is None):
-            raise ValueError(
-                "CampaignJournal.create needs exactly one of groups/stratification"
-            )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(path, "w", encoding="utf-8")
         header = {
             "type": "header",
             "schema": JOURNAL_SCHEMA_VERSION,
@@ -328,9 +315,7 @@ class CampaignJournal:
         }
         if stratification is not None:
             header["stratification"] = stratification
-        else:
-            header["groups"] = [list(group) for group in groups]
-        journal = cls(path, handle)
+        journal = cls(path, open(path, "w", encoding="utf-8"))
         journal._write_line(header)
         return journal
 
@@ -352,16 +337,18 @@ class CampaignJournal:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def append_chunk(self, chunk_index: int, results: list[InjectionResult]) -> None:
-        """Durably record one completed chunk's results."""
+    def append_chunk(
+        self, round_index: int, indices: list[int], results: list[InjectionResult]
+    ) -> None:
+        """Durably record one completed chunk: plan ``indices`` and their results."""
         payload = [serialize_result(result) for result in results]
-        encoded = json.dumps(payload, separators=(",", ":"))
         self._write_line(
             {
                 "type": "chunk",
-                "chunk_index": chunk_index,
+                "round": round_index,
+                "indices": indices,
                 "n_results": len(results),
-                "crc32": zlib.crc32(encoded.encode("utf-8")),
+                "crc32": _chunk_crc(indices, payload),
                 "results": payload,
             }
         )
@@ -369,38 +356,7 @@ class CampaignJournal:
         observe_events.emit(
             "journal_checkpoint",
             unit="chunk",
-            index=chunk_index,
-            n_results=len(results),
-            written=self.chunks_written,
-        )
-        if self._abort_after is not None and self.chunks_written >= self._abort_after:
-            self.close()
-            raise CampaignInterrupted(self.path, self.chunks_written)
-
-    def append_round(self, round_index: int, results: list[InjectionResult]) -> None:
-        """Durably record one completed stratified sampling round.
-
-        Same durability contract as :meth:`append_chunk`; rounds count
-        toward the abort-after test hook exactly as chunks do, so the
-        interrupt/resume suite exercises stratified campaigns with the
-        same environment knob.
-        """
-        payload = [serialize_result(result) for result in results]
-        encoded = json.dumps(payload, separators=(",", ":"))
-        self._write_line(
-            {
-                "type": "round",
-                "round_index": round_index,
-                "n_results": len(results),
-                "crc32": zlib.crc32(encoded.encode("utf-8")),
-                "results": payload,
-            }
-        )
-        self.chunks_written += 1
-        observe_events.emit(
-            "journal_checkpoint",
-            unit="round",
-            index=round_index,
+            round=round_index,
             n_results=len(results),
             written=self.chunks_written,
         )
@@ -417,6 +373,10 @@ class CampaignJournal:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _chunk_crc(indices: list, payload: list) -> int:
+    return zlib.crc32(json.dumps([indices, payload], separators=(",", ":")).encode("utf-8"))
 
 
 def _truncate_to_complete_lines(path: Path) -> None:
@@ -440,37 +400,25 @@ class JournalState:
 
     path: Path
     fingerprint: dict
-    #: Dispatch groups (plan indices per chunk) for uniform journals;
-    #: None for stratified ones.
-    groups: list[list[int]] | None = None
     #: The stratification (see ``Stratification.to_dict``) for
-    #: stratified journals; None otherwise.
+    #: stratified journals; None for uniform ones.
     stratification: dict | None = None
-    #: Completed chunks, keyed by chunk index.
-    chunks: dict[int, list[InjectionResult]] = field(default_factory=dict)
-    #: Completed sampling rounds (stratified journals), keyed by round
-    #: index.
-    rounds: dict[int, list[InjectionResult]] = field(default_factory=dict)
-    #: True when a torn/corrupt trailing record was found and dropped.
+    #: Journaled results, keyed by campaign-global plan index.
+    results: dict[int, InjectionResult] = field(default_factory=dict)
+    #: Intact chunk records read.
+    chunks: int = 0
+    #: True when a torn or corrupt record was found and dropped.
     discarded_partial: bool = False
-
-    @property
-    def injections_done(self) -> int:
-        chunked = sum(len(results) for results in self.chunks.values())
-        return chunked + sum(len(results) for results in self.rounds.values())
 
 
 def load_journal(path: Path) -> JournalState:
     """Read a journal, validating schema and integrity.
 
-    Raises :class:`JournalError` for a missing/empty file or an
-    unreadable or wrong-schema header.  Structurally impossible chunk
-    records (bad index, length mismatch with the header's groups) are
-    treated like corrupt ones.  A torn or
-    CRC-failing record at the *end* of the file — the expected shape of
-    a crash — is silently discarded and flagged via
-    ``discarded_partial``; corruption anywhere earlier also discards
-    that record (its chunk just re-runs) since chunks are independent.
+    Raises :class:`JournalError` for a missing/empty file, an unreadable
+    or wrong-schema header, or a plan index journaled twice with
+    different results.  A torn or CRC-failing record anywhere in the
+    file — at the end, the expected shape of a crash — is discarded and
+    flagged via ``discarded_partial``; only its own indices re-run.
     """
     path = Path(path)
     if not path.exists():
@@ -494,96 +442,54 @@ def load_journal(path: Path) -> JournalState:
             f"journal {path}: schema {header.get('schema')!r} is not "
             f"supported (expected {JOURNAL_SCHEMA_VERSION})"
         )
-    groups: list[list[int]] | None = None
-    stratification: dict | None = None
-    expected_lengths: list[int] = []
-    if "stratification" in header:
-        stratification = header["stratification"]
-    elif "groups" in header:
-        groups = [[int(index) for index in group] for group in header["groups"]]
-        expected_lengths = [len(group) for group in groups]
-    else:
-        raise JournalError(f"journal {path}: header has no groups or stratification")
-
     state = JournalState(
         path=path,
         fingerprint=header["fingerprint"],
-        groups=groups,
-        stratification=stratification,
+        stratification=header.get("stratification"),
         discarded_partial=torn_tail,
     )
-    for line_number, line in enumerate(lines[1:], start=2):
-        if stratification is not None:
-            round_record = _parse_round_record(line)
-            if round_record is None:
-                state.discarded_partial = True
-                continue
-            round_index, results = round_record
-            state.rounds[round_index] = results
-            continue
-        record = _parse_chunk_record(line, expected_lengths)
+    payloads: dict[int, dict] = {}
+    for line in lines[1:]:
+        record = _parse_chunk_record(line)
         if record is None:
-            # Torn or corrupt record: drop it (and keep scanning — later
-            # records are independent and may be intact).
+            # Torn or corrupt: drop it and keep scanning — records are
+            # independent, and only this one's indices re-run.
             state.discarded_partial = True
             continue
-        chunk_index, results = record
-        state.chunks[chunk_index] = results
+        state.chunks += 1
+        for index, item, result in record:
+            if payloads.setdefault(index, item) != item:
+                raise JournalError(
+                    f"journal {path}: plan index {index} is journaled twice "
+                    f"with different results"
+                )
+            state.results[index] = result
     return state
 
 
 def _parse_chunk_record(
-    line: bytes, expected_lengths: list[int]
-) -> tuple[int, list[InjectionResult]] | None:
-    """Parse one chunk line; None for anything torn or inconsistent.
-
-    ``expected_lengths[i]`` is how many results chunk ``i`` must carry —
-    derived from the header's groups.
-    """
+    line: bytes,
+) -> list[tuple[int, dict, InjectionResult]] | None:
+    """Parse one chunk line into ``(index, payload, result)`` triples;
+    None for anything torn or inconsistent."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
         return None
     if not isinstance(record, dict) or record.get("type") != "chunk":
         return None
-    chunk_index = record.get("chunk_index")
-    if not isinstance(chunk_index, int) or not 0 <= chunk_index < len(expected_lengths):
-        return None
-    payload = record.get("results")
-    if not isinstance(payload, list) or len(payload) != expected_lengths[chunk_index]:
-        return None
-    encoded = json.dumps(payload, separators=(",", ":"))
-    if zlib.crc32(encoded.encode("utf-8")) != record.get("crc32"):
-        return None
-    try:
-        return chunk_index, [deserialize_result(item) for item in payload]
-    except (KeyError, ValueError, TypeError):
-        return None
-
-
-def _parse_round_record(line: bytes) -> tuple[int, list[InjectionResult]] | None:
-    """Parse one stratified round line; None for anything torn or corrupt.
-
-    Unlike chunks, a round's length is not fixed by the header — each
-    round samples however many cells were still unresolved — so the
-    integrity check is the declared length plus the CRC.
-    """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or record.get("type") != "round":
-        return None
-    round_index = record.get("round_index")
-    if not isinstance(round_index, int) or round_index < 0:
-        return None
-    payload = record.get("results")
-    if not isinstance(payload, list) or len(payload) != record.get("n_results"):
-        return None
-    encoded = json.dumps(payload, separators=(",", ":"))
-    if zlib.crc32(encoded.encode("utf-8")) != record.get("crc32"):
+    indices, payload = record.get("indices"), record.get("results")
+    if not (
+        isinstance(indices, list)
+        and isinstance(payload, list)
+        and len(indices) == len(payload) == record.get("n_results")
+        and all(type(index) is int and index >= 0 for index in indices)
+        and _chunk_crc(indices, payload) == record.get("crc32")
+    ):
         return None
     try:
-        return round_index, [deserialize_result(item) for item in payload]
+        return [
+            (index, item, deserialize_result(item)) for index, item in zip(indices, payload)
+        ]
     except (KeyError, ValueError, TypeError):
         return None

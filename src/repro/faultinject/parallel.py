@@ -403,9 +403,9 @@ def plan_groups(
     tapeless workloads (the WP spec, spec-less closures) get contiguous
     index ranges (:func:`contiguous_groups`), so they keep their pool
     parallelism.  The worker count is clamped to the group count —
-    more workers than groups only buys idle pool startup.  The journal
-    records the groups verbatim, so a resume replays the exact original
-    dispatch.
+    more workers than groups only buys idle pool startup.  Results never
+    depend on the grouping, so a resume may regroup (another worker
+    count) freely.
     """
     ff = fast_forward_for(spec, config)
     if ff is not None:
@@ -454,38 +454,38 @@ def _terminate_pool_processes(pool: ProcessPoolExecutor) -> None:
 class _ChunkCollector:
     """Secures completed chunks: results, journal, then their events.
 
-    A chunk's buffered events (see :func:`run_observed`) are re-published
-    on the parent bus once the chunk is journaled, followed by its
-    ``chunk_done``.  Chunks are secured in chunk order unless a worker
-    failure forces retries; the registry fold only adds counters and
-    timers, so it is the same for a fixed chunking either way.
+    Results are keyed by plan index, so they come out in plan order
+    whatever order chunks finish in.  A chunk's buffered events (see
+    :func:`run_observed`) are re-published on the parent bus once the
+    chunk is journaled, followed by its ``chunk_done``.  Chunks are
+    secured in chunk order unless a worker failure forces retries; the
+    registry fold only adds counters and timers, so it is the same for
+    a fixed chunking either way.
     """
 
     def __init__(
         self,
+        chunks: list[list[tuple[int, InjectionPlan]]],
         journal: "CampaignJournal | None",
-        completed: dict[int, list[InjectionResult]],
-        done_base: int = 0,
+        completed: dict[int, InjectionResult],
+        round_index: int,
+        index_base: int,
     ) -> None:
+        self.chunks = chunks
         self.journal = journal
-        # Injections secured before this collector existed (stratified
-        # rounds call the executor once per round): offsets the ``done``
-        # totals events report.
-        self.done_base = done_base
-        self.results_by_chunk: dict[int, list[InjectionResult]] = dict(completed)
-
-    @property
-    def injections_done(self) -> int:
-        return sum(len(results) for results in self.results_by_chunk.values())
+        self.round_index = round_index
+        self.index_base = index_base
+        self.results: dict[int, InjectionResult] = dict(completed)
 
     def secure(self, chunk_index: int, chunk_result: tuple[list[InjectionResult], list]) -> None:
         """Record one freshly executed chunk (journal before reporting)."""
         results, chunk_events = chunk_result
-        self.results_by_chunk[chunk_index] = results
+        indices = [index for index, _ in self.chunks[chunk_index]]
+        self.results.update(zip(indices, results))
         if self.journal is not None:
             # Durability first: only a journaled chunk counts as done.
             # May raise CampaignInterrupted (the abort-after test hook).
-            self.journal.append_chunk(chunk_index, results)
+            self.journal.append_chunk(self.round_index, indices, results)
         bus = observe_events.current()
         if bus is not None:
             # Tallies are computed only when someone is listening, so
@@ -502,7 +502,7 @@ class _ChunkCollector:
                 "chunk_done",
                 index=chunk_index,
                 size=len(results),
-                done=self.done_base + self.injections_done,
+                done=self.index_base + len(self.results),
                 outcomes=outcomes,
             )
             if watchdog_hangs:
@@ -510,14 +510,9 @@ class _ChunkCollector:
                     "watchdog_hang", index=chunk_index, count=watchdog_hangs
                 )
 
-    def finish(self, n_chunks: int) -> list[InjectionResult]:
-        """Flatten results in chunk order."""
-        assert sorted(self.results_by_chunk) == list(range(n_chunks))
-        return [
-            result
-            for chunk_index in range(n_chunks)
-            for result in self.results_by_chunk[chunk_index]
-        ]
+    def finish(self, n_plans: int) -> list[InjectionResult]:
+        """The round's results in plan order."""
+        return [self.results[index] for index in range(self.index_base, self.index_base + n_plans)]
 
 
 def execute_plans_parallel(
@@ -528,10 +523,11 @@ def execute_plans_parallel(
     *,
     groups: list[list[int]],
     local_state: tuple[Workload, np.ndarray, int] | None = None,
-    completed: dict[int, list[InjectionResult]] | None = None,
+    completed: dict[int, InjectionResult] | None = None,
     journal: "CampaignJournal | None" = None,
     sleep: Callable[[float], None] = time.sleep,
     index_base: int = 0,
+    round_index: int = 0,
 ) -> list[InjectionResult]:
     """Run all plans, in injection order, surviving worker failures.
 
@@ -550,13 +546,14 @@ def execute_plans_parallel(
     the monitor does not classify still propagate unchanged — those are
     library bugs, not infrastructure.
 
-    ``completed`` chunks (from a journal replay) are skipped;
-    ``journal`` makes each newly finished chunk durable before it is
-    counted.  Results are flattened back into plan-index order, so the
-    output is a plain in-order result list.  ``index_base`` offsets the
-    per-run RNG index without shifting group positions — stratified
-    campaigns use it so each round continues the campaign-global
-    ``(seed, index)`` derivation.
+    ``index_base`` offsets the per-run RNG index without shifting group
+    positions — a campaign's later sampling rounds use it to continue
+    the campaign-global ``(seed, index)`` derivation.  ``completed``
+    maps global plan indices to journaled results; only the indices not
+    in it run, so a round whose indices are all journaled executes
+    nothing.  ``journal`` makes each newly finished chunk durable, as
+    one record of round ``round_index``, before it is counted.  The
+    output is the round's results in plan order.
 
     While a bus is installed, every chunk — in a worker or in-process —
     runs under a chunk-local buffering bus, and its events are
@@ -564,15 +561,18 @@ def execute_plans_parallel(
     :class:`_ChunkCollector`).  Retries and degradation are reported as
     ``retry``/``degrade`` events plus a human-readable ``note``.
     """
-    chunks = chunks_from_groups(plans, groups, index_base=index_base)
-    if not chunks:
-        return []
+    completed = completed or {}
+    chunks = [
+        [pair for pair in chunk if pair[0] not in completed]
+        for chunk in chunks_from_groups(plans, groups, index_base=index_base)
+    ]
+    chunks = [chunk for chunk in chunks if chunk]
     retry = config.retry if config.retry is not None else RetryPolicy()
     watchdog = config.watchdog
     observed = observe_events.enabled()
-    collector = _ChunkCollector(journal, completed or {}, done_base=index_base)
+    collector = _ChunkCollector(chunks, journal, completed, round_index, index_base)
 
-    pending = [i for i in range(len(chunks)) if i not in collector.results_by_chunk]
+    pending = list(range(len(chunks)))
     # Jitter RNG: timing-only, never touches result determinism.
     jitter_rng = random.Random(config.seed ^ 0x5EED)
     pool_workers = min(workers, len(pending)) if pending else workers
@@ -681,11 +681,4 @@ def execute_plans_parallel(
             )
             pending.remove(index)
 
-    flat = collector.finish(len(chunks))
-    # Boundary groups are ordered by first member, not contiguous by
-    # plan index — put the flattened results back into injection order,
-    # so downstream statistics see the plans' own sequence.
-    reordered: list[InjectionResult | None] = [None] * len(flat)
-    for position, plan_index in enumerate(index for group in groups for index in group):
-        reordered[plan_index] = flat[position]
-    return reordered
+    return collector.finish(len(plans))

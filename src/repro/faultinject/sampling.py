@@ -25,17 +25,20 @@ of injections instead:
   weight), so stratified campaigns stay comparable to the paper's
   uniform figures.
 
-Uniform mode is untouched: ``CampaignConfig(sampling="uniform")`` —
-the default — draws plans byte-identically to every previous release,
-and that invariant is pinned by a test.  See ``docs/sampling.md`` for
-the estimator math and a worked example.
+:class:`StratifiedPlanner` holds that state;
+:func:`~repro.faultinject.campaign.run_campaign` drives it through the
+same round loop, journal and resume path as a uniform campaign, which
+is a one-round campaign of the seed's full draw.  Uniform mode is
+untouched: ``CampaignConfig(sampling="uniform")`` — the default — draws
+plans byte-identically to every previous release, and that invariant is
+pinned by a test.  See ``docs/sampling.md`` for the estimator math and
+a worked example.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -43,21 +46,15 @@ import numpy as np
 from repro import telemetry
 from repro.analysis.convergence import wilson_width
 from repro.faultinject.injector import InjectionPlan
-from repro.faultinject.journal import (
-    CampaignJournal,
-    JournalError,
-    load_journal,
-    require_same_campaign,
-)
 from repro.faultinject.outcomes import Outcome, OutcomeCounts
-from repro.faultinject.parallel import execute_plans_parallel, fast_forward_for, plan_groups
+from repro.faultinject.parallel import fast_forward_for
 from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, RegKind
 from repro.observe import events as observe_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.faultinject.campaign import CampaignConfig, CampaignResult
     from repro.faultinject.fastforward import FireLog
-    from repro.faultinject.monitor import InjectionResult, Workload
+    from repro.faultinject.monitor import InjectionResult
     from repro.faultinject.parallel import WorkloadSpec
 
 #: Recognized ``CampaignConfig.sampling`` values.
@@ -425,16 +422,19 @@ class StratifiedSummary:
 
 
 # ---------------------------------------------------------------------------
-# The adaptive planner / driver
+# The adaptive planner
 # ---------------------------------------------------------------------------
 
 
-class _StratifiedState:
-    """Mutable round-by-round campaign state (shared by replay and live).
+class StratifiedPlanner:
+    """Round-by-round stratified campaign state: plans out, results in.
 
-    Keeping one update path for journal-replayed and freshly executed
-    rounds is what makes an interrupted-then-resumed stratified campaign
-    bit-identical to an uninterrupted one.
+    :func:`~repro.faultinject.campaign.run_campaign` drives it like any
+    planner: :meth:`next_round` until it is empty, feeding each round's
+    ordered results to :meth:`absorb_round`.  A resumed round absorbs
+    through the same call as a live one, which is what makes an
+    interrupted-then-resumed stratified campaign bit-identical to an
+    uninterrupted one.
     """
 
     def __init__(self, stratification: Stratification, config: "CampaignConfig") -> None:
@@ -444,28 +444,58 @@ class _StratifiedState:
         self.results: list["InjectionResult"] = []
         self.rounds_done = 0
         self.budget_exhausted = False
+        self.allocation: list[tuple[int, int]] = []
+
+    @classmethod
+    def for_campaign(
+        cls, config: "CampaignConfig", golden_cycles: int, spec: "WorkloadSpec | None"
+    ) -> "StratifiedPlanner":
+        """Validate the stratified knobs and stratify ``spec``'s fire log."""
+        _validate_stratified_config(config)
+        ff = fast_forward_for(spec, config)
+        return cls(
+            stratify(config, golden_cycles, ff.tape.fire_log if ff is not None else None),
+            config,
+        )
 
     @property
     def total_draws(self) -> int:
         return len(self.results)
+
+    def start_fields(self, groups: list[list[int]]) -> tuple[dict, str]:
+        """``campaign_start`` fields and the banner note of this mode."""
+        strat = self.stratification
+        fields = dict(
+            total=None,
+            cells=len(strat.strata),
+            dead_mass=round(strat.dead_mass, 6),
+            ci_width=self.config.ci_width,
+        )
+        return fields, (
+            f"stratified sampling on: {len(strat.strata)} strata, "
+            f"dead mass {strat.dead_mass:.4f}, ci-width target {self.config.ci_width:g}"
+        )
 
     def budget_left(self) -> int | None:
         if self.config.max_injections is None:
             return None
         return max(0, self.config.max_injections - self.total_draws)
 
-    def absorb_round(
-        self, results: list["InjectionResult"], allocation: list[tuple[int, int]]
-    ) -> None:
+    def next_round(self) -> list[InjectionPlan]:
+        """The next round's plans; empty once every stratum converged or
+        the budget ran out."""
+        with telemetry.span("campaign.sampling.draw_round"):
+            self.allocation = self.allocate()
+            return self.plan_round(self.allocation)
+
+    def absorb_round(self, results: list["InjectionResult"]) -> None:
         """Fold one round's ordered results into the stratum statistics.
 
-        ``allocation`` is the round's :meth:`allocate`: the results come
-        in that order, ``k`` plans per stratum.
+        The results come in the order of the round's allocation, ``k``
+        plans per stratum.
         """
-        if len(results) != sum(k for _, k in allocation):
-            raise JournalError(f"round {self.rounds_done} does not match its plan")
         position = 0
-        for index, k in allocation:
+        for index, k in self.allocation:
             stats = self.cells[index]
             for result in results[position : position + k]:
                 stats.counts.add(result.outcome, result.crash_kind)
@@ -482,9 +512,8 @@ class _StratifiedState:
                 stats.converged_round = self.rounds_done
                 newly_converged.append(index)
         self.rounds_done += 1
+        telemetry.counter_inc("campaign.sampling.rounds")
         if observe_events.enabled():
-            # Emitted from the one shared update path, so a journal
-            # replay reconstructs exactly the live run's round events.
             self._emit_round(newly_converged)
 
     def _emit_round(self, newly_converged: list[int]) -> None:
@@ -524,13 +553,18 @@ class _StratifiedState:
             max_ci_width=max(open_widths) if open_widths else 0.0,
             cell_ci_widths=widths,
         )
+        observe_events.emit(
+            "note",
+            note=f"round {self.rounds_done}: {self.total_draws} draws, "
+            f"{converged}/{len(self.cells)} strata converged",
+        )
 
     def allocate(self) -> list[tuple[int, int]]:
         """``(stratum, draws)`` of the next round, for every unresolved stratum.
 
         A pure function of ``(rounds_done, unconverged strata, remaining
-        budget)`` — all of which replay identically from the journal —
-        in ascending stratum order so the budget truncates
+        budget)`` — all of which a resume rebuilds identically — in
+        ascending stratum order so the budget truncates
         deterministically.
         """
         budget = self.budget_left()
@@ -559,8 +593,10 @@ class _StratifiedState:
             )
         ]
 
-    def summary(self) -> StratifiedSummary:
-        return StratifiedSummary(
+    def finish(self, campaign: "CampaignResult") -> dict:
+        """Attach the summary to ``campaign``; return the extra
+        ``campaign_finish`` fields."""
+        summary = campaign.sampling = StratifiedSummary(
             stratification=self.stratification,
             cells=self.cells,
             ci_width=self.config.ci_width,
@@ -568,6 +604,9 @@ class _StratifiedState:
             total_draws=self.total_draws,
             budget_exhausted=self.budget_exhausted,
         )
+        telemetry.counter_inc("campaign.sampling.cells_converged", summary.cells_converged)
+        telemetry.counter_inc("campaign.sampling.draws_saved", summary.draws_saved())
+        return {"rounds": summary.rounds, "cells_converged": summary.cells_converged}
 
 
 def _validate_stratified_config(config: "CampaignConfig") -> None:
@@ -581,170 +620,3 @@ def _validate_stratified_config(config: "CampaignConfig") -> None:
         raise ValueError(
             f"max_injections must be >= 1 (or None), got {config.max_injections}"
         )
-
-
-def _prepare_stratified_journal(
-    config: "CampaignConfig",
-    stratification: Stratification,
-    journal_path: Path,
-    resume: bool,
-) -> tuple[CampaignJournal, list[list["InjectionResult"]], bool]:
-    """Open (or reopen) a round-granularity journal.
-
-    Returns ``(journal, replayable_rounds, discarded_partial)``.  Only
-    the contiguous prefix of journaled rounds replays: round ``k``'s
-    draws depend on the statistics of rounds ``< k``, so a gap (one
-    corrupt mid-file record) invalidates everything after it — those
-    rounds simply re-run and are re-appended.
-    """
-    journal_path = Path(journal_path)
-    if not resume:
-        journal = CampaignJournal.create(
-            journal_path, config, stratification=stratification.to_dict()
-        )
-        return journal, [], False
-    state = load_journal(journal_path)
-    require_same_campaign(state.fingerprint, config, journal_path)
-    if state.stratification != stratification.to_dict():
-        raise JournalError(
-            f"journal {journal_path} records a different stratification "
-            f"({state.stratification!r} vs {stratification.to_dict()!r}); "
-            f"the golden run or liveness model drifted since it was written"
-        )
-    replayable: list[list["InjectionResult"]] = []
-    while len(replayable) in state.rounds:
-        replayable.append(state.rounds[len(replayable)])
-    journal = CampaignJournal.append_to(journal_path, chunks_written=len(replayable))
-    return journal, replayable, state.discarded_partial
-
-
-def run_stratified_campaign(
-    workload: "Workload",
-    golden_output: np.ndarray,
-    golden_cycles: int,
-    config: "CampaignConfig",
-    spec: "WorkloadSpec | None" = None,
-    journal_path: Path | None = None,
-    resume: bool = False,
-) -> "CampaignResult":
-    """Run one adaptive, stratified, convergence-stopped campaign.
-
-    Fully deterministic given ``config.seed``: every round's draws
-    derive from ``(seed, round, stratum)``, every run's injector RNG
-    from ``(seed, global draw index)``, and the set of strata sampled
-    each round is a pure function of the accumulated statistics — so a
-    journaled campaign interrupted at any round boundary (or killed
-    mid-round) resumes bit-identically, and worker count never changes
-    results.  Rounds reuse the campaign scheduler: each round's plans
-    are grouped by :func:`~repro.faultinject.parallel.plan_groups`
-    exactly as a uniform campaign's would be.
-    """
-    # Lazy import: campaign.run_campaign dispatches into this module, so
-    # a module-level import either way would be circular.
-    from repro.faultinject.campaign import assemble_campaign
-
-    _validate_stratified_config(config)
-    ff = fast_forward_for(spec, config)
-    stratification = stratify(
-        config, golden_cycles, ff.tape.fire_log if ff is not None else None
-    )
-    state = _StratifiedState(stratification, config)
-
-    observe_events.emit(
-        "campaign_start",
-        mode="stratified",
-        kind=config.kind.value,
-        total=None,
-        workers=config.workers,
-        seed=config.seed,
-        journaled=journal_path is not None,
-        resume=resume,
-        cells=len(stratification.strata),
-        dead_mass=round(stratification.dead_mass, 6),
-        ci_width=config.ci_width,
-    )
-    observe_events.emit(
-        "note",
-        note=f"stratified sampling on: {len(stratification.strata)} strata, "
-        f"dead mass {stratification.dead_mass:.4f}, "
-        f"ci-width target {config.ci_width:g}",
-    )
-
-    journal: CampaignJournal | None = None
-    replayed: list[list["InjectionResult"]] = []
-    if journal_path is not None:
-        journal, replayed, partial = _prepare_stratified_journal(
-            config, stratification, journal_path, resume
-        )
-        for round_results in replayed:
-            state.absorb_round(round_results, state.allocate())
-        if resume:
-            observe_events.emit(
-                "journal_resume",
-                replayed=len(replayed),
-                units=None,
-                injections=state.total_draws,
-                discarded_partial=partial,
-            )
-            note = f"resumed {len(replayed)} journaled round(s)"
-            if partial:
-                note += " (discarded one torn record)"
-            observe_events.emit("note", note=note)
-
-    try:
-        with telemetry.span("campaign.execute"):
-            while True:
-                with telemetry.span("campaign.sampling.draw_round"):
-                    # Empty once every stratum converged or the budget ran out.
-                    allocation = state.allocate()
-                    if not allocation:
-                        break
-                    plans = state.plan_round(allocation)
-                groups, workers = plan_groups(spec, config, plans)
-                results = execute_plans_parallel(
-                    spec,
-                    config,
-                    plans,
-                    workers,
-                    groups=groups,
-                    local_state=(workload, golden_output, golden_cycles),
-                    index_base=state.total_draws,
-                )
-                if journal is not None:
-                    # Durability first: a round only counts once fsync'd.
-                    # May raise CampaignInterrupted (abort-after hook).
-                    journal.append_round(state.rounds_done, results)
-                state.absorb_round(results, allocation)
-                telemetry.counter_inc("campaign.sampling.rounds")
-                if observe_events.enabled():
-                    converged = sum(
-                        1 for s in state.cells if s.converged_round is not None
-                    )
-                    observe_events.emit(
-                        "note",
-                        note=f"round {state.rounds_done}: {state.total_draws} draws, "
-                        f"{converged}/{len(state.cells)} strata converged",
-                    )
-    finally:
-        if journal is not None:
-            journal.close()
-
-    summary = state.summary()
-    telemetry.counter_inc("campaign.sampling.cells_converged", summary.cells_converged)
-    telemetry.counter_inc("campaign.sampling.draws_saved", summary.draws_saved())
-    with telemetry.span("campaign.assemble"):
-        campaign = assemble_campaign(config, state.results)
-    campaign.sampling = summary
-    observe_events.emit(
-        "campaign_finish",
-        total=campaign.counts.total,
-        outcomes={
-            "mask": campaign.counts.masked,
-            "sdc": campaign.counts.sdc,
-            "crash": campaign.counts.crash,
-            "hang": campaign.counts.hang,
-        },
-        rounds=summary.rounds,
-        cells_converged=summary.cells_converged,
-    )
-    return campaign

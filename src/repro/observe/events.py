@@ -44,8 +44,11 @@ except ImportError:  # pragma: no cover
 #: v2: one dispatch unit — ``chunk_done`` only.  v3: spans, counters and
 #: gauges are events (``span``/``counter``/``gauge``/``metrics``),
 #: ``golden_tail`` also arrives from pool workers, and ``heartbeat`` is
-#: gone (``chunk_done`` carries the progress it repeated).
-EVENT_SCHEMA_VERSION = 3
+#: gone (``chunk_done`` carries the progress it repeated).  v4: one
+#: journal record type — ``journal_checkpoint`` carries the chunk's
+#: ``round`` instead of an ``index``, and ``journal_resume`` lost
+#: ``units``.
+EVENT_SCHEMA_VERSION = 4
 
 #: What the engine reports to an operator (status, flight recorder).
 CAMPAIGN_KINDS = frozenset(
@@ -57,7 +60,7 @@ CAMPAIGN_KINDS = frozenset(
         "retry",  # a worker-pool failure triggered a chunk retry
         "degrade",  # worker count halved / serial fallback engaged
         "watchdog_hang",  # a secured chunk carried watchdog-hang runs
-        "journal_checkpoint",  # one chunk/round fsync'd to the journal
+        "journal_checkpoint",  # one chunk fsync'd to the journal
         "journal_resume",  # a resume replayed journaled work
         "stratum_converged",  # one stratified cell reached its CI target
         "golden_tail",  # fan-out synthesized a golden tail

@@ -1,6 +1,7 @@
 """Tests for result serialization and the CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -106,10 +107,16 @@ class TestCLI:
         assert "mask" in capsys.readouterr().out
 
     def test_experiment_command(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
         code = main(["experiment", "fig08", "--scale", "tiny"])
         assert code == 0
         assert "fig08" in capsys.readouterr().out
+        assert "REPRO_SCALE" not in os.environ
+
+    def test_experiment_scale_flag_beats_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "quick")
+        assert main(["experiment", "fig08", "--scale", "tiny"]) == 0
+        assert "fig08 at scale tiny: done" in capsys.readouterr().out
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):

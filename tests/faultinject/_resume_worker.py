@@ -14,8 +14,8 @@ Usage::
     python -m tests.faultinject._resume_worker reference JOURNAL_IGNORED OUT
 
 The ``strat-run`` / ``strat-resume`` / ``strat-reference`` modes run
-the same protocol with an adaptive stratified campaign (schema-v3
-round-granularity journal) instead of a uniform chunked one.
+the same protocol with an adaptive stratified campaign instead of a
+uniform one.
 
 When the ``REPRO_STATUS`` environment variable names a path, the run is
 wrapped in ``observe_campaign`` exactly as the CLI would wrap it — the

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -172,11 +173,12 @@ class TestJournalInterplay:
             spec=spec,
             journal_path=journal,
         )
+        records = [json.loads(line) for line in journal.read_text().splitlines()[1:]]
+        assert sorted(record["indices"] for record in records) == groups
+        assert {record["round"] for record in records} == {0}
         state = load_journal(journal)
-        assert state.groups == groups
-        assert sorted(state.chunks) == list(range(len(groups)))
-        for index, group in enumerate(groups):
-            assert len(state.chunks[index]) == len(group)
+        assert state.chunks == len(groups)
+        assert sorted(state.results) == list(range(len(plans)))
 
 
 class TestFanoutWork:

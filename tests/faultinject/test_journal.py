@@ -8,13 +8,19 @@ payloads included.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.reporting import campaign_to_dict
 from repro.faultinject.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.faultinject.injector import InjectionPlan
 from repro.faultinject.journal import (
@@ -214,7 +220,7 @@ class TestTornRecords:
 
         state = load_journal(journal)
         assert state.discarded_partial
-        assert len(state.chunks) == 1  # the torn chunk was dropped
+        assert state.chunks == 1  # the torn chunk was dropped
 
         resumed = run_campaign(
             toy_workload, golden, cycles, _config(), journal_path=journal, resume=True
@@ -231,7 +237,7 @@ class TestTornRecords:
 
         state = load_journal(journal)
         assert state.discarded_partial
-        assert len(state.chunks) == 1
+        assert state.chunks == 1
 
     def test_resume_after_truncation_rewrites_cleanly(self, toy, tmp_path):
         """The torn bytes are physically truncated before appending."""
@@ -274,10 +280,10 @@ class TestJournalValidation:
                 resume=True,
             )
 
-    @pytest.mark.parametrize("schema", [3, 999])
+    @pytest.mark.parametrize("schema", [3, 4, 999])
     def test_wrong_schema_rejected(self, toy, tmp_path, schema):
-        # v3 journals are in-flight checkpoints of the old execution
-        # modes, not results: resuming one is refused like any other.
+        # v3 and v4 journals are in-flight checkpoints of older record
+        # shapes, not results: resuming one is refused like any other.
         spec, golden, cycles = toy
         journal = tmp_path / "j.jsonl"
         run_campaign(toy_workload, golden, cycles, _config(), journal_path=journal)
@@ -285,7 +291,7 @@ class TestJournalValidation:
         header = json.loads(lines[0])
         header["schema"] = schema
         journal.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-        with pytest.raises(JournalError, match=f"schema {schema} .*expected 4"):
+        with pytest.raises(JournalError, match=f"schema {schema} .*expected 5"):
             run_campaign(
                 toy_workload, golden, cycles, _config(), journal_path=journal, resume=True
             )
@@ -318,3 +324,135 @@ class TestAbortHook:
         run_campaign(toy_workload, golden, cycles, _config(), journal_path=journal)
         chunk_lines = len(journal.read_text().splitlines())
         assert len(fsyncs) == chunk_lines  # header + every chunk
+
+
+class TestJournalDrift:
+    """A resume refuses journaled results that another campaign wrote."""
+
+    def _journal_with(self, path, config, records):
+        journal = CampaignJournal.create(path, config)
+        for indices, results in records:
+            journal.append_chunk(0, indices, results)
+        journal.close()
+
+    def test_plan_mismatch_at_journaled_index_rejected(self, toy, tmp_path):
+        spec, golden, cycles = toy
+        reference = run_campaign(toy_workload, golden, cycles, _config())
+        first = reference.results[0]
+        drifted = dataclasses.replace(
+            first, plan=dataclasses.replace(first.plan, bit=(first.plan.bit + 1) % 64)
+        )
+        journal = tmp_path / "j.jsonl"
+        self._journal_with(journal, _config(), [([0], [drifted])])
+        with pytest.raises(JournalError, match="plan index 0 records"):
+            run_campaign(
+                toy_workload, golden, cycles, _config(), journal_path=journal, resume=True
+            )
+
+    def test_conflicting_duplicate_index_rejected(self, toy, tmp_path):
+        spec, golden, cycles = toy
+        results = run_campaign(toy_workload, golden, cycles, _config()).results
+        journal = tmp_path / "j.jsonl"
+        self._journal_with(journal, _config(), [([0], [results[0]]), ([0], [results[1]])])
+        with pytest.raises(JournalError, match="plan index 0 is journaled twice"):
+            load_journal(journal)
+
+    def test_identical_duplicate_index_accepted(self, toy, tmp_path):
+        spec, golden, cycles = toy
+        results = run_campaign(toy_workload, golden, cycles, _config()).results
+        journal = tmp_path / "j.jsonl"
+        self._journal_with(journal, _config(), [([0, 1], results[:2]), ([1], [results[1]])])
+        state = load_journal(journal)
+        assert state.chunks == 2
+        assert sorted(state.results) == [0, 1]
+
+    def test_index_past_the_campaign_rejected(self, toy, tmp_path):
+        spec, golden, cycles = toy
+        results = run_campaign(toy_workload, golden, cycles, _config()).results
+        journal = tmp_path / "j.jsonl"
+        self._journal_with(journal, _config(), [([999], [results[0]])])
+        with pytest.raises(JournalError, match="never draws"):
+            run_campaign(
+                toy_workload, golden, cycles, _config(), journal_path=journal, resume=True
+            )
+
+
+#: Uninterrupted reference payloads, one per sampling mode.
+_REFERENCES: dict[str, dict] = {}
+
+
+def _property_config(sampling: str, workers: int) -> CampaignConfig:
+    if sampling == "stratified":
+        return _config(
+            n_injections=1,
+            workers=workers,
+            sampling="stratified",
+            ci_width=0.3,
+            round_size=4,
+            max_injections=48,
+        )
+    return _config(n_injections=24, workers=workers)
+
+
+def _property_campaign(sampling: str, workers: int, **kwargs) -> CampaignResult:
+    state = ToyWorkloadSpec().build()
+    return run_campaign(
+        toy_workload,
+        state.golden_output,
+        state.golden_cycles,
+        _property_config(sampling, workers),
+        spec=ToyWorkloadSpec(),
+        **kwargs,
+    )
+
+
+def _damage(journal, how: str, pick: int) -> None:
+    """Tear the last record mid-line, or flip one journaled outcome
+    behind its record's CRC."""
+    lines = journal.read_bytes().split(b"\n")[:-1]
+    if len(lines) < 2:
+        return
+    if how == "tear":
+        journal.write_bytes(b"\n".join(lines)[: -len(lines[-1]) // 2])
+        return
+    target = 1 + pick % (len(lines) - 1)
+    record = json.loads(lines[target])
+    result = record["results"][0]
+    result["outcome"] = "hang" if result["outcome"] != "hang" else "mask"
+    lines[target] = json.dumps(record, separators=(",", ":")).encode()
+    journal.write_bytes(b"\n".join(lines) + b"\n")
+
+
+@settings(
+    deadline=None,
+    max_examples=max(1, settings.default.max_examples // 2),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    sampling=st.sampled_from(["uniform", "stratified"]),
+    abort_after=st.integers(1, 10),
+    damage=st.sampled_from([None, "tear", "corrupt"]),
+    pick=st.integers(0, 20),
+    run_workers=st.sampled_from([1, 2]),
+    resume_workers=st.sampled_from([1, 2]),
+)
+def test_resume_at_generated_interrupt_points_is_bit_identical(
+    sampling, abort_after, damage, pick, run_workers, resume_workers
+):
+    """Interrupt anywhere, damage a record, resume at any worker count:
+    the campaign's records equal the uninterrupted run's."""
+    if sampling not in _REFERENCES:
+        _REFERENCES[sampling] = campaign_to_dict(_property_campaign(sampling, 1))
+    with tempfile.TemporaryDirectory() as scratch:
+        journal = Path(scratch) / "j.jsonl"
+        with mock.patch.dict(os.environ, {ABORT_AFTER_ENV: str(abort_after)}):
+            try:
+                _property_campaign(sampling, run_workers, journal_path=journal)
+            except CampaignInterrupted:
+                pass
+        if damage is not None:
+            _damage(journal, damage, pick)
+        resumed = _property_campaign(
+            sampling, resume_workers, journal_path=journal, resume=True
+        )
+    assert campaign_to_dict(resumed) == _REFERENCES[sampling]

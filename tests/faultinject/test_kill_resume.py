@@ -37,22 +37,18 @@ def _run_helper(mode: str, journal: Path, out: Path, *extra: str, wait: bool = T
     return process
 
 
-def _journaled_records(journal: Path, record_type: str) -> int:
+def _journaled_chunks(journal: Path) -> int:
     if not journal.exists():
         return 0
-    # Count complete records of one type only (ignore header and tail).
+    # Count complete chunk records only (ignore header and torn tail).
     count = 0
     for line in journal.read_bytes().split(b"\n")[:-1]:
         try:
-            if json.loads(line).get("type") == record_type:
+            if json.loads(line).get("type") == "chunk":
                 count += 1
         except json.JSONDecodeError:
             pass
     return count
-
-
-def _journaled_chunks(journal: Path) -> int:
-    return _journaled_records(journal, "chunk")
 
 
 def test_sigkill_mid_campaign_then_resume_is_bit_identical(tmp_path):
@@ -86,12 +82,12 @@ def test_sigkill_mid_campaign_then_resume_is_bit_identical(tmp_path):
 
 
 def test_sigkill_mid_stratified_campaign_then_resume_is_bit_identical(tmp_path):
-    """The same SIGKILL protocol against the round-granularity journal.
+    """The same SIGKILL protocol against a stratified campaign's journal.
 
     A stratified campaign's round ``k`` draws depend on the statistics
-    of rounds ``< k``, so resuming from the fsync'd round prefix must
-    reproduce the uninterrupted campaign exactly — outcome sequence,
-    per-cell statistics and the full sampling summary included.
+    of rounds ``< k``, so resuming from the fsync'd chunks of the first
+    rounds must reproduce the uninterrupted campaign exactly — outcome
+    sequence, per-cell statistics and the full sampling summary included.
     """
     journal = tmp_path / "stratified.jsonl"
     killed_out = tmp_path / "killed.json"
@@ -100,15 +96,14 @@ def test_sigkill_mid_stratified_campaign_then_resume_is_bit_identical(tmp_path):
 
     process = _run_helper("strat-run", journal, killed_out, "0.03", wait=False)
     deadline = time.monotonic() + 60
-    while _journaled_records(journal, "round") < 1:
+    while _journaled_chunks(journal) < 1:
         assert process.poll() is None, "campaign finished before it could be killed"
-        assert time.monotonic() < deadline, "no round journaled within 60s"
+        assert time.monotonic() < deadline, "no chunk journaled within 60s"
         time.sleep(0.02)
     os.kill(process.pid, signal.SIGKILL)
     process.wait(timeout=30)
     assert not killed_out.exists(), "SIGKILL'd run must not have finished"
-    assert _journaled_records(journal, "round") >= 1
-    assert _journaled_records(journal, "chunk") == 0, "v3 journal must use round records"
+    assert _journaled_chunks(journal) >= 1
 
     _run_helper("strat-resume", journal, resumed_out)
     _run_helper("strat-reference", journal, reference_out)

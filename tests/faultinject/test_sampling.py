@@ -516,14 +516,18 @@ class TestStratifiedCampaign:
 
     def test_telemetry_counters_surface(self):
         golden, cycles = _toy()
+        # Under REPRO_TRACE=1 the tracer already holds earlier tests'
+        # counts, so compare this campaign's increments only.
         tracer = telemetry.enable()
+        before = dict(tracer.registry.snapshot()["counters"])
         try:
             campaign = run_campaign(
                 toy_workload, golden, cycles, _stratified_config()
             )
-            counters = dict(tracer.registry.snapshot()["counters"])
+            after = dict(tracer.registry.snapshot()["counters"])
         finally:
             telemetry.disable()
+        counters = {name: after[name] - before.get(name, 0) for name in after}
         summary = campaign.sampling
         assert counters["campaign.sampling.rounds"] == summary.rounds
         assert counters["campaign.sampling.cells_converged"] == summary.cells_converged

@@ -96,7 +96,7 @@ class TestModuleBus:
 
 class TestSchema:
     def test_schema_version_pinned(self):
-        assert EVENT_SCHEMA_VERSION == 3
+        assert EVENT_SCHEMA_VERSION == 4
 
     def test_kind_vocabulary_pinned(self):
         # Removing a kind (or renaming one) is a schema break; this

@@ -288,6 +288,11 @@ class AddressSpace:
             return SegmentationFault(end, "access crosses allocation end")
         return None
 
+    def holder(self, address: int) -> int | None:
+        """Position of the allocation holding ``address``, or None if unmapped."""
+        index = self._find(address)
+        return None if index is None else int(self._order[index])
+
     def resolve(self, address: int) -> tuple[Allocation, int]:
         """Map ``address`` to ``(allocation, byte_offset)`` or segfault.
 

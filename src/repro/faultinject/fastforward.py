@@ -38,8 +38,22 @@ The same golden run also logs every checkpoint and register-file write
   or its window crosses the end of its allocation
   (:meth:`~repro.faultinject.addrspace.AddressSpace.fault`), before it
   writes anything.  The run then ends at the fire checkpoint's cycle
-  with the golden probe events before it.  A mapped landing, and a
-  placement that raises, execute.
+  with the golden probe events before it.  A flip of a bit below the
+  page size needs no placement: bases are page-aligned and page runs
+  never overlap, so it lands in the pointer's own allocation or in the
+  unmapped slack after it.  A placement that raises executes;
+* every flip that writes only state already dead at the restore point
+  its member resumes from.  When the fired slot was written before that
+  point, the point's register file holds the value as a descriptor, and
+  the member would flip a fresh kernel-local cell, a ``_discard_*``
+  value callback, a private clone of an array that is not live program
+  state, a read pointer's own dead array (landing mapped), or the dead
+  allocation a write pointer lands in.  Nothing the resumed pipeline
+  reads changes, and the spent injector replays the golden run, so the
+  run is MASKED with the flip's effect.  A value written after the
+  point, a live cell, array or landing execute: deciding bindings that
+  a kernel wrote after the point but had returned from by the fire
+  would need a kernel-exit record.
 
 The hard requirement is the repo's standing invariant: a fast-forwarded
 campaign must be **bit-identical** to a full one — outcomes, counts,
@@ -156,9 +170,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import telemetry
-from repro.faultinject.addrspace import AddressSpace, shared_positions
+from repro.faultinject import addrspace
+from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace, shared_positions
 from repro.faultinject.injector import InjectionPlan, InjectionRecord
-from repro.faultinject.outcomes import CrashKind, Outcome, classify_exception
+from repro.faultinject.outcomes import CrashKind, Outcome
 from repro.faultinject.registers import (
     AddressBinding,
     ArrayBinding,
@@ -286,6 +301,9 @@ class FrameSnapshot:
     profile_by_scope: dict[str, int]
     #: Number of probe events the golden run had emitted by here.
     probe_count: int
+    #: Number of fire-log checkpoints logged before this point: a slot
+    #: write at a checkpoint index below it is held in ``regfile``.
+    checkpoints: int
 
     @property
     def label(self) -> str:
@@ -321,8 +339,10 @@ class FireLog:
     An injected run is the golden run up to its fire, and what the fire
     hits depends only on the checkpoint it fires at and on the slot's
     last write before it — so this log decides every fire that leaves
-    the program untouched, and every pointer flip that segfaults at the
-    fire, without executing anything (see :meth:`FastForward.predict`).
+    the program untouched, every pointer flip that segfaults at the
+    fire, and, with the restore points' checkpoint counts, every flip
+    into state already dead where its member resumes, without executing
+    anything (see :meth:`FastForward.predict`).
     Per ``(kind, slot)`` only the last write of each checkpoint is kept,
     which is what the register file holds once the checkpoint's window
     is written.
@@ -397,6 +417,12 @@ class FireLog:
         k = bisect.bisect_right(checkpoints, checkpoint) - 1
         return self.writes[(kind, slot)][k] if k >= 0 else None
 
+    def written_before(self, kind: RegKind, slot: int, checkpoint: int, bound: int) -> bool:
+        """Whether the slot's contents at ``checkpoint`` were written before index ``bound``."""
+        checkpoints = self.write_checkpoints.get((kind, slot), ())
+        k = bisect.bisect_right(checkpoints, checkpoint) - 1
+        return k >= 0 and checkpoints[k] < bound
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -409,6 +435,9 @@ class Prediction:
     cycles: int
     #: The run's probe stream: this many golden probe events.
     probe_count: int
+    #: Why the run is decided: ``dead_fire`` (no flip), ``segfault``
+    #: (the flip faults) or ``dead_target`` (the flip writes dead state).
+    reason: str
 
 
 @dataclass
@@ -428,7 +457,8 @@ class SnapshotTape:
     #: executing it.
     golden_output: np.ndarray
     #: The golden run's checkpoints and register-file writes, from which
-    #: dead and never-firing plans are decided without executing.
+    #: dead, never-firing, segfaulting and dead-target plans are decided
+    #: without executing.
     fire_log: FireLog
     #: Per mini-panorama, the chain of every golden composite into it,
     #: in order: which pixels a golden tail still stores into an open
@@ -576,6 +606,7 @@ class SnapshotRecorder:
                     {} if self.profile is None else self.profile.by_scope()
                 ),
                 probe_count=0 if self.probe is None else len(self.probe.events),
+                checkpoints=len(self.fire_log.cycles),
             )
         )
 
@@ -839,6 +870,9 @@ class FastForward:
         self._nbytes = np.fromiter(
             (record.nbytes for record in tape.allocs), np.int64, len(tape.allocs)
         )
+        #: The largest allocation's pages: while it fits the heap span,
+        #: no placement of the tape's sizes raises "too large".
+        self._max_pages = -(-int(self._nbytes.max(initial=0)) // PAGE_SIZE)
         #: restore-point index -> shared fan-out state, lazily built.  Hangs
         #: off the handle so "materialize once per worker" falls out of
         #: the per-process golden-run cache in ``summarize.golden``.
@@ -888,22 +922,27 @@ class FastForward:
           checkpoint's cycle, with the golden probe events before it.
           The heap is the one the run's own address space would place:
           the fire checkpoint's allocations, by size, with the plan's
-          seed.
+          seed (see :meth:`_landing`);
+        * a flip of a live value whose slot was written before the
+          restore point the member resumes from, when what it writes is
+          already dead there (:func:`_dead_target_effect`): a
+          kernel-local cell or value, an array that is not live program
+          state, a read pointer into such an array whose landing is
+          mapped, or a write pointer landing in one.  The resumed member
+          flips a restored object nothing reads again, and its spent
+          injector replays the golden run: MASKED, with the flip's
+          effect.
 
-        Returns None when the flip has to execute: any other live
-        value, a mapped landing, or a placement that raises (the run
-        raises it too).
+        Returns None when the flip has to execute: a value written after
+        the restore point, a live cell, array or landing, or a placement
+        that raises (the run raises it too).
         """
         tape = self.tape
         log = tape.fire_log
         record = InjectionRecord(plan)
-        # A dead or absent fire: the golden run, probe stream included.
-        masked = Prediction(
-            record, Outcome.MASKED, None, tape.golden_cycles, len(tape.probe_events)
-        )
         checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
         if checkpoint is None:
-            return masked
+            return self._golden(record, "dead_fire")
         cycle = log.cycles[checkpoint]
         write = log.slot_at(plan.kind, plan.register, checkpoint)
         record.fired = True
@@ -913,31 +952,73 @@ class FastForward:
             record.in_study = write is not None and write.site.startswith(site_filter)
         if write is None:
             record.effect = FlipEffect.DEAD_EMPTY
-            return masked
+            return self._golden(record, "dead_fire")
         record.binding_name = write.name
         record.role = write.role
         if not write.live_at(cycle, plan.kind, liveness):
             record.effect = FlipEffect.DEAD_STALE
-            return masked
-        fault = self._pointer_fault(plan, write.pointer, log.n_allocs[checkpoint])
-        if fault is None:
-            return None  # not a pointer, a mapped landing or a placement error: execute
-        record.effect = FlipEffect.APPLIED
-        outcome, crash_kind = classify_exception(fault)
-        return Prediction(record, outcome, crash_kind, cycle, log.probe_counts[checkpoint])
-
-    def _pointer_fault(
-        self, plan: InjectionPlan, pointer: tuple[int, int, int] | None, n_allocs: int
-    ) -> SegmentationFault | None:
-        """The segfault flipping ``plan.bit`` of ``pointer`` takes in the fire's heap, if any."""
-        if pointer is None:
+            return self._golden(record, "dead_fire")
+        landing = None
+        if write.pointer is not None:
+            try:
+                landing = self._landing(plan, write.pointer, log.n_allocs[checkpoint])
+            except (ValueError, RuntimeError):
+                return None  # "too crowded" or too large: executed, the flip raises it
+            if landing is None:
+                record.effect = FlipEffect.APPLIED
+                return Prediction(
+                    record,
+                    Outcome.CRASH,
+                    CrashKind.SEGV,
+                    cycle,
+                    log.probe_counts[checkpoint],
+                    "segfault",
+                )
+        point = tape.boundaries[self.boundary_index_for(plan.target_cycle)]
+        if not log.written_before(plan.kind, plan.register, checkpoint, point.checkpoints):
+            return None  # written in the live suffix: the member binds it afresh
+        descriptor = point.regfile[2][plan.kind][plan.register][0]
+        effect = _dead_target_effect(point, tape.allocs, descriptor, plan.bit, landing)
+        if effect is None:
             return None
+        record.effect = effect
+        return self._golden(record, "dead_target")
+
+    def _golden(self, record: InjectionRecord, reason: str) -> Prediction:
+        """A run that ends as the golden run, probe stream included."""
+        tape = self.tape
+        return Prediction(
+            record, Outcome.MASKED, None, tape.golden_cycles, len(tape.probe_events), reason
+        )
+
+    def _landing(
+        self, plan: InjectionPlan, pointer: tuple[int, int, int], n_allocs: int
+    ) -> int | None:
+        """The aid ``plan``'s flip of ``pointer`` lands its window in, or None if it segfaults.
+
+        The heap is the fire's: its first ``n_allocs`` allocations,
+        placed with the plan's seed.  A flip of a bit below the page
+        size, of a pointer inside its own page run, is decided without
+        placing anything: every base is page-aligned and page runs
+        never overlap, so the address stays in that run — inside the
+        pointer's own allocation, or in the unmapped slack after it.
+        Raises what placing the heap raises.
+        """
         aid, byte_offset, window = pointer
-        try:
-            space = AddressSpace.layout(plan.target_cycle, self._nbytes[:n_allocs])
-        except (ValueError, RuntimeError):
-            return None  # "too crowded" or too large: executed, the flip raises it
-        return space.fault(flip_pointer(space.base(aid) + byte_offset, plan.bit), window)
+        nbytes = int(self._nbytes[aid])
+        pages = -(-nbytes // PAGE_SIZE)
+        if (
+            plan.bit < _PAGE_BITS
+            and 0 <= byte_offset < pages * PAGE_SIZE
+            and self._max_pages < addrspace.HEAP_SPAN // PAGE_SIZE
+        ):
+            offset = byte_offset ^ (1 << plan.bit)
+            return aid if offset < nbytes and offset + window <= nbytes else None
+        space = AddressSpace.layout(plan.target_cycle, self._nbytes[:n_allocs])
+        address = flip_pointer(space.base(aid) + byte_offset, plan.bit)
+        if space.fault(address, window) is not None:
+            return None
+        return space.holder(address)
 
     def fanout(self, index: int) -> "BoundaryFanOut":
         """The shared fan-out state for restore point ``index`` (lazy)."""
@@ -1162,6 +1243,46 @@ class FastForward:
             _, name, ttl, value = desc
             return FloatValueBinding(name, value, _discard_float, ttl=ttl)
         raise SnapshotUnsupported(f"unknown binding descriptor {tag!r}")
+
+
+#: Address bits below the page size: a flip there stays in its page.
+_PAGE_BITS = PAGE_SIZE.bit_length() - 1
+
+
+def _dead_target_effect(
+    point: FrameSnapshot,
+    allocs: list[AllocRecord],
+    descriptor: tuple,
+    bit: int,
+    landing: int | None,
+) -> FlipEffect | None:
+    """The effect of flipping ``descriptor`` as restored at ``point``, if it writes dead state.
+
+    ``landing`` is the aid a pointer flip's window lands in.  None when
+    the flip can reach what the resumed pipeline reads: a live cell, a
+    live array, a read pointer into a live array, a write pointer
+    landing in a live or post-``point`` allocation, or a dtype
+    ``ArrayBinding.flip`` raises on.
+    """
+    tag = descriptor[0]
+    if tag in ("cell", "ivalue", "fvalue"):
+        # A fresh Cell or a ``_discard_*`` callback.
+        return FlipEffect.APPLIED
+    if tag == "array":
+        aid = descriptor[-1]
+        dtype = allocs[aid].dtype
+        if aid in point.live_map or not (
+            dtype in (np.float64, np.float32) or np.issubdtype(dtype, np.integer)
+        ):
+            return None
+        return FlipEffect.TRUNCATED if bit >= dtype.itemsize * 8 else FlipEffect.APPLIED
+    if tag == "address":
+        writes, aid = descriptor[4], descriptor[-1]
+        # A read copies into its own array, a write into the landing.
+        written = landing if writes else aid
+        if written < point.n_allocs and written not in point.live_map:
+            return FlipEffect.APPLIED
+    return None
 
 
 def _restore_features(arrays: FeatureArrays | None) -> FeatureSet | None:

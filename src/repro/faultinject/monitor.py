@@ -177,9 +177,10 @@ class FaultMonitor:
             predicted = ff.predict(plan, self.liveness, self.site_filter)
             if predicted is not None:
                 # The run is the golden run up to its end: the whole of
-                # it for a masked fire, up to the fire for a segfault.
+                # it for a masked run, up to the fire for a segfault.
                 if observe_events.enabled():
                     telemetry.counter_inc("campaign.fastforward.predicted")
+                    telemetry.counter_inc(f"campaign.fastforward.predicted.{predicted.reason}")
                     telemetry.counter_inc(
                         "campaign.fastforward.skipped_cycles", predicted.cycles
                     )

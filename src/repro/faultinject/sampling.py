@@ -165,10 +165,12 @@ def stratify(
     slot holds its last golden write, which is empty, stale or live
     under ``config.liveness`` — exactly what
     :meth:`~repro.faultinject.fastforward.FastForward.predict` decides
-    MASKED per plan.  Empty and stale slots, and the targets past the
-    last firing checkpoint, are dead mass; a live slot's cycles join the
-    stratum of (fire-site stage, value role), the stage being the site's
-    first two dot-parts (``vision.orb``, ``imaging.warp``).  Without a
+    MASKED without a flip per plan.  Empty and stale slots, and the
+    targets past the last firing checkpoint, are dead mass; a live
+    slot's cycles join the stratum of (fire-site stage, value role),
+    the stage being the site's first two dot-parts (``vision.orb``,
+    ``imaging.warp``).  A live flip ``predict`` decides because it
+    writes only dead state stays in its stratum.  Without a
     fire log (custom workloads, WP) nothing is known to be dead: one
     stratum holds every register over ``[0, golden_cycles)``.
     """

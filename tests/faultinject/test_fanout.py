@@ -283,7 +283,7 @@ class TestTelemetry:
         assert registry.counter("campaign.fanout.shared_restores") == groups
         assert registry.counter("campaign.fanout.cow_clones") > 0
         # The clones made: bound dead arrays, live state, pointer landings.
-        assert registry.counter("campaign.fanout.cow_clones") == 245
+        assert registry.counter("campaign.fanout.cow_clones") == 134
         # The bench seed produces masked runs, and masked fan-out
         # members re-converge to the tape — at least one golden tail
         # must have been synthesized (this is where the speedup lives).
@@ -291,9 +291,15 @@ class TestTelemetry:
         hits = registry.counter("campaign.fastforward.hits")
         predicted = registry.counter("campaign.fastforward.predicted")
         assert hits + predicted == 16
-        # Resumed members: the pointer flips that segfault at the fire
+        # Resumed members: the pointer flips that segfault at the fire,
+        # and the flips into state dead at the member's restore point,
         # are decided from the tape, like the dead fires.
-        assert hits == 9
+        assert hits == 5
+        reasons = {
+            reason: registry.counter(f"campaign.fastforward.predicted.{reason}")
+            for reason in ("dead_fire", "segfault", "dead_target")
+        }
+        assert reasons == {"dead_fire": 4, "segfault": 3, "dead_target": 4}
 
     def test_trace_summarize_renders_amortization(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
@@ -328,4 +334,8 @@ class TestTelemetry:
         assert len(set(points)) == len(points)
         assert any("." in point for point in points)
         # Per-boundary counters feed the table, not the counter dump.
-        assert "campaign.fanout.b" not in rendered.split("counters:")[-1]
+        counters = rendered.split("counters:")[-1]
+        assert "campaign.fanout.b" not in counters
+        # Decided runs by reason, next to their total.
+        assert "  campaign.fastforward.predicted = 11\n" in counters
+        assert "  campaign.fastforward.predicted.dead_target = 4\n" in counters

@@ -4,11 +4,12 @@ Every injected run of a campaign resumes through boundary fan-out (see
 ``src/repro/faultinject/fastforward.py``): it restores the last golden
 restore point before its target cycle (a frame start, or a point
 inside a frame), runs only the live suffix, and
-may synthesize a golden tail once it re-converges; a run whose fire
-the golden fire log decides as dead (or that never fires) is not
-executed at all.  The contract is that none of this is visible in the
-results.  The oracle is a :class:`FaultMonitor` without a fast-forward
-handle — every run executes from cycle 0 — driven per plan with the
+may synthesize a golden tail once it re-converges; a run the golden
+fire log decides (a dead fire or none, a segfault at the fire, a flip
+into state dead at the restore point) is not executed at all.  The
+contract is that none of this is visible in the results.  The oracle
+is a :class:`FaultMonitor` without a fast-forward handle — every run
+executes from cycle 0 — driven per plan with the
 campaign's own ``(seed + 1) * 1_000_003 + index`` RNG derivation.  The
 property below generates (approximation, register kind, seed, plan
 subset, worker count, probe, interrupt point, site filter, liveness
@@ -22,13 +23,15 @@ spliced past (a raised loop bound, a closed mini, differing open-mini
 pixels, a cycle offset) or must not be (a lowered bound, a drift past
 the watchdog), and a splice at each kind of in-frame restore point.  The
 fire-log predictor is checked
-exhaustively against the real injector at every golden checkpoint, and
-its segfault decisions by a property over live pointer flips; the
+exhaustively against the real injector at every golden checkpoint, its
+segfault decisions by a property over live pointer flips, and its
+dead-target decisions by a property over restored live values; the
 snapshot-restore property and the boundary lookup are checked directly.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -45,11 +48,12 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.analysis.experiments import TINY, input_stream, vs_workload
+from repro.analysis.experiments import QUICK, TINY, input_stream, vs_workload
 from repro.faultinject import addrspace
 from repro.faultinject import campaign as campaign_module
 from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace
 from repro.faultinject.campaign import CampaignConfig, run_campaign
+from repro.faultinject.fastforward import FastForward
 from repro.faultinject.injector import FaultInjector, InjectionPlan, InjectionRecord
 from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted, serialize_result
 from repro.faultinject.monitor import DEFAULT_HANG_FACTOR, FaultMonitor
@@ -587,16 +591,19 @@ class TestSpliceEquivalence:
 
     @pytest.mark.parametrize("probe", [False, True])
     def test_splices_at_match_point(self, vs, probe):
-        """A flip into the previous frame's matcher row counter, still
-        leased but never read again, while this frame's descriptors are
-        built: the features come out golden, so the tail splices at the
-        frame's ``match`` point."""
+        """A flip into this frame's FAST threshold, still leased but never
+        read again once detection returned, while the frame's descriptors
+        are built: the features come out golden, so the tail splices at
+        the frame's ``match`` point.  (The threshold is written after the
+        frame's top, where the member resumes, so the fire log cannot
+        decide it: a flip into the previous frame's matcher row counter
+        would be decided without executing.)"""
         plan = self._plan(
-            vs, "vision.matching.hamming", "match_row", 3, (12, 13), at="vision.orb.descriptors"
+            vs, "vision.fast.detect", "fast_thresh", 3, (12, 13), at="vision.orb.descriptors"
         )
         expected, tails = self._compare(vs, plan, probe)
         assert expected.outcome is Outcome.MASKED
-        assert expected.record.binding_name == "match_row"
+        assert expected.record.binding_name == "fast_thresh"
         assert [(t["frame"], t["phase"]) for t in tails] == [(12, MATCH)]
 
     @pytest.mark.parametrize("probe", [False, True])
@@ -961,10 +968,13 @@ class TestFireLogPrediction:
 
     Targets are 0, every distinct golden checkpoint cycle and one past
     the last checkpoint; each is tried for every register of both kinds
-    under two liveness models.  The predictor must decide MASKED exactly
-    when the injector would not call ``flip``, and any run it decides
-    must carry the injector's record (a bit-0 pointer flip whose window
-    crosses the end of its allocation is a decided crash).
+    under two liveness models.  A run whose injector would not call
+    ``flip`` must be decided MASKED, any run the predictor decides must
+    carry the injector's record (a bit-0 pointer flip whose window
+    crosses the end of its allocation is a decided crash), and a run
+    that flips yet is decided MASKED must flip a slot written before the
+    member's restore point, whose restored descriptor is one the
+    dead-target rule accepts.
     """
 
     @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
@@ -994,7 +1004,9 @@ class TestFireLogPrediction:
         never = oracle.never_fired()
         assert cycles[-1] + 1 in never
 
-        predicted = executed = 0
+        tape = fast_forward.tape
+        log = tape.fire_log
+        predicted = executed = dead_targets = 0
         for name, liveness in LIVENESS.items():
             for target in targets:
                 for kind in RegKind:
@@ -1006,13 +1018,22 @@ class TestFireLogPrediction:
                             record, flipped = oracle.records[(name, plan)]
                         prediction = fast_forward.predict(plan, liveness, site_filter)
                         masked = prediction is not None and prediction.outcome is Outcome.MASKED
-                        assert masked != flipped, (name, plan, record)
+                        assert flipped or masked, (name, plan, record)
                         if prediction is None:
                             executed += 1
-                        else:
-                            predicted += 1
-                            assert prediction.record == record, (name, plan)
-        assert predicted and executed
+                            continue
+                        predicted += 1
+                        assert prediction.record == record, (name, plan)
+                        if flipped and masked:
+                            dead_targets += 1
+                            checkpoint = log.fire_checkpoint(target, site_filter)
+                            point = tape.boundaries[fast_forward.boundary_index_for(target)]
+                            assert log.written_before(
+                                kind, register, checkpoint, point.checkpoints
+                            ), (name, plan)
+                            tag = point.regfile[2][kind][register][0][0]
+                            assert tag in ("cell", "ivalue", "fvalue", "array", "address"), tag
+        assert predicted and executed and dead_targets
 
 
 class TestDeadStandIns:
@@ -1080,20 +1101,26 @@ class TestDeadStandIns:
             FaultMonitor(workload, golden.output, golden.total_cycles, fast_forward=handle)
             for handle in (fast_forward, None)
         ]
+        # A restored read pointer's flip writes only its own dead clone,
+        # so the fire log decides it; it executes here all the same, to
+        # check the member's copies.
+        undecided = mock.patch.object(FastForward, "predict", lambda self, *args: None)
         pages = sum(-(-record.nbytes // PAGE_SIZE) for record in tape.allocs)
         with contextlib.ExitStack() as patches:
             patches.enter_context(mock.patch.object(addrspace, "HEAP_SPAN", 4 * pages * PAGE_SIZE))
             patches.enter_context(mock.patch.object(AddressSpace, "resolve", spy))
-            for bit in range(12, 40):
-                landings.clear()
-                plan = InjectionPlan(target, RegKind.GPR, register, bit)
-                result = monitors[0].run_injected(plan, np.random.default_rng(11))
-                if landings and landings[-1] is not None:
-                    break
-            else:
-                pytest.fail(f"no {name} flip lands in a stand-in")
+            with undecided if restored else contextlib.nullcontext():
+                for bit in range(12, 40):
+                    landings.clear()
+                    plan = InjectionPlan(target, RegKind.GPR, register, bit)
+                    result = monitors[0].run_injected(plan, np.random.default_rng(11))
+                    if landings and landings[-1] is not None:
+                        break
+                else:
+                    pytest.fail(f"no {name} flip lands in a stand-in")
             address, private = landings[-1]
             expected = monitors[1].run_injected(plan, np.random.default_rng(11))
+            prediction = fast_forward.predict(plan, LivenessModel(), None)
 
             # The next member of the group resolves the same address to
             # the pristine bytes.
@@ -1113,6 +1140,10 @@ class TestDeadStandIns:
         if restored:
             aid = boundary.regfile[2][RegKind.GPR][register][0][-1]
             assert aid in fan._bound
+            assert prediction.reason == "dead_target" and expected.outcome is Outcome.MASKED
+            assert prediction.record == expected.record
+        else:
+            assert prediction is None
         stand_in = space._swapped[-1]
         aid = next(aid for aid, shared in enumerate(fan._stand_ins) if shared is stand_in)
         assert alloc.array is not stand_in
@@ -1182,7 +1213,14 @@ def _pointer_fires(which: str, algorithm: str, site_filter: str | None) -> tuple
 
 
 @functools.lru_cache(maxsize=None)
-def _tiny_monitor(which: str, algorithm: str, probe: bool, site_filter, fast: bool):
+def _tiny_monitor(
+    which: str,
+    algorithm: str,
+    probe: bool,
+    site_filter,
+    fast: bool,
+    liveness: LivenessModel = LivenessModel(),
+):
     """A monitor of one tiny workload, with the tape's handle when ``fast``."""
     stream = input_stream(which, TINY)
     config = config_for(algorithm)
@@ -1191,6 +1229,7 @@ def _tiny_monitor(which: str, algorithm: str, probe: bool, site_filter, fast: bo
         vs_workload(stream, config),
         golden.output,
         golden.total_cycles,
+        liveness=liveness,
         site_filter=site_filter,
         probe=probe,
         fast_forward=_tiny(which, algorithm)[1] if fast else None,
@@ -1306,9 +1345,10 @@ class TestPredictedSegfaults:
                 plan, np.random.default_rng(plan.target_cycle)
             )
         assert serialize_result(result) == serialize_result(expected)
-        assert (prediction is not None) == bool(faults), (plan, landing, faults)
+        segfault = prediction is not None and prediction.reason == "segfault"
+        assert segfault == bool(faults), (plan, landing, faults)
         assert len(faults) <= 1
-        if prediction is not None:
+        if segfault:
             assert prediction.outcome is Outcome.CRASH
             assert result.crash_kind is CrashKind.SEGV
             assert result.record.effect is FlipEffect.APPLIED
@@ -1318,3 +1358,251 @@ class TestPredictedSegfaults:
             assert landing == ("crosses-end" if crosses else "unmapped")
         else:
             assert landing in ("mapped", "elsewhere")
+
+    def test_low_bit_landings_place_no_heap(self):
+        """A flip of bit 0-11 of a pointer inside its own page run stays
+        in that run: bases are page-aligned and page runs never overlap.
+        For every pointer write of the quick input1/VS tape, every such
+        bit and three seeds, the landing decided without placing equals
+        the one the placed heap of the write's checkpoint gives, and
+        ``AddressSpace.layout`` is never called."""
+        stream = input_stream("input1", QUICK)
+        fast_forward = golden_with_tape(stream, config_for("VS")).fast_forward
+        log = fast_forward.tape.fire_log
+        sizes = np.array([record.nbytes for record in fast_forward.tape.allocs], dtype=np.int64)
+        layout = AddressSpace.layout
+        spaces: dict[tuple[int, int], AddressSpace] = {}
+        landings = collections.Counter()
+        with mock.patch.object(AddressSpace, "layout", wraps=layout) as placed:
+            for key, writes in log.writes.items():
+                for write, checkpoint in zip(writes, log.write_checkpoints[key]):
+                    if write.pointer is None:
+                        continue
+                    aid, offset, window = write.pointer
+                    n_allocs = log.n_allocs[checkpoint]
+                    for seed in (0, 1, 2):
+                        space = spaces.get((seed, n_allocs))
+                        if space is None:
+                            space = spaces[(seed, n_allocs)] = layout(seed, sizes[:n_allocs])
+                        for bit in range(12):
+                            address = flip_pointer(space.base(aid) + offset, bit)
+                            fault = space.fault(address, window)
+                            expected = None if fault is not None else space.holder(address)
+                            plan = InjectionPlan(seed, RegKind.GPR, 0, bit)
+                            assert fast_forward._landing(plan, write.pointer, n_allocs) == expected
+                            landings["fault" if expected is None else "own"] += 1
+                            assert expected in (None, aid)
+        assert placed.call_count == 0
+        assert landings["fault"] and landings["own"], landings
+
+
+def _restored_descriptor(fast_forward, plan: InjectionPlan, site_filter) -> tuple | None:
+    """The descriptor a member restores into ``plan``'s slot, if its fire finds that value."""
+    log = fast_forward.tape.fire_log
+    point = fast_forward.tape.boundaries[fast_forward.boundary_index_for(plan.target_cycle)]
+    checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
+    if not log.written_before(plan.kind, plan.register, checkpoint, point.checkpoints):
+        return None
+    return point.regfile[2][plan.kind][plan.register][0]
+
+
+#: Liveness by register kind.  The default FPR lease ends before the
+#: next restore point on the tiny tapes, so no FPR value survives one.
+DEAD_TARGET_LIVENESS = {
+    RegKind.GPR: LivenessModel(),
+    RegKind.FPR: LivenessModel(fpr_data_ttl=400_000),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _restored_fires(which: str, algorithm: str, kind: RegKind, site_filter: str | None) -> tuple:
+    """``(target cycle, register)`` of every fire into a live value its member restores.
+
+    Each firing checkpoint is hit by its interval's first and last
+    target, which may resume different restore points.
+    """
+    _, fast_forward = _tiny(which, algorithm)
+    log = fast_forward.tape.fire_log
+    fires = []
+    previous = -1
+    for index, cycle in zip(*log.firing_checkpoints(site_filter)):
+        for target in sorted({previous + 1, cycle}):
+            if log.fire_checkpoint(target, site_filter) != index:
+                continue
+            for register in range(NUM_REGISTERS):
+                write = log.slot_at(kind, register, index)
+                plan = InjectionPlan(target, kind, register, 0)
+                if (
+                    write is not None
+                    and write.live_at(cycle, kind, DEAD_TARGET_LIVENESS[kind])
+                    and _restored_descriptor(fast_forward, plan, site_filter) is not None
+                ):
+                    fires.append((target, register))
+        previous = cycle
+    return tuple(fires)
+
+
+class TestDeadTargetFlips:
+    """Flips of a value already dead at the member's restore point, against the oracle.
+
+    A live value whose slot was written before the restore point is
+    restored from the point's descriptor: a kernel-local cell or value,
+    an array that is not live program state, or a pointer.  When the
+    flip writes only dead state, ``FastForward.predict`` decides the run
+    MASKED without executing (``reason="dead_target"``).  Plans fire into
+    such values on the tiny input1/VS and input2/VS_RFD tapes, GPR and
+    FPR, probes on and off, with and without a site filter, in the
+    sparse heap and in one shrunk to four times the workload's pages.
+    Every run must equal the unrestored oracle's, and every restored
+    cell or value must be decided.  Examples pin each qualifying
+    descriptor (a cell, a dead FPR array, a read pointer into a dead
+    array, a write pointer landing in a dead stand-in) and runs that
+    must execute (a live loop cell, a slot written after the restore
+    point, a live array, a write landing in an allocation made after
+    the point).
+    """
+
+    #: pin -> (register kind, binding name, restored descriptor tag or
+    #: None if written after the point, whether the run is decided).
+    PINS = {
+        "ransac_budget": (RegKind.GPR, "ransac_budget", "cell", True),
+        "coef_x": (RegKind.FPR, "coef_x", "array", True),
+        "descA_ptr": (RegKind.GPR, "descA_ptr", "address", True),
+        "write-stand-in": (RegKind.GPR, "canvas_ptr", "address", True),
+        "frame_total": (RegKind.GPR, "frame_total", "cell-live", False),
+        "written-after-point": (RegKind.GPR, "row_end", None, False),
+        # The current frame's descriptors, live at its in-frame points.
+        "live-array": (RegKind.GPR, "desc_bytes", "array", False),
+        # A write landing in an allocation made after the point.
+        "write-past-point": (RegKind.GPR, "canvas_ptr", "address", False),
+    }
+
+    def _pinned(self, which, algorithm, site_filter, pin, bits):
+        """The first fire and bit into ``pin``'s live binding, restored and decided as pinned."""
+        kind, name, tag, decided = self.PINS[pin]
+        liveness = DEAD_TARGET_LIVENESS[kind]
+        _, fast_forward = _tiny(which, algorithm)
+        log = fast_forward.tape.fire_log
+        targets = sorted(set(log.cycles))
+        if pin == "written-after-point":
+            # Targets inside RANSAC resume the frame's MATCH point; the
+            # warp filter fires them in the warp that follows it.
+            targets = [c for s, c in zip(log.sites, log.cycles) if s.startswith("vision.ransac")]
+        for target in targets:
+            checkpoint = log.fire_checkpoint(target, site_filter)
+            for register in range(NUM_REGISTERS):
+                write = log.slot_at(kind, register, checkpoint)
+                if write is None or write.name != name:
+                    continue
+                if not write.live_at(log.cycles[checkpoint], kind, liveness):
+                    continue
+                descriptor = _restored_descriptor(
+                    fast_forward, InjectionPlan(target, kind, register, 0), site_filter
+                )
+                if (descriptor and descriptor[0]) != tag:
+                    continue
+                for bit in bits:
+                    plan = InjectionPlan(target, kind, register, bit)
+                    prediction = fast_forward.predict(plan, liveness, site_filter)
+                    if decided:
+                        if prediction is not None and prediction.reason == "dead_target":
+                            return plan
+                    elif prediction is None and (
+                        pin != "write-past-point"
+                        or fast_forward._landing(plan, write.pointer, log.n_allocs[checkpoint])
+                        >= fast_forward.tape.boundaries[
+                            fast_forward.boundary_index_for(target)
+                        ].n_allocs
+                    ):
+                        return plan
+        raise AssertionError(f"no {pin} fire")
+
+    def test_quick_tape_executes_fewer_plans(self):
+        """The count gate: of 1,000 GPR (seed 0) and 1,000 FPR (seed 1)
+        uniform plans on the quick input1/VS tape, 465 executed before
+        flips into dead state were decided; at most 280 do now, and the
+        dead-fire and segfault decisions are unchanged."""
+        stream = input_stream("input1", QUICK)
+        fast_forward = golden_with_tape(stream, config_for("VS")).fast_forward
+        reasons = collections.Counter()
+        for kind, seed in ((RegKind.GPR, 0), (RegKind.FPR, 1)):
+            config = CampaignConfig(n_injections=1000, kind=kind, seed=seed)
+            for plan in campaign_module.draw_plans(config, fast_forward.tape.golden_cycles):
+                prediction = fast_forward.predict(plan, LivenessModel(), None)
+                reasons[None if prediction is None else prediction.reason] += 1
+        assert reasons["dead_fire"] == 1212 and reasons["segfault"] == 323, reasons
+        assert reasons[None] + reasons["dead_target"] == 465, reasons
+        assert reasons[None] <= 280, reasons
+
+    # Each example runs one full oracle run; the budget is a tenth of
+    # the active profile's, so ``--hypothesis-profile ci-deep`` searches
+    # 100 cases.
+    @given(
+        workload=st.sampled_from([("input1", "VS"), ("input2", "VS_RFD")]),
+        kind=st.sampled_from([RegKind.GPR, RegKind.FPR]),
+        probe=st.booleans(),
+        site_filter=st.sampled_from([None, "imaging.warp"]),
+        dense=st.booleans(),
+        fire=st.integers(0, 2**16),
+        bit=st.integers(0, 63),
+        pin=st.none(),
+    )
+    @example(("input1", "VS"), RegKind.GPR, False, None, False, 0, 0, "ransac_budget")
+    @example(("input1", "VS"), RegKind.FPR, True, None, False, 0, 0, "coef_x")
+    @example(("input2", "VS_RFD"), RegKind.GPR, True, None, False, 0, 0, "descA_ptr")
+    @example(("input1", "VS"), RegKind.GPR, False, None, True, 0, 0, "write-stand-in")
+    @example(("input1", "VS"), RegKind.GPR, False, None, False, 0, 0, "frame_total")
+    @example(
+        ("input1", "VS"), RegKind.GPR, False, "imaging.warp", False, 0, 0, "written-after-point"
+    )
+    @example(("input1", "VS"), RegKind.GPR, True, None, False, 0, 0, "live-array")
+    @example(("input1", "VS"), RegKind.GPR, False, None, True, 0, 0, "write-past-point")
+    @settings(
+        deadline=None,
+        max_examples=settings.default.max_examples // 10,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_decided_dead_targets_match_oracle(
+        self, workload, kind, probe, site_filter, dense, fire, bit, pin
+    ):
+        which, algorithm = workload
+        _, fast_forward = _tiny(which, algorithm)
+        with contextlib.ExitStack() as patches:
+            bits = range(64)
+            if dense:
+                span = _dense_span(fast_forward)
+                patches.enter_context(mock.patch.object(addrspace, "HEAP_SPAN", span))
+                # A page-or-more jump that stays near the heap.
+                bits = range(12, span.bit_length() + 1)
+                bit = bits[bit % len(bits)]
+            if pin is None:
+                fires = _restored_fires(which, algorithm, kind, site_filter)
+                target, register = fires[fire % len(fires)]
+                plan = InjectionPlan(target, kind, register, bit)
+            else:
+                plan = self._pinned(which, algorithm, site_filter, pin, bits)
+            liveness = DEAD_TARGET_LIVENESS[kind]
+            prediction = fast_forward.predict(plan, liveness, site_filter)
+            descriptor = _restored_descriptor(fast_forward, plan, site_filter)
+            decided = prediction is not None and prediction.reason == "dead_target"
+            event(f"{'decided' if decided else 'not decided'}, {descriptor and descriptor[0]}")
+            results = [
+                _tiny_monitor(
+                    which, algorithm, probe, site_filter, fast, liveness
+                ).run_injected(plan, np.random.default_rng(plan.target_cycle))
+                for fast in (True, False)
+            ]
+        assert serialize_result(results[0]) == serialize_result(results[1]), plan
+        if decided:
+            assert descriptor is not None, plan
+            assert results[1].outcome is Outcome.MASKED
+            assert results[1].cycles == fast_forward.tape.golden_cycles
+            assert prediction.record == results[1].record
+        elif descriptor is not None and descriptor[0] in ("cell", "ivalue", "fvalue"):
+            # A restored cell or value always writes dead state.
+            pytest.fail(f"restored {descriptor[0]} not decided: {plan}")
+        if pin is not None:
+            _, name, tag, expected = self.PINS[pin]
+            assert results[1].record.binding_name == name
+            assert (descriptor and descriptor[0]) == tag
+            assert decided == expected

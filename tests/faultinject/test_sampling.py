@@ -44,7 +44,13 @@ from repro.faultinject.journal import (
 )
 from repro.faultinject.outcomes import Outcome, OutcomeCounts
 from repro.faultinject.parallel import VSWorkloadSpec
-from repro.faultinject.registers import NUM_REGISTERS, REGISTER_BITS, LivenessModel, RegKind
+from repro.faultinject.registers import (
+    NUM_REGISTERS,
+    REGISTER_BITS,
+    FlipEffect,
+    LivenessModel,
+    RegKind,
+)
 from repro.faultinject.sampling import (
     Stratum,
     cell_max_ci_width,
@@ -210,9 +216,18 @@ def _stage(site: str) -> str:
 
 
 def _predicted_masked(fast_forward, plan, liveness, site_filter) -> bool:
-    """Whether the fire log decides ``plan`` as masked (a dead or absent fire)."""
+    """Whether the fire log decides ``plan`` without a flip (a dead or absent fire).
+
+    A flip into state already dead at the member's restore point is
+    decided MASKED too, but it is a live draw that happens to be cheap,
+    so it stays out of the dead mass.
+    """
     prediction = fast_forward.predict(plan, liveness, site_filter)
-    return prediction is not None and prediction.outcome is Outcome.MASKED
+    return prediction is not None and prediction.record.effect in (
+        None,
+        FlipEffect.DEAD_EMPTY,
+        FlipEffect.DEAD_STALE,
+    )
 
 
 def _dead_oracle(fast_forward, kind, liveness, site_filter, golden_cycles) -> int:

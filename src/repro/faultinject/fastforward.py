@@ -8,8 +8,11 @@ module amortizes it: one instrumented golden run records a snapshot at
 every restore point of the VS pipeline — the top of every frame, after
 the frame's features are extracted, and, for a frame that stitches,
 after its chain is validated — and each injected run restores the last
-restore point strictly before its target cycle (point 0, at cycle 0,
-for targets up to point 1) and executes only the live suffix.  Every
+restore point before the checkpoint its flip fires at (point 0, at
+cycle 0, for a fire before point 1) and executes only the live suffix.
+No checkpoint before that one fires, so none the member skips could
+have; a plan that never fires restores the last point strictly before
+its target cycle.  Every
 restore point lies between two top-level kernel calls of the frame
 loop, so kernel-local state is dead at each of them and the loop's own
 state (:class:`~repro.summarize.pipeline.PipelineState`) plus the RANSAC
@@ -51,9 +54,21 @@ The same golden run also logs every checkpoint and register-file write
   allocation a write pointer lands in.  Nothing the resumed pipeline
   reads changes, and the spent injector replays the golden run, so the
   run is MASKED with the flip's effect.  A value written after the
-  point, a live cell, array or landing execute: deciding bindings that
-  a kernel wrote after the point but had returned from by the fire
-  would need a kernel-exit record.
+  point, a live array or landing execute: deciding bindings that a
+  kernel wrote after the point but had returned from by the fire would
+  need a kernel-exit record;
+* every flip of the frame loop's own cells — its bound ``total``, its
+  frame index, its failure counter — the paper's control-register
+  crashes and truncations.  The fired slot names the cell, whenever
+  it was written, and the loop reads these cells only in its test, its
+  ``index += 1`` and its failure branch.  A bound raised past the
+  frame count overruns the frame table where the golden loop exits; a
+  lowered bound, or an index raised past it, ends the loop at a frame
+  top, whose snapshot holds the minis the run stacks as its output; an
+  index far below zero overruns at the next frame top; a failure
+  counter is reset unread by a frame that stitches.  An index moved
+  inside the frame table, and a counter the frame's failure branch
+  reads, execute.
 
 The hard requirement is the repo's standing invariant: a fast-forwarded
 campaign must be **bit-identical** to a full one — outcomes, counts,
@@ -139,19 +154,15 @@ soon as the member's state equals the golden state apart from a
 * **a cycle offset** — the golden tail charges the same cycles from an
   equal state, so the run ends at the golden count plus the offset
   (spliced only when that cannot cross the watchdog, so a hang is
-  never synthesized);
-* **a loop bound raised above the frame count** — ``total`` is read
-  only by the loop test, so the run replays the golden frames and then
-  faults with the pipeline's "frame table overrun" at the golden
-  loop-exit cycles plus the offset.
+  never synthesized).
 
 At an in-frame point the in-flight fields must be equal too: the
 frame's table position, its working copy (against the frame table),
 its features and, at ``WARP``, the validated chain.  With no residue
 this is the exact golden tail.  Most masked runs re-converge at the
 first restore point after the fire, which is where the fan-out speedup
-comes from; SDCs confined to a closed mini or to open-mini pixels,
-drifted cycle counts and loop-bound overruns end there too.
+comes from; SDCs confined to a closed mini or to open-mini pixels and
+drifted cycle counts end there too.
 
 What is *not* bit-identical under fast-forward: telemetry traces (the
 skipped prefix emits no spans; a predicted run emits no spans or
@@ -186,13 +197,14 @@ from repro.faultinject.registers import (
     RegKind,
     Role,
     SlotEntry,
+    flip_bit64,
     flip_pointer,
 )
 from repro.forensics import probes
+from repro.imaging.image import images_equal
 from repro.imaging.warp import warp_stores
 from repro.observe import events as observe_events
 from repro.runtime.context import Cell, CostProfile, ExecutionContext
-from repro.runtime.errors import SegmentationFault
 from repro.summarize.golden import GoldenRun
 from repro.summarize.pipeline import (
     FRAME,
@@ -325,6 +337,8 @@ class SlotWrite:
     #: An ``AddressBinding``'s ``(aid, byte_offset, window)``: the
     #: allocation it points into, where, and the bytes it accesses.
     pointer: tuple[int, int, int] | None = None
+    #: The loop cell (one of ``_LIVE_CELLS``) an ``IntCellBinding`` binds.
+    cell: str | None = None
 
     def live_at(self, cycle: int, kind: RegKind, liveness: LivenessModel) -> bool:
         """Whether a fire at ``cycle`` still finds this value inside its lease."""
@@ -340,9 +354,10 @@ class FireLog:
     hits depends only on the checkpoint it fires at and on the slot's
     last write before it — so this log decides every fire that leaves
     the program untouched, every pointer flip that segfaults at the
-    fire, and, with the restore points' checkpoint counts, every flip
-    into state already dead where its member resumes, without executing
-    anything (see :meth:`FastForward.predict`).
+    fire, most flips of the frame loop's own cells, and, with the
+    restore points' checkpoint counts, every flip into state already
+    dead where its member resumes, without executing anything (see
+    :meth:`FastForward.predict`).
     Per ``(kind, slot)`` only the last write of each checkpoint is kept,
     which is what the register file holds once the checkpoint's window
     is written.
@@ -433,11 +448,19 @@ class Prediction:
     crash_kind: CrashKind | None
     #: The run's final ``ctx.cycles``.
     cycles: int
-    #: The run's probe stream: this many golden probe events.
+    #: The run's probe stream: this many golden probe events, then,
+    #: for a run with an ``output``, the stitch probe of that output.
     probe_count: int
     #: Why the run is decided: ``dead_fire`` (no flip), ``segfault``
-    #: (the flip faults) or ``dead_target`` (the flip writes dead state).
+    #: (the flip faults), ``dead_target`` (the flip writes dead state),
+    #: or a flip of the frame loop's own cells: ``loop_exit`` (the loop
+    #: ends early, or where it would have), ``loop_overrun`` (it runs
+    #: off the frame table) or ``loop_reset`` (the failure counter is
+    #: reset before anything reads it).
     reason: str
+    #: A ``loop_exit`` short of the golden one: the stacked minis the
+    #: loop leaves behind, the run's output.
+    output: np.ndarray | None = None
 
 
 @dataclass
@@ -457,8 +480,8 @@ class SnapshotTape:
     #: executing it.
     golden_output: np.ndarray
     #: The golden run's checkpoints and register-file writes, from which
-    #: dead, never-firing, segfaulting and dead-target plans are decided
-    #: without executing.
+    #: dead, never-firing, segfaulting, dead-target and loop-control
+    #: plans are decided without executing.
     fire_log: FireLog
     #: Per mini-panorama, the chain of every golden composite into it,
     #: in order: which pixels a golden tail still stores into an open
@@ -512,6 +535,8 @@ class SnapshotRecorder:
         #: The run's frame table: in-frame points check the working
         #: frame copy against it.
         self.frames: list[np.ndarray] = []
+        #: The loop's state, from point 0 on (before every checkpoint).
+        self._state: PipelineState | None = None
 
     # -- checkpoint callback (FaultInjector.visit contract) -------------
     def visit(self, ctx: ExecutionContext, window) -> None:
@@ -531,8 +556,9 @@ class SnapshotRecorder:
                     )
                 aid = self._alloc_by_id[id(binding.array)].aid
                 pointer = (aid, binding.byte_offset, binding.window)
+            cell = _live_cell(binding, self._state) if isinstance(binding, IntCellBinding) else None
             slot = self.regfile.write(binding, site, cycle)
-            write = SlotWrite(binding.name, binding.role, binding.ttl, site, cycle, pointer)
+            write = SlotWrite(binding.name, binding.role, binding.ttl, site, cycle, pointer, cell)
             writes.append((binding.kind, slot, write))
         self.fire_log.log_checkpoint(
             cycle,
@@ -566,6 +592,7 @@ class SnapshotRecorder:
             # Point 0 resumes every plan before point 1, which is exact
             # only when no checkpoint could have fired before it.
             raise SnapshotUnsupported("a checkpoint precedes the first restore point")
+        self._state = state
         frame_index = int(state.index.value)
         if state.phase != FRAME and not (
             state.position == frame_index
@@ -668,15 +695,9 @@ class SnapshotRecorder:
 
     def _describe_binding(self, binding, state: PipelineState) -> tuple:
         if isinstance(binding, IntCellBinding):
-            for cell_name in _LIVE_CELLS:
-                if binding.cell is getattr(state, cell_name):
-                    return (
-                        "cell-live",
-                        binding.name,
-                        binding.role,
-                        binding.ttl,
-                        cell_name,
-                    )
+            cell_name = _live_cell(binding, state)
+            if cell_name is not None:
+                return ("cell-live", binding.name, binding.role, binding.ttl, cell_name)
             # Kernel-local cell: dead at the restore point, value final.
             return ("cell", binding.name, binding.role, binding.ttl, int(binding.cell.value))
         if isinstance(binding, AddressBinding):
@@ -705,6 +726,15 @@ class SnapshotRecorder:
         if isinstance(binding, FloatValueBinding):
             return ("fvalue", binding.name, binding.ttl, binding.value)
         raise SnapshotUnsupported(f"unknown binding type {type(binding)!r}")
+
+
+def _live_cell(binding: IntCellBinding, state: PipelineState | None) -> str | None:
+    """Which of the loop's ``_LIVE_CELLS`` ``binding`` binds, by identity, or None."""
+    if state is not None:
+        for name in _LIVE_CELLS:
+            if binding.cell is getattr(state, name):
+                return name
+    return None
 
 
 def _live_bases(state: PipelineState) -> list[tuple[tuple, np.ndarray]]:
@@ -878,6 +908,10 @@ class FastForward:
         #: the per-process golden-run cache in ``summarize.golden``.
         self._fanouts: dict[int, BoundaryFanOut] = {}
         self._snapshot_by_point: dict[tuple[int, str], FrameSnapshot] | None = None
+        #: Fire-log checkpoints logged before each restore point, and
+        #: before each frame's top (``FRAME`` points, in frame order).
+        self._point_checkpoints = [b.checkpoints for b in tape.boundaries]
+        self._frame_checkpoints = [b.checkpoints for b in tape.boundaries if b.phase == FRAME]
 
     def boundary_index_for(self, target_cycle: int) -> int:
         """Index of the last restore point strictly before the cycle.
@@ -891,14 +925,32 @@ class FastForward:
         index = bisect.bisect_left(self.tape.boundary_cycles, target_cycle) - 1
         return max(index, 0)
 
-    def group_for(self, target_cycle: int) -> int:
+    def resume_index(self, target_cycle: int, site_filter: str | None) -> int:
+        """Index of the restore point a plan targeting the cycle resumes from.
+
+        The last point no later than the checkpoint the plan fires at:
+        every checkpoint before that one lets the plan pass, so the
+        injector would not have fired at any the resumed member skips.
+        That point is at or after the last one strictly before the
+        target, and it is later when no checkpoint lies between the
+        target and it.  A plan that never fires resumes the last point
+        strictly before its target (:meth:`boundary_index_for`).
+        """
+        checkpoint = self.tape.fire_log.fire_checkpoint(target_cycle, site_filter)
+        if checkpoint is None:
+            return self.boundary_index_for(target_cycle)
+        return bisect.bisect_right(self._point_checkpoints, checkpoint) - 1
+
+    def group_for(self, target_cycle: int, site_filter: str | None = None) -> int:
         """The frame whose restore points a plan targeting the cycle resumes in.
 
         The dispatch key of :func:`repro.faultinject.parallel.plan_groups`:
         a campaign runs and journals its plans grouped by frame, and each
-        member resumes its own restore point inside the group.
+        member resumes its own restore point inside the group.  The
+        campaign's ``site_filter`` only sharpens the grouping: results
+        never depend on it.
         """
-        return self.tape.boundaries[self.boundary_index_for(target_cycle)].frame_index
+        return self.tape.boundaries[self.resume_index(target_cycle, site_filter)].frame_index
 
     def predict(
         self,
@@ -923,6 +975,11 @@ class FastForward:
           The heap is the one the run's own address space would place:
           the fire checkpoint's allocations, by size, with the plan's
           seed (see :meth:`_landing`);
+        * a flip of the frame loop's own cells — its bound, its frame
+          index, its failure counter — written before or after the
+          member's restore point (:meth:`_loop_control`): the loop ends
+          early or where the golden loop ends, runs off the frame
+          table, or resets the counter before reading it;
         * a flip of a live value whose slot was written before the
           restore point the member resumes from, when what it writes is
           already dead there (:func:`_dead_target_effect`): a
@@ -934,8 +991,9 @@ class FastForward:
           effect.
 
         Returns None when the flip has to execute: a value written after
-        the restore point, a live cell, array or landing, or a placement
-        that raises (the run raises it too).
+        the restore point, a frame index moved inside the frame table, a
+        failure counter the frame reads, a live array or landing, or a
+        placement that raises (the run raises it too).
         """
         tape = self.tape
         log = tape.fire_log
@@ -958,6 +1016,9 @@ class FastForward:
         if not write.live_at(cycle, plan.kind, liveness):
             record.effect = FlipEffect.DEAD_STALE
             return self._golden(record, "dead_fire")
+        if write.cell is not None:
+            record.effect = FlipEffect.APPLIED
+            return self._loop_control(record, write.cell, checkpoint, plan.bit)
         landing = None
         if write.pointer is not None:
             try:
@@ -974,7 +1035,7 @@ class FastForward:
                     log.probe_counts[checkpoint],
                     "segfault",
                 )
-        point = tape.boundaries[self.boundary_index_for(plan.target_cycle)]
+        point = tape.boundaries[self.resume_index(plan.target_cycle, site_filter)]
         if not log.written_before(plan.kind, plan.register, checkpoint, point.checkpoints):
             return None  # written in the live suffix: the member binds it afresh
         descriptor = point.regfile[2][plan.kind][plan.register][0]
@@ -989,6 +1050,86 @@ class FastForward:
         tape = self.tape
         return Prediction(
             record, Outcome.MASKED, None, tape.golden_cycles, len(tape.probe_events), reason
+        )
+
+    def _loop_control(
+        self, record: InjectionRecord, cell: str, checkpoint: int, bit: int
+    ) -> Prediction | None:
+        """A flip of the loop cell ``cell`` at ``checkpoint``, decided, or None to execute.
+
+        The fire lies in frame ``k``, between the frame's loop test and
+        its ``index += 1``; the loop test, that increment and the
+        failure branch are the only reads of these cells, and all of
+        them see the golden run's values but the flipped one.  With
+        ``n`` frames:
+
+        * ``total`` becomes ``T``.  Above ``n``, the golden frames run
+          and the loop test at index ``n`` passes: the frame table
+          overruns where the golden loop exits.  Otherwise the loop
+          exits at index ``max(k + 1, T)``;
+        * ``index`` becomes ``k'`` and the increment makes it ``k' + 1``.
+          At or above ``n`` the loop exits at ``k + 1``; below ``-n`` the
+          next frame lookup overruns the frame table.  Any other index
+          re-routes the loop to another frame: executed;
+        * ``failures`` is reset once frame ``k`` stitches, before
+          anything reads it: MASKED.  A discarded or anchor frame may
+          read it: executed.
+        """
+        n = len(self._frames)
+        k = bisect.bisect_right(self._frame_checkpoints, checkpoint) - 1
+        if cell == "failures":
+            if (k, WARP) in self._by_point():  # only a stitching frame reaches WARP
+                return self._golden(record, "loop_reset")
+            return None
+        if cell == "total":
+            bound = flip_bit64(n, bit)
+            if bound > n:
+                return self._overrun(record, n)
+            return self._loop_exit(record, max(k + 1, bound))
+        index = flip_bit64(k, bit) + 1
+        if index >= n:
+            return self._loop_exit(record, k + 1)
+        if index < -n:
+            return self._overrun(record, k + 1)
+        return None
+
+    def _loop_exit(self, record: InjectionRecord, index: int) -> Prediction:
+        """A run whose loop test fails at ``index``, with golden state up to it.
+
+        At or past the frame count that is the golden run.  Before it,
+        the run stacks the minis of frame ``index``'s top, and the
+        golden post-loop cycles follow that top's cycles.
+        """
+        tape = self.tape
+        if index >= len(self._frames):
+            return self._golden(record, "loop_exit")
+        top = self._by_point()[(index, FRAME)]
+        output = np.vstack([mini.canvas for mini in top.minis])
+        return Prediction(
+            record,
+            Outcome.MASKED if images_equal(output, tape.golden_output) else Outcome.SDC,
+            None,
+            top.cycles + tape.golden_cycles - tape.exit_cycles,
+            top.probe_count,
+            "loop_exit",
+            output,
+        )
+
+    def _overrun(self, record: InjectionRecord, index: int) -> Prediction:
+        """A run whose loop test passes at ``index`` with an index off the frame table.
+
+        The frame lookup faults at that loop top, before charging
+        anything: frame ``index``'s top, or the golden loop exit for
+        ``index == n``, where the golden probes end before the stitch.
+        """
+        tape = self.tape
+        top = self._by_point().get((index, FRAME))
+        if top is None:
+            cycles, probe_count = tape.exit_cycles, len(tape.probe_events) - 1
+        else:
+            cycles, probe_count = top.cycles, top.probe_count
+        return Prediction(
+            record, Outcome.CRASH, CrashKind.SEGV, cycles, probe_count, "loop_overrun"
         )
 
     def _landing(
@@ -1055,12 +1196,9 @@ class FastForward:
         # compared: forward of a restore point the loop only appends
         # outcomes (``pairwise`` feeds nothing else), and the member's
         # own per-frame outcomes are not part of its result.
-        total = int(state.total.value)
-        overrun = total != snapshot.total
-        if overrun and not (total > snapshot.total == len(self._frames)):
-            return None
         if (
-            int(state.failures.value) != snapshot.failures
+            int(state.total.value) != snapshot.total
+            or int(state.failures.value) != snapshot.failures
             or len(state.minis) != len(snapshot.minis)
             or (state.prev_chain is None) != (snapshot.prev_chain is None)
             or (state.prev_features is None) != (snapshot.prev_features is None)
@@ -1068,7 +1206,7 @@ class FastForward:
         ):
             return None
         offset = ctx.cycles - snapshot.cycles
-        end = (self.tape.exit_cycles if overrun else self.tape.golden_cycles) + offset
+        end = self.tape.golden_cycles + offset
         if ctx.watchdog_cycles is not None and end > ctx.watchdog_cycles:
             return None  # the watchdog decides this run: execute it
         if rng.bit_generator.state != snapshot.rng_state:
@@ -1101,9 +1239,7 @@ class FastForward:
         closed = sum(
             not _mini_equal(mini, snap) for mini, snap in zip(state.minis[:-1], snapshot.minis)
         )
-        return Residue(
-            cycle_offset=offset, closed_minis=closed, overrun=overrun, open_pixels=open_pixels
-        )
+        return Residue(cycle_offset=offset, closed_minis=closed, open_pixels=open_pixels)
 
     def _synthesize_tail(
         self,
@@ -1118,9 +1254,7 @@ class FastForward:
         up to ``residue``, and the loop forward of a restore point is a
         pure function of what it reads — so the rest of the run would
         replay the golden run verbatim.  Emit what it would have
-        emitted: the golden probe tail from this point on, then either
-        the overrun fault at the golden loop-exit cycles plus the
-        offset (the loop raises before the stitch probe), or the golden
+        emitted: the golden probe tail from this point on, the golden
         final cycles plus the offset, the output stacked from the live
         closed minis over the golden rows from the current mini on —
         with the open mini's differing pixels that no remaining
@@ -1136,12 +1270,8 @@ class FastForward:
             skipped_probe_events=len(tape.probe_events) - snapshot.probe_count,
             cycle_offset=residue.cycle_offset,
             closed_minis=residue.closed_minis,
-            overrun=residue.overrun,
             open_pixels=int(residue.open_pixels.size),
         )
-        if residue.overrun:
-            ctx.preload(tape.exit_cycles + residue.cycle_offset)
-            raise SegmentationFault(len(self._frames), "frame table overrun")
         ctx.preload(tape.golden_cycles + residue.cycle_offset)
         closed = state.minis[:-1]
         rows = sum(mini.canvas.shape[0] for mini in closed)
@@ -1364,8 +1494,8 @@ class BoundaryFanOut:
         """Restore this point into ``ctx`` and run the live suffix.
 
         ``ctx`` must be a fresh context carrying a real
-        :class:`FaultInjector` whose plan targets a cycle after the
-        point (any cycle for point 0).  Returns the run's output
+        :class:`FaultInjector` whose plan resumes at this point
+        (:meth:`FastForward.resume_index`).  Returns the run's output
         panorama, exactly as the full workload closure would.
         """
         snapshot = self.snapshot
@@ -1458,14 +1588,12 @@ class Residue:
     equal, so the rest of the run is the golden tail shifted by
     ``cycle_offset``, with ``closed_minis`` differing closed canvases
     and the ``open_pixels`` of the open canvas that the tail leaves
-    alone in its output, or — with ``overrun`` — faulting past the
-    frame table where the golden loop exits.  The all-zero residue is
-    the exact golden tail.
+    alone in its output.  The all-zero residue is the exact golden
+    tail.
     """
 
     cycle_offset: int
     closed_minis: int
-    overrun: bool
     #: Flat indices of the open mini's canvas pixels that differ from
     #: the tape; always empty while probes are on.
     open_pixels: np.ndarray

@@ -316,7 +316,7 @@ class CampaignJournal:
         if stratification is not None:
             header["stratification"] = stratification
         journal = cls(path, open(path, "w", encoding="utf-8"))
-        journal._write_line(header)
+        journal._write_line(_dumps(header))
         return journal
 
     @classmethod
@@ -332,26 +332,31 @@ class CampaignJournal:
         handle = open(path, "a", encoding="utf-8")
         return cls(path, handle, chunks_written=chunks_written)
 
-    def _write_line(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    def _write_line(self, line: str) -> None:
+        self._handle.write(line + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
     def append_chunk(
         self, round_index: int, indices: list[int], results: list[InjectionResult]
     ) -> None:
-        """Durably record one completed chunk: plan ``indices`` and their results."""
-        payload = [serialize_result(result) for result in results]
-        self._write_line(
+        """Durably record one completed chunk: plan ``indices`` and their results.
+
+        The results are JSON-encoded once: the same text is the CRC
+        input and the record's last field, so the line is byte for byte
+        what encoding the whole record would give.
+        """
+        results_json = _dumps([serialize_result(result) for result in results])
+        head = _dumps(
             {
                 "type": "chunk",
                 "round": round_index,
                 "indices": indices,
                 "n_results": len(results),
-                "crc32": _chunk_crc(indices, payload),
-                "results": payload,
+                "crc32": _chunk_crc(_dumps(indices), results_json),
             }
         )
+        self._write_line(f'{head[:-1]},"results":{results_json}}}')
         self.chunks_written += 1
         observe_events.emit(
             "journal_checkpoint",
@@ -375,8 +380,14 @@ class CampaignJournal:
         self.close()
 
 
-def _chunk_crc(indices: list, payload: list) -> int:
-    return zlib.crc32(json.dumps([indices, payload], separators=(",", ":")).encode("utf-8"))
+def _dumps(value) -> str:
+    """Compact JSON, the journal's one encoding."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _chunk_crc(indices_json: str, results_json: str) -> int:
+    """CRC-32 of a chunk's ``[indices, results]``, from their compact JSON."""
+    return zlib.crc32(f"[{indices_json},{results_json}]".encode("utf-8"))
 
 
 def _truncate_to_complete_lines(path: Path) -> None:
@@ -484,7 +495,7 @@ def _parse_chunk_record(
         and isinstance(payload, list)
         and len(indices) == len(payload) == record.get("n_results")
         and all(type(index) is int and index >= 0 for index in indices)
-        and _chunk_crc(indices, payload) == record.get("crc32")
+        and _chunk_crc(_dumps(indices), _dumps(payload)) == record.get("crc32")
     ):
         return None
     try:

@@ -113,11 +113,12 @@ class FaultMonitor:
         self.probe = probe
         #: Optional :class:`repro.faultinject.fastforward.FastForward`
         #: handle.  When set, a run whose fire the golden fire log
-        #: already decides (a dead register, no fire at all, or a
-        #: pointer flip that segfaults at the fire) is classified
-        #: without executing; every other run resumes from the last
-        #: golden restore point before its plan cycle through that
-        #: point's shared
+        #: already decides (see ``FastForward.predict``: a dead
+        #: register, no fire at all, a pointer flip that segfaults at
+        #: the fire, a flip into dead state or into the frame loop's own
+        #: cells) is classified without executing; every other run
+        #: resumes from the last golden restore point before its fire
+        #: checkpoint through that point's shared
         #: :class:`~repro.faultinject.fastforward.BoundaryFanOut` and
         #: executes only the suffix — bit-identical to the full
         #: execution.  Without one every run executes in full: the
@@ -177,7 +178,9 @@ class FaultMonitor:
             predicted = ff.predict(plan, self.liveness, self.site_filter)
             if predicted is not None:
                 # The run is the golden run up to its end: the whole of
-                # it for a masked run, up to the fire for a segfault.
+                # it for a masked run, up to the fault for a crash, up to
+                # the loop exit for an early exit, which then stitches
+                # its own output.
                 if observe_events.enabled():
                     telemetry.counter_inc("campaign.fastforward.predicted")
                     telemetry.counter_inc(f"campaign.fastforward.predicted.{predicted.reason}")
@@ -186,11 +189,15 @@ class FaultMonitor:
                     )
                 with probes.capturing(probe):
                     probes.replay_prefix(ff.tape.probe_events[: predicted.probe_count])
+                    if predicted.output is not None:
+                        probes.record("stitch", predicted.output)
+                keep = predicted.outcome is Outcome.SDC and self.keep_sdc_outputs
                 return InjectionResult(
                     plan=plan,
                     record=predicted.record,
                     outcome=predicted.outcome,
                     crash_kind=predicted.crash_kind,
+                    output=predicted.output if keep else None,
                     cycles=predicted.cycles,
                     divergence=divergence(),
                 )
@@ -203,7 +210,7 @@ class FaultMonitor:
         ctx = ExecutionContext(injector=injector, watchdog_cycles=self.watchdog_cycles)
         soft_deadline = self.watchdog.soft_deadline_s if self.watchdog is not None else None
         if ff is not None:
-            index = ff.boundary_index_for(plan.target_cycle)
+            index = ff.resume_index(plan.target_cycle, self.site_filter)
             if observe_events.enabled():
                 telemetry.counter_inc("campaign.fastforward.hits")
                 telemetry.counter_inc(

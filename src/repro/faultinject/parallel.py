@@ -376,8 +376,8 @@ def group_plan_indices(
     plans whose target cycle fast-forwards to a restore point of the
     same golden frame form one group, so one worker materializes each
     of those points' restores once and fans every member out of it.
-    Targets at or before restore point 1 resume point 0 (cycle 0) and
-    join frame 0's group.
+    Targets that fire before restore point 1 resume point 0 (cycle 0)
+    and join frame 0's group.
 
     Deterministic and order-preserving: groups are emitted in order of
     their first member's plan index, and members within a group keep
@@ -409,7 +409,9 @@ def plan_groups(
     """
     ff = fast_forward_for(spec, config)
     if ff is not None:
-        groups = group_plan_indices(ff.group_for, plans)
+        groups = group_plan_indices(
+            lambda cycle: ff.group_for(cycle, config.site_filter), plans
+        )
     else:
         workers = resolve_workers(config.workers, max_useful=len(plans))
         groups = contiguous_groups(len(plans), workers)

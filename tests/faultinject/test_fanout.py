@@ -91,24 +91,31 @@ class TestGroupPartition:
         covered = sorted(index for group in groups for index in group)
         assert covered == list(range(len(plans)))
 
-    def test_real_tape_lookup_honours_strictly_before(self, vs):
+    def test_real_tape_lookup_follows_fire_checkpoint(self, vs):
         stream, config, golden, workload, spec = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         assert fast_forward is not None
         tape = fast_forward.tape
-        cycles = [b.cycles for b in tape.boundaries if b.phase == FRAME]
-        # At or before frame 1's start: frame 0's group.
-        plans = [_plan(1), _plan(cycles[1]), _plan(cycles[1] + 1)]
+        log = tape.fire_log
+        top = next(b for b in tape.boundaries if b.phase == FRAME and b.frame_index == 1)
+        # Frame 0's last checkpoint, some cycles before frame 1's top.
+        last = log.cycles[top.checkpoints - 1]
+        assert last < top.cycles
+        # Up to frame 0's last checkpoint: frame 0's group.  Past it,
+        # the first checkpoint is frame 1's, so even a target before
+        # frame 1's top resumes that top.
+        plans = [_plan(1), _plan(last), _plan(last + 1), _plan(top.cycles + 1)]
         groups = group_plan_indices(fast_forward.group_for, plans)
-        assert groups == [[0, 1], [2]]
-        assert fast_forward.group_for(plans[0].target_cycle) == 0
-        assert fast_forward.group_for(plans[2].target_cycle) == 1
-        # Frame 0's group holds every point up to frame 1's start: the
-        # last target in it resumes frame 0's last in-frame point.
-        last = fast_forward.boundary_index_for(plans[1].target_cycle)
-        assert tape.boundaries[last].frame_index == 0
-        assert tape.boundaries[last].phase != FRAME
-        assert tape.boundaries[fast_forward.boundary_index_for(cycles[1] + 1)].cycles == cycles[1]
+        assert groups == [[0, 1], [2, 3]]
+        assert tape.boundaries[fast_forward.resume_index(last + 1, None)] is top
+        assert tape.boundaries[fast_forward.boundary_index_for(last + 1)].frame_index == 0
+        # The last target in frame 0's group resumes its last in-frame point.
+        point = tape.boundaries[fast_forward.resume_index(last, None)]
+        assert point.frame_index == 0 and point.phase != FRAME
+        # A target past the last checkpoint never fires: it resumes the
+        # last point strictly before it.
+        never = log.cycles[-1] + 1
+        assert fast_forward.resume_index(never, None) == fast_forward.boundary_index_for(never)
 
 
 class TestChunkBoundEdges:
@@ -283,7 +290,7 @@ class TestTelemetry:
         assert registry.counter("campaign.fanout.shared_restores") == groups
         assert registry.counter("campaign.fanout.cow_clones") > 0
         # The clones made: bound dead arrays, live state, pointer landings.
-        assert registry.counter("campaign.fanout.cow_clones") == 134
+        assert registry.counter("campaign.fanout.cow_clones") == 109
         # The bench seed produces masked runs, and masked fan-out
         # members re-converge to the tape — at least one golden tail
         # must have been synthesized (this is where the speedup lives).
@@ -292,14 +299,29 @@ class TestTelemetry:
         predicted = registry.counter("campaign.fastforward.predicted")
         assert hits + predicted == 16
         # Resumed members: the pointer flips that segfault at the fire,
-        # and the flips into state dead at the member's restore point,
-        # are decided from the tape, like the dead fires.
-        assert hits == 5
+        # the flips into state dead at the member's restore point and
+        # the flips of the frame loop's own cells are decided from the
+        # tape, like the dead fires.
+        assert hits == 4
         reasons = {
             reason: registry.counter(f"campaign.fastforward.predicted.{reason}")
-            for reason in ("dead_fire", "segfault", "dead_target")
+            for reason in (
+                "dead_fire",
+                "segfault",
+                "dead_target",
+                "loop_exit",
+                "loop_overrun",
+                "loop_reset",
+            )
         }
-        assert reasons == {"dead_fire": 4, "segfault": 3, "dead_target": 4}
+        assert reasons == {
+            "dead_fire": 4,
+            "segfault": 3,
+            "dead_target": 4,
+            "loop_exit": 1,
+            "loop_overrun": 0,
+            "loop_reset": 0,
+        }
 
     def test_trace_summarize_renders_amortization(self, vs, tmp_path):
         stream, config, golden, workload, spec = vs
@@ -337,5 +359,6 @@ class TestTelemetry:
         counters = rendered.split("counters:")[-1]
         assert "campaign.fanout.b" not in counters
         # Decided runs by reason, next to their total.
-        assert "  campaign.fastforward.predicted = 11\n" in counters
+        assert "  campaign.fastforward.predicted = 12\n" in counters
         assert "  campaign.fastforward.predicted.dead_target = 4\n" in counters
+        assert "  campaign.fastforward.predicted.loop_exit = 1\n" in counters

@@ -2,11 +2,12 @@
 
 Every injected run of a campaign resumes through boundary fan-out (see
 ``src/repro/faultinject/fastforward.py``): it restores the last golden
-restore point before its target cycle (a frame start, or a point
-inside a frame), runs only the live suffix, and
-may synthesize a golden tail once it re-converges; a run the golden
-fire log decides (a dead fire or none, a segfault at the fire, a flip
-into state dead at the restore point) is not executed at all.  The
+restore point before the checkpoint it fires at (a frame start, or a
+point inside a frame), runs only the live suffix, and may synthesize a
+golden tail once it re-converges; a run the golden fire log decides (a
+dead fire or none, a segfault at the fire, a flip into state dead at
+the restore point, a flip of the frame loop's own cells) is not
+executed at all.  The
 contract is that none of this is visible in the results.  The oracle
 is a :class:`FaultMonitor` without a fast-forward handle — every run
 executes from cycle 0 — driven per plan with the
@@ -19,14 +20,15 @@ payloads and divergence records included.
 
 A genuine HANG, which no uniform draw reaches on the tiny workload, is
 a targeted oracle test, and so is each residue a golden tail may be
-spliced past (a raised loop bound, a closed mini, differing open-mini
-pixels, a cycle offset) or must not be (a lowered bound, a drift past
-the watchdog), and a splice at each kind of in-frame restore point.  The
-fire-log predictor is checked
+spliced past (a closed mini, differing open-mini pixels, a cycle
+offset) or must not be (a drift past the watchdog), and a splice at
+each kind of in-frame restore point.  The fire-log predictor is checked
 exhaustively against the real injector at every golden checkpoint, its
-segfault decisions by a property over live pointer flips, and its
-dead-target decisions by a property over restored live values; the
-snapshot-restore property and the boundary lookup are checked directly.
+segfault decisions by a property over live pointer flips, its
+dead-target decisions by a property over restored live values, and its
+loop-control decisions by a property over flips of the frame loop's
+own cells; the snapshot-restore property and the restore-point lookups
+are checked directly.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from repro.faultinject.registers import (
     LivenessModel,
     RegisterFileState,
     RegKind,
+    flip_bit64,
     flip_pointer,
 )
 from repro.runtime.context import ExecutionContext
@@ -321,8 +324,8 @@ def _pinning_first_plan(fields: dict | None):
     liveness="default",
     pin="boundary-0",
 )
-# Spliced tails: plan 2 raises the loop bound and overruns the frame
-# table, with probes on.
+# Plan 2 raises the loop bound: a frame-table overrun decided from the
+# tape, with probes on.
 @example(
     approximation="VS",
     kind=RegKind.GPR,
@@ -336,7 +339,7 @@ def _pinning_first_plan(fields: dict | None):
     pin=None,
 )
 # Plan 14 is an SDC confined to a closed mini with a cycle offset, plan
-# 16 an overrun crash; in a journaled pool interrupted mid-way.
+# 16 a decided overrun crash; in a journaled pool interrupted mid-way.
 @example(
     approximation="VS",
     kind=RegKind.GPR,
@@ -350,11 +353,12 @@ def _pinning_first_plan(fields: dict | None):
     pin=None,
 )
 # The first target in the middle of a mid-run frame's matching: it
-# resumes that frame's MATCH point and crashes on a live loop cell.
+# resumes that frame's MATCH point and flips the matcher's live
+# descriptor pointer.
 @example(
     approximation="VS",
     kind=RegKind.GPR,
-    seed=3,
+    seed=5,
     n_injections=3,
     workers=1,
     probe=True,
@@ -546,23 +550,25 @@ class TestSpliceEquivalence:
     def test_raised_bound_overrun_crash_splices(self, vs, probe):
         """A high bit of ``frame_total`` only raises the loop bound: the
         run replays the golden frames and overruns the frame table where
-        the golden loop exits."""
+        the golden loop exits.  The tape decides it before any member
+        executes, so no golden tail is spliced (see
+        :class:`TestLoopControlFlips`)."""
         plan = self._frame_total_plan(vs, bit=40, frame=6)
         expected, tails = self._compare(vs, plan, probe)
         stream, config, _, _, _ = vs
         tape = golden_with_tape(stream, config).fast_forward.tape
         assert expected.outcome is Outcome.CRASH and expected.crash_kind is CrashKind.SEGV
         assert expected.cycles == tape.exit_cycles
-        assert [(t["overrun"], t["cycle_offset"], t["closed_minis"]) for t in tails] == [
-            (True, 0, 0)
-        ]
+        assert tails == []
         if probe:
             assert expected.divergence.last_stage != "stitch"
 
     @pytest.mark.parametrize("probe", [False, True])
     def test_lowered_bound_executes(self, vs, probe):
         """Clearing the top set bit of ``frame_total`` ends the loop early:
-        no golden tail, the run executes to its own end."""
+        the run stops at a frame top short of the golden end, an SDC with
+        no golden tail (the fire log decides it, see
+        :class:`TestLoopControlFlips`)."""
         n_frames = len(_workload("VS")[0])
         plan = self._frame_total_plan(vs, bit=n_frames.bit_length() - 1, frame=4)
         expected, tails = self._compare(vs, plan, probe)
@@ -587,7 +593,6 @@ class TestSpliceEquivalence:
         else:
             assert len(tails) == 1 and tails[0]["frame"] < closes
             assert (tails[0]["closed_minis"], tails[0]["open_pixels"]) == (0, 1)
-        assert not tails[0]["overrun"]
 
     @pytest.mark.parametrize("probe", [False, True])
     def test_splices_at_match_point(self, vs, probe):
@@ -685,7 +690,7 @@ class TestSpliceEquivalence:
         expected, tails = self._compare(vs, plan, probe)
         assert expected.outcome is Outcome.MASKED
         assert len(tails) == 1 and tails[0]["cycle_offset"] != 0
-        assert (tails[0]["closed_minis"], tails[0]["overrun"]) == (0, False)
+        assert tails[0]["closed_minis"] == 0
 
     @pytest.mark.parametrize("probe", [False, True])
     def test_drift_past_watchdog_executes(self, vs, probe):
@@ -792,10 +797,12 @@ class TestSnapshotRestore:
     @given(target=st.integers(0, 2**31), near_point=st.booleans(), offset=st.integers(-1, 1))
     @settings(deadline=None, max_examples=settings.default.max_examples)
     def test_lookup_equals_scan(self, vs, target, near_point, offset):
-        """The bisected lookup is the last point strictly before the
-        target, and the dispatch group is the frame of the last frame
-        start strictly before it: the frame-level partition a tape
-        without in-frame points produced."""
+        """The bisected lookups equal scans: the cycle lookup is the last
+        point strictly before the target; the resume lookup is the last
+        point logged no later than the checkpoint the target fires at
+        (the cycle lookup's point or a later one), or the cycle lookup's
+        when it never fires; and the dispatch group is the resume
+        point's frame."""
         stream, config, _, _, _ = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         tape = fast_forward.tape
@@ -805,10 +812,17 @@ class TestSnapshotRestore:
         else:
             target %= tape.golden_cycles + 2
         before = [k for k, cycle in enumerate(cycles) if cycle < target]
-        assert fast_forward.boundary_index_for(target) == (before[-1] if before else 0)
-        starts = [b for b in tape.boundaries if b.phase == FRAME]
-        frame = [b.frame_index for b in starts if b.cycles < target]
-        assert fast_forward.group_for(target) == (frame[-1] if frame else 0)
+        strictly_before = before[-1] if before else 0
+        assert fast_forward.boundary_index_for(target) == strictly_before
+        fires = [k for k, cycle in enumerate(tape.fire_log.cycles) if cycle >= target]
+        if fires:
+            no_later = [k for k, b in enumerate(tape.boundaries) if b.checkpoints <= fires[0]]
+            resume = no_later[-1]
+        else:
+            resume = strictly_before
+        assert resume >= strictly_before
+        assert fast_forward.resume_index(target, None) == resume
+        assert fast_forward.group_for(target) == tape.boundaries[resume].frame_index
 
 
 class TestInFramePoints:
@@ -849,7 +863,8 @@ class TestInFramePoints:
     )
     def test_in_frame_fire_matches_oracle(self, vs, data):
         """A plan whose target falls after an in-frame restore point
-        resumes that point and yields the unrestored run's record."""
+        resumes that point (or a later one no later than its fire) and
+        yields the unrestored run's record."""
         stream, config, golden, workload, _ = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         tape = fast_forward.tape
@@ -974,7 +989,7 @@ class TestFireLogPrediction:
     crosses the end of its allocation is a decided crash), and a run
     that flips yet is decided MASKED must flip a slot written before the
     member's restore point, whose restored descriptor is one the
-    dead-target rule accepts.
+    dead-target rule accepts, or one of the frame loop's own cells.
     """
 
     @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
@@ -1024,10 +1039,13 @@ class TestFireLogPrediction:
                             continue
                         predicted += 1
                         assert prediction.record == record, (name, plan)
-                        if flipped and masked:
+                        if flipped and masked and prediction.reason != "dead_target":
+                            assert prediction.reason in ("loop_exit", "loop_reset"), plan
+                            assert record.binding_name in LOOP_CELLS, (name, plan)
+                        elif flipped and masked:
                             dead_targets += 1
                             checkpoint = log.fire_checkpoint(target, site_filter)
-                            point = tape.boundaries[fast_forward.boundary_index_for(target)]
+                            point = tape.boundaries[fast_forward.resume_index(target, site_filter)]
                             assert log.written_before(
                                 kind, register, checkpoint, point.checkpoints
                             ), (name, plan)
@@ -1220,6 +1238,7 @@ def _tiny_monitor(
     site_filter,
     fast: bool,
     liveness: LivenessModel = LivenessModel(),
+    keep_sdc_outputs: bool = True,
 ):
     """A monitor of one tiny workload, with the tape's handle when ``fast``."""
     stream = input_stream(which, TINY)
@@ -1231,6 +1250,7 @@ def _tiny_monitor(
         golden.total_cycles,
         liveness=liveness,
         site_filter=site_filter,
+        keep_sdc_outputs=keep_sdc_outputs,
         probe=probe,
         fast_forward=_tiny(which, algorithm)[1] if fast else None,
     )
@@ -1399,7 +1419,7 @@ class TestPredictedSegfaults:
 def _restored_descriptor(fast_forward, plan: InjectionPlan, site_filter) -> tuple | None:
     """The descriptor a member restores into ``plan``'s slot, if its fire finds that value."""
     log = fast_forward.tape.fire_log
-    point = fast_forward.tape.boundaries[fast_forward.boundary_index_for(plan.target_cycle)]
+    point = fast_forward.tape.boundaries[fast_forward.resume_index(plan.target_cycle, site_filter)]
     checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
     if not log.written_before(plan.kind, plan.register, checkpoint, point.checkpoints):
         return None
@@ -1457,9 +1477,9 @@ class TestDeadTargetFlips:
     cell or value must be decided.  Examples pin each qualifying
     descriptor (a cell, a dead FPR array, a read pointer into a dead
     array, a write pointer landing in a dead stand-in) and runs that
-    must execute (a live loop cell, a slot written after the restore
-    point, a live array, a write landing in an allocation made after
-    the point).
+    must execute (a frame index moved inside the frame table, a slot
+    written after the restore point, a live array, a write landing in
+    an allocation made after the point).
     """
 
     #: pin -> (register kind, binding name, restored descriptor tag or
@@ -1469,7 +1489,8 @@ class TestDeadTargetFlips:
         "coef_x": (RegKind.FPR, "coef_x", "array", True),
         "descA_ptr": (RegKind.GPR, "descA_ptr", "address", True),
         "write-stand-in": (RegKind.GPR, "canvas_ptr", "address", True),
-        "frame_total": (RegKind.GPR, "frame_total", "cell-live", False),
+        # A frame index moved inside the frame table.
+        "frame_idx": (RegKind.GPR, "frame_idx", "cell-live", False),
         "written-after-point": (RegKind.GPR, "row_end", None, False),
         # The current frame's descriptors, live at its in-frame points.
         "live-array": (RegKind.GPR, "desc_bytes", "array", False),
@@ -1511,7 +1532,7 @@ class TestDeadTargetFlips:
                         pin != "write-past-point"
                         or fast_forward._landing(plan, write.pointer, log.n_allocs[checkpoint])
                         >= fast_forward.tape.boundaries[
-                            fast_forward.boundary_index_for(target)
+                            fast_forward.resume_index(target, site_filter)
                         ].n_allocs
                     ):
                         return plan
@@ -1520,8 +1541,9 @@ class TestDeadTargetFlips:
     def test_quick_tape_executes_fewer_plans(self):
         """The count gate: of 1,000 GPR (seed 0) and 1,000 FPR (seed 1)
         uniform plans on the quick input1/VS tape, 465 executed before
-        flips into dead state were decided; at most 280 do now, and the
-        dead-fire and segfault decisions are unchanged."""
+        flips into dead state or into the frame loop's own cells were
+        decided; at most 200 do now, and the dead-fire and segfault
+        decisions are unchanged."""
         stream = input_stream("input1", QUICK)
         fast_forward = golden_with_tape(stream, config_for("VS")).fast_forward
         reasons = collections.Counter()
@@ -1531,8 +1553,10 @@ class TestDeadTargetFlips:
                 prediction = fast_forward.predict(plan, LivenessModel(), None)
                 reasons[None if prediction is None else prediction.reason] += 1
         assert reasons["dead_fire"] == 1212 and reasons["segfault"] == 323, reasons
-        assert reasons[None] + reasons["dead_target"] == 465, reasons
-        assert reasons[None] <= 280, reasons
+        loop = {reason: reasons[reason] for reason in ("loop_exit", "loop_overrun", "loop_reset")}
+        assert loop == {"loop_exit": 18, "loop_overrun": 37, "loop_reset": 7}, reasons
+        assert reasons[None] + reasons["dead_target"] + sum(loop.values()) == 465, reasons
+        assert reasons[None] <= 200, reasons
 
     # Each example runs one full oracle run; the budget is a tenth of
     # the active profile's, so ``--hypothesis-profile ci-deep`` searches
@@ -1551,7 +1575,7 @@ class TestDeadTargetFlips:
     @example(("input1", "VS"), RegKind.FPR, True, None, False, 0, 0, "coef_x")
     @example(("input2", "VS_RFD"), RegKind.GPR, True, None, False, 0, 0, "descA_ptr")
     @example(("input1", "VS"), RegKind.GPR, False, None, True, 0, 0, "write-stand-in")
-    @example(("input1", "VS"), RegKind.GPR, False, None, False, 0, 0, "frame_total")
+    @example(("input1", "VS"), RegKind.GPR, False, None, False, 0, 0, "frame_idx")
     @example(
         ("input1", "VS"), RegKind.GPR, False, "imaging.warp", False, 0, 0, "written-after-point"
     )
@@ -1606,3 +1630,186 @@ class TestDeadTargetFlips:
             assert results[1].record.binding_name == name
             assert (descriptor and descriptor[0]) == tag
             assert decided == expected
+
+
+#: The frame loop's register bindings -> the ``PipelineState`` cell each binds.
+LOOP_CELLS = {"frame_total": "total", "frame_idx": "index", "fail_count": "failures"}
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_fires(which: str, algorithm: str, site_filter: str | None) -> tuple:
+    """``(target cycle, register, cell, frame)`` of every fire into a live loop cell.
+
+    ``frame`` is the golden frame the fire checkpoint lies in: the
+    number of frame tops logged no later than it, less one.
+    """
+    _, fast_forward = _tiny(which, algorithm)
+    tape = fast_forward.tape
+    log = tape.fire_log
+    tops = [b.checkpoints for b in tape.boundaries if b.phase == FRAME]
+    fires = []
+    for index, cycle in zip(*log.firing_checkpoints(site_filter)):
+        if log.fire_checkpoint(cycle, site_filter) != index:
+            continue
+        frame = sum(top <= index for top in tops) - 1
+        for register in range(NUM_REGISTERS):
+            write = log.slot_at(RegKind.GPR, register, index)
+            if write is None or write.name not in LOOP_CELLS:
+                continue
+            assert write.cell == LOOP_CELLS[write.name]
+            if write.live_at(cycle, RegKind.GPR, LivenessModel()):
+                fires.append((cycle, register, write.cell, frame))
+    return tuple(fires)
+
+
+def _loop_decision(cell: str, frame: int, bit: int, n_frames: int, status: str) -> str | None:
+    """The reason a flip of ``cell`` in ``frame`` is decided for, None if it executes.
+
+    The frame loop reads its bound only in its test, its index only in
+    ``index += 1`` and the next frame lookup, and its failure counter
+    only when a frame fails to stitch.
+    """
+    if cell == "total":
+        return "loop_overrun" if flip_bit64(n_frames, bit) > n_frames else "loop_exit"
+    if cell == "index":
+        index = flip_bit64(frame, bit) + 1
+        if index >= n_frames:
+            return "loop_exit"
+        return "loop_overrun" if index < -n_frames else None
+    return "loop_reset" if status == "stitched" else None
+
+
+class TestLoopControlFlips:
+    """Flips of the frame loop's own cells, decided from the tape, against the oracle.
+
+    A live ``frame_total``, ``frame_idx`` or ``fail_count`` slot binds
+    the loop's bound, frame index or failure counter, whenever it was
+    written.  ``FastForward.predict`` decides a bound raised past the
+    frame count and an index far below zero as frame-table overruns
+    (``loop_overrun``), a lowered bound and an index raised past the
+    frame count as early loop exits (``loop_exit``, MASKED or SDC, the
+    output stacked from a frame top's minis), and a counter flipped in a
+    frame that stitches as MASKED (``loop_reset``).  An index moved
+    inside the frame table, and a counter flipped in a discarded or
+    anchor frame, execute.  Plans fire into these cells on the tiny
+    input1/VS and input2/VS_RFD tapes, every bit, probes on and off,
+    SDC outputs kept or not, with and without a site filter; every run
+    must equal the unrestored oracle's, and be decided exactly as
+    :func:`_loop_decision` says.  Examples pin each decided class and
+    each class that executes.
+    """
+
+    #: pin -> (cell, bits, decision reason, decided outcome, frame status).
+    PINS = {
+        "total-overrun": ("total", (40,), "loop_overrun", Outcome.CRASH, None),
+        "total-exit": ("total", (4,), "loop_exit", Outcome.SDC, None),
+        "total-exit-last-frame": ("total", (4, 5), "loop_exit", Outcome.MASKED, None),
+        "index-exit-sdc": ("index", range(64), "loop_exit", Outcome.SDC, None),
+        "index-exit-masked": ("index", range(64), "loop_exit", Outcome.MASKED, None),
+        "index-bit-63": ("index", (63,), "loop_overrun", Outcome.CRASH, None),
+        "failures-stitched": ("failures", range(64), "loop_reset", Outcome.MASKED, "stitched"),
+        "index-in-range": ("index", range(64), None, None, None),
+        "failures-discarded": ("failures", range(64), None, None, "discarded"),
+        "failures-anchor": ("failures", range(64), None, None, "anchor"),
+    }
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _statuses(which: str, algorithm: str) -> tuple[str, ...]:
+        """Each golden frame's outcome status, in frame order."""
+        stream = input_stream(which, TINY)
+        outcomes = golden_run(stream, config_for(algorithm)).result.outcomes
+        assert [outcome.index for outcome in outcomes] == list(range(len(outcomes)))
+        return tuple(outcome.status for outcome in outcomes)
+
+    def _pinned(self, which, algorithm, site_filter, pin):
+        """The first fire and bit into ``pin``'s cell that is decided as pinned."""
+        cell, bits, reason, outcome, status = self.PINS[pin]
+        _, fast_forward = _tiny(which, algorithm)
+        statuses = self._statuses(which, algorithm)
+        for cycle, register, fired_cell, frame in _loop_fires(which, algorithm, site_filter):
+            if fired_cell != cell or status not in (None, statuses[frame]):
+                continue
+            for bit in bits:
+                plan = InjectionPlan(cycle, RegKind.GPR, register, bit)
+                prediction = fast_forward.predict(plan, LivenessModel(), site_filter)
+                if reason is None and prediction is None:
+                    return plan
+                if (
+                    prediction is not None
+                    and prediction.reason == reason
+                    and prediction.outcome is outcome
+                ):
+                    return plan
+        raise AssertionError(f"no {pin} fire")
+
+    # Each example runs one full oracle run; the budget is a tenth of
+    # the active profile's, so ``--hypothesis-profile ci-deep`` searches
+    # 100 cases.
+    @given(
+        workload=st.sampled_from([("input1", "VS"), ("input2", "VS_RFD")]),
+        probe=st.booleans(),
+        keep=st.booleans(),
+        site_filter=st.sampled_from([None, "imaging.warp"]),
+        fire=st.integers(0, 2**16),
+        bit=st.integers(0, 63),
+        pin=st.none(),
+    )
+    @example(("input1", "VS"), False, True, None, 0, 0, "total-overrun")
+    @example(("input2", "VS_RFD"), True, True, None, 0, 0, "total-exit")
+    @example(("input1", "VS"), True, False, None, 0, 0, "total-exit-last-frame")
+    @example(("input1", "VS"), True, True, None, 0, 0, "index-exit-sdc")
+    @example(("input1", "VS"), False, True, None, 0, 0, "index-exit-masked")
+    @example(("input2", "VS_RFD"), True, False, None, 0, 0, "index-bit-63")
+    @example(("input1", "VS"), True, True, None, 0, 0, "failures-stitched")
+    @example(("input1", "VS"), False, True, None, 0, 0, "index-in-range")
+    @example(("input1", "VS"), True, True, None, 0, 0, "failures-discarded")
+    @example(("input1", "VS"), False, False, None, 0, 0, "failures-anchor")
+    @settings(
+        deadline=None,
+        max_examples=settings.default.max_examples // 10,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_loop_control_flips_match_oracle(
+        self, workload, probe, keep, site_filter, fire, bit, pin
+    ):
+        which, algorithm = workload
+        _, fast_forward = _tiny(which, algorithm)
+        if pin is None:
+            fires = _loop_fires(which, algorithm, site_filter)
+            cycle, register, _, _ = fires[fire % len(fires)]
+            plan = InjectionPlan(cycle, RegKind.GPR, register, bit)
+        else:
+            plan = self._pinned(which, algorithm, site_filter, pin)
+        _, _, cell, frame = next(
+            f for f in _loop_fires(which, algorithm, site_filter) if f[:2] == (plan.target_cycle, plan.register)
+        )
+        statuses = self._statuses(which, algorithm)
+        expected = _loop_decision(cell, frame, plan.bit, len(statuses), statuses[frame])
+        prediction = fast_forward.predict(plan, LivenessModel(), site_filter)
+        event(f"{cell}: {expected or 'executed'}")
+        assert (prediction and prediction.reason) == expected, plan
+        results = [
+            _tiny_monitor(
+                which, algorithm, probe, site_filter, fast, keep_sdc_outputs=keep
+            ).run_injected(plan, np.random.default_rng(plan.target_cycle))
+            for fast in (True, False)
+        ]
+        assert serialize_result(results[0]) == serialize_result(results[1]), plan
+        oracle = results[1]
+        assert oracle.record.effect is FlipEffect.APPLIED
+        assert oracle.record.binding_name in LOOP_CELLS
+        golden_cycles = fast_forward.tape.golden_cycles
+        if expected == "loop_overrun":
+            assert (oracle.outcome, oracle.crash_kind) == (Outcome.CRASH, CrashKind.SEGV)
+            if cell == "total":
+                # The golden frames run; the overrun is at the golden loop exit.
+                assert oracle.cycles == fast_forward.tape.exit_cycles
+        elif expected == "loop_exit":
+            assert oracle.outcome in (Outcome.MASKED, Outcome.SDC)
+            assert oracle.cycles <= golden_cycles
+            assert (oracle.output is not None) == (keep and oracle.outcome is Outcome.SDC)
+        elif expected == "loop_reset":
+            assert (oracle.outcome, oracle.cycles) == (Outcome.MASKED, golden_cycles)
+        if pin is not None:
+            assert (prediction and prediction.outcome) is self.PINS[pin][3]

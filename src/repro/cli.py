@@ -135,7 +135,7 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--input", default="input2", choices=["input1", "input2"], help="synthetic input"
     )
-    parser.add_argument("--frames", type=int, default=48, help="frames to generate")
+    parser.add_argument("--frames", type=_positive_int, default=48, help="frames to generate")
     parser.add_argument(
         "--algorithm",
         default="VS",
@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = subparsers.add_parser("campaign", help="run a fault-injection campaign")
     _add_input_arguments(p_camp)
-    p_camp.add_argument("-n", type=int, default=100, help="injections")
+    p_camp.add_argument("-n", type=_positive_int, default=100, help="injections")
     p_camp.add_argument("--kind", default="gpr", choices=["gpr", "fpr"])
     p_camp.add_argument("--seed", type=int, default=0)
     p_camp.add_argument(
@@ -715,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.set_defaults(func=cmd_campaign)
 
     p_events = subparsers.add_parser("events", help="full summarization with tracking")
-    p_events.add_argument("--frames", type=int, default=32)
-    p_events.add_argument("--objects", type=int, default=3)
+    p_events.add_argument("--frames", type=_positive_int, default=32)
+    p_events.add_argument("--objects", type=_positive_int, default=3)
     p_events.add_argument(
         "--algorithm", default="VS", choices=list(ALGORITHM_FACTORIES)
     )
@@ -860,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prot = subparsers.add_parser("protect", help="plan selective protection")
     _add_input_arguments(p_prot)
-    p_prot.add_argument("-n", type=int, default=150, help="injections")
+    p_prot.add_argument("-n", type=_positive_int, default=150, help="injections")
     p_prot.add_argument("--seed", type=int, default=0)
     p_prot.add_argument("--tolerance", type=int, default=10, help="ED tolerance")
     p_prot.set_defaults(func=cmd_protect)

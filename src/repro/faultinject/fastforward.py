@@ -47,11 +47,11 @@ The same golden run also logs every checkpoint and register-file write
   unmapped slack after it.  A placement that raises executes;
 * every flip that writes only state already dead at the restore point
   its member resumes from.  When the fired slot was written before that
-  point, the point's register file holds the value as a descriptor, and
-  the member would flip a fresh kernel-local cell, a ``_discard_*``
-  value callback, a private clone of an array that is not live program
-  state, a read pointer's own dead array (landing mapped), or the dead
-  allocation a write pointer lands in.  Nothing the resumed pipeline
+  point, the member restores that write from the log, and would flip a
+  fresh kernel-local cell, a ``_discard_*`` value callback, a private
+  clone of an array that is not live program state, a read pointer's
+  own dead array (landing mapped), or the dead allocation a write
+  pointer lands in.  Nothing the resumed pipeline
   reads changes, and the spent injector replays the golden run, so the
   run is MASKED with the flip's effect.  A value written after the
   point, a live array or landing execute: deciding bindings that a
@@ -79,13 +79,15 @@ the injector's *fire-time behaviour* depends on machine state mutated
 at every prefix checkpoint:
 
 * **Register file** — ``FaultInjector.visit`` writes every binding of
-  every checkpoint into the modelled register file.  What the planned
-  flip hits (binding name, role, staleness) is decided by the slot
-  contents at fire time, and suffix slot allocation depends on the
-  prefix's round-robin assignment order.  Snapshots therefore capture
-  the full :class:`~repro.faultinject.registers.RegisterFileState` as
-  value descriptors and restore it into the injected run's register
-  file.
+  every checkpoint into the modelled register file, and suffix slot
+  allocation depends on the prefix's round-robin assignment order, so
+  snapshots capture that assignment.  The injector reads one slot, the
+  planned one, and only when it fires: what the flip hits (binding
+  name, role, staleness) is that slot's contents at fire time.  A
+  member therefore restores the slot assignment plus the planned
+  slot's last write before its restore point, rebuilt from the fire
+  log's :class:`SlotWrite`; every other slot starts empty, since no
+  read ever reaches it.
 * **Address space** — the injector maps every array it sees, and the
   simulated heap layout is a pure function of the *ordered sequence of
   first-use allocations* plus the per-plan seed.  Snapshots log that
@@ -109,7 +111,7 @@ at every prefix checkpoint:
 
 Restores are destructive (the flip may corrupt any restored object it
 can reach), so every restore rebuilds what a flip can reach from the
-immutable tape.  The tape holds bytes and descriptors only: the capture
+immutable tape.  The tape holds bytes and records only: the capture
 pins the arrays it records while it runs (their ids and data pointers must stay valid) and
 drops them when it returns.  A mini-panorama that has not changed
 since the previous restore point — every closed one — shares that
@@ -125,10 +127,11 @@ the frame their restore point lies in (see
 source is materialized **once per worker** — the
 frozen dead-allocation bytes are decoded into a shared read-only base —
 and every member maps that base as is.  A restore copies only what a
-flip can write: the live pipeline state, and the few dead allocations
-the restored register file binds (a bound array is flipped in place, a
-read pointer copies into its own array).  Every other dead allocation
-is reachable only by a corrupted pointer, and the member's address
+flip can write: the live pipeline state, and the dead allocation its
+planned slot's restored binding holds, if any (a bound array is
+flipped in place, a read pointer copies into its own array).  Every
+other dead allocation is reachable only by a corrupted pointer, and
+the member's address
 space hands out a private copy of the one allocation a pointer lands
 in (:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
 flip costs one copy, not one per dead allocation.  Fan-out members
@@ -186,8 +189,10 @@ from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace, shared_position
 from repro.faultinject.injector import InjectionPlan, InjectionRecord
 from repro.faultinject.outcomes import CrashKind, Outcome
 from repro.faultinject.registers import (
+    NUM_REGISTERS,
     AddressBinding,
     ArrayBinding,
+    Binding,
     FlipEffect,
     FloatValueBinding,
     IntCellBinding,
@@ -228,8 +233,8 @@ class SnapshotUnsupported(Exception):
     """The workload uses a construct snapshots cannot represent.
 
     Raised during capture (e.g. an ``AddressBinding`` with a custom
-    ``on_alias`` callback, whose behaviour cannot be rebuilt from a
-    value descriptor).  Campaigns degrade gracefully: the workload
+    ``on_alias`` callback, whose behaviour cannot be rebuilt from its
+    :class:`SlotWrite`).  Campaigns degrade gracefully: the workload
     simply runs full executions.
     """
 
@@ -239,9 +244,9 @@ class SnapshotUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 #: Names of the pipeline cells that are live across restore points.
-#: Their slot descriptors must rebind the *restored* cells, not frozen
-#: stand-ins, so a fire that corrupts e.g. the frame index corrupts the
-#: loop the resumed pipeline is actually running.
+#: A restored write of one must rebind the *restored* cell, not a fresh
+#: one, so a fire that corrupts e.g. the frame index corrupts the loop
+#: the resumed pipeline is actually running.
 _LIVE_CELLS = ("index", "total", "failures")
 
 
@@ -308,13 +313,15 @@ class FrameSnapshot:
     #: aid -> (base_key, byte_offset, is_identity) for allocations that
     #: are live program state at this point.
     live_map: dict[int, tuple[tuple, int, bool]]
-    #: Register file as value descriptors: (assigned, next_slot, slots).
-    regfile: tuple
+    #: The register file's slot assignment: ``(kind, site, name)`` ->
+    #: slot, and each kind's round-robin cursor.
+    assigned: dict[tuple[RegKind, str, str], int]
+    next_slot: dict[RegKind, int]
     profile_by_scope: dict[str, int]
     #: Number of probe events the golden run had emitted by here.
     probe_count: int
     #: Number of fire-log checkpoints logged before this point: a slot
-    #: write at a checkpoint index below it is held in ``regfile``.
+    #: holds its last write at a checkpoint index below it.
     checkpoints: int
 
     @property
@@ -326,7 +333,12 @@ class FrameSnapshot:
 
 @dataclass(frozen=True)
 class SlotWrite:
-    """One golden register-file write, as a fire at a later checkpoint reads it."""
+    """One golden register-file write: the one record of it on the tape.
+
+    A fire at a later checkpoint reads it (:meth:`FastForward.predict`),
+    and a member resuming after it rebinds it
+    (:meth:`FastForward._build_binding`).
+    """
 
     name: str
     role: Role
@@ -334,11 +346,19 @@ class SlotWrite:
     ttl: int | None
     site: str
     written_cycle: int
-    #: An ``AddressBinding``'s ``(aid, byte_offset, window)``: the
-    #: allocation it points into, where, and the bytes it accesses.
-    pointer: tuple[int, int, int] | None = None
+    #: The binding's class.
+    binding: type[Binding]
+    #: The allocation an ``ArrayBinding`` or ``AddressBinding`` binds.
+    aid: int | None = None
+    #: An ``AddressBinding``'s pointer into its allocation, the bytes it
+    #: accesses there, and whether it writes them.
+    byte_offset: int = 0
+    window: int = 0
+    writes: bool = False
     #: The loop cell (one of ``_LIVE_CELLS``) an ``IntCellBinding`` binds.
     cell: str | None = None
+    #: A kernel-local cell's or a value binding's value when written.
+    value: int | float | None = None
 
     def live_at(self, cycle: int, kind: RegKind, liveness: LivenessModel) -> bool:
         """Whether a fire at ``cycle`` still finds this value inside its lease."""
@@ -431,12 +451,6 @@ class FireLog:
             return None
         k = bisect.bisect_right(checkpoints, checkpoint) - 1
         return self.writes[(kind, slot)][k] if k >= 0 else None
-
-    def written_before(self, kind: RegKind, slot: int, checkpoint: int, bound: int) -> bool:
-        """Whether the slot's contents at ``checkpoint`` were written before index ``bound``."""
-        checkpoints = self.write_checkpoints.get((kind, slot), ())
-        k = bisect.bisect_right(checkpoints, checkpoint) - 1
-        return k >= 0 and checkpoints[k] < bound
 
 
 @dataclass(frozen=True)
@@ -546,20 +560,9 @@ class SnapshotRecorder:
         writes: list[tuple[RegKind, int, SlotWrite]] = []
         for binding in window.bindings:
             backing = getattr(binding, "array", None)
-            if backing is not None:
-                self._ensure(backing)
-            pointer = None
-            if isinstance(binding, AddressBinding):
-                if binding.on_alias is not None:
-                    raise SnapshotUnsupported(
-                        f"binding {binding.name!r} at {site!r} uses on_alias"
-                    )
-                aid = self._alloc_by_id[id(binding.array)].aid
-                pointer = (aid, binding.byte_offset, binding.window)
-            cell = _live_cell(binding, self._state) if isinstance(binding, IntCellBinding) else None
-            slot = self.regfile.write(binding, site, cycle)
-            write = SlotWrite(binding.name, binding.role, binding.ttl, site, cycle, pointer, cell)
-            writes.append((binding.kind, slot, write))
+            aid = None if backing is None else self._ensure(backing)
+            write = self._slot_write(binding, site, cycle, aid)
+            writes.append((binding.kind, self.regfile.write(binding, site, cycle), write))
         self.fire_log.log_checkpoint(
             cycle,
             site,
@@ -568,9 +571,32 @@ class SnapshotRecorder:
             writes,
         )
 
-    def _ensure(self, array: np.ndarray) -> None:
-        if id(array) in self._alloc_by_id:
-            return
+    def _slot_write(self, binding: Binding, site: str, cycle: int, aid: int | None) -> SlotWrite:
+        """The fire log's record of ``binding``, written at ``cycle``, bound to ``aid``."""
+        common = (binding.name, binding.role, binding.ttl, site, cycle)
+        if isinstance(binding, AddressBinding):
+            if binding.on_alias is not None:
+                raise SnapshotUnsupported(f"binding {binding.name!r} at {site!r} uses on_alias")
+            return SlotWrite(
+                *common, AddressBinding, aid, binding.byte_offset, binding.window, binding.writes
+            )
+        if isinstance(binding, ArrayBinding):
+            return SlotWrite(*common, ArrayBinding, aid)
+        if isinstance(binding, IntCellBinding):
+            cell = _live_cell(binding, self._state)
+            value = None if cell is not None else int(binding.cell.value)
+            return SlotWrite(*common, IntCellBinding, cell=cell, value=value)
+        if isinstance(binding, IntValueBinding):
+            return SlotWrite(*common, IntValueBinding, value=binding.value)
+        if isinstance(binding, FloatValueBinding):
+            return SlotWrite(*common, FloatValueBinding, value=binding.value)
+        raise SnapshotUnsupported(f"unknown binding type {type(binding)!r}")
+
+    def _ensure(self, array: np.ndarray) -> int:
+        """``array``'s aid, recorded on first use."""
+        record = self._alloc_by_id.get(id(array))
+        if record is not None:
+            return record.aid
         record = AllocRecord(
             aid=len(self.allocs),
             dtype=array.dtype,
@@ -582,6 +608,7 @@ class SnapshotRecorder:
         self._arrays.append(array)
         self._pointers.append(array.ctypes.data)
         self._unfrozen.append(record)
+        return record.aid
 
     # -- pipeline hook ---------------------------------------------------
     def restore_point(
@@ -601,6 +628,7 @@ class SnapshotRecorder:
             # A restore copies the working frame from the frame table.
             raise SnapshotUnsupported("the working frame differs from its golden frame")
         live_map = self._settle(_live_bases(state))
+        assigned, next_slot, _ = self.regfile.export_state()
         previous = self.boundaries[-1] if self.boundaries else None
         minis = previous.minis if previous is not None else []
         shared = (previous.prev_features, previous.features) if previous is not None else ()
@@ -628,7 +656,8 @@ class SnapshotRecorder:
                 outcomes=list(state.outcomes),
                 n_allocs=len(self.allocs),
                 live_map=live_map,
-                regfile=self._describe_regfile(state),
+                assigned=assigned,
+                next_slot=next_slot,
                 profile_by_scope=(
                     {} if self.profile is None else self.profile.by_scope()
                 ),
@@ -674,58 +703,6 @@ class SnapshotRecorder:
                 record.frozen = self._arrays[record.aid].tobytes()
         self._unfrozen = unfrozen
         return live_map
-
-    # -- register-file descriptors ---------------------------------------
-    def _describe_regfile(self, state: PipelineState) -> tuple:
-        assigned, next_slot, slots = self.regfile.export_state()
-        described = {
-            kind: [
-                None
-                if entry is None
-                else (
-                    self._describe_binding(entry.binding, state),
-                    entry.site,
-                    entry.written_cycle,
-                )
-                for entry in entries
-            ]
-            for kind, entries in slots.items()
-        }
-        return (assigned, next_slot, described)
-
-    def _describe_binding(self, binding, state: PipelineState) -> tuple:
-        if isinstance(binding, IntCellBinding):
-            cell_name = _live_cell(binding, state)
-            if cell_name is not None:
-                return ("cell-live", binding.name, binding.role, binding.ttl, cell_name)
-            # Kernel-local cell: dead at the restore point, value final.
-            return ("cell", binding.name, binding.role, binding.ttl, int(binding.cell.value))
-        if isinstance(binding, AddressBinding):
-            return (
-                "address",
-                binding.name,
-                binding.ttl,
-                binding.byte_offset,
-                binding.writes,
-                binding.window,
-                self._alloc_by_id[id(binding.array)].aid,
-            )
-        if isinstance(binding, ArrayBinding):
-            return (
-                "array",
-                binding.name,
-                binding.kind,
-                binding.role,
-                binding.ttl,
-                self._alloc_by_id[id(binding.array)].aid,
-            )
-        if isinstance(binding, IntValueBinding):
-            # The apply callback targets kernel-local state that is dead
-            # at a restore point, so a no-op stand-in is exact.
-            return ("ivalue", binding.name, binding.role, binding.ttl, binding.value)
-        if isinstance(binding, FloatValueBinding):
-            return ("fvalue", binding.name, binding.ttl, binding.value)
-        raise SnapshotUnsupported(f"unknown binding type {type(binding)!r}")
 
 
 def _live_cell(binding: IntCellBinding, state: PipelineState | None) -> str | None:
@@ -1020,9 +997,9 @@ class FastForward:
             record.effect = FlipEffect.APPLIED
             return self._loop_control(record, write.cell, checkpoint, plan.bit)
         landing = None
-        if write.pointer is not None:
+        if write.binding is AddressBinding:
             try:
-                landing = self._landing(plan, write.pointer, log.n_allocs[checkpoint])
+                landing = self._landing(plan, write, log.n_allocs[checkpoint])
             except (ValueError, RuntimeError):
                 return None  # "too crowded" or too large: executed, the flip raises it
             if landing is None:
@@ -1036,10 +1013,9 @@ class FastForward:
                     "segfault",
                 )
         point = tape.boundaries[self.resume_index(plan.target_cycle, site_filter)]
-        if not log.written_before(plan.kind, plan.register, checkpoint, point.checkpoints):
+        if log.slot_at(plan.kind, plan.register, point.checkpoints - 1) is not write:
             return None  # written in the live suffix: the member binds it afresh
-        descriptor = point.regfile[2][plan.kind][plan.register][0]
-        effect = _dead_target_effect(point, tape.allocs, descriptor, plan.bit, landing)
+        effect = _dead_target_effect(point, tape.allocs, write, plan.bit, landing)
         if effect is None:
             return None
         record.effect = effect
@@ -1132,10 +1108,8 @@ class FastForward:
             record, Outcome.CRASH, CrashKind.SEGV, cycles, probe_count, "loop_overrun"
         )
 
-    def _landing(
-        self, plan: InjectionPlan, pointer: tuple[int, int, int], n_allocs: int
-    ) -> int | None:
-        """The aid ``plan``'s flip of ``pointer`` lands its window in, or None if it segfaults.
+    def _landing(self, plan: InjectionPlan, write: SlotWrite, n_allocs: int) -> int | None:
+        """The aid ``plan``'s flip of ``write``'s pointer lands in, None if it segfaults.
 
         The heap is the fire's: its first ``n_allocs`` allocations,
         placed with the plan's seed.  A flip of a bit below the page
@@ -1145,7 +1119,7 @@ class FastForward:
         pointer's own allocation, or in the unmapped slack after it.
         Raises what placing the heap raises.
         """
-        aid, byte_offset, window = pointer
+        aid, byte_offset, window = write.aid, write.byte_offset, write.window
         nbytes = int(self._nbytes[aid])
         pages = -(-nbytes // PAGE_SIZE)
         if (
@@ -1303,8 +1277,8 @@ class FastForward:
     ) -> tuple[PipelineState, dict[tuple, np.ndarray]]:
         """Fresh pipeline state at ``snapshot``, and its live bases by key.
 
-        Rebuilds the keys :func:`_live_bases` placed at capture, so the
-        register file's bindings of live arrays rebind these objects.
+        Rebuilds the keys :func:`_live_bases` placed at capture, so a
+        restored binding of a live array rebinds these objects.
         """
         live_bases: dict[tuple, np.ndarray] = {}
         minis: list[MiniPanorama] = []
@@ -1345,34 +1319,32 @@ class FastForward:
         )
         return state, live_bases
 
-    def _build_binding(self, desc: tuple, objects: list[np.ndarray], state: PipelineState):
-        tag = desc[0]
-        if tag == "cell-live":
-            _, name, role, ttl, cell_name = desc
-            return IntCellBinding(name, getattr(state, cell_name), role=role, ttl=ttl)
-        if tag == "cell":
-            _, name, role, ttl, value = desc
-            return IntCellBinding(name, Cell(value), role=role, ttl=ttl)
-        if tag == "address":
-            _, name, ttl, byte_offset, writes, window, aid = desc
+    def _build_binding(
+        self, write: SlotWrite, kind: RegKind, objects: list[np.ndarray], state: PipelineState
+    ) -> Binding:
+        """The binding ``write`` wrote into a ``kind`` slot, over the member's ``objects``.
+
+        A kernel-local cell or value is dead at every restore point, so
+        a fresh cell or a ``_discard_*`` callback stands in for it.
+        """
+        cls, name, role, ttl = write.binding, write.name, write.role, write.ttl
+        if cls is AddressBinding:
             return AddressBinding(
                 name,
-                objects[aid],
-                byte_offset=byte_offset,
-                writes=writes,
-                window=window,
+                objects[write.aid],
+                byte_offset=write.byte_offset,
+                writes=write.writes,
+                window=write.window,
                 ttl=ttl,
             )
-        if tag == "array":
-            _, name, kind, role, ttl, aid = desc
-            return ArrayBinding(name, objects[aid], kind, role=role, ttl=ttl)
-        if tag == "ivalue":
-            _, name, role, ttl, value = desc
-            return IntValueBinding(name, value, _discard_int, role=role, ttl=ttl)
-        if tag == "fvalue":
-            _, name, ttl, value = desc
-            return FloatValueBinding(name, value, _discard_float, ttl=ttl)
-        raise SnapshotUnsupported(f"unknown binding descriptor {tag!r}")
+        if cls is ArrayBinding:
+            return ArrayBinding(name, objects[write.aid], kind, role=role, ttl=ttl)
+        if cls is IntCellBinding:
+            cell = Cell(write.value) if write.cell is None else getattr(state, write.cell)
+            return IntCellBinding(name, cell, role=role, ttl=ttl)
+        if cls is IntValueBinding:
+            return IntValueBinding(name, write.value, _discard_int, role=role, ttl=ttl)
+        return FloatValueBinding(name, write.value, _discard_float, ttl=ttl)
 
 
 #: Address bits below the page size: a flip there stays in its page.
@@ -1382,11 +1354,11 @@ _PAGE_BITS = PAGE_SIZE.bit_length() - 1
 def _dead_target_effect(
     point: FrameSnapshot,
     allocs: list[AllocRecord],
-    descriptor: tuple,
+    write: SlotWrite,
     bit: int,
     landing: int | None,
 ) -> FlipEffect | None:
-    """The effect of flipping ``descriptor`` as restored at ``point``, if it writes dead state.
+    """The effect of flipping ``write`` as restored at ``point``, if it writes dead state.
 
     ``landing`` is the aid a pointer flip's window lands in.  None when
     the flip can reach what the resumed pipeline reads: a live cell, a
@@ -1394,25 +1366,21 @@ def _dead_target_effect(
     landing in a live or post-``point`` allocation, or a dtype
     ``ArrayBinding.flip`` raises on.
     """
-    tag = descriptor[0]
-    if tag in ("cell", "ivalue", "fvalue"):
-        # A fresh Cell or a ``_discard_*`` callback.
-        return FlipEffect.APPLIED
-    if tag == "array":
-        aid = descriptor[-1]
-        dtype = allocs[aid].dtype
-        if aid in point.live_map or not (
+    if write.binding is ArrayBinding:
+        dtype = allocs[write.aid].dtype
+        if write.aid in point.live_map or not (
             dtype in (np.float64, np.float32) or np.issubdtype(dtype, np.integer)
         ):
             return None
         return FlipEffect.TRUNCATED if bit >= dtype.itemsize * 8 else FlipEffect.APPLIED
-    if tag == "address":
-        writes, aid = descriptor[4], descriptor[-1]
+    if write.binding is AddressBinding:
         # A read copies into its own array, a write into the landing.
-        written = landing if writes else aid
+        written = landing if write.writes else write.aid
         if written < point.n_allocs and written not in point.live_map:
             return FlipEffect.APPLIED
-    return None
+        return None
+    # A fresh Cell or a ``_discard_*`` callback; the loop's own cells are live.
+    return FlipEffect.APPLIED if write.cell is None else None
 
 
 def _restore_features(arrays: FeatureArrays | None) -> FeatureSet | None:
@@ -1444,7 +1412,7 @@ class BoundaryFanOut:
     every member maps as its dead stand-ins.  Restores are destructive
     (a fired flip may corrupt whatever it reaches), so a member copies
     exactly what its flip can write: the live pipeline state, the dead
-    arrays its restored register file binds, and — through
+    array its planned slot's restored binding holds, and — through
     :meth:`~repro.faultinject.addrspace.AddressSpace.resolve` — the one
     allocation a corrupted pointer lands in.  Nothing writable is
     shared between members, and the base and the tape stay pristine.
@@ -1458,10 +1426,8 @@ class BoundaryFanOut:
         self.snapshot = fast_forward.tape.boundaries[index]
         #: aid -> the shared read-only stand-in, None for live aids.
         self._stand_ins: list[np.ndarray | None] | None = None
-        #: Dead aids the register file binds: cloned per member.
-        self._bound: list[int] = []
-        #: id -> aid of the stand-ins members map as shared (all but the
-        #: bound), checked mappable once for every member.
+        #: id -> aid of every stand-in, checked mappable once for every
+        #: member.
         self._shared: dict[int, int] = {}
 
     def _materialize(self) -> None:
@@ -1475,18 +1441,8 @@ class BoundaryFanOut:
             else np.frombuffer(record.frozen, dtype=record.dtype).reshape(record.shape)
             for record in self.fast_forward.tape.allocs[: snapshot.n_allocs]
         ]
-        # "array" and "address" descriptors end with the bound aid.
-        bound = {
-            item[0][-1]
-            for entries in snapshot.regfile[2].values()
-            for item in entries
-            if item is not None and item[0][0] in ("array", "address")
-        }
-        self._bound = sorted(aid for aid in bound if stand_ins[aid] is not None)
         self._shared = shared_positions(
-            (aid, array)
-            for aid, array in enumerate(stand_ins)
-            if array is not None and aid not in bound
+            (aid, array) for aid, array in enumerate(stand_ins) if array is not None
         )
         self._stand_ins = stand_ins
 
@@ -1532,15 +1488,28 @@ class BoundaryFanOut:
         live_bases: dict[tuple, np.ndarray],
         state: PipelineState,
     ) -> None:
-        """Rebuild the member's address space and register file."""
+        """Rebuild the member's address space and register file.
+
+        The register file gets the point's slot assignment and, in the
+        planned slot, its last write before the point: the injector
+        reads no other slot.
+        """
         ff = self.fast_forward
         snapshot = self.snapshot
-        # The dead aids map the shared stand-ins, except the bound ones,
-        # which get a private clone (a flip writes them in place).
+        plan = injector.plan
+        write = ff.tape.fire_log.slot_at(plan.kind, plan.register, snapshot.checkpoints - 1)
         objects = list(self._stand_ins)
-        for aid in self._bound:
-            objects[aid] = objects[aid].copy()
-        telemetry.counter_inc("campaign.fanout.cow_clones", len(self._bound))
+        shared = self._shared
+        private = list(snapshot.live_map)
+        if write is not None and write.aid is not None and objects[write.aid] is not None:
+            # A flip writes a bound array in place, and a read pointer
+            # copies into its own array; a read-only stand-in would
+            # refuse both, so the planned binding's gets a private clone.
+            shared = shared.copy()
+            del shared[id(objects[write.aid])]
+            objects[write.aid] = objects[write.aid].copy()
+            private.append(write.aid)
+            telemetry.counter_inc("campaign.fanout.cow_clones")
         for aid, (key, offset, identity) in snapshot.live_map.items():
             base = live_bases[key]
             if identity:
@@ -1557,23 +1526,15 @@ class BoundaryFanOut:
         # forced) is bit-identical to a full run's.  The shared
         # stand-ins were checked once per fan-out; only the member's
         # own arrays are checked here.
-        injector.space.note_prefix(objects, self._shared, [*self._bound, *snapshot.live_map])
+        injector.space.note_prefix(objects, shared, private)
 
-        assigned, next_slot, described = snapshot.regfile
-        slots = {
-            kind: [
-                None
-                if item is None
-                else SlotEntry(
-                    binding=ff._build_binding(item[0], objects, state),
-                    site=item[1],
-                    written_cycle=item[2],
-                )
-                for item in entries
-            ]
-            for kind, entries in described.items()
+        slots: dict[RegKind, list[SlotEntry | None]] = {
+            kind: [None] * NUM_REGISTERS for kind in RegKind
         }
-        injector.regfile.import_state(assigned, next_slot, slots)
+        if write is not None:
+            binding = ff._build_binding(write, plan.kind, objects, state)
+            slots[plan.kind][plan.register] = SlotEntry(binding, write.site, write.written_cycle)
+        injector.regfile.import_state(snapshot.assigned, snapshot.next_slot, slots)
 
 
 #: An empty pixel list: the open mini equals the tape.

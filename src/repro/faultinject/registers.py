@@ -478,8 +478,10 @@ class RegisterFileState:
         """Copies of ``(assigned, next_slot, slots)`` for snapshot tooling.
 
         The slot lists are shallow copies: entries still reference the
-        live :class:`Binding` objects, which is what the fast-forward
-        recorder needs (it converts them to value descriptors itself).
+        live :class:`Binding` objects.  The fast-forward recorder keeps
+        only the slot assignment; its fire log records every write, and
+        a restore imports the assignment with the one slot its plan
+        reads.
         """
         return (
             dict(self._assigned),

@@ -121,3 +121,25 @@ class TestCLI:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "-n", "-3"],
+            ["campaign", "-n", "0"],
+            ["campaign", "--frames", "0"],
+            ["summarize", "--frames", "-2"],
+            ["protect", "-n", "0"],
+            ["protect", "--frames", "-1"],
+            ["events", "--frames", "0"],
+            ["events", "--objects", "-1"],
+        ],
+    )
+    def test_non_positive_counts_rejected(self, argv, capsys):
+        """Injection, frame and object counts below one exit 2 with
+        argparse's message, before anything runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be a positive integer, got {argv[2]!r}" in err

@@ -6,7 +6,8 @@ scheduler pieces around it: group partitioning edge cases, contiguous
 groups for tapeless workloads, worker clamping to the group count,
 group-granularity journal checkpoints, the ORB calls the fan-out saves
 over full execution, the mappability checks a restore leaves to the
-shared stand-ins, and the fan-out counters and per-boundary
+shared stand-ins, the one binding and the one dead clone a member's
+restore may make, and the fan-out counters and per-boundary
 amortization section of ``repro trace summarize``.
 """
 
@@ -32,7 +33,8 @@ from repro.faultinject.parallel import (
     plan_groups,
     resolve_workers,
 )
-from repro.faultinject.registers import RegKind
+from repro.faultinject.fastforward import BoundaryFanOut, FastForward
+from repro.faultinject.registers import NUM_REGISTERS, LivenessModel, RegKind
 from repro.observe import events
 from repro.summarize import pipeline, stitcher
 from repro.summarize.approximations import config_for
@@ -232,34 +234,106 @@ class TestFanoutWork:
         """A member's restore checks the arrays it owns, not the prefix.
 
         The shared stand-ins are checked once per fan-out, so a member's
-        ``_check_mappable`` calls are its live and bound arrays, at
-        every restore point.  Those are loop state, not prefix: apart
-        from two buffers per mini-panorama, which the panorama grows,
-        the most any member checks is the same on 24 and 48 frames of
-        input1/VS (32), while the allocations it resumes past double
-        (866 and 1,708).
+        ``_check_mappable`` calls are its live arrays plus, when its
+        planned slot's restored binding holds a dead array, that array's
+        private clone, at every restore point and for every register.
+        Those are loop state, not prefix: apart from two buffers per
+        mini-panorama, which the panorama grows, the most any member
+        checks is the same on 24 and 48 frames of input1/VS (17), while
+        the allocations it resumes past double (866 and 1,708).
         """
-        never = InjectionPlan(target_cycle=2**62, kind=RegKind.GPR, register=0, bit=0)
         most, prefix = [], []
         for scale in (TINY, QUICK):
             stream = input_stream("input1", scale)
             fast_forward = golden_with_tape(stream, config_for("VS")).fast_forward
+            log = fast_forward.tape.fire_log
             own = []
             for index in range(len(fast_forward.tape.boundaries)):
                 fan = fast_forward.fanout(index)
                 if fan._stand_ins is None:
                     fan._materialize()
-                state, live_bases = fast_forward._restore_app(fan.snapshot)
-                with mock.patch.object(
-                    addrspace, "_check_mappable", wraps=addrspace._check_mappable
-                ) as checks:
-                    fan._restore_machine(FaultInjector(never), live_bases, state)
-                assert checks.call_count == len(fan.snapshot.live_map) + len(fan._bound)
-                own.append(checks.call_count - 2 * len(state.minis))
+                point = fan.snapshot
+                state, live_bases = fast_forward._restore_app(point)
+                checked = 0
+                for kind, register in itertools.product(RegKind, range(NUM_REGISTERS)):
+                    write = log.slot_at(kind, register, point.checkpoints - 1)
+                    dead = write is not None and write.aid is not None
+                    dead = dead and write.aid not in point.live_map
+                    plan = InjectionPlan(2**62, kind, register, 0)
+                    with mock.patch.object(
+                        addrspace, "_check_mappable", wraps=addrspace._check_mappable
+                    ) as checks:
+                        fan._restore_machine(FaultInjector(plan), live_bases, state)
+                    assert checks.call_count == len(point.live_map) + dead
+                    checked = max(checked, checks.call_count)
+                own.append(checked - 2 * len(state.minis))
             most.append(max(own))
             prefix.append(max(b.n_allocs for b in fast_forward.tape.boundaries))
         assert most[1] <= most[0], most
         assert prefix[1] >= 1.5 * prefix[0], prefix
+
+    # The default FPR lease ends before the next restore point, so the
+    # FPR campaign holds its values live longer, or no member restores one.
+    @pytest.mark.parametrize(
+        "kind, liveness",
+        [(RegKind.GPR, LivenessModel()), (RegKind.FPR, LivenessModel(fpr_data_ttl=400_000))],
+    )
+    def test_member_builds_one_binding_and_clones_one_dead_array(self, vs, kind, liveness):
+        """The count gate of a member's restore: at most one binding is
+        built, the planned slot's last write before the restore point,
+        and at most one dead allocation is cloned, the one that binding
+        holds; every other dead allocation stays the fan-out's shared
+        stand-in, and every other slot stays empty."""
+        stream, config, golden, workload, spec = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        log = fast_forward.tape.fire_log
+        build = FastForward._build_binding
+        restore_machine = BoundaryFanOut._restore_machine
+        built: list = []
+        members: list[tuple] = []
+
+        def counted_build(ff, write, *args):
+            built.append(write)
+            return build(ff, write, *args)
+
+        def restore_spy(fan, injector, live_bases, state):
+            built.clear()
+            restore_machine(fan, injector, live_bases, state)
+            plan = injector.plan
+            prefix = injector.space._arrays
+            cloned = [
+                aid
+                for aid, stand_in in enumerate(fan._stand_ins)
+                if stand_in is not None and prefix[aid] is not stand_in
+            ]
+            occupied = [
+                (slot_kind, slot)
+                for slot_kind in RegKind
+                for slot in range(NUM_REGISTERS)
+                if injector.regfile.entry(slot_kind, slot) is not None
+            ]
+            write = log.slot_at(plan.kind, plan.register, fan.snapshot.checkpoints - 1)
+            dead = write is not None and write.aid is not None
+            dead = dead and write.aid not in fan.snapshot.live_map
+            members.append((plan, write, dead, list(built), cloned, occupied))
+
+        with mock.patch.object(FastForward, "_build_binding", counted_build), mock.patch.object(
+            BoundaryFanOut, "_restore_machine", restore_spy
+        ):
+            run_campaign(
+                workload,
+                golden.output,
+                golden.total_cycles,
+                _config(n_injections=64, kind=kind, liveness=liveness, workers=1),
+                spec=spec,
+            )
+        assert members
+        for plan, write, dead, built_writes, cloned, occupied in members:
+            assert len(built_writes) <= 1 and len(cloned) <= 1, plan
+            assert built_writes == ([] if write is None else [write]), plan
+            assert cloned == ([write.aid] if dead else []), plan
+            assert occupied == ([] if write is None else [(plan.kind, plan.register)]), plan
+        assert any(cloned for *_, cloned, _ in members)
 
 
 class TestTelemetry:
@@ -289,8 +363,9 @@ class TestTelemetry:
         assert groups >= 1
         assert registry.counter("campaign.fanout.shared_restores") == groups
         assert registry.counter("campaign.fanout.cow_clones") > 0
-        # The clones made: bound dead arrays, live state, pointer landings.
-        assert registry.counter("campaign.fanout.cow_clones") == 109
+        # The clones made: live state, each member's planned dead array,
+        # pointer landings.
+        assert registry.counter("campaign.fanout.cow_clones") == 46
         # The bench seed produces masked runs, and masked fan-out
         # members re-converge to the tape — at least one golden tail
         # must have been synthesized (this is where the speedup lives).

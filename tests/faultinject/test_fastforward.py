@@ -28,7 +28,8 @@ segfault decisions by a property over live pointer flips, its
 dead-target decisions by a property over restored live values, and its
 loop-control decisions by a property over flips of the frame loop's
 own cells; the snapshot-restore property and the restore-point lookups
-are checked directly.
+are checked directly, and so is the premise of restoring only the
+planned register: an injector reads no other.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.faultinject import addrspace
 from repro.faultinject import campaign as campaign_module
 from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace
 from repro.faultinject.campaign import CampaignConfig, run_campaign
-from repro.faultinject.fastforward import FastForward
+from repro.faultinject.fastforward import BoundaryFanOut, FastForward
 from repro.faultinject.injector import FaultInjector, InjectionPlan, InjectionRecord
 from repro.faultinject.journal import ABORT_AFTER_ENV, CampaignInterrupted, serialize_result
 from repro.faultinject.monitor import DEFAULT_HANG_FACTOR, FaultMonitor
@@ -144,9 +145,22 @@ def _checkpoint_cycles(approximation: str) -> tuple[int, ...]:
 OPEN_MINI_SITES = ("imaging.warp.", "vision.fast.", "vision.matching.")
 
 
-#: Pins whose target is the middle golden checkpoint of a stage: a
-#: mid-run frame, resumed from one of its in-frame restore points.
-STAGE_PINS = {"in-match": "vision.matching", "in-warp": "imaging.warp"}
+#: Pins that flip bit 3 of a named pointer at the middle golden fire of
+#: a stage that finds it in a register: pin -> (the stage's checkpoint
+#: site prefix, the binding's name, the phase of the restore point the
+#: plan resumes).  Each pinned plan must execute, from that point.
+STAGE_PINS = {
+    # The matcher's live descriptor pointer.
+    "in-match": ("vision.matching", "descB_ptr", MATCH),
+    # A write through the live canvas pointer: a restored write pointer
+    # landing in a live base.
+    "in-warp": ("imaging.warp", "canvas_ptr", WARP),
+    # The working frame's pointer while it is live in the middle of
+    # matching: the read copies shifted frame bytes over the frame the
+    # run composites next.  The corruption reaches the warp probe only
+    # if the restored binding is the restored frame copy itself.
+    "frame_ptr-in-match": ("vision.matching", "frame_ptr", MATCH),
+}
 
 
 def _pinned_plan(approximation: str, pin: str | None) -> dict | None:
@@ -156,33 +170,25 @@ def _pinned_plan(approximation: str, pin: str | None) -> dict | None:
     if pin == "past-last-checkpoint":
         return {"target_cycle": _checkpoint_cycles(approximation)[-1] + 1}
     if pin in STAGE_PINS:
-        cycles = [c for s, c in _checkpoints(approximation) if s.startswith(STAGE_PINS[pin])]
-        return {"target_cycle": cycles[len(cycles) // 2]}
-    if pin == "frame_ptr-in-match":
-        # A low bit of the working frame's pointer while it is live in
-        # the middle of matching: the read copies shifted frame bytes
-        # over the frame the run composites next.  The corruption
-        # reaches the warp probe only if the restored binding is the
-        # restored frame copy itself.
+        prefix, name, phase = STAGE_PINS[pin]
         stream, config, _, _, _ = _workload(approximation)
-        tape = golden_with_tape(stream, config).fast_forward.tape
-        log = tape.fire_log
-        register = tape.boundaries[-1].regfile[0][
-            (RegKind.GPR, "summarize.pipeline.frame", "frame_ptr")
-        ]
-        live = [
-            cycle
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        log = fast_forward.tape.fire_log
+        fires = [
+            (cycle, register)
             for k, (site, cycle) in enumerate(zip(log.sites, log.cycles))
-            if site.startswith("vision.matching")
-            and log.fire_checkpoint(cycle, None) == k
-            and log.slot_at(RegKind.GPR, register, k).name == "frame_ptr"
+            if site.startswith(prefix) and log.fire_checkpoint(cycle, None) == k
+            for register in range(NUM_REGISTERS)
+            if getattr(log.slot_at(RegKind.GPR, register, k), "name", None) == name
         ]
-        return {
-            "target_cycle": live[len(live) // 2],
-            "kind": RegKind.GPR,
-            "register": register,
-            "bit": 3,
-        }
+        cycle, register = fires[len(fires) // 2]
+        plan = InjectionPlan(cycle, RegKind.GPR, register, 3)
+        # A predictor change must not quietly turn the pin into a
+        # decided run, or move it to another restore point.
+        assert fast_forward.predict(plan, LivenessModel(), None) is None, (pin, plan)
+        point = fast_forward.tape.boundaries[fast_forward.resume_index(cycle, None)]
+        assert point.phase == phase, (pin, plan, point.label)
+        return {"target_cycle": cycle, "kind": RegKind.GPR, "register": register, "bit": 3}
     return None
 
 
@@ -254,7 +260,7 @@ def _pinning_first_plan(fields: dict | None):
     site_filter=st.sampled_from(SITE_FILTERS),
     liveness=st.sampled_from(sorted(LIVENESS)),
     pin=st.sampled_from(
-        [None, "boundary-0", "past-last-checkpoint", *STAGE_PINS, "frame_ptr-in-match"]
+        [None, "boundary-0", "past-last-checkpoint", *STAGE_PINS]
     ),
 )
 # Masked, SDC and crash runs, in a journaled pool interrupted mid-way.
@@ -352,9 +358,9 @@ def _pinning_first_plan(fields: dict | None):
     liveness="default",
     pin=None,
 )
-# The first target in the middle of a mid-run frame's matching: it
-# resumes that frame's MATCH point and flips the matcher's live
-# descriptor pointer.
+# The first plan, in the middle of a mid-run frame's matching, resumes
+# that frame's MATCH point and flips the matcher's live descriptor
+# pointer.
 @example(
     approximation="VS",
     kind=RegKind.GPR,
@@ -367,9 +373,9 @@ def _pinning_first_plan(fields: dict | None):
     liveness="default",
     pin="in-match",
 )
-# The first target inside a mid-run frame's warp: it resumes that
-# frame's WARP point and smashes the live canvas through canvas_ptr;
-# in a journaled pool interrupted mid-way.
+# The first plan, inside a mid-run frame's warp, resumes that frame's
+# WARP point and smashes the live canvas through its restored
+# canvas_ptr; in a journaled pool interrupted mid-way.
 @example(
     approximation="VS",
     kind=RegKind.GPR,
@@ -458,7 +464,7 @@ class TestHangEquivalence:
         # The slot ransac_iter occupies is decided by the register file's
         # first-bind round-robin; read it off the captured tape rather
         # than hard-coding an allocation-order-dependent number.
-        assigned = fast_forward.tape.boundaries[-1].regfile[0]
+        assigned = fast_forward.tape.boundaries[-1].assigned
         register = assigned[(RegKind.GPR, "vision.ransac.hypotheses", "ransac_iter")]
         return InjectionPlan(
             target_cycle=target, kind=RegKind.GPR, register=register, bit=63
@@ -499,7 +505,7 @@ class TestSpliceEquivalence:
     ):
         stream, config, _, _, _ = vs
         tape = golden_with_tape(stream, config).fast_forward.tape
-        register = tape.boundaries[-1].regfile[0][(RegKind.GPR, site, name)]
+        register = tape.boundaries[-1].assigned[(RegKind.GPR, site, name)]
         starts = {b.frame_index: b.cycles for b in tape.boundaries if b.phase == FRAME}
         lo, hi = (starts[frame] for frame in frames)
         at = at or site
@@ -673,7 +679,7 @@ class TestSpliceEquivalence:
         )
         bound = sorted(
             slot
-            for (kind, site, _), slot in tape.boundaries[-1].regfile[0].items()
+            for (kind, site, _), slot in tape.boundaries[-1].assigned.items()
             if kind is RegKind.GPR and site.startswith(prefix)
         )
         register = data.draw(
@@ -988,8 +994,9 @@ class TestFireLogPrediction:
     carry the injector's record (a bit-0 pointer flip whose window
     crosses the end of its allocation is a decided crash), and a run
     that flips yet is decided MASKED must flip a slot written before the
-    member's restore point, whose restored descriptor is one the
-    dead-target rule accepts, or one of the frame loop's own cells.
+    member's restore point, whose restored write is the one the fire
+    reads and not one of the frame loop's own cells, or one of those
+    cells.
     """
 
     @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
@@ -1046,21 +1053,57 @@ class TestFireLogPrediction:
                             dead_targets += 1
                             checkpoint = log.fire_checkpoint(target, site_filter)
                             point = tape.boundaries[fast_forward.resume_index(target, site_filter)]
-                            assert log.written_before(
-                                kind, register, checkpoint, point.checkpoints
-                            ), (name, plan)
-                            tag = point.regfile[2][kind][register][0][0]
-                            assert tag in ("cell", "ivalue", "fvalue", "array", "address"), tag
+                            restored = log.slot_at(kind, register, point.checkpoints - 1)
+                            assert restored is log.slot_at(kind, register, checkpoint), plan
+                            assert restored.cell is None, plan
         assert predicted and executed and dead_targets
+
+
+class TestPlannedSlotReads:
+    """The premise of the planned-slot restore, checked on full runs.
+
+    A resumed member restores the slot assignment and only its planned
+    slot's last write before the restore point; every other slot starts
+    empty.  That is exact because the injector reads no other slot: over
+    full unrestored runs of uniform plans, GPR and FPR, with and without
+    the hot-function site filter, every ``RegisterFileState.entry`` call
+    asks for ``(plan.kind, plan.register)``, once, at the fire.
+    """
+
+    @pytest.mark.parametrize("kind", list(RegKind))
+    @pytest.mark.parametrize("site_filter", [None, "imaging.warp"])
+    def test_injector_reads_only_the_planned_slot(self, vs, kind, site_filter):
+        _, _, golden, workload, _ = vs
+        monitor = FaultMonitor(
+            workload, golden.output, golden.total_cycles, site_filter=site_filter
+        )
+        reads: list[tuple[RegKind, int]] = []
+        entry = RegisterFileState.entry
+
+        def spy(regfile, slot_kind, slot):
+            reads.append((slot_kind, slot))
+            return entry(regfile, slot_kind, slot)
+
+        fired = 0
+        with mock.patch.object(RegisterFileState, "entry", spy):
+            for seed in (0, 1, 2):
+                config = CampaignConfig(n_injections=3, kind=kind, seed=seed)
+                for plan in campaign_module.draw_plans(config, golden.total_cycles):
+                    reads.clear()
+                    result = monitor.run_injected(plan, np.random.default_rng(seed))
+                    fired += result.record.fired
+                    expected = [(plan.kind, plan.register)] if result.record.fired else []
+                    assert reads == expected, plan
+        assert fired
 
 
 class TestDeadStandIns:
     """Pointer flips into a dead allocation's shared read-only stand-in.
 
     A restored member maps the prefix's dead allocations as its fan-out's
-    shared read-only stand-ins, clones only the ones its register file
-    binds, and gets a private copy of the allocation a pointer lands in
-    from ``AddressSpace.resolve``.  A write that missed the copy would
+    shared read-only stand-ins, clones only the one its planned slot's
+    restored binding holds, and gets a private copy of the allocation a
+    pointer lands in from ``AddressSpace.resolve``.  A write that missed the copy would
     raise ``ValueError`` on read-only bytes: an ABORT outcome, not a test
     error.  So each record is checked against the unrestored oracle and
     the ABORT is ruled out.
@@ -1080,8 +1123,8 @@ class TestDeadStandIns:
             # A write pointer bound at the fire checkpoint smashes a
             # stand-in's bytes.
             ("canvas_ptr", False),
-            # A read pointer restored from the register file: its own
-            # array is a bound dead clone, written with a stand-in's bytes.
+            # A read pointer restored from the fire log: its own array
+            # is the member's dead clone, written with a stand-in's bytes.
             ("src_ptr", True),
         ],
     )
@@ -1093,7 +1136,7 @@ class TestDeadStandIns:
         boundary = tape.boundaries[index]
         register = next(
             slot
-            for (kind, _site, binding), slot in boundary.regfile[0].items()
+            for (kind, _site, binding), slot in boundary.assigned.items()
             if kind is RegKind.GPR and binding == name
         )
         target = boundary.cycles + 1
@@ -1115,6 +1158,21 @@ class TestDeadStandIns:
             landings.append((address, alloc) if len(space._swapped) > swapped else None)
             return alloc, offset
 
+        #: Per resumed member, the dead aids its restore cloned.
+        cloned: list[list[int]] = []
+        restore_machine = BoundaryFanOut._restore_machine
+
+        def restore_spy(fanout, injector, live_bases, state):
+            restore_machine(fanout, injector, live_bases, state)
+            prefix = injector.space._arrays
+            cloned.append(
+                [
+                    aid
+                    for aid, stand_in in enumerate(fanout._stand_ins)
+                    if stand_in is not None and prefix[aid] is not stand_in
+                ]
+            )
+
         monitors = [
             FaultMonitor(workload, golden.output, golden.total_cycles, fast_forward=handle)
             for handle in (fast_forward, None)
@@ -1127,6 +1185,9 @@ class TestDeadStandIns:
         with contextlib.ExitStack() as patches:
             patches.enter_context(mock.patch.object(addrspace, "HEAP_SPAN", 4 * pages * PAGE_SIZE))
             patches.enter_context(mock.patch.object(AddressSpace, "resolve", spy))
+            patches.enter_context(
+                mock.patch.object(BoundaryFanOut, "_restore_machine", restore_spy)
+            )
             with undecided if restored else contextlib.nullcontext():
                 for bit in range(12, 40):
                     landings.clear()
@@ -1137,6 +1198,7 @@ class TestDeadStandIns:
                 else:
                     pytest.fail(f"no {name} flip lands in a stand-in")
             address, private = landings[-1]
+            member_clones = cloned[-1]
             expected = monitors[1].run_injected(plan, np.random.default_rng(11))
             prediction = fast_forward.predict(plan, LivenessModel(), None)
 
@@ -1156,8 +1218,8 @@ class TestDeadStandIns:
         assert result.record.effect is FlipEffect.APPLIED
         assert CrashKind.ABORT not in (result.crash_kind, expected.crash_kind)
         if restored:
-            aid = boundary.regfile[2][RegKind.GPR][register][0][-1]
-            assert aid in fan._bound
+            # The flipped member cloned its read pointer's own dead array.
+            assert member_clones == [write.aid]
             assert prediction.reason == "dead_target" and expected.outcome is Outcome.MASKED
             assert prediction.record == expected.record
         else:
@@ -1223,7 +1285,7 @@ def _pointer_fires(which: str, algorithm: str, site_filter: str | None) -> tuple
             continue
         for register in range(NUM_REGISTERS):
             write = log.slot_at(RegKind.GPR, register, index)
-            if write is not None and write.pointer is not None and write.live_at(
+            if write is not None and write.binding is AddressBinding and write.live_at(
                 cycle, RegKind.GPR, LivenessModel()
             ):
                 fires.append((cycle, register, index))
@@ -1270,7 +1332,8 @@ def _landing(fast_forward, plan: InjectionPlan, checkpoint: int) -> str:
     one (``elsewhere``).
     """
     log = fast_forward.tape.fire_log
-    aid, offset, window = log.slot_at(plan.kind, plan.register, checkpoint).pointer
+    write = log.slot_at(plan.kind, plan.register, checkpoint)
+    aid, offset, window = write.aid, write.byte_offset, write.window
     sizes = [record.nbytes for record in fast_forward.tape.allocs[: log.n_allocs[checkpoint]]]
     space = AddressSpace.layout(plan.target_cycle, np.array(sizes, dtype=np.int64))
     address = flip_pointer(space.base(aid) + offset, plan.bit)
@@ -1396,9 +1459,9 @@ class TestPredictedSegfaults:
         with mock.patch.object(AddressSpace, "layout", wraps=layout) as placed:
             for key, writes in log.writes.items():
                 for write, checkpoint in zip(writes, log.write_checkpoints[key]):
-                    if write.pointer is None:
+                    if write.binding is not AddressBinding:
                         continue
-                    aid, offset, window = write.pointer
+                    aid, offset, window = write.aid, write.byte_offset, write.window
                     n_allocs = log.n_allocs[checkpoint]
                     for seed in (0, 1, 2):
                         space = spaces.get((seed, n_allocs))
@@ -1409,21 +1472,34 @@ class TestPredictedSegfaults:
                             fault = space.fault(address, window)
                             expected = None if fault is not None else space.holder(address)
                             plan = InjectionPlan(seed, RegKind.GPR, 0, bit)
-                            assert fast_forward._landing(plan, write.pointer, n_allocs) == expected
+                            assert fast_forward._landing(plan, write, n_allocs) == expected
                             landings["fault" if expected is None else "own"] += 1
                             assert expected in (None, aid)
         assert placed.call_count == 0
         assert landings["fault"] and landings["own"], landings
 
 
-def _restored_descriptor(fast_forward, plan: InjectionPlan, site_filter) -> tuple | None:
-    """The descriptor a member restores into ``plan``'s slot, if its fire finds that value."""
+def _restored_write(fast_forward, plan: InjectionPlan, site_filter):
+    """The write a member restores into ``plan``'s slot, if its fire finds that value.
+
+    The member restores the slot's last write before its restore point;
+    the fire finds it when the slot is not written again before the fire.
+    """
     log = fast_forward.tape.fire_log
     point = fast_forward.tape.boundaries[fast_forward.resume_index(plan.target_cycle, site_filter)]
     checkpoint = log.fire_checkpoint(plan.target_cycle, site_filter)
-    if not log.written_before(plan.kind, plan.register, checkpoint, point.checkpoints):
+    writes = log.write_checkpoints.get((plan.kind, plan.register), ())
+    written = [c for c in writes if c <= checkpoint]
+    if not written or written[-1] >= point.checkpoints:
         return None
-    return point.regfile[2][plan.kind][plan.register][0]
+    restored = log.slot_at(plan.kind, plan.register, point.checkpoints - 1)
+    assert restored is log.slot_at(plan.kind, plan.register, checkpoint), plan
+    return restored
+
+
+def _class_name(write) -> str | None:
+    """The bound class's name of ``write``, or None for no write."""
+    return None if write is None else write.binding.__name__
 
 
 #: Liveness by register kind.  The default FPR lease ends before the
@@ -1455,7 +1531,7 @@ def _restored_fires(which: str, algorithm: str, kind: RegKind, site_filter: str 
                 if (
                     write is not None
                     and write.live_at(cycle, kind, DEAD_TARGET_LIVENESS[kind])
-                    and _restored_descriptor(fast_forward, plan, site_filter) is not None
+                    and _restored_write(fast_forward, plan, site_filter) is not None
                 ):
                     fires.append((target, register))
         previous = cycle
@@ -1466,7 +1542,7 @@ class TestDeadTargetFlips:
     """Flips of a value already dead at the member's restore point, against the oracle.
 
     A live value whose slot was written before the restore point is
-    restored from the point's descriptor: a kernel-local cell or value,
+    restored from that write's fire-log record: a kernel-local cell or value,
     an array that is not live program state, or a pointer.  When the
     flip writes only dead state, ``FastForward.predict`` decides the run
     MASKED without executing (``reason="dead_target"``).  Plans fire into
@@ -1475,27 +1551,27 @@ class TestDeadTargetFlips:
     sparse heap and in one shrunk to four times the workload's pages.
     Every run must equal the unrestored oracle's, and every restored
     cell or value must be decided.  Examples pin each qualifying
-    descriptor (a cell, a dead FPR array, a read pointer into a dead
+    restored binding (a cell, a dead FPR array, a read pointer into a dead
     array, a write pointer landing in a dead stand-in) and runs that
     must execute (a frame index moved inside the frame table, a slot
     written after the restore point, a live array, a write landing in
     an allocation made after the point).
     """
 
-    #: pin -> (register kind, binding name, restored descriptor tag or
-    #: None if written after the point, whether the run is decided).
+    #: pin -> (register kind, binding name, the restored binding's class
+    #: or None if written after the point, whether the run is decided).
     PINS = {
-        "ransac_budget": (RegKind.GPR, "ransac_budget", "cell", True),
-        "coef_x": (RegKind.FPR, "coef_x", "array", True),
-        "descA_ptr": (RegKind.GPR, "descA_ptr", "address", True),
-        "write-stand-in": (RegKind.GPR, "canvas_ptr", "address", True),
+        "ransac_budget": (RegKind.GPR, "ransac_budget", "IntCellBinding", True),
+        "coef_x": (RegKind.FPR, "coef_x", "ArrayBinding", True),
+        "descA_ptr": (RegKind.GPR, "descA_ptr", "AddressBinding", True),
+        "write-stand-in": (RegKind.GPR, "canvas_ptr", "AddressBinding", True),
         # A frame index moved inside the frame table.
-        "frame_idx": (RegKind.GPR, "frame_idx", "cell-live", False),
+        "frame_idx": (RegKind.GPR, "frame_idx", "IntCellBinding", False),
         "written-after-point": (RegKind.GPR, "row_end", None, False),
         # The current frame's descriptors, live at its in-frame points.
-        "live-array": (RegKind.GPR, "desc_bytes", "array", False),
+        "live-array": (RegKind.GPR, "desc_bytes", "ArrayBinding", False),
         # A write landing in an allocation made after the point.
-        "write-past-point": (RegKind.GPR, "canvas_ptr", "address", False),
+        "write-past-point": (RegKind.GPR, "canvas_ptr", "AddressBinding", False),
     }
 
     def _pinned(self, which, algorithm, site_filter, pin, bits):
@@ -1517,10 +1593,10 @@ class TestDeadTargetFlips:
                     continue
                 if not write.live_at(log.cycles[checkpoint], kind, liveness):
                     continue
-                descriptor = _restored_descriptor(
+                restored = _restored_write(
                     fast_forward, InjectionPlan(target, kind, register, 0), site_filter
                 )
-                if (descriptor and descriptor[0]) != tag:
+                if _class_name(restored) != tag:
                     continue
                 for bit in bits:
                     plan = InjectionPlan(target, kind, register, bit)
@@ -1530,7 +1606,7 @@ class TestDeadTargetFlips:
                             return plan
                     elif prediction is None and (
                         pin != "write-past-point"
-                        or fast_forward._landing(plan, write.pointer, log.n_allocs[checkpoint])
+                        or fast_forward._landing(plan, write, log.n_allocs[checkpoint])
                         >= fast_forward.tape.boundaries[
                             fast_forward.resume_index(target, site_filter)
                         ].n_allocs
@@ -1607,9 +1683,9 @@ class TestDeadTargetFlips:
                 plan = self._pinned(which, algorithm, site_filter, pin, bits)
             liveness = DEAD_TARGET_LIVENESS[kind]
             prediction = fast_forward.predict(plan, liveness, site_filter)
-            descriptor = _restored_descriptor(fast_forward, plan, site_filter)
+            restored = _restored_write(fast_forward, plan, site_filter)
             decided = prediction is not None and prediction.reason == "dead_target"
-            event(f"{'decided' if decided else 'not decided'}, {descriptor and descriptor[0]}")
+            event(f"{'decided' if decided else 'not decided'}, {_class_name(restored)}")
             results = [
                 _tiny_monitor(
                     which, algorithm, probe, site_filter, fast, liveness
@@ -1618,17 +1694,21 @@ class TestDeadTargetFlips:
             ]
         assert serialize_result(results[0]) == serialize_result(results[1]), plan
         if decided:
-            assert descriptor is not None, plan
+            assert restored is not None, plan
             assert results[1].outcome is Outcome.MASKED
             assert results[1].cycles == fast_forward.tape.golden_cycles
             assert prediction.record == results[1].record
-        elif descriptor is not None and descriptor[0] in ("cell", "ivalue", "fvalue"):
-            # A restored cell or value always writes dead state.
-            pytest.fail(f"restored {descriptor[0]} not decided: {plan}")
+        elif (
+            restored is not None
+            and restored.binding in (IntCellBinding, IntValueBinding, FloatValueBinding)
+            and restored.cell is None
+        ):
+            # A restored kernel-local cell or value always writes dead state.
+            pytest.fail(f"restored {restored.name} not decided: {plan}")
         if pin is not None:
             _, name, tag, expected = self.PINS[pin]
             assert results[1].record.binding_name == name
-            assert (descriptor and descriptor[0]) == tag
+            assert _class_name(restored) == tag
             assert decided == expected
 
 

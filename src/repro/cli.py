@@ -86,7 +86,7 @@ from repro.runtime.context import ExecutionContext
 from repro.summarize.approximations import ALGORITHM_FACTORIES, config_for
 from repro.summarize.golden import golden_with_tape
 from repro.summarize.pipeline import run_vs
-from repro.video.synthetic import make_event_input, make_input
+from repro.video.synthetic import cached_input, make_event_input, make_input
 
 
 def _positive_int(raw: str) -> int:
@@ -191,7 +191,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     observing = status_path is not None or args.serve is not None
     with _maybe_traced(args):
-        stream = make_input(args.input, n_frames=args.frames)
+        # The process cache: the workload spec rebuilds its stream from it.
+        stream = cached_input(args.input, n_frames=args.frames)
         config = config_for(args.algorithm)
         golden_start = time.perf_counter()
         golden = golden_with_tape(stream, config)
@@ -532,7 +533,7 @@ def cmd_protect(args: argparse.Namespace) -> int:
     from repro.protection import plan_protection, symptom_coverage
     from repro.quality import compare_outputs
 
-    stream = make_input(args.input, n_frames=args.frames)
+    stream = cached_input(args.input, n_frames=args.frames)
     config = config_for(args.algorithm)
     golden = golden_with_tape(stream, config)
 

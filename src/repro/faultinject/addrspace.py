@@ -50,13 +50,15 @@ the shared bytes stay pristine.  The stand-ins are named explicitly
 (:func:`shared_positions`, passed to ``note_prefix``), not inferred
 from ``flags.writeable``: a full run may map read-only arrays of its
 own, and those alias as themselves.  Their checks and their id ->
-position map are made once per fan-out; a member copies the map and
+position map are made once per fan-out, and a member's space looks
+positions and ids up in the fan-out's stand-ins first and in its own
+small maps second: it copies nothing the size of the prefix, and
 checks only the arrays it owns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +102,21 @@ class AddressSpace:
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        #: Every noted array in first-use order; pins the ids below.
-        self._arrays: list[np.ndarray] = []
-        #: id -> position in ``_arrays``.
+        #: How many allocations are noted: positions count first uses.
+        self._count = 0
+        #: position -> every array this space owns; pins the ids below.
+        self._arrays: dict[int, np.ndarray] = {}
+        #: id -> position of every array in ``_arrays``.
         self._position: dict[int, int] = {}
-        #: ids of the shared read-only stand-ins among ``_arrays``.
+        #: A restored prefix's shared read-only stand-ins, by position
+        #: (None where this space owns the array), and their id ->
+        #: position map; both belong to the fan-out and never change.
+        self._stand_ins: Sequence[np.ndarray | None] = ()
         self._shared: dict[int, int] = {}
-        #: Stand-ins ``resolve`` swapped for a private copy (pins their ids).
+        #: Stand-ins ``resolve`` swapped for a private copy.
         self._swapped: list[np.ndarray] = []
         #: Base of every placed array, by position: placement is a
-        #: prefix of ``_arrays``, the rest is pending.
+        #: prefix of the positions, the rest is pending.
         self._bases: list[int] = []
         #: The map sorted by base: start, end (base + nbytes), position.
         self._starts = np.empty(0, dtype=np.int64)
@@ -134,40 +141,50 @@ class AddressSpace:
         space.
         """
         key = id(array)
-        if key in self._position:
+        if key in self._shared or key in self._position:
             return
         _check_mappable(array)
-        self._position[key] = len(self._arrays)
-        self._arrays.append(array)
+        self._position[key] = self._count
+        self._arrays[self._count] = array
+        self._count += 1
 
     def note_prefix(
-        self, arrays: list[np.ndarray], shared: dict[int, int], private: Iterable[int]
+        self,
+        stand_ins: Sequence[np.ndarray | None],
+        shared: dict[int, int],
+        private: dict[int, np.ndarray],
     ) -> None:
         """Note a restored prefix into this empty space, as one :meth:`note` each would.
 
-        ``arrays`` is the prefix in first-use order, without repeats.
-        ``shared`` is the id -> position map of the shared read-only
-        stand-ins among them (see the module docstring), made and
-        checked once per fan-out by :func:`shared_positions`; the
-        arrays at the ``private`` positions are checked here.  The
-        space keeps both ``arrays`` and ``shared``, so neither may
-        change.
+        The prefix is ``len(stand_ins)`` arrays in first-use order,
+        without repeats: the ``private`` array at each of its positions,
+        else the shared read-only stand-in there.  ``shared`` is the id
+        -> position map of those stand-ins (see the module docstring),
+        made and checked once per fan-out by :func:`shared_positions`;
+        the ``private`` arrays are checked here.  The space keeps
+        ``stand_ins`` and ``shared`` as they are, so neither may change.
         """
-        if self._arrays:
+        if self._count:
             raise ValueError("a prefix can only be noted into an empty address space")
-        position = shared.copy()
-        for index in private:
-            array = arrays[index]
+        for index, array in private.items():
             _check_mappable(array)
-            position[id(array)] = index
-        if len(position) != len(arrays):
+            self._position[id(array)] = index
+        covered = len(shared) + sum(stand_ins[index] is None for index in private)
+        if len(self._position) != len(private) or covered != len(stand_ins):
             raise ValueError("the prefix is not covered once by its shared and private arrays")
-        self._arrays, self._position, self._shared = arrays, position, shared
+        self._arrays = dict(private)
+        self._stand_ins, self._shared, self._count = stand_ins, shared, len(stand_ins)
 
     def ensure(self, array: np.ndarray) -> int:
         """Return the base address of ``array``, allocating on first use."""
         self.note(array)
-        return self.base(self._position[id(array)])
+        key = id(array)
+        return self.base(self._shared[key] if key in self._shared else self._position[key])
+
+    def array(self, position: int) -> np.ndarray:
+        """The array noted at ``position``: this space's own, else the shared stand-in."""
+        array = self._arrays.get(position)
+        return self._stand_ins[position] if array is None else array
 
     @classmethod
     def layout(cls, seed: int, nbytes: np.ndarray) -> "AddressSpace":
@@ -189,9 +206,10 @@ class AddressSpace:
 
     def _place_pending(self) -> None:
         """Place every noted allocation, in first-use order."""
-        pending = self._arrays[len(self._bases) :]
+        pending = range(len(self._bases), self._count)
         if pending:
-            self._place(np.fromiter((array.nbytes for array in pending), np.int64, len(pending)))
+            nbytes = (self.array(position).nbytes for position in pending)
+            self._place(np.fromiter(nbytes, np.int64, len(pending)))
 
     def _place(self, nbytes: np.ndarray) -> None:
         """Place the next ``len(nbytes)`` allocations, of these sizes, in batched draws."""
@@ -304,10 +322,11 @@ class AddressSpace:
             raise SegmentationFault(address)
         base, end = int(self._starts[index]), int(self._ends[index])
         position = int(self._order[index])
-        array = self._arrays[position]
-        if id(array) in self._shared:
-            self._swapped.append(array)
-            array = self._arrays[position] = array.copy()
+        array = self._arrays.get(position)
+        if array is None:
+            stand_in = self._stand_ins[position]
+            self._swapped.append(stand_in)
+            array = self._arrays[position] = stand_in.copy()
             telemetry.counter_inc("campaign.fanout.cow_clones")
         return Allocation(base=base, nbytes=end - base, array=array), address - base
 

@@ -111,11 +111,19 @@ at every prefix checkpoint:
 
 Restores are destructive (the flip may corrupt any restored object it
 can reach), so every restore rebuilds what a flip can reach from the
-immutable tape.  The tape holds bytes and records only: the capture
-pins the arrays it records while it runs (their ids and data pointers must stay valid) and
-drops them when it returns.  A mini-panorama that has not changed
-since the previous restore point — every closed one — shares that
-point's snapshot, and so do feature arrays, checked equal at capture.
+immutable tape.  The tape holds bytes and records only, and the
+capture holds each dead byte once.  A recorded array keeps its
+allocation id while it lives: a weak reference drops its ``id`` key as
+it dies, so an array that reuses the ``id`` is a new allocation and a
+dead array's stale data pointer places nothing.  The capture pins an
+array only until the first restore point it is dead at, where it
+freezes its bytes and lets the array go; an allocation frozen dead is
+never live again (the capture refuses one that would be).  A
+mini-panorama the loop has closed is snapshotted once, when it closes,
+and stays read-only until the capture ends, which checks it once more:
+every later point shares that snapshot without comparing it.  The
+open mini shares the previous point's snapshot when checked equal to
+it, and so do feature arrays.
 The working frame copy is not taped at all: at every in-frame point it
 still equals its golden frame (checked at capture), so a restore
 copies it from the frame table.
@@ -178,6 +186,8 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -207,7 +217,7 @@ from repro.faultinject.registers import (
 )
 from repro.forensics import probes
 from repro.imaging.image import images_equal
-from repro.imaging.warp import warp_stores
+from repro.imaging.warp import WarpGeometry, warp_geometry, warp_stores
 from repro.observe import events as observe_events
 from repro.runtime.context import Cell, CostProfile, ExecutionContext
 from repro.summarize.golden import GoldenRun
@@ -254,8 +264,8 @@ _LIVE_CELLS = ("index", "total", "failures")
 class AllocRecord:
     """One array the injector would have mapped during the prefix.
 
-    Pure tape data: the capture-run array itself is pinned by the
-    :class:`SnapshotRecorder` only while it records, never by the tape.
+    Pure tape data: the :class:`SnapshotRecorder` pins the capture-run
+    array only until it freezes it, and the tape never holds it.
     ``frozen`` holds the byte content at the first restore point where
     the array was no longer live program state; live arrays are never
     frozen (they are rebuilt from the pipeline snapshot instead).
@@ -526,9 +536,13 @@ class SnapshotRecorder:
     same armed-only code paths, and produce the same prefix byte
     content an injected run's prefix would.
 
-    The recorder pins every array it records, so ``id``s stay unique and
-    data pointers stay valid while it lives; the tape it leaves behind
-    holds no capture-run array.
+    Each recorded array keeps its aid for as long as it lives: a weak
+    reference drops its ``id`` key the moment it dies, so a later array
+    that reuses the ``id`` gets a fresh aid.  The recorder pins an array
+    only until :meth:`_settle` freezes its bytes, so every dead
+    temporary is held once, as those bytes; :meth:`release` drops the
+    rest when the capture ends, and the tape it leaves behind holds no
+    capture-run array.
     """
 
     observing = True
@@ -538,12 +552,17 @@ class SnapshotRecorder:
         self.fire_log = FireLog()
         self.boundaries: list[FrameSnapshot] = []
         self.allocs: list[AllocRecord] = []
+        #: id -> record of every recorded array still alive.
         self._alloc_by_id: dict[int, AllocRecord] = {}
-        #: aid -> the pinned capture-run array and its data pointer.
-        self._arrays: list[np.ndarray] = []
-        self._pointers: list[int] = []
-        #: Records not frozen yet: only these can die at a restore point.
-        self._unfrozen: list[AllocRecord] = []
+        #: aid -> weak reference and data pointer of every recorded
+        #: array still alive; a dead one's entry is dropped as it dies.
+        self._alive: dict[int, tuple[weakref.ref, int]] = {}
+        #: aid -> the pinned array of every record not frozen yet: only
+        #: these can die at a restore point.
+        self._unfrozen: dict[int, np.ndarray] = {}
+        #: The capture run's closed mini-panoramas, read-only from the
+        #: point they closed at until the capture ends.
+        self._closed: list[MiniPanorama] = []
         self.probe: probes.StageProbe | None = None
         self.profile: CostProfile | None = None
         #: The run's frame table: in-frame points check the working
@@ -605,10 +624,26 @@ class SnapshotRecorder:
         )
         self.allocs.append(record)
         self._alloc_by_id[id(array)] = record
-        self._arrays.append(array)
-        self._pointers.append(array.ctypes.data)
-        self._unfrozen.append(record)
+        # Weak references call back as their array is deallocated,
+        # before anything can reuse its id.
+        forget = functools.partial(self._forget, id(array), record.aid)
+        self._alive[record.aid] = (weakref.ref(array, forget), array.ctypes.data)
+        self._unfrozen[record.aid] = array
         return record.aid
+
+    def _forget(self, key: int, aid: int, _ref: weakref.ref) -> None:
+        """A recorded array died: drop its id key and leave the candidate search."""
+        del self._alloc_by_id[key]
+        del self._alive[aid]
+
+    def release(self) -> None:
+        """End the capture: drop every array it holds; the closed minis turn writable."""
+        for mini in self._closed:
+            mini.canvas.flags.writeable = mini.coverage.flags.writeable = True
+        self._closed = []
+        # The weak references go first, so no callback runs after them.
+        self._alive = {}
+        self._alloc_by_id, self._unfrozen, self._state = {}, {}, None
 
     # -- pipeline hook ---------------------------------------------------
     def restore_point(
@@ -630,7 +665,6 @@ class SnapshotRecorder:
         live_map = self._settle(_live_bases(state))
         assigned, next_slot, _ = self.regfile.export_state()
         previous = self.boundaries[-1] if self.boundaries else None
-        minis = previous.minis if previous is not None else []
         shared = (previous.prev_features, previous.features) if previous is not None else ()
         self.boundaries.append(
             FrameSnapshot(
@@ -649,10 +683,7 @@ class SnapshotRecorder:
                     if state.pairwise is None
                     else replace(state.pairwise, transform=state.pairwise.transform.copy())
                 ),
-                minis=[
-                    _snapshot_mini(mini, minis[k] if k < len(minis) else None)
-                    for k, mini in enumerate(state.minis)
-                ],
+                minis=self._snapshot_minis(state.minis, [] if previous is None else previous.minis),
                 outcomes=list(state.outcomes),
                 n_allocs=len(self.allocs),
                 live_map=live_map,
@@ -666,6 +697,33 @@ class SnapshotRecorder:
             )
         )
 
+    def _snapshot_minis(
+        self, minis: list[MiniPanorama], previous: list[MiniSnapshot]
+    ) -> list[MiniSnapshot]:
+        """The minis' snapshots, each closed one snapshotted once, when it closes.
+
+        A closed mini is never written again: the loop composites into
+        the current one only.  Its canvas and coverage turn read-only
+        here, so a write into one raises instead of changing it, and it
+        shares the snapshot it closed with; :meth:`finish` checks it
+        once more when the run ends.
+        """
+        closed = len(self._closed)
+        snapshots = previous[:closed]
+        for k in range(closed, len(minis)):
+            snapshots.append(_snapshot_mini(minis[k], previous[k] if k < len(previous) else None))
+        for mini in minis[closed:-1]:
+            mini.canvas.flags.writeable = mini.coverage.flags.writeable = False
+            self._closed.append(mini)
+        return snapshots
+
+    def finish(self, minis: list[MiniPanorama]) -> None:
+        """Check that every closed mini still equals the snapshot it closed with."""
+        last = self.boundaries[-1].minis
+        for mini, snapshot in zip(minis[: len(self._closed)], last):
+            if not _mini_equal(mini, snapshot):
+                raise SnapshotUnsupported("a closed mini-panorama changed after it closed")
+
     def _settle(
         self, live_bases: list[tuple[tuple, np.ndarray]]
     ) -> dict[int, tuple[tuple, int, bool]]:
@@ -674,11 +732,16 @@ class SnapshotRecorder:
         Returns the point's ``live_map``, in aid order.
         :func:`_resolve_live` places an array only if it is a live base
         or its data pointer lies within a base's ``nbytes``.  The pointer
-        index narrows each point to those candidates and
-        ``_resolve_live`` decides each one exactly, so the map equals a
-        scan of every record.
+        index narrows each point to those candidates among the arrays
+        still alive, and ``_resolve_live`` decides each one exactly, so
+        the map equals a scan of every record alive.  A dead array is a
+        dead allocation: its stale data pointer places nothing.  An
+        allocation frozen at an earlier point stays dead; one that would
+        be placed live again is refused.
         """
-        pointers = np.array(self._pointers, dtype=np.uint64)
+        alive = self._alive
+        aids = np.fromiter(alive, np.int64, len(alive))
+        pointers = np.fromiter((pointer for _, pointer in alive.values()), np.uint64, len(alive))
         candidates: set[int] = set()
         for _, base in live_bases:
             record = self._alloc_by_id.get(id(base))
@@ -686,22 +749,22 @@ class SnapshotRecorder:
                 candidates.add(record.aid)
             start = base.ctypes.data
             inside = (pointers >= start) & (pointers < start + base.nbytes)
-            candidates.update(np.flatnonzero(inside).tolist())
+            candidates.update(aids[inside].tolist())
         live_map: dict[int, tuple[tuple, int, bool]] = {}
         for aid in sorted(candidates):
-            placement = _resolve_live(self._arrays[aid], self.allocs[aid].nbytes, live_bases)
-            if placement is not None:
-                live_map[aid] = placement
-        unfrozen: list[AllocRecord] = []
-        for record in self._unfrozen:
-            if record.aid in live_map:
-                unfrozen.append(record)
-            else:
-                # First restore point where this allocation is dead: its
-                # byte content is final from the program's point of view,
-                # so freeze it once for all later restores.
-                record.frozen = self._arrays[record.aid].tobytes()
-        self._unfrozen = unfrozen
+            record = self.allocs[aid]
+            array = alive[aid][0]() if aid in alive else None
+            placement = None if array is None else _resolve_live(array, record.nbytes, live_bases)
+            if placement is None:
+                continue
+            if record.frozen is not None:
+                raise SnapshotUnsupported(f"allocation {aid} is live again after it died")
+            live_map[aid] = placement
+        for aid in [aid for aid in self._unfrozen if aid not in live_map]:
+            # First restore point where this allocation is dead: its
+            # byte content is final from the program's point of view,
+            # so freeze it once for all later restores, and unpin it.
+            self.allocs[aid].frozen = self._unfrozen.pop(aid).tobytes()
         return live_map
 
 
@@ -816,10 +879,14 @@ def capture_tape(stream: "FrameStream", config: "VSConfig") -> GoldenRun:
     profile = CostProfile()
     recorder.profile = profile
     ctx = ExecutionContext(injector=recorder, profile=profile)
-    with probes.capturing(probe), telemetry.span("summarize.golden", ctx=ctx):
-        result = run_vs(stream, config, ctx)
-    if not recorder.boundaries:
-        raise SnapshotUnsupported("the run has no restore point to resume from")
+    try:
+        with probes.capturing(probe), telemetry.span("summarize.golden", ctx=ctx):
+            result = run_vs(stream, config, ctx)
+        if not recorder.boundaries:
+            raise SnapshotUnsupported("the run has no restore point to resume from")
+        recorder.finish(result.minis)
+    finally:
+        recorder.release()
     if probe.last_stage != "stitch":
         # A synthesized tail recomputes the final stitch probe.
         raise SnapshotUnsupported("the run does not end with a stitch probe")
@@ -885,6 +952,9 @@ class FastForward:
         #: the per-process golden-run cache in ``summarize.golden``.
         self._fanouts: dict[int, BoundaryFanOut] = {}
         self._snapshot_by_point: dict[tuple[int, str], FrameSnapshot] | None = None
+        #: ``(mini index, canvas shape)`` -> the warp geometry of every
+        #: golden composite into that mini, lazily built.
+        self._geometries: dict[tuple[int, tuple[int, int]], list[WarpGeometry]] = {}
         #: Fire-log checkpoints logged before each restore point, and
         #: before each frame's top (``FRAME`` points, in frame order).
         self._point_checkpoints = [b.checkpoints for b in tape.boundaries]
@@ -1265,9 +1335,18 @@ class FastForward:
         :func:`~repro.imaging.warp.warp_stores` decides each store
         with the kernel's own arithmetic, at these pixels only.
         """
+        key = (mini_index, mini.canvas.shape)
+        geometries = self._geometries.get(key)
+        if geometries is None:
+            # The golden chains never change: derive each warp's box
+            # and inverse once per tape.
+            geometries = self._geometries[key] = [
+                warp_geometry(chain, self._frame_shape, mini.canvas.shape)
+                for chain in self.tape.composites[mini_index]
+            ]
         rows, cols = np.divmod(pixels, mini.canvas.shape[1])
-        for chain in self.tape.composites[mini_index][mini.frames_composited :]:
-            unstored = ~warp_stores(chain, self._frame_shape, mini.canvas.shape, rows, cols)
+        for geometry in geometries[mini.frames_composited :]:
+            unstored = ~warp_stores(geometry, self._frame_shape, rows, cols)
             pixels, rows, cols = pixels[unstored], rows[unstored], cols[unstored]
         return pixels
 
@@ -1320,25 +1399,27 @@ class FastForward:
         return state, live_bases
 
     def _build_binding(
-        self, write: SlotWrite, kind: RegKind, objects: list[np.ndarray], state: PipelineState
+        self, write: SlotWrite, kind: RegKind, array: np.ndarray | None, state: PipelineState
     ) -> Binding:
-        """The binding ``write`` wrote into a ``kind`` slot, over the member's ``objects``.
+        """The binding ``write`` wrote into a ``kind`` slot, over the member's ``array``.
 
-        A kernel-local cell or value is dead at every restore point, so
-        a fresh cell or a ``_discard_*`` callback stands in for it.
+        ``array`` is the member's own copy of the allocation ``write``
+        binds, if any.  A kernel-local cell or value is dead at every
+        restore point, so a fresh cell or a ``_discard_*`` callback
+        stands in for it.
         """
         cls, name, role, ttl = write.binding, write.name, write.role, write.ttl
         if cls is AddressBinding:
             return AddressBinding(
                 name,
-                objects[write.aid],
+                array,
                 byte_offset=write.byte_offset,
                 writes=write.writes,
                 window=write.window,
                 ttl=ttl,
             )
         if cls is ArrayBinding:
-            return ArrayBinding(name, objects[write.aid], kind, role=role, ttl=ttl)
+            return ArrayBinding(name, array, kind, role=role, ttl=ttl)
         if cls is IntCellBinding:
             cell = Cell(write.value) if write.cell is None else getattr(state, write.cell)
             return IntCellBinding(name, cell, role=role, ttl=ttl)
@@ -1498,41 +1579,40 @@ class BoundaryFanOut:
         snapshot = self.snapshot
         plan = injector.plan
         write = ff.tape.fire_log.slot_at(plan.kind, plan.register, snapshot.checkpoints - 1)
-        objects = list(self._stand_ins)
-        shared = self._shared
-        private = list(snapshot.live_map)
-        if write is not None and write.aid is not None and objects[write.aid] is not None:
+        stand_ins = self._stand_ins
+        # aid -> the member's own array: its live arrays and, at most,
+        # one private clone of a dead one.
+        private: dict[int, np.ndarray] = {}
+        if write is not None and write.aid is not None and stand_ins[write.aid] is not None:
             # A flip writes a bound array in place, and a read pointer
             # copies into its own array; a read-only stand-in would
             # refuse both, so the planned binding's gets a private clone.
-            shared = shared.copy()
-            del shared[id(objects[write.aid])]
-            objects[write.aid] = objects[write.aid].copy()
-            private.append(write.aid)
+            private[write.aid] = stand_ins[write.aid].copy()
             telemetry.counter_inc("campaign.fanout.cow_clones")
         for aid, (key, offset, identity) in snapshot.live_map.items():
             base = live_bases[key]
             if identity:
-                objects[aid] = base
+                private[aid] = base
             else:
                 record = ff.tape.allocs[aid]
                 flat = base.reshape(-1).view(np.uint8)
-                objects[aid] = (
+                private[aid] = (
                     flat[offset : offset + record.nbytes].view(record.dtype).reshape(record.shape)
                 )
         # Replay the prefix's first-use allocation sequence, in order,
         # into the injected run's fresh address space: the heap layout
         # (and the RNG draws behind it, made when placement is first
         # forced) is bit-identical to a full run's.  The shared
-        # stand-ins were checked once per fan-out; only the member's
-        # own arrays are checked here.
-        injector.space.note_prefix(objects, shared, private)
+        # stand-ins were checked once per fan-out and are looked up in
+        # place; only the member's own arrays are checked here.
+        injector.space.note_prefix(stand_ins, self._shared, private)
 
         slots: dict[RegKind, list[SlotEntry | None]] = {
             kind: [None] * NUM_REGISTERS for kind in RegKind
         }
         if write is not None:
-            binding = ff._build_binding(write, plan.kind, objects, state)
+            array = None if write.aid is None else private[write.aid]
+            binding = ff._build_binding(write, plan.kind, array, state)
             slots[plan.kind][plan.register] = SlotEntry(binding, write.site, write.written_cycle)
         injector.regfile.import_state(snapshot.assigned, snapshot.next_slot, slots)
 

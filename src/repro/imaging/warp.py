@@ -72,9 +72,7 @@ def _warp_into(
         raise ValueError(f"canvas {canvas.shape} and coverage {coverage.shape} differ")
     src = as_gray(src)
 
-    mat = validate_homography(transform)
-    inv = invert_transform(mat)
-    x_lo, y_lo, x_hi, y_hi = _extent(mat, src.shape, canvas.shape)
+    (x_lo, y_lo, x_hi, y_hi), inv = warp_geometry(transform, src.shape, canvas.shape)
     if x_lo >= x_hi or y_lo >= y_hi:
         return 0
 
@@ -205,27 +203,41 @@ def _warp_block(
     return int(np.count_nonzero(valid)), r1
 
 
+#: A warp's ``(x_lo, y_lo, x_hi, y_hi)`` canvas box and its inverse transform.
+WarpGeometry = tuple[tuple[int, int, int, int], np.ndarray]
+
+
+def warp_geometry(
+    transform: np.ndarray, src_shape: tuple[int, int], canvas_shape: tuple[int, int]
+) -> WarpGeometry:
+    """What :func:`warp_into` derives from ``transform`` before it warps anything.
+
+    The canvas box a ``src_shape`` frame warped through ``transform``
+    can reach, and the inverse transform that maps the box's pixels
+    back into the frame.
+    """
+    mat = validate_homography(transform)
+    inv = invert_transform(mat)
+    return _extent(mat, src_shape, canvas_shape), inv
+
+
 def warp_stores(
-    transform: np.ndarray,
+    geometry: WarpGeometry,
     src_shape: tuple[int, int],
-    canvas_shape: tuple[int, int],
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> np.ndarray:
     """Which canvas pixels ``(rows[k], cols[k])`` a clean warp stores into.
 
-    True where :func:`warp_into` of a ``src_shape`` frame through
-    ``transform`` stores, decided with the kernel's own extent and
-    inverse map at just these pixels.  Every operation of the map is
-    element-wise IEEE arithmetic, so a pixel gets the bits here that it
-    gets in the kernel's row-block grid.
+    True where :func:`warp_into` of a ``src_shape`` frame stores, given
+    the warp's :func:`warp_geometry`: decided with the kernel's own
+    extent and inverse map at just these pixels.  Every operation of
+    the map is element-wise IEEE arithmetic, so a pixel gets the bits
+    here that it gets in the kernel's row-block grid.
     """
-    mat = validate_homography(transform)
-    x_lo, y_lo, x_hi, y_hi = _extent(mat, src_shape, canvas_shape)
+    (x_lo, y_lo, x_hi, y_hi), inv = geometry
     inside = (rows >= y_lo) & (rows < y_hi) & (cols >= x_lo) & (cols < x_hi)
-    _, _, valid = _inverse_map(
-        invert_transform(mat), cols.astype(np.float64), rows.astype(np.float64), src_shape
-    )
+    _, _, valid = _inverse_map(inv, cols.astype(np.float64), rows.astype(np.float64), src_shape)
     return inside & valid
 
 

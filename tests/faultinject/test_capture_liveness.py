@@ -1,13 +1,18 @@
-"""Indexed boundary liveness and the deduplicated snapshot tape.
+"""Indexed boundary liveness, unpinned dead arrays and the deduplicated tape.
 
 At every frame boundary ``SnapshotRecorder`` decides which recorded
 allocations are live program state (and where they sit in a live base)
 and freezes the newly dead ones.  It narrows that decision to the
-records whose data pointer lies inside a live base, or that are one.  The
-oracle below is the full scan it replaced, kept verbatim: every record
-resolved against every live base at every boundary.  Both captures of
-each tiny workload must give the same ``live_map`` at every boundary
-and the same frozen bytes for every allocation.
+records, among the arrays still alive, whose data pointer lies inside a
+live base, or that are one; it unpins an array once it freezes it; and
+it snapshots a closed mini-panorama once, when it closes, keeping it
+read-only from then on.  The oracle below is the capture as it was
+before any of that, kept as it was: it pins every array until the
+capture ends, resolves every record against every live base at every
+boundary, and compares every mini with its previous snapshot at every
+boundary.  Both captures of each tiny workload must give the same tape:
+allocations with their frozen bytes, live maps, mini and feature
+snapshots, and the fire log.
 
 The tape also drops what restores never read: allocation records hold
 no capture-run array, and a mini-panorama that did not change since the
@@ -16,19 +21,30 @@ previous boundary (every closed one) shares that boundary's snapshot.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiments import TINY, input_stream
+from repro.analysis.experiments import QUICK, TINY, input_stream
 from repro.faultinject import fastforward
-from repro.faultinject.fastforward import SnapshotRecorder, _resolve_live, capture_tape
+from repro.faultinject.fastforward import (
+    SnapshotRecorder,
+    _resolve_live,
+    _snapshot_mini,
+    capture_tape,
+)
 from repro.summarize.approximations import config_for
 
 
-class _FullScanRecorder(SnapshotRecorder):
-    """The capture as it was before the pointer index: a full scan per boundary.
+class _PinningRecorder(SnapshotRecorder):
+    """The capture before it unpinned frozen arrays: every pin, a full scan per
+    boundary, and a compare of every mini at every boundary.
 
     Also keeps a private copy of every mini-panorama at every boundary,
     to check the shared snapshots against.
@@ -36,17 +52,30 @@ class _FullScanRecorder(SnapshotRecorder):
 
     def __init__(self) -> None:
         super().__init__()
+        self.pinned: list[np.ndarray] = []
         self.mini_copies: list[list[tuple[np.ndarray, np.ndarray, int]]] = []
+
+    def _ensure(self, array):
+        aid = super()._ensure(array)
+        if aid == len(self.pinned):
+            self.pinned.append(array)
+        return aid
 
     def _settle(self, live_bases):
         live_map = {}
         for record in self.allocs:
-            placement = _resolve_live(self._arrays[record.aid], record.nbytes, live_bases)
+            placement = _resolve_live(self.pinned[record.aid], record.nbytes, live_bases)
             if placement is not None:
                 live_map[record.aid] = placement
             elif record.frozen is None:
-                record.frozen = self._arrays[record.aid].tobytes()
+                record.frozen = self.pinned[record.aid].tobytes()
         return live_map
+
+    def _snapshot_minis(self, minis, previous):
+        return [
+            _snapshot_mini(mini, previous[k] if k < len(previous) else None)
+            for k, mini in enumerate(minis)
+        ]
 
     def restore_point(self, ctx, rng, state) -> None:
         super().restore_point(ctx, rng, state)
@@ -84,7 +113,7 @@ def tapes(request):
     config = config_for(algorithm)
     with pytest.MonkeyPatch.context() as monkeypatch:
         indexed, _ = _capture(stream, config, SnapshotRecorder, monkeypatch)
-        full, oracle = _capture(stream, config, _FullScanRecorder, monkeypatch)
+        full, oracle = _capture(stream, config, _PinningRecorder, monkeypatch)
     return indexed, full, oracle
 
 
@@ -179,7 +208,7 @@ _BASES = (
 def test_settle_matches_full_scan_on_views(picks, live_later):
     """Identity hits, contained views, partial overlaps, negative strides and
     zero-size arrays get the full scan's answer, boundary after boundary."""
-    recorders = (SnapshotRecorder(), _FullScanRecorder())
+    recorders = (SnapshotRecorder(), _PinningRecorder())
     keys = [(("base", k), base) for k, base in enumerate(_BASES)]
     for recorder in recorders:
         for array in picks:
@@ -191,3 +220,192 @@ def test_settle_matches_full_scan_on_views(picks, live_later):
         assert list(indexed) == list(full)
         for mine, theirs in zip(recorders[0].allocs, recorders[1].allocs):
             assert mine.frozen == theirs.frozen
+
+
+def _same(mine, theirs) -> bool:
+    """Deep equality of tape data: arrays by dtype, shape and bytes."""
+    if isinstance(mine, np.ndarray):
+        return (
+            isinstance(theirs, np.ndarray)
+            and (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+            and mine.tobytes() == theirs.tobytes()
+        )
+    if isinstance(mine, (list, tuple)):
+        return type(mine) is type(theirs) and len(mine) == len(theirs) and all(
+            map(_same, mine, theirs)
+        )
+    if isinstance(mine, dict):
+        return list(mine) == list(theirs) and all(_same(mine[k], theirs[k]) for k in mine)
+    if dataclasses.is_dataclass(mine) and not isinstance(mine, type):
+        return type(mine) is type(theirs) and all(
+            _same(getattr(mine, f.name), getattr(theirs, f.name))
+            for f in dataclasses.fields(mine)
+            if not f.name.startswith("_")
+        )
+    return mine == theirs
+
+
+def _sharing(tape) -> list[list[int]]:
+    """Which boundaries share one mini or feature snapshot object."""
+    first_seen: dict[int, int] = {}
+    return [
+        [
+            first_seen.setdefault(id(snapshot), len(first_seen))
+            for snapshot in (*boundary.minis, boundary.prev_features, boundary.features)
+            if snapshot is not None
+        ]
+        for boundary in tape.boundaries
+    ]
+
+
+def test_tape_equals_pinning_capture(tapes):
+    """The differential tape check: unpinning frozen arrays, leaving dead
+    arrays out of the candidate search and snapshotting closed minis once
+    change nothing on the tape, down to which boundaries share a snapshot."""
+    indexed, full, _ = tapes
+    for name in (
+        "allocs",
+        "boundaries",
+        "fire_log",
+        "probe_events",
+        "golden_cycles",
+        "exit_cycles",
+        "frame_shape",
+        "golden_output",
+        "composites",
+        "boundary_cycles",
+    ):
+        assert _same(getattr(indexed, name), getattr(full, name)), name
+    assert _sharing(indexed) == _sharing(full)
+
+
+def test_no_allocation_is_live_after_it_died(tapes):
+    """The relive invariant that lets frozen allocations leave the
+    candidate search: an allocation frozen dead at one boundary is in no
+    later boundary's live map, even under the oracle that pins every
+    array and scans every record."""
+    for tape in tapes[:2]:
+        died: dict[int, int] = {}
+        for k, boundary in enumerate(tape.boundaries):
+            for aid in range(boundary.n_allocs):
+                if aid in boundary.live_map:
+                    assert aid not in died, (aid, died.get(aid), k)
+                else:
+                    died.setdefault(aid, k)
+        assert died
+
+
+def test_reused_id_gets_a_fresh_aid():
+    """A frozen array that dies drops its id: a new array that reuses the
+    id before the next boundary is a new allocation."""
+    recorder = SnapshotRecorder()
+    array = np.arange(6.0)
+    aid = recorder._ensure(array)
+    recorder._settle([])
+    assert recorder.allocs[aid].frozen == array.tobytes()
+    key = id(array)
+    del array
+    # Keep every miss alive, so the allocator hands out the dead slot.
+    misses = []
+    for _ in range(256):
+        fresh = np.arange(6.0)
+        if id(fresh) == key:
+            break
+        misses.append(fresh)
+    else:
+        pytest.fail("no new array reused the dead array's id")
+    fresh_aid = recorder._ensure(fresh)
+    assert fresh_aid == len(recorder.allocs) - 1 != aid
+    assert recorder._settle([(("live",), fresh)]) == {fresh_aid: (("live",), 0, True)}
+
+
+def test_dead_array_stale_pointer_places_nothing():
+    """A dead view's data pointer still lies inside its live base, but a
+    dead array is a dead allocation: only the base is placed."""
+    recorder = SnapshotRecorder()
+    base = np.zeros(16)
+    view = base[4:8]
+    view_aid = recorder._ensure(view)
+    recorder._settle([])
+    del view
+    base_aid = recorder._ensure(base)
+    live_map = recorder._settle([(("base",), base)])
+    assert live_map == {base_aid: (("base",), 0, True)}
+    assert recorder.allocs[view_aid].frozen is not None
+
+
+def test_frozen_array_live_again_is_refused():
+    """Should a frozen array that is still alive become live program state
+    again, the capture refuses it rather than restore stale bytes."""
+    recorder = SnapshotRecorder()
+    base = np.zeros(8)
+    recorder._ensure(base)
+    recorder._settle([])
+    with pytest.raises(fastforward.SnapshotUnsupported, match="live again"):
+        recorder._settle([(("base",), base)])
+
+
+def test_capture_peak_is_what_it_holds():
+    """Memory gate: each dead byte is held once, as its frozen copy.
+
+    Traced by ``tracemalloc`` over one 24-frame input1/VS capture, the
+    peak stays within 10% of what the capture still holds once it
+    returns (tape and golden run).  Pinning every array until the
+    capture ended made it 1.75 times as much.
+    """
+    stream = input_stream("input1", TINY)
+    config = config_for("VS")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        golden = capture_tape(stream, config)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frozen = sum(len(r.frozen) for r in golden.fast_forward.tape.allocs if r.frozen)
+    assert held - start > frozen > 0
+    assert peak - start <= 1.10 * (held - start), (peak - start, held - start)
+
+
+def _mini_compares(stream, config):
+    """``_mini_equal`` calls of one capture: per boundary, and at its end."""
+    calls: list[int] = []
+    per_point: list[int] = []
+    equal = fastforward._mini_equal
+    snapshot_minis = SnapshotRecorder._snapshot_minis
+
+    def counted(*args):
+        calls.append(1)
+        return equal(*args)
+
+    def spy(recorder, minis, previous):
+        before = len(calls)
+        snapshots = snapshot_minis(recorder, minis, previous)
+        per_point.append(len(calls) - before)
+        return snapshots
+
+    with mock.patch.object(fastforward, "_mini_equal", counted), mock.patch.object(
+        SnapshotRecorder, "_snapshot_minis", spy
+    ):
+        golden = capture_tape(stream, config)
+    return per_point, len(calls) - sum(per_point), golden.fast_forward.tape
+
+
+def test_mini_compares_per_point_do_not_grow():
+    """Compare gate: a boundary compares the open mini, and a mini that
+    closed since the previous boundary once more; a closed one is never
+    compared again until the capture's one check at its end.  So the
+    compares per boundary are the same on 24 and 48 frames of input1/VS,
+    where comparing every mini at every boundary made 1.9 and 2.9."""
+    means = []
+    for scale in (TINY, QUICK):
+        per_point, at_end, tape = _mini_compares(input_stream("input1", scale), config_for("VS"))
+        assert len(per_point) == len(tape.boundaries)
+        closed = len(tape.boundaries[-1].minis) - 1
+        assert max(per_point) <= 2
+        assert sum(per_point) <= sum(1 for b in tape.boundaries if b.minis) + closed
+        assert at_end == closed
+        means.append((sum(per_point) + at_end) / len(per_point))
+    assert all(mean <= 1.1 for mean in means), means

@@ -33,7 +33,7 @@ from repro.faultinject.parallel import (
     plan_groups,
     resolve_workers,
 )
-from repro.faultinject.fastforward import BoundaryFanOut, FastForward
+from repro.faultinject.fastforward import BoundaryFanOut, FastForward, capture_tape
 from repro.faultinject.registers import NUM_REGISTERS, LivenessModel, RegKind
 from repro.observe import events
 from repro.summarize import pipeline, stitcher
@@ -41,6 +41,7 @@ from repro.summarize.approximations import config_for
 from repro.summarize.golden import clear_golden_cache, golden_run, golden_with_tape
 from repro.summarize.pipeline import FRAME
 from repro.telemetry.export import render_summary, summarize_trace, write_trace
+from repro.video.synthetic import make_input
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,54 @@ class TestFanoutWork:
         assert most[1] <= most[0], most
         assert prefix[1] >= 1.5 * prefix[0], prefix
 
+    def test_member_copies_do_not_grow_with_the_prefix(self):
+        """Restore-copy gate: a member's address space keeps the fan-out's
+        stand-ins and their id map as they are, and owns only its live
+        arrays and at most one dead clone, each by position and by id.
+        Apart from two buffers per mini-panorama, which the panorama
+        grows, the most a member owns is the same on 48 and 200 frames of
+        input1/VS, for GPR and for FPR plans, while the allocations it
+        resumes past grow fourfold.  Copying the stand-in list and the id
+        map made it grow with them."""
+        most, prefix = [], []
+        for n_frames in (QUICK.n_frames, 200):
+            stream = make_input("input1", n_frames=n_frames, frame_size=QUICK.frame_size)
+            fast_forward = capture_tape(stream, config_for("VS")).fast_forward
+            log = fast_forward.tape.fire_log
+            own = dict.fromkeys(RegKind, 0)
+            for index, point in enumerate(fast_forward.tape.boundaries):
+                fan = BoundaryFanOut(fast_forward, index)
+                fan._materialize()
+                state, live_bases = fast_forward._restore_app(point)
+                for kind in RegKind:
+                    # A register whose restored write binds a dead array:
+                    # its member clones that array.
+                    writes = (
+                        (register, log.slot_at(kind, register, point.checkpoints - 1))
+                        for register in range(NUM_REGISTERS)
+                    )
+                    register = next(
+                        (
+                            register
+                            for register, write in writes
+                            if write is not None
+                            and write.aid is not None
+                            and write.aid not in point.live_map
+                        ),
+                        0,
+                    )
+                    injector = FaultInjector(InjectionPlan(2**62, kind, register, 0))
+                    fan._restore_machine(injector, live_bases, state)
+                    space = injector.space
+                    assert space._stand_ins is fan._stand_ins
+                    assert space._shared is fan._shared
+                    owned = len(space._arrays) + len(space._position)
+                    own[kind] = max(own[kind], owned - 4 * len(state.minis))
+            most.append(own)
+            prefix.append(max(b.n_allocs for b in fast_forward.tape.boundaries))
+        assert most[0] == most[1], most
+        assert prefix[1] >= 3.5 * prefix[0], prefix
+
     # The default FPR lease ends before the next restore point, so the
     # FPR campaign holds its values live longer, or no member restores one.
     @pytest.mark.parametrize(
@@ -300,11 +349,11 @@ class TestFanoutWork:
             built.clear()
             restore_machine(fan, injector, live_bases, state)
             plan = injector.plan
-            prefix = injector.space._arrays
+            space = injector.space
             cloned = [
                 aid
                 for aid, stand_in in enumerate(fan._stand_ins)
-                if stand_in is not None and prefix[aid] is not stand_in
+                if stand_in is not None and space.array(aid) is not stand_in
             ]
             occupied = [
                 (slot_kind, slot)

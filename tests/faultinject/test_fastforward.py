@@ -1164,12 +1164,12 @@ class TestDeadStandIns:
 
         def restore_spy(fanout, injector, live_bases, state):
             restore_machine(fanout, injector, live_bases, state)
-            prefix = injector.space._arrays
+            space = injector.space
             cloned.append(
                 [
                     aid
                     for aid, stand_in in enumerate(fanout._stand_ins)
-                    if stand_in is not None and prefix[aid] is not stand_in
+                    if stand_in is not None and space.array(aid) is not stand_in
                 ]
             )
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.imaging.geometry import identity, rotation, scaling, translation
 from repro.imaging.image import blank
-from repro.imaging.warp import warp_into, warp_perspective, warp_stores
+from repro.imaging.warp import warp_geometry, warp_into, warp_perspective, warp_stores
 from repro.runtime.context import CostProfile, ExecutionContext
 from repro.runtime.errors import DegenerateModelError
 
@@ -128,11 +128,12 @@ class TestWarpStores:
             warp_into(canvas, coverage, gradient_image, mat, ExecutionContext())
         except DegenerateModelError:
             return
+        geometry = warp_geometry(mat, gradient_image.shape, canvas.shape)
         rows, cols = np.divmod(np.arange(canvas.size), canvas.shape[1])
-        stores = warp_stores(mat, gradient_image.shape, canvas.shape, rows, cols)
+        stores = warp_stores(geometry, gradient_image.shape, rows, cols)
         assert np.array_equal(stores, coverage.ravel() == 255)
         pick = np.random.default_rng(subset).random(canvas.size) < 0.05
         assert np.array_equal(
-            warp_stores(mat, gradient_image.shape, canvas.shape, rows[pick], cols[pick]),
+            warp_stores(geometry, gradient_image.shape, rows[pick], cols[pick]),
             stores[pick],
         )

@@ -25,6 +25,7 @@ from repro.faultinject.injector import FaultInjector
 from repro.observe import events
 from repro.summarize import golden, pipeline
 from repro.summarize.golden import clear_golden_cache, golden_cache_stats
+from repro.video import synthetic
 
 
 @pytest.fixture()
@@ -90,6 +91,27 @@ def test_cli_protect_runs_the_golden_once(clean_runs, capsys):
         "protected scopes: none\n"
         "modelled runtime overhead: 0.5% (vs 100% for full duplication)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["campaign", "protect"])
+def test_cli_renders_its_input_once(clean_runs, monkeypatch, command, capsys):
+    """The CLI takes its stream from the process's input cache, where the
+    campaign's workload spec rebuilds it: one ``make_input`` per workload."""
+    renders: collections.Counter = collections.Counter()
+    real = synthetic.make_input
+
+    def counting(which, *args, **kwargs):
+        renders[which] += 1
+        return real(which, *args, **kwargs)
+
+    for module in (synthetic, repro.cli):
+        monkeypatch.setattr(module, "make_input", counting)
+    monkeypatch.setattr(synthetic, "_INPUT_CACHE", {})
+    argv = [command, "--frames", "12", "-n", "8"]
+    if command == "campaign":
+        argv += ["--workers", "1", "--quiet"]
+    assert main(argv) == 0
+    assert renders == {"input2": 1}
 
 
 def test_fig10_runs_each_golden_once(clean_runs):

@@ -38,27 +38,23 @@ can rebuild a run's heap from a list of sizes and decide where a
 corrupted pointer lands (:meth:`~AddressSpace.fault`) without the
 arrays.
 
-**Shared stand-ins.**  A restored fan-out member maps its prefix's
-dead allocations as *shared read-only stand-ins*: the one decoded copy
-of their frozen bytes that every member of the group maps (see
-:mod:`repro.faultinject.fastforward`).  Only a corrupted pointer can
-reach one, and every pointer goes through
-:meth:`~AddressSpace.resolve`, which swaps the allocation it lands in
-for a private copy before returning it.  So ``byte_window``, pointer
-flips and every other caller get a writable array of their own, and
-the shared bytes stay pristine.  The stand-ins are named explicitly
-(:func:`shared_positions`, passed to ``note_prefix``), not inferred
-from ``flags.writeable``: a full run may map read-only arrays of its
-own, and those alias as themselves.  Their checks and their id ->
-position map are made once per fan-out, and a member's space looks
-positions and ids up in the fan-out's stand-ins first and in its own
-small maps second: it copies nothing the size of the prefix, and
-checks only the arrays it owns.
+**Dead allocations thaw on demand.**  A restored fan-out member notes
+its prefix as the tape's allocation sizes plus the arrays it owns: its
+live program state and, at most, one dead allocation its planned
+register binds (see :mod:`repro.faultinject.fastforward`).  Every other
+allocation of the prefix is dead: placement needs only its size, and
+only a corrupted pointer can reach its bytes.  Every pointer goes
+through :meth:`~AddressSpace.resolve`, which thaws the dead allocation
+it lands in from the tape into an array of the member's own before
+returning it.  So ``byte_window``, pointer flips and every other caller
+get a writable array of their own, the tape stays pristine, and a
+member copies nothing the size of the prefix and checks only the
+arrays it owns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +104,10 @@ class AddressSpace:
         self._arrays: dict[int, np.ndarray] = {}
         #: id -> position of every array in ``_arrays``.
         self._position: dict[int, int] = {}
-        #: A restored prefix's shared read-only stand-ins, by position
-        #: (None where this space owns the array), and their id ->
-        #: position map; both belong to the fan-out and never change.
-        self._stand_ins: Sequence[np.ndarray | None] = ()
-        self._shared: dict[int, int] = {}
-        #: Stand-ins ``resolve`` swapped for a private copy.
-        self._swapped: list[np.ndarray] = []
+        #: A restored prefix's allocation sizes, by position, and how
+        #: to thaw a dead one this space does not own yet.
+        self._prefix = np.empty(0, dtype=np.int64)
+        self._thaw: Callable[[int], np.ndarray] | None = None
         #: Base of every placed array, by position: placement is a
         #: prefix of the positions, the rest is pending.
         self._bases: list[int] = []
@@ -141,7 +134,7 @@ class AddressSpace:
         space.
         """
         key = id(array)
-        if key in self._shared or key in self._position:
+        if key in self._position:
             return
         _check_mappable(array)
         self._position[key] = self._count
@@ -150,41 +143,35 @@ class AddressSpace:
 
     def note_prefix(
         self,
-        stand_ins: Sequence[np.ndarray | None],
-        shared: dict[int, int],
+        nbytes: np.ndarray,
+        thaw: Callable[[int], np.ndarray],
         private: dict[int, np.ndarray],
     ) -> None:
         """Note a restored prefix into this empty space, as one :meth:`note` each would.
 
-        The prefix is ``len(stand_ins)`` arrays in first-use order,
-        without repeats: the ``private`` array at each of its positions,
-        else the shared read-only stand-in there.  ``shared`` is the id
-        -> position map of those stand-ins (see the module docstring),
-        made and checked once per fan-out by :func:`shared_positions`;
-        the ``private`` arrays are checked here.  The space keeps
-        ``stand_ins`` and ``shared`` as they are, so neither may change.
+        The prefix is ``len(nbytes)`` allocations in first-use order, of
+        these sizes (an empty array counts 1): the ``private`` array at
+        each of its positions, which is checked here, else a dead
+        allocation that ``thaw(position)`` returns a fresh copy of (see
+        the module docstring).  The space keeps ``nbytes`` as it is, so
+        it may not change.
         """
         if self._count:
             raise ValueError("a prefix can only be noted into an empty address space")
         for index, array in private.items():
             _check_mappable(array)
+            if not 0 <= index < len(nbytes) or max(array.nbytes, 1) != nbytes[index]:
+                raise ValueError(f"private array {index} does not fit the prefix")
             self._position[id(array)] = index
-        covered = len(shared) + sum(stand_ins[index] is None for index in private)
-        if len(self._position) != len(private) or covered != len(stand_ins):
-            raise ValueError("the prefix is not covered once by its shared and private arrays")
+        if len(self._position) != len(private):
+            raise ValueError("one private array is noted at two positions")
         self._arrays = dict(private)
-        self._stand_ins, self._shared, self._count = stand_ins, shared, len(stand_ins)
+        self._prefix, self._thaw, self._count = nbytes, thaw, len(nbytes)
 
     def ensure(self, array: np.ndarray) -> int:
         """Return the base address of ``array``, allocating on first use."""
         self.note(array)
-        key = id(array)
-        return self.base(self._shared[key] if key in self._shared else self._position[key])
-
-    def array(self, position: int) -> np.ndarray:
-        """The array noted at ``position``: this space's own, else the shared stand-in."""
-        array = self._arrays.get(position)
-        return self._stand_ins[position] if array is None else array
+        return self.base(self._position[id(array)])
 
     @classmethod
     def layout(cls, seed: int, nbytes: np.ndarray) -> "AddressSpace":
@@ -206,10 +193,11 @@ class AddressSpace:
 
     def _place_pending(self) -> None:
         """Place every noted allocation, in first-use order."""
-        pending = range(len(self._bases), self._count)
-        if pending:
-            nbytes = (self.array(position).nbytes for position in pending)
-            self._place(np.fromiter(nbytes, np.int64, len(pending)))
+        placed = len(self._bases)
+        if placed < self._count:
+            noted = range(max(placed, len(self._prefix)), self._count)
+            nbytes = np.fromiter((self._arrays[p].nbytes for p in noted), np.int64, len(noted))
+            self._place(np.concatenate((self._prefix[placed:], nbytes)))
 
     def _place(self, nbytes: np.ndarray) -> None:
         """Place the next ``len(nbytes)`` allocations, of these sizes, in batched draws."""
@@ -314,8 +302,9 @@ class AddressSpace:
     def resolve(self, address: int) -> tuple[Allocation, int]:
         """Map ``address`` to ``(allocation, byte_offset)`` or segfault.
 
-        A shared stand-in is swapped for a private copy first, so the
-        returned allocation's array is always the caller's to write.
+        A dead allocation of a restored prefix is thawed into an array
+        of this space's own first, so the returned allocation's array is
+        always the caller's to write.
         """
         index = self._find(address)
         if index is None:
@@ -324,9 +313,8 @@ class AddressSpace:
         position = int(self._order[index])
         array = self._arrays.get(position)
         if array is None:
-            stand_in = self._stand_ins[position]
-            self._swapped.append(stand_in)
-            array = self._arrays[position] = stand_in.copy()
+            array = self._arrays[position] = self._thaw(position)
+            self._position[id(array)] = position
             telemetry.counter_inc("campaign.fanout.cow_clones")
         return Allocation(base=base, nbytes=end - base, array=array), address - base
 
@@ -342,19 +330,6 @@ class AddressSpace:
         alloc, offset = self.resolve(address)
         view = alloc.array.reshape(-1).view(np.uint8)
         return view, offset
-
-
-def shared_positions(arrays: Iterable[tuple[int, np.ndarray]]) -> dict[int, int]:
-    """The id -> position map of shared stand-ins ``(position, array)``, each checked once.
-
-    Made once per fan-out and handed to every member's
-    :meth:`AddressSpace.note_prefix`.
-    """
-    positions: dict[int, int] = {}
-    for index, array in arrays:
-        _check_mappable(array)
-        positions[id(array)] = index
-    return positions
 
 
 def _check_mappable(array: np.ndarray) -> None:

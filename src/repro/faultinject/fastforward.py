@@ -99,7 +99,7 @@ at every prefix checkpoint:
   *from* whatever allocation it lands in, so the byte content of every
   prefix allocation matters at fire time.  Arrays that are dead at a
   restore point (kernel-local temporaries, earlier frame copies) are
-  frozen by content and mapped as read-only stand-ins of those bytes;
+  frozen by content and thawed from the tape when a pointer lands in one;
   arrays that are still live program state (mini-panorama canvases,
   the previous frame's feature arrays and, inside a frame, the working
   frame copy and its features) are restored as the *same objects* the
@@ -111,13 +111,14 @@ at every prefix checkpoint:
 
 Restores are destructive (the flip may corrupt any restored object it
 can reach), so every restore rebuilds what a flip can reach from the
-immutable tape.  The tape holds bytes and records only, and the
-capture holds each dead byte once.  A recorded array keeps its
+immutable tape.  The tape holds arrays and records only, and the
+capture holds each dead byte once, in the narrowest dtype that gives
+it back exactly.  A recorded array keeps its
 allocation id while it lives: a weak reference drops its ``id`` key as
 it dies, so an array that reuses the ``id`` is a new allocation and a
 dead array's stale data pointer places nothing.  The capture pins an
 array only until the first restore point it is dead at, where it
-freezes its bytes and lets the array go; an allocation frozen dead is
+freezes its content and lets the array go; an allocation frozen dead is
 never live again (the capture refuses one that would be).  A
 mini-panorama the loop has closed is snapshotted once, when it closes,
 and stays read-only until the capture ends, which checks it once more:
@@ -131,18 +132,16 @@ copies it from the frame table.
 Every restore runs through **boundary fan-out** (:class:`BoundaryFanOut`),
 which amortizes it across a campaign: plans are dispatched in groups by
 the frame their restore point lies in (see
-:func:`repro.faultinject.parallel.plan_groups`), each restore point's
-source is materialized **once per worker** — the
-frozen dead-allocation bytes are decoded into a shared read-only base —
-and every member maps that base as is.  A restore copies only what a
-flip can write: the live pipeline state, and the dead allocation its
-planned slot's restored binding holds, if any (a bound array is
-flipped in place, a read pointer copies into its own array).  Every
-other dead allocation is reachable only by a corrupted pointer, and
-the member's address
-space hands out a private copy of the one allocation a pointer lands
-in (:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
-flip costs one copy, not one per dead allocation.  Fan-out members
+:func:`repro.faultinject.parallel.plan_groups`), and every member maps
+its point's prefix as the tape's allocation sizes plus the arrays it
+owns.  A restore copies only what a flip can write: the live pipeline
+state, and the dead allocation its planned slot's restored binding
+holds, if any (a bound array is flipped in place, a read pointer
+copies into its own array), thawed from the tape.  Every other dead
+allocation is reachable only by a corrupted pointer, and the member's
+address space thaws the one allocation a pointer lands in
+(:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
+flip costs one thaw, not one per dead allocation.  Fan-out members
 additionally carry a convergence watch: once the flip has fired, every
 restore point of the live suffix (frame tops and in-frame points alike)
 is compared against the golden tape's snapshot of the same point, and
@@ -195,7 +194,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.faultinject import addrspace
-from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace, shared_positions
+from repro.faultinject.addrspace import PAGE_SIZE, AddressSpace
 from repro.faultinject.injector import InjectionPlan, InjectionRecord
 from repro.faultinject.outcomes import CrashKind, Outcome
 from repro.faultinject.registers import (
@@ -266,16 +265,71 @@ class AllocRecord:
 
     Pure tape data: the :class:`SnapshotRecorder` pins the capture-run
     array only until it freezes it, and the tape never holds it.
-    ``frozen`` holds the byte content at the first restore point where
-    the array was no longer live program state; live arrays are never
-    frozen (they are rebuilt from the pipeline snapshot instead).
+    ``frozen`` holds the content at the first restore point where the
+    array was no longer live program state, flat, read-only and in the
+    narrowest dtype that gives its bytes back exactly (:func:`_narrow`);
+    :meth:`thaw` rebuilds the array.  Live arrays are never frozen (they
+    are rebuilt from the pipeline snapshot instead).
     """
 
     aid: int
     dtype: np.dtype
     shape: tuple
     nbytes: int
-    frozen: bytes | None = None
+    frozen: np.ndarray | None = None
+
+    def thaw(self) -> np.ndarray:
+        """A fresh writable array of the recorded dtype and shape, with the frozen content."""
+        return self.frozen.astype(self.dtype).reshape(self.shape)
+
+
+#: The dtypes a frozen array may be stored in, narrowest first: an
+#: integer array takes the first rung of the integer ladder narrower
+#: than its own dtype whose round trip gives its bytes back, a
+#: ``float64`` array the first such rung of the float ladder, and any
+#: other array keeps its dtype.
+_INT_LADDER = tuple(map(np.dtype, ("i1", "u1", "i2", "u2", "i4", "u4")))
+_FLOAT_LADDER = tuple(map(np.dtype, ("u1", "i1", "u2", "i2", "f4")))
+
+#: Elements a round trip checks first, and then at a time: most arrays
+#: that do not narrow fail in the first few, and no check holds a
+#: temporary the size of the array.
+_PROBE = 64
+_BLOCK = 1 << 14
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """``array``'s content, flat and read-only, in the narrowest exact ladder dtype.
+
+    A candidate is exact when converting back to ``array.dtype`` gives
+    the same bytes (so ``-0.0``, NaN payloads and out-of-range values
+    stay in a dtype that holds them); with none, the array keeps its
+    own dtype.  The result owns its memory.
+    """
+    flat = np.ravel(array)
+    dtype = flat.dtype
+    if dtype == np.float64:
+        ladder = _FLOAT_LADDER
+    elif dtype.kind in "iu":
+        ladder = tuple(step for step in _INT_LADDER if step.itemsize < dtype.itemsize)
+    else:
+        ladder = ()
+    with np.errstate(invalid="ignore", over="ignore"):
+        step = next((step for step in ladder if _round_trips(flat, step)), None)
+    stored = flat.copy() if step is None else flat.astype(step)
+    stored.flags.writeable = False
+    return stored
+
+
+def _round_trips(flat: np.ndarray, dtype: np.dtype) -> bool:
+    """Whether ``flat`` comes back bitwise from ``dtype``, checked in blocks."""
+    start, stop = 0, _PROBE
+    while start < len(flat):
+        block = flat[start:stop]
+        if block.astype(dtype).astype(flat.dtype).tobytes() != block.tobytes():
+            return False
+        start, stop = stop, stop + _BLOCK
+    return True
 
 
 @dataclass
@@ -539,8 +593,8 @@ class SnapshotRecorder:
     Each recorded array keeps its aid for as long as it lives: a weak
     reference drops its ``id`` key the moment it dies, so a later array
     that reuses the ``id`` gets a fresh aid.  The recorder pins an array
-    only until :meth:`_settle` freezes its bytes, so every dead
-    temporary is held once, as those bytes; :meth:`release` drops the
+    only until :meth:`_settle` freezes it, so every dead temporary
+    is held once, narrowed (:func:`_narrow`); :meth:`release` drops the
     rest when the capture ends, and the tape it leaves behind holds no
     capture-run array.
     """
@@ -764,7 +818,7 @@ class SnapshotRecorder:
             # First restore point where this allocation is dead: its
             # byte content is final from the program's point of view,
             # so freeze it once for all later restores, and unpin it.
-            self.allocs[aid].frozen = self._unfrozen.pop(aid).tobytes()
+            self.allocs[aid].frozen = _narrow(self._unfrozen.pop(aid))
         return live_map
 
 
@@ -1485,47 +1539,27 @@ def _discard_float(value: float) -> None:
 
 
 class BoundaryFanOut:
-    """Shared restore source for all injections resuming at one restore point.
+    """Restore source for all injections resuming at one restore point.
 
-    Materialized lazily on the first member: the point's frozen
-    dead-allocation bytes are decoded **once** into read-only arrays —
-    zero-copy views of the tape's immutable ``frozen`` buffers — that
-    every member maps as its dead stand-ins.  Restores are destructive
-    (a fired flip may corrupt whatever it reaches), so a member copies
-    exactly what its flip can write: the live pipeline state, the dead
-    array its planned slot's restored binding holds, and — through
+    Holds nothing the size of the prefix: every member maps the point's
+    prefix as the tape's allocation sizes plus its own arrays.
+    Restores are destructive (a fired flip may corrupt whatever it
+    reaches), so a member copies exactly what its flip can write: the
+    live pipeline state, the dead array its planned slot's restored
+    binding holds (thawed from the tape), and — through
     :meth:`~repro.faultinject.addrspace.AddressSpace.resolve` — the one
-    allocation a corrupted pointer lands in.  Nothing writable is
-    shared between members, and the base and the tape stay pristine.
-    The differential suite checks campaigns byte-for-byte against
-    unrestored full runs.
+    dead allocation a corrupted pointer lands in, thawed the same way.
+    Nothing writable is shared between members, and the tape stays
+    pristine: its frozen arrays are read-only.  The differential suite
+    checks campaigns byte-for-byte against unrestored full runs.
     """
 
     def __init__(self, fast_forward: FastForward, index: int) -> None:
         self.fast_forward = fast_forward
         self.index = index
         self.snapshot = fast_forward.tape.boundaries[index]
-        #: aid -> the shared read-only stand-in, None for live aids.
-        self._stand_ins: list[np.ndarray | None] | None = None
-        #: id -> aid of every stand-in, checked mappable once for every
-        #: member.
-        self._shared: dict[int, int] = {}
-
-    def _materialize(self) -> None:
-        """Decode this point's dead allocations once, read-only."""
-        snapshot = self.snapshot
-        # np.frombuffer over the frozen bytes is read-only, so the
-        # shared base is immune to member corruption by construction.
-        stand_ins = [
-            None
-            if record.aid in snapshot.live_map
-            else np.frombuffer(record.frozen, dtype=record.dtype).reshape(record.shape)
-            for record in self.fast_forward.tape.allocs[: snapshot.n_allocs]
-        ]
-        self._shared = shared_positions(
-            (aid, array) for aid, array in enumerate(stand_ins) if array is not None
-        )
-        self._stand_ins = stand_ins
+        #: Whether a member has resumed here yet.
+        self._resumed = False
 
     def resume_member(self, ctx: ExecutionContext) -> np.ndarray:
         """Restore this point into ``ctx`` and run the live suffix.
@@ -1536,8 +1570,8 @@ class BoundaryFanOut:
         panorama, exactly as the full workload closure would.
         """
         snapshot = self.snapshot
-        if self._stand_ins is None:
-            self._materialize()
+        if not self._resumed:
+            self._resumed = True
             telemetry.counter_inc("campaign.fanout.shared_restores")
         elif observe_events.enabled():
             telemetry.counter_inc(f"campaign.fanout.{snapshot.label}.restores_saved")
@@ -1578,23 +1612,23 @@ class BoundaryFanOut:
         ff = self.fast_forward
         snapshot = self.snapshot
         plan = injector.plan
+        allocs = ff.tape.allocs
         write = ff.tape.fire_log.slot_at(plan.kind, plan.register, snapshot.checkpoints - 1)
-        stand_ins = self._stand_ins
         # aid -> the member's own array: its live arrays and, at most,
         # one private clone of a dead one.
         private: dict[int, np.ndarray] = {}
-        if write is not None and write.aid is not None and stand_ins[write.aid] is not None:
+        if write is not None and write.aid is not None and write.aid not in snapshot.live_map:
             # A flip writes a bound array in place, and a read pointer
-            # copies into its own array; a read-only stand-in would
-            # refuse both, so the planned binding's gets a private clone.
-            private[write.aid] = stand_ins[write.aid].copy()
+            # copies into its own array: the planned binding's dead
+            # array is thawed into the member's own.
+            private[write.aid] = allocs[write.aid].thaw()
             telemetry.counter_inc("campaign.fanout.cow_clones")
         for aid, (key, offset, identity) in snapshot.live_map.items():
             base = live_bases[key]
             if identity:
                 private[aid] = base
             else:
-                record = ff.tape.allocs[aid]
+                record = allocs[aid]
                 flat = base.reshape(-1).view(np.uint8)
                 private[aid] = (
                     flat[offset : offset + record.nbytes].view(record.dtype).reshape(record.shape)
@@ -1602,10 +1636,12 @@ class BoundaryFanOut:
         # Replay the prefix's first-use allocation sequence, in order,
         # into the injected run's fresh address space: the heap layout
         # (and the RNG draws behind it, made when placement is first
-        # forced) is bit-identical to a full run's.  The shared
-        # stand-ins were checked once per fan-out and are looked up in
-        # place; only the member's own arrays are checked here.
-        injector.space.note_prefix(stand_ins, self._shared, private)
+        # forced) is bit-identical to a full run's.  Placement reads the
+        # tape's sizes; a dead allocation is thawed only if a pointer
+        # lands in it.
+        injector.space.note_prefix(
+            ff._nbytes[: snapshot.n_allocs], lambda aid: allocs[aid].thaw(), private
+        )
 
         slots: dict[RegKind, list[SlotEntry | None]] = {
             kind: [None] * NUM_REGISTERS for kind in RegKind

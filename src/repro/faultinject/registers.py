@@ -384,16 +384,6 @@ class RegisterWindow:
             raise TypeError(f"fpr_array needs a float array, got {array.dtype}")
         self.bindings.append(ArrayBinding(name, array, RegKind.FPR, ttl=ttl))
 
-    def fpr_value(
-        self,
-        name: str,
-        value: float,
-        apply: Callable[[float], None],
-        ttl: int | None = None,
-    ) -> None:
-        """Bind a floating-point scalar with an apply callback into an FPR slot."""
-        self.bindings.append(FloatValueBinding(name, value, apply, ttl=ttl))
-
 
 @dataclass
 class SlotEntry:

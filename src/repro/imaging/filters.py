@@ -88,10 +88,17 @@ def sobel_gradients(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def harris_response(image: np.ndarray, k: float = 0.04, window_radius: int = 2) -> np.ndarray:
     """Harris corner response map, used to rank FAST keypoints (as ORB does)."""
     gx, gy = sobel_gradients(image)
-    products = np.stack([gx * gx, gy * gy, gx * gy])
     size = 2 * window_radius + 1
     kernel = np.full(size, 1.0 / size)
-    sxx, syy, sxy = _convolve(_convolve(products, kernel, axis=2), kernel, axis=1)
+
+    def window_sum(product: np.ndarray) -> np.ndarray:
+        return _convolve(_convolve(product, kernel, axis=1), kernel, axis=0)
+
+    # One product at a time: the same sums as smoothing the three
+    # stacked, with a third of the temporaries.
+    sxx = window_sum(gx * gx)
+    syy = window_sum(gy * gy)
+    sxy = window_sum(gx * gy)
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
     return det - k * trace * trace

@@ -70,11 +70,6 @@ class ProtectionPlan:
     protected_scopes: dict[str, float]  # profile scope -> cycle fraction
     runtime_overhead: float  # modelled slowdown of the protected binary
 
-    @property
-    def protected_cycle_fraction(self) -> float:
-        """Share of execution cycles that run duplicated."""
-        return sum(self.protected_scopes.values())
-
 
 def classify_sites(
     campaign: CampaignResult,

@@ -70,11 +70,6 @@ class VSResult:
         return sum(1 for o in self.outcomes if o.status == "discarded")
 
     @property
-    def affine_fallbacks(self) -> int:
-        """Frames that needed the simpler affine model."""
-        return sum(1 for o in self.outcomes if o.model_type == "affine")
-
-    @property
     def num_minis(self) -> int:
         """Number of mini-panoramas generated."""
         return len(self.minis)

@@ -4,14 +4,29 @@ The VIRAT aerial videos are not redistributable, so the inputs are
 rendered from a synthetic landscape: multi-octave value noise for ground
 texture, plus roads, buildings and field boundaries that give the FAST
 detector the corner structure real aerial imagery has.
+
+The full-size float passes run in place, in blocks of output rows, so
+a render holds one float field and block-sized temporaries: the same
+elementwise arithmetic and generator stream as whole-field passes, so
+the same bytes.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.imaging.draw import draw_line, fill_disk, fill_rect
 from repro.imaging.image import saturate_cast_u8
+
+#: Output rows per block of a full-size float pass.
+BLOCK_ROWS = 64
+
+
+def _row_blocks(height: int) -> Iterator[slice]:
+    """The row slices of a ``height``-row field, ``BLOCK_ROWS`` at a time."""
+    return (slice(top, min(top + BLOCK_ROWS, height)) for top in range(0, height, BLOCK_ROWS))
 
 
 def value_noise(
@@ -29,18 +44,32 @@ def value_noise(
     for octave in range(octaves):
         cells = base_cells * (2**octave)
         grid = rng.random((cells + 1, cells + 1))
-        field += amplitude * _bilinear_upsample(grid, height, width)
+        for rows, values in _upsampled_blocks(grid, height, width):
+            values *= amplitude
+            field[rows] += values
         total += amplitude
         amplitude *= persistence
-    return field / total
+    field /= total
+    return field
 
 
 def _bilinear_upsample(grid: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Bilinearly stretch a coarse grid to ``(height, width)``.
+    """Bilinearly stretch a coarse grid to ``(height, width)``."""
+    out = np.empty((height, width), dtype=np.float64)
+    for rows, values in _upsampled_blocks(grid, height, width):
+        out[rows] = values
+    return out
+
+
+def _upsampled_blocks(
+    grid: np.ndarray, height: int, width: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``grid`` bilinearly stretched to ``(height, width)``, one row block at a time.
 
     Separable: every coarse row is interpolated along x once, and the
     output rows gather those — the same elementwise arithmetic as
-    interpolating each output row from its four corner samples.
+    interpolating each output row from its four corner samples.  Each
+    yielded block is a fresh array.
     """
     gh, gw = grid.shape
     ys = np.linspace(0, gh - 1, height)
@@ -51,8 +80,14 @@ def _bilinear_upsample(grid: np.ndarray, height: int, width: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, gw - 1)
     fy = (ys - y0)[:, np.newaxis]
     fx = xs - x0
-    rows = grid[:, x0] * (1 - fx) + grid[:, x1] * fx
-    return rows[y0] * (1 - fy) + rows[y1] * fy
+    along_x = grid[:, x0] * (1 - fx) + grid[:, x1] * fx
+    for rows in _row_blocks(height):
+        values = along_x[y0[rows]]
+        values *= 1 - fy[rows]
+        below = along_x[y1[rows]]
+        below *= fy[rows]
+        values += below
+        yield rows, values
 
 
 def make_landscape(seed: int, height: int = 900, width: int = 1200) -> np.ndarray:
@@ -64,7 +99,9 @@ def make_landscape(seed: int, height: int = 900, width: int = 1200) -> np.ndarra
     matching.
     """
     rng = np.random.default_rng(seed)
-    field = 60.0 + 120.0 * value_noise(rng, height, width)
+    field = value_noise(rng, height, width)
+    field *= 120.0
+    field += 60.0
     area = height * width
 
     # Field boundaries: large rectangles with slightly different tones.
@@ -117,5 +154,9 @@ def make_landscape(seed: int, height: int = 900, width: int = 1200) -> np.ndarra
         fill_rect(field, cx, cy, size, size, tone)
 
     # Fine sensor-scale texture so flat regions still carry gradient.
-    field += rng.normal(0.0, 3.0, size=field.shape)
-    return saturate_cast_u8(field)
+    image = np.empty(field.shape, dtype=np.uint8)
+    for rows in _row_blocks(height):
+        block = field[rows]
+        block += rng.normal(0.0, 3.0, size=block.shape)
+        image[rows] = saturate_cast_u8(block)
+    return image

@@ -110,6 +110,8 @@ def _score_map(image_f: np.ndarray, threshold: float) -> np.ndarray:
         np.less(ring, darker_than, out=flags[index, 1])
     arcs = _ARC_TABLE[_circle_masks(flags)]
     corners = np.flatnonzero(arcs[0] | arcs[1])
+    # Free the flags before the corners' circles are gathered.
+    del flags, arcs
     rows, cols = np.divmod(corners, w)
     inside = cols < inner_w
     pixels = start + corners[inside]

@@ -10,13 +10,15 @@ read-only from then on.  The oracle below is the capture as it was
 before any of that, kept as it was: it pins every array until the
 capture ends, resolves every record against every live base at every
 boundary, and compares every mini with its previous snapshot at every
-boundary.  Both captures of each tiny workload must give the same tape:
-allocations with their frozen bytes, live maps, mini and feature
-snapshots, and the fire log.
+boundary, and it keeps each dead array's bytes as they were at freeze,
+in the array's own dtype.  Both captures of each tiny workload must
+give the same tape: allocations with their frozen content (thawed),
+live maps, mini and feature snapshots, and the fire log.
 
 The tape also drops what restores never read: allocation records hold
-no capture-run array, and a mini-panorama that did not change since the
-previous boundary (every closed one) shares that boundary's snapshot.
+no capture-run array, their frozen content is stored narrowed, and a
+mini-panorama that did not change since the previous boundary (every
+closed one) shares that boundary's snapshot.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from repro.summarize.approximations import config_for
 
 class _PinningRecorder(SnapshotRecorder):
     """The capture before it unpinned frozen arrays: every pin, a full scan per
-    boundary, and a compare of every mini at every boundary.
+    boundary, a compare of every mini at every boundary, and each dead
+    array's bytes at freeze, stored unnarrowed in its own dtype.
 
     Also keeps a private copy of every mini-panorama at every boundary,
     to check the shared snapshots against.
@@ -68,7 +71,8 @@ class _PinningRecorder(SnapshotRecorder):
             if placement is not None:
                 live_map[record.aid] = placement
             elif record.frozen is None:
-                record.frozen = self.pinned[record.aid].tobytes()
+                raw = self.pinned[record.aid].tobytes()
+                record.frozen = np.frombuffer(raw, dtype=record.dtype)
         return live_map
 
     def _snapshot_minis(self, minis, previous):
@@ -127,6 +131,11 @@ def test_live_map_matches_full_scan_at_every_boundary(tapes):
     assert any(b.live_map for b in indexed.boundaries)
 
 
+def _content(record) -> bytes | None:
+    """A record's frozen content as the bytes of its array, or None while live."""
+    return None if record.frozen is None else record.thaw().tobytes()
+
+
 def test_frozen_bytes_match_full_scan(tapes):
     indexed, full, _ = tapes
     assert len(indexed.allocs) == len(full.allocs) > 0
@@ -137,14 +146,21 @@ def test_frozen_bytes_match_full_scan(tapes):
             theirs.shape,
             theirs.nbytes,
         )
-        assert mine.frozen == theirs.frozen
+        assert _content(mine) == _content(theirs)
+        if mine.frozen is not None:
+            assert mine.frozen.nbytes <= theirs.frozen.nbytes
     assert any(record.frozen is not None for record in indexed.allocs)
 
 
 def test_alloc_records_hold_no_array(tapes):
+    """The one array a record holds is its frozen copy: read-only, and owning
+    its memory, so no capture-run array stays reachable through it."""
     indexed, _, _ = tapes
     for record in indexed.allocs:
-        assert not any(isinstance(value, np.ndarray) for value in vars(record).values())
+        arrays = [value for value in vars(record).values() if isinstance(value, np.ndarray)]
+        assert arrays == ([] if record.frozen is None else [record.frozen])
+        for array in arrays:
+            assert array.flags.owndata and not array.flags.writeable
 
 
 def test_closed_minis_share_snapshots_across_boundaries(tapes):
@@ -219,11 +235,19 @@ def test_settle_matches_full_scan_on_views(picks, live_later):
         assert indexed == full
         assert list(indexed) == list(full)
         for mine, theirs in zip(recorders[0].allocs, recorders[1].allocs):
-            assert mine.frozen == theirs.frozen
+            assert _content(mine) == _content(theirs)
 
 
 def _same(mine, theirs) -> bool:
-    """Deep equality of tape data: arrays by dtype, shape and bytes."""
+    """Deep equality of tape data: arrays by dtype, shape and bytes, and
+    allocation records by their fields and thawed content."""
+    if isinstance(mine, fastforward.AllocRecord):
+        return (
+            isinstance(theirs, fastforward.AllocRecord)
+            and (mine.aid, mine.dtype, mine.shape, mine.nbytes)
+            == (theirs.aid, theirs.dtype, theirs.shape, theirs.nbytes)
+            and _content(mine) == _content(theirs)
+        )
     if isinstance(mine, np.ndarray):
         return (
             isinstance(theirs, np.ndarray)
@@ -302,7 +326,7 @@ def test_reused_id_gets_a_fresh_aid():
     array = np.arange(6.0)
     aid = recorder._ensure(array)
     recorder._settle([])
-    assert recorder.allocs[aid].frozen == array.tobytes()
+    assert recorder.allocs[aid].thaw().tobytes() == array.tobytes()
     key = id(array)
     del array
     # Keep every miss alive, so the allocator hands out the dead slot.
@@ -364,7 +388,7 @@ def test_capture_peak_is_what_it_holds():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    frozen = sum(len(r.frozen) for r in golden.fast_forward.tape.allocs if r.frozen)
+    frozen = sum(r.frozen.nbytes for r in golden.fast_forward.tape.allocs if r.frozen is not None)
     assert held - start > frozen > 0
     assert peak - start <= 1.10 * (held - start), (peak - start, held - start)
 
@@ -409,3 +433,15 @@ def test_mini_compares_per_point_do_not_grow():
         assert at_end == closed
         means.append((sum(per_point) + at_end) / len(per_point))
     assert all(mean <= 1.1 for mean in means), means
+
+
+def test_frozen_content_is_stored_narrow():
+    """Storage gate: the tape stores its dead arrays' content in at most 0.35
+    of their bytes, on 24 and 48 frames of input1/VS.  Stored in their
+    own dtypes, they took all of them."""
+    for scale in (TINY, QUICK):
+        golden = capture_tape(input_stream("input1", scale), config_for("VS"))
+        frozen = [r for r in golden.fast_forward.tape.allocs if r.frozen is not None]
+        dead = sum(r.frozen.size * r.dtype.itemsize for r in frozen)
+        stored = sum(r.frozen.nbytes for r in frozen)
+        assert 0 < stored <= 0.35 * dead, (scale.name, stored / dead)

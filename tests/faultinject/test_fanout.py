@@ -5,10 +5,11 @@ differential suite in ``test_fastforward.py``.  This module covers the
 scheduler pieces around it: group partitioning edge cases, contiguous
 groups for tapeless workloads, worker clamping to the group count,
 group-granularity journal checkpoints, the ORB calls the fan-out saves
-over full execution, the mappability checks a restore leaves to the
-shared stand-ins, the one binding and the one dead clone a member's
-restore may make, and the fan-out counters and per-boundary
-amortization section of ``repro trace summarize``.
+over full execution, the mappability checks a restore makes (its own
+arrays only), the one binding and the one dead clone a member's
+restore may make, what a fan-out and a member hold as the prefix
+grows, and the fan-out counters and per-boundary amortization section
+of ``repro trace summarize``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.faultinject.parallel import (
 from repro.faultinject.fastforward import BoundaryFanOut, FastForward, capture_tape
 from repro.faultinject.registers import NUM_REGISTERS, LivenessModel, RegKind
 from repro.observe import events
+from repro.runtime.context import ExecutionContext
 from repro.summarize import pipeline, stitcher
 from repro.summarize.approximations import config_for
 from repro.summarize.golden import clear_golden_cache, golden_run, golden_with_tape
@@ -53,6 +55,18 @@ def vs():
     spec = VSWorkloadSpec.for_stream(stream, config)
     assert spec is not None
     return stream, config, golden, vs_workload(stream, config), spec
+
+
+@pytest.fixture(scope="module")
+def long_tapes():
+    """Fast-forward handles over 48 and 200 frames of input1/VS."""
+    return [
+        capture_tape(
+            make_input("input1", n_frames=n_frames, frame_size=QUICK.frame_size),
+            config_for("VS"),
+        ).fast_forward
+        for n_frames in (QUICK.n_frames, 200)
+    ]
 
 
 def _config(**overrides) -> CampaignConfig:
@@ -234,10 +248,11 @@ class TestFanoutWork:
     def test_member_checks_only_its_own_arrays(self):
         """A member's restore checks the arrays it owns, not the prefix.
 
-        The shared stand-ins are checked once per fan-out, so a member's
-        ``_check_mappable`` calls are its live arrays plus, when its
-        planned slot's restored binding holds a dead array, that array's
-        private clone, at every restore point and for every register.
+        A dead allocation is placed by its size alone and thawed only
+        where a pointer lands, so a member's ``_check_mappable`` calls
+        are its live arrays plus, when its planned slot's restored
+        binding holds a dead array, that array's thawed clone, at every
+        restore point and for every register.
         Those are loop state, not prefix: apart from two buffers per
         mini-panorama, which the panorama grows, the most any member
         checks is the same on 24 and 48 frames of input1/VS (17), while
@@ -251,8 +266,6 @@ class TestFanoutWork:
             own = []
             for index in range(len(fast_forward.tape.boundaries)):
                 fan = fast_forward.fanout(index)
-                if fan._stand_ins is None:
-                    fan._materialize()
                 point = fan.snapshot
                 state, live_bases = fast_forward._restore_app(point)
                 checked = 0
@@ -273,24 +286,21 @@ class TestFanoutWork:
         assert most[1] <= most[0], most
         assert prefix[1] >= 1.5 * prefix[0], prefix
 
-    def test_member_copies_do_not_grow_with_the_prefix(self):
-        """Restore-copy gate: a member's address space keeps the fan-out's
-        stand-ins and their id map as they are, and owns only its live
-        arrays and at most one dead clone, each by position and by id.
-        Apart from two buffers per mini-panorama, which the panorama
-        grows, the most a member owns is the same on 48 and 200 frames of
-        input1/VS, for GPR and for FPR plans, while the allocations it
-        resumes past grow fourfold.  Copying the stand-in list and the id
-        map made it grow with them."""
+    def test_member_copies_do_not_grow_with_the_prefix(self, long_tapes):
+        """Restore-copy gate: a member's address space reads the prefix's
+        sizes as a slice of the tape's, and owns only its live arrays and
+        at most one dead clone, each by position and by id.  Apart from
+        two buffers per mini-panorama, which the panorama grows, the most
+        a member owns is the same on 48 and 200 frames of input1/VS, for
+        GPR and for FPR plans, while the allocations it resumes past grow
+        fourfold.  Copying the prefix's arrays or their id map made it
+        grow with them."""
         most, prefix = [], []
-        for n_frames in (QUICK.n_frames, 200):
-            stream = make_input("input1", n_frames=n_frames, frame_size=QUICK.frame_size)
-            fast_forward = capture_tape(stream, config_for("VS")).fast_forward
+        for fast_forward in long_tapes:
             log = fast_forward.tape.fire_log
             own = dict.fromkeys(RegKind, 0)
             for index, point in enumerate(fast_forward.tape.boundaries):
                 fan = BoundaryFanOut(fast_forward, index)
-                fan._materialize()
                 state, live_bases = fast_forward._restore_app(point)
                 for kind in RegKind:
                     # A register whose restored write binds a dead array:
@@ -312,14 +322,41 @@ class TestFanoutWork:
                     injector = FaultInjector(InjectionPlan(2**62, kind, register, 0))
                     fan._restore_machine(injector, live_bases, state)
                     space = injector.space
-                    assert space._stand_ins is fan._stand_ins
-                    assert space._shared is fan._shared
+                    assert space._prefix.base is fast_forward._nbytes
+                    assert len(space._prefix) == point.n_allocs
                     owned = len(space._arrays) + len(space._position)
                     own[kind] = max(own[kind], owned - 4 * len(state.minis))
             most.append(own)
             prefix.append(max(b.n_allocs for b in fast_forward.tape.boundaries))
         assert most[0] == most[1], most
         assert prefix[1] >= 3.5 * prefix[0], prefix
+
+    def test_fanout_holds_nothing_the_size_of_the_prefix(self, long_tapes):
+        """Fan-out gate: once a member has resumed at a restore point, its
+        fan-out holds no container whose length grows with the prefix, on
+        48 and on 200 frames of input1/VS: only the handle, the point's
+        snapshot (both the tape's) and scalars.  A stand-in list and an
+        id map of the dead allocations made both grow with ``n_allocs``."""
+        held = []
+        for fast_forward in long_tapes:
+            tape = fast_forward.tape
+            index = len(tape.boundaries) - 1
+            fan = BoundaryFanOut(fast_forward, index)
+            never = InjectionPlan(tape.golden_cycles * 10, RegKind.GPR, 0, 0)
+            ctx = ExecutionContext(
+                injector=FaultInjector(never), watchdog_cycles=tape.golden_cycles * 6
+            )
+            fan.resume_member(ctx)
+            assert fan._resumed
+            sized = {
+                name: len(value)
+                for name, value in vars(fan).items()
+                if name not in ("fast_forward", "snapshot") and hasattr(value, "__len__")
+            }
+            held.append((sized, tape.boundaries[index].n_allocs))
+        (small, n_small), (large, n_large) = held
+        assert small == large, held
+        assert n_large >= 3.5 * n_small, held
 
     # The default FPR lease ends before the next restore point, so the
     # FPR campaign holds its values live longer, or no member restores one.
@@ -331,8 +368,8 @@ class TestFanoutWork:
         """The count gate of a member's restore: at most one binding is
         built, the planned slot's last write before the restore point,
         and at most one dead allocation is cloned, the one that binding
-        holds; every other dead allocation stays the fan-out's shared
-        stand-in, and every other slot stays empty."""
+        holds; every other dead allocation stays on the tape until a
+        pointer lands in it, and every other slot stays empty."""
         stream, config, golden, workload, spec = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         log = fast_forward.tape.fire_log
@@ -350,11 +387,7 @@ class TestFanoutWork:
             restore_machine(fan, injector, live_bases, state)
             plan = injector.plan
             space = injector.space
-            cloned = [
-                aid
-                for aid, stand_in in enumerate(fan._stand_ins)
-                if stand_in is not None and space.array(aid) is not stand_in
-            ]
+            cloned = [aid for aid in space._arrays if aid not in fan.snapshot.live_map]
             occupied = [
                 (slot_kind, slot)
                 for slot_kind in RegKind

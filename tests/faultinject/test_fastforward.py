@@ -1098,20 +1098,22 @@ class TestPlannedSlotReads:
 
 
 class TestDeadStandIns:
-    """Pointer flips into a dead allocation's shared read-only stand-in.
+    """Pointer flips into a dead allocation of a restored prefix.
 
-    A restored member maps the prefix's dead allocations as its fan-out's
-    shared read-only stand-ins, clones only the one its planned slot's
-    restored binding holds, and gets a private copy of the allocation a
-    pointer lands in from ``AddressSpace.resolve``.  A write that missed the copy would
-    raise ``ValueError`` on read-only bytes: an ABORT outcome, not a test
-    error.  So each record is checked against the unrestored oracle and
-    the ABORT is ruled out.
+    A restored member places the prefix's dead allocations by their
+    tape sizes, thaws only the one its planned slot's restored binding
+    holds, and gets a thawed copy of the allocation a pointer lands in
+    from ``AddressSpace.resolve``.  A write into the tape's frozen
+    arrays would raise ``ValueError`` on read-only bytes: an ABORT
+    outcome, not a test error.  So each record is checked against the
+    unrestored oracle, the ABORT is ruled out, the tape's stored arrays
+    are checked unchanged, and the next member of the group must read
+    the bytes the dead array held before any member ran.
 
     In the real sparse heap a flipped pointer almost never lands in
     another allocation, so the heap span shrinks to four times the
     workload's pages, for the oracle and the fast-forward run alike, and
-    the first bit whose flip lands in a stand-in is taken.
+    the first bit whose flip lands in a dead allocation is taken.
     """
 
     #: The frame whose start is resumed: a late one keeps every suffix short.
@@ -1121,10 +1123,11 @@ class TestDeadStandIns:
         "name, restored",
         [
             # A write pointer bound at the fire checkpoint smashes a
-            # stand-in's bytes.
+            # dead allocation's bytes.
             ("canvas_ptr", False),
             # A read pointer restored from the fire log: its own array
-            # is the member's dead clone, written with a stand-in's bytes.
+            # is the member's dead clone, written with a dead
+            # allocation's bytes.
             ("src_ptr", True),
         ],
     )
@@ -1145,17 +1148,29 @@ class TestDeadStandIns:
         assert write.name == name
         assert (write.written_cycle < boundary.cycles) == restored
         fan = fast_forward.fanout(index)
-        digests = [
-            record.frozen and hashlib.sha256(record.frozen).digest() for record in tape.allocs
-        ]
+
+        def stored(record):
+            frozen = record.frozen
+            if frozen is None:
+                return None
+            return frozen.dtype, hashlib.sha256(frozen.tobytes()).digest()
+
+        # The tape's stored arrays, and each dead array's bytes, before
+        # any member runs.
+        digests = [stored(record) for record in tape.allocs]
+        pristine = {
+            record.aid: record.thaw().tobytes()
+            for record in tape.allocs[: boundary.n_allocs]
+            if record.aid not in boundary.live_map
+        }
 
         landings: list = []
         resolve = AddressSpace.resolve
 
         def spy(space, address):
-            swapped = len(space._swapped)
+            owned = len(space._arrays)
             alloc, offset = resolve(space, address)
-            landings.append((address, alloc) if len(space._swapped) > swapped else None)
+            landings.append((address, alloc) if len(space._arrays) > owned else None)
             return alloc, offset
 
         #: Per resumed member, the dead aids its restore cloned.
@@ -1165,13 +1180,7 @@ class TestDeadStandIns:
         def restore_spy(fanout, injector, live_bases, state):
             restore_machine(fanout, injector, live_bases, state)
             space = injector.space
-            cloned.append(
-                [
-                    aid
-                    for aid, stand_in in enumerate(fanout._stand_ins)
-                    if stand_in is not None and space.array(aid) is not stand_in
-                ]
-            )
+            cloned.append([aid for aid in space._arrays if aid not in fanout.snapshot.live_map])
 
         monitors = [
             FaultMonitor(workload, golden.output, golden.total_cycles, fast_forward=handle)
@@ -1196,7 +1205,7 @@ class TestDeadStandIns:
                     if landings and landings[-1] is not None:
                         break
                 else:
-                    pytest.fail(f"no {name} flip lands in a stand-in")
+                    pytest.fail(f"no {name} flip lands in a dead allocation")
             address, private = landings[-1]
             member_clones = cloned[-1]
             expected = monitors[1].run_injected(plan, np.random.default_rng(11))
@@ -1224,18 +1233,16 @@ class TestDeadStandIns:
             assert prediction.record == expected.record
         else:
             assert prediction is None
-        stand_in = space._swapped[-1]
-        aid = next(aid for aid, shared in enumerate(fan._stand_ins) if shared is stand_in)
-        assert alloc.array is not stand_in
-        assert alloc.array.tobytes() == tape.allocs[aid].frozen
+        aid = space.holder(address)
+        assert aid in pristine
+        assert alloc.array.tobytes() == pristine[aid]
+        assert not np.shares_memory(alloc.array, tape.allocs[aid].frozen)
         if not restored:
             # The flip did write: into the first member's private copy.
-            assert private.array.tobytes() != tape.allocs[aid].frozen
-        for record, stand_in, digest in zip(tape.allocs, fan._stand_ins, digests):
-            assert (record.frozen and hashlib.sha256(record.frozen).digest()) == digest
-            if stand_in is not None:
-                assert not stand_in.flags.writeable
-                assert stand_in.tobytes() == record.frozen
+            assert private.array.tobytes() != pristine[aid]
+        assert [stored(record) for record in tape.allocs] == digests
+        for record in tape.allocs:
+            assert record.frozen is None or not record.frozen.flags.writeable
 
     def test_member_allocates_below_dead_bytes(self, vs):
         """A member copies what its flip can write, not the dead prefix:

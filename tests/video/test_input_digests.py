@@ -9,7 +9,9 @@ versions.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,3 +59,20 @@ def test_landscape_bytes_are_pinned(seed):
     assert landscape.shape == (900, 1200)
     assert landscape.dtype == np.uint8
     assert _digest([landscape]) == LANDSCAPE_DIGESTS[seed]
+
+
+def test_landscape_render_holds_one_float_field():
+    """Memory gate: rendering a landscape peaks within 1.5 times its one
+    float64 field (8.2 MiB at 900x1200), traced by ``tracemalloc``.
+    Whole-field passes made it 34.0 MiB."""
+    make_landscape(11)  # imports and first-call caches outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        landscape = make_landscape(11)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    field = landscape.size * np.dtype(np.float64).itemsize
+    assert peak <= 1.5 * field, (peak / 2**20, field / 2**20)

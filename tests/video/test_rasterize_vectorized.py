@@ -3,13 +3,16 @@
 ``draw_line``, ``fill_disk``, ``terrain._bilinear_upsample`` and
 ``camera.render_frame`` were rewritten from per-pixel Python loops and
 whole-landscape float copies into scatters, broadcasts, a separable
-upsample and sample-only conversion.  These tests pin them against the
+upsample and sample-only conversion; the upsample and
+``terrain.value_noise`` then moved to blocks of output rows.  These tests pin them against the
 original implementations, kept verbatim below — equality is exact
 (``array_equal``), because every golden run, snapshot tape and campaign
 record is a function of the rendered input bytes.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from repro.imaging.draw import draw_line, fill_disk
 from repro.imaging.image import saturate_cast_u8
 from repro.video.camera import CameraState, render_frame
-from repro.video.terrain import _bilinear_upsample
+from repro.video import terrain
+from repro.video.terrain import _bilinear_upsample, value_noise
 
 
 def _reference_fill_disk(field, cx, cy, radius, value):
@@ -67,6 +71,20 @@ def _reference_bilinear_upsample(grid, height, width):
     top = grid[np.ix_(y0, x0)] * (1 - fx) + grid[np.ix_(y0, x1)] * fx
     bottom = grid[np.ix_(y1, x0)] * (1 - fx) + grid[np.ix_(y1, x1)] * fx
     return top * (1 - fy) + bottom * fy
+
+
+def _reference_value_noise(rng, height, width, octaves=4, base_cells=8, persistence=0.55):
+    """The whole-field ``value_noise``, verbatim but for the upsample it calls."""
+    field = np.zeros((height, width), dtype=np.float64)
+    amplitude = 1.0
+    total = 0.0
+    for octave in range(octaves):
+        cells = base_cells * (2**octave)
+        grid = rng.random((cells + 1, cells + 1))
+        field += amplitude * _reference_bilinear_upsample(grid, height, width)
+        total += amplitude
+        amplitude *= persistence
+    return field / total
 
 
 def _reference_render_frame(landscape, state, frame_w, frame_h, noise_rng, noise_sigma=1.0):
@@ -192,6 +210,37 @@ class TestBilinearUpsample:
         assert actual.shape == expected.shape == (height, width)
         assert actual.dtype == expected.dtype
         assert np.array_equal(actual, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid_h=st.integers(1, 9),
+        grid_w=st.integers(1, 9),
+        height=st.integers(0, 60),
+        width=st.integers(0, 60),
+        block_rows=st.integers(1, 16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_blocks_match_four_corner_bit_for_bit(
+        self, grid_h, grid_w, height, width, block_rows, seed
+    ):
+        """Blocks smaller than the output, including a ragged last one."""
+        grid = np.random.default_rng(seed).random((grid_h, grid_w))
+        with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):
+            actual = _bilinear_upsample(grid, height, width)
+        assert np.array_equal(actual, _reference_bilinear_upsample(grid, height, width))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        height=st.integers(0, 40),
+        width=st.integers(0, 40),
+        block_rows=st.integers(1, 16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocked_value_noise_matches_whole_field(self, height, width, block_rows, seed):
+        expected = _reference_value_noise(np.random.default_rng(seed), height, width)
+        with mock.patch.object(terrain, "BLOCK_ROWS", block_rows):
+            actual = value_noise(np.random.default_rng(seed), height, width)
+        assert actual.tobytes() == expected.tobytes()
 
     def test_value_noise_octave_sizes(self):
         # The sizes value_noise actually stretches: 9..65 cells to 900x1200.

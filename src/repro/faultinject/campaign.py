@@ -171,12 +171,10 @@ def assemble_campaign(
     """Fold ordered per-run results into campaign statistics."""
     counts = OutcomeCounts()
     fired = OutcomeCounts()
-    running = RunningRates()
     register_histogram = np.zeros(NUM_REGISTERS, dtype=np.int64)
     bit_histogram = np.zeros(REGISTER_BITS, dtype=np.int64)
     for result in results:
         counts.add(result.outcome, result.crash_kind)
-        running.record(counts)
         if result.record.fired and result.record.in_study:
             fired.add(result.outcome, result.crash_kind)
         register_histogram[result.plan.register] += 1
@@ -188,7 +186,7 @@ def assemble_campaign(
     return CampaignResult(
         config=config,
         counts=counts,
-        running=running,
+        running=RunningRates.from_outcomes([result.outcome for result in results]),
         results=results,
         register_histogram=register_histogram,
         bit_histogram=bit_histogram,
@@ -311,18 +309,21 @@ def run_campaign(
     stage x value role strata, each stratum stopped once its Wilson-CI
     width converges) until every stratum converged or the budget ran out.
 
-    Each round's plans are dispatched in groups (see
-    :func:`repro.faultinject.parallel.plan_groups`): with a snapshot
-    tape, one group per resume frame, whose members share its restores.
-    When ``spec`` (a picklable recipe that rebuilds the workload) is
-    given and the resolved worker count exceeds 1, groups are sharded
-    across a process pool — bit-identical at any worker count.  Worker
-    deaths and stalled chunks retry under ``config.retry`` and degrade
-    toward in-process execution rather than aborting (see
-    ``docs/resilience.md``).
+    With a snapshot tape, this process decides each round's plans the
+    golden fire log can (see
+    :func:`repro.faultinject.parallel.execute_plans_parallel`); the
+    rest are dispatched in groups (see
+    :func:`repro.faultinject.parallel.plan_groups`), one per frame they
+    resume in.  When ``spec`` (a picklable recipe that rebuilds the
+    workload) is given and the resolved worker count exceeds 1, groups
+    are sharded across a process pool — bit-identical at any worker
+    count.  Worker deaths and stalled chunks retry under
+    ``config.retry`` and degrade toward in-process execution rather
+    than aborting (see ``docs/resilience.md``).
 
-    ``journal_path`` makes the campaign **crash-safe**: every completed
-    group is durably appended (fsync'd) to a JSONL checkpoint journal.
+    ``journal_path`` makes the campaign **crash-safe**: each round's
+    decided plans, then every completed group, are durably appended
+    (fsync'd) to a JSONL checkpoint journal, one record each.
     ``resume=True`` validates the journal's config fingerprint, then
     runs the same loop, skipping every plan index already journaled —
     bit-identical to an uninterrupted run, at any worker count.  A torn

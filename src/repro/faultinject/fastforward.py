@@ -129,15 +129,18 @@ The working frame copy is not taped at all: at every in-frame point it
 still equals its golden frame (checked at capture), so a restore
 copies it from the frame table.
 
-Every restore runs through **boundary fan-out** (:class:`BoundaryFanOut`),
-which amortizes it across a campaign: plans are dispatched in groups by
-the frame their restore point lies in (see
-:func:`repro.faultinject.parallel.plan_groups`), and every member maps
-its point's prefix as the tape's allocation sizes plus the arrays it
-owns.  A restore copies only what a flip can write: the live pipeline
-state, and the dead allocation its planned slot's restored binding
-holds, if any (a bound array is flipped in place, a read pointer
-copies into its own array), thawed from the tape.  Every other dead
+A campaign decides the plans the fire log decides where it dispatches
+them, before any plan is shipped, and journals them as one record (see
+:func:`repro.faultinject.parallel.execute_plans_parallel`); only the
+rest are dispatched, in groups by the frame their restore point lies in
+(see :func:`repro.faultinject.parallel.plan_groups`).  Every restore
+runs through **boundary fan-out** (:class:`BoundaryFanOut`): the members
+of a group share no restore, and every member maps its point's prefix
+as the tape's allocation sizes plus the arrays it owns.  A restore
+copies only what a flip can write: the live pipeline state, and the
+dead allocation its planned slot's restored binding holds, if any (a
+bound array is flipped in place, a read pointer copies into its own
+array), thawed from the tape.  Every other dead
 allocation is reachable only by a corrupted pointer, and the member's
 address space thaws the one allocation a pointer lands in
 (:meth:`~repro.faultinject.addrspace.AddressSpace.resolve`), so a
@@ -1046,10 +1049,10 @@ class FastForward:
         """The frame whose restore points a plan targeting the cycle resumes in.
 
         The dispatch key of :func:`repro.faultinject.parallel.plan_groups`:
-        a campaign runs and journals its plans grouped by frame, and each
-        member resumes its own restore point inside the group.  The
-        campaign's ``site_filter`` only sharpens the grouping: results
-        never depend on it.
+        a campaign runs and journals the plans it executes grouped by
+        frame, and each member resumes its own restore point inside the
+        group.  The campaign's ``site_filter`` only sharpens the
+        grouping: results never depend on it.
         """
         return self.tape.boundaries[self.resume_index(target_cycle, site_filter)].frame_index
 

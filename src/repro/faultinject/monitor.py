@@ -113,12 +113,9 @@ class FaultMonitor:
         self.probe = probe
         #: Optional :class:`repro.faultinject.fastforward.FastForward`
         #: handle.  When set, a run whose fire the golden fire log
-        #: already decides (see ``FastForward.predict``: a dead
-        #: register, no fire at all, a pointer flip that segfaults at
-        #: the fire, a flip into dead state or into the frame loop's own
-        #: cells) is classified without executing; every other run
-        #: resumes from the last golden restore point before its fire
-        #: checkpoint through that point's shared
+        #: already decides (:meth:`decide`) is classified without
+        #: executing; every other run resumes from the last golden
+        #: restore point before its fire checkpoint through that point's
         #: :class:`~repro.faultinject.fastforward.BoundaryFanOut` and
         #: executes only the suffix — bit-identical to the full
         #: execution.  Without one every run executes in full: the
@@ -128,22 +125,51 @@ class FaultMonitor:
         self._golden_signature: dict[str, tuple[int, ...]] | None = None
 
     def run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
-        """Execute one injected run and classify the result."""
-        result = self._run_injected(plan, rng)
-        if observe_events.enabled():
-            # Counters only observe — they never feed back into
-            # classification, so traced and untraced campaigns agree.
-            telemetry.counter_inc("campaign.runs")
-            telemetry.counter_inc(f"campaign.outcome.{result.outcome.value}")
-            if result.record.fired:
-                telemetry.counter_inc("campaign.fired")
-            if result.divergence is not None and result.divergence.first_divergence:
-                telemetry.counter_inc(
-                    f"campaign.divergence.{result.divergence.first_divergence}"
-                )
-                if result.divergence.absorbed:
-                    telemetry.counter_inc("campaign.divergence.absorbed")
+        """Classify one injected run: decided from the tape, else executed."""
+        result = self.decide(plan)
+        if result is None:
+            result = _counted(self._execute(plan, rng))
         return result
+
+    def decide(self, plan: InjectionPlan) -> InjectionResult | None:
+        """The result of ``plan`` when the golden fire log decides it, else None.
+
+        A decided run (see ``FastForward.predict``: a dead register, no
+        fire at all, a pointer flip that segfaults at the fire, a flip
+        into dead state or into the frame loop's own cells) is the
+        golden run up to its end: the whole of it for a masked run, up
+        to the fault for a crash, up to the loop exit for an early exit,
+        which then stitches its own output.  Nothing executes, and the
+        run's RNG is never drawn from, so a campaign may decide its
+        plans wherever it dispatches them.
+        """
+        ff = self.fast_forward
+        if ff is None:
+            return None
+        predicted = ff.predict(plan, self.liveness, self.site_filter)
+        if predicted is None:
+            return None
+        if observe_events.enabled():
+            telemetry.counter_inc("campaign.fastforward.predicted")
+            telemetry.counter_inc(f"campaign.fastforward.predicted.{predicted.reason}")
+            telemetry.counter_inc("campaign.fastforward.skipped_cycles", predicted.cycles)
+        probe = self._probe()
+        with probes.capturing(probe):
+            probes.replay_prefix(ff.tape.probe_events[: predicted.probe_count])
+            if predicted.output is not None:
+                probes.record("stitch", predicted.output)
+        keep = predicted.outcome is Outcome.SDC and self.keep_sdc_outputs
+        return _counted(
+            InjectionResult(
+                plan=plan,
+                record=predicted.record,
+                outcome=predicted.outcome,
+                crash_kind=predicted.crash_kind,
+                output=predicted.output if keep else None,
+                cycles=predicted.cycles,
+                divergence=self._divergence(probe),
+            )
+        )
 
     def golden_signature(self) -> dict[str, tuple[int, ...]]:
         """Per-stage golden checksum sequences for this workload.
@@ -161,46 +187,24 @@ class FaultMonitor:
             )
         return self._golden_signature
 
-    def _run_injected(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
-        probe: probes.StageProbe | None = None
-        golden_signature: dict[str, tuple[int, ...]] | None = None
-        if self.probe:
-            # Capture (or fetch) the golden signature before arming the
-            # injector, so the reference run is never probed while a
-            # fault is pending.
-            golden_signature = self.golden_signature()
-            probe = probes.StageProbe()
-        divergence = (
-            lambda: diff_against_golden(golden_signature, probe) if probe is not None else None
-        )
+    def _probe(self) -> probes.StageProbe | None:
+        """A fresh stage probe for one run; None when probes are off.
+
+        The golden signature is captured (or fetched) first, so the
+        reference run is never probed while a fault is pending.
+        """
+        if not self.probe:
+            return None
+        self.golden_signature()
+        return probes.StageProbe()
+
+    def _divergence(self, probe: probes.StageProbe | None) -> DivergenceRecord | None:
+        return diff_against_golden(self.golden_signature(), probe) if probe is not None else None
+
+    def _execute(self, plan: InjectionPlan, rng: np.random.Generator) -> InjectionResult:
+        """Execute one injected run the fire log does not decide."""
+        probe = self._probe()
         ff = self.fast_forward
-        if ff is not None:
-            predicted = ff.predict(plan, self.liveness, self.site_filter)
-            if predicted is not None:
-                # The run is the golden run up to its end: the whole of
-                # it for a masked run, up to the fault for a crash, up to
-                # the loop exit for an early exit, which then stitches
-                # its own output.
-                if observe_events.enabled():
-                    telemetry.counter_inc("campaign.fastforward.predicted")
-                    telemetry.counter_inc(f"campaign.fastforward.predicted.{predicted.reason}")
-                    telemetry.counter_inc(
-                        "campaign.fastforward.skipped_cycles", predicted.cycles
-                    )
-                with probes.capturing(probe):
-                    probes.replay_prefix(ff.tape.probe_events[: predicted.probe_count])
-                    if predicted.output is not None:
-                        probes.record("stitch", predicted.output)
-                keep = predicted.outcome is Outcome.SDC and self.keep_sdc_outputs
-                return InjectionResult(
-                    plan=plan,
-                    record=predicted.record,
-                    outcome=predicted.outcome,
-                    crash_kind=predicted.crash_kind,
-                    output=predicted.output if keep else None,
-                    cycles=predicted.cycles,
-                    divergence=divergence(),
-                )
         injector = FaultInjector(
             plan,
             rng=rng,
@@ -236,7 +240,7 @@ class FaultMonitor:
                 crash_kind=crash_kind,
                 hang_kind=hang_kind_for(exc),
                 cycles=ctx.cycles,
-                divergence=divergence(),
+                divergence=self._divergence(probe),
             )
 
         if images_equal(output, self.golden_output):
@@ -245,7 +249,7 @@ class FaultMonitor:
                 record=injector.record,
                 outcome=Outcome.MASKED,
                 cycles=ctx.cycles,
-                divergence=divergence(),
+                divergence=self._divergence(probe),
             )
         return InjectionResult(
             plan=plan,
@@ -253,5 +257,23 @@ class FaultMonitor:
             outcome=Outcome.SDC,
             output=output.copy() if self.keep_sdc_outputs else None,
             cycles=ctx.cycles,
-            divergence=divergence(),
+            divergence=self._divergence(probe),
         )
+
+
+def _counted(result: InjectionResult) -> InjectionResult:
+    """Count one classified run on the observe bus; returns ``result``.
+
+    Counters only observe — they never feed back into classification,
+    so traced and untraced campaigns agree.
+    """
+    if observe_events.enabled():
+        telemetry.counter_inc("campaign.runs")
+        telemetry.counter_inc(f"campaign.outcome.{result.outcome.value}")
+        if result.record.fired:
+            telemetry.counter_inc("campaign.fired")
+        if result.divergence is not None and result.divergence.first_divergence:
+            telemetry.counter_inc(f"campaign.divergence.{result.divergence.first_divergence}")
+            if result.divergence.absorbed:
+                telemetry.counter_inc("campaign.divergence.absorbed")
+    return result

@@ -180,6 +180,25 @@ class RunningRates:
         default_factory=lambda: {o.value: [] for o in Outcome}
     )
 
+    @classmethod
+    def from_outcomes(cls, outcomes: list[Outcome]) -> "RunningRates":
+        """The rates after every run of ``outcomes``, in one NumPy pass.
+
+        Each rate is an exact cumulative count divided by an exact run
+        count in IEEE double, so the floats are those :meth:`record`
+        appends run by run.
+        """
+        order = list(Outcome)
+        code = {outcome: k for k, outcome in enumerate(order)}
+        codes = np.fromiter((code[o] for o in outcomes), dtype=np.int64, count=len(outcomes))
+        totals = np.arange(1, len(codes) + 1)
+        cumulative = np.cumsum(codes[:, None] == np.arange(len(order)), axis=0)
+        rates = cumulative / totals[:, None]
+        return cls(
+            checkpoints=totals.tolist(),
+            rates={outcome.value: rates[:, k].tolist() for k, outcome in enumerate(order)},
+        )
+
     def record(self, counts: OutcomeCounts) -> None:
         """Append the current rates at the current injection count."""
         self.checkpoints.append(counts.total)

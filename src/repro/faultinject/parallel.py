@@ -250,12 +250,11 @@ def _workload_state(spec: WorkloadSpec) -> WorkerState:
 def fast_forward_for(spec: WorkloadSpec | None, config: "CampaignConfig | None" = None):
     """``spec``'s fast-forward handle (``None`` without a spec or tape).
 
-    It only keys dispatch: the frame groups of :func:`plan_groups` and
-    the stratified sampler's groups and fire-log strata.  It decides
-    how plans are batched, never how one executes: execution reads
-    ``WorkerState.fast_forward`` through :func:`monitor_for`, so a
-    ``None`` here still restores and splices every run.  ``config`` is
-    unused; the parameter is accepted for existing callers.
+    It keys planning only: the frame groups of :func:`plan_groups` and
+    the stratified sampler's fire-log strata.  Deciding and executing
+    plans read ``WorkerState.fast_forward`` through :func:`monitor_for`
+    (see :func:`execute_plans_parallel`).  ``config`` is unused; the
+    parameter is accepted for existing callers.
     """
     return _workload_state(spec).fast_forward if spec is not None else None
 
@@ -296,7 +295,8 @@ def run_chunk_on_monitor(
 
     The single source of the per-run RNG derivation — worker and
     in-process execution both run chunks through here, which is what
-    makes their results interchangeable bit for bit.
+    makes their results interchangeable bit for bit.  A campaign sends
+    only plans the tape does not decide (see :func:`execute_plans_parallel`).
     """
     results = []
     for index, plan in chunk:
@@ -374,8 +374,10 @@ def group_plan_indices(
     ``group_for`` maps a target cycle to its group key
     (:meth:`~repro.faultinject.fastforward.FastForward.group_for`).  All
     plans whose target cycle fast-forwards to a restore point of the
-    same golden frame form one group, so one worker materializes each
-    of those points' restores once and fans every member out of it.
+    same golden frame form one group.  Members share no restore: each
+    rebuilds what its flip can reach from the immutable tape, so the
+    grouping only sets the dispatch and checkpoint granularity — one
+    chunk per frame, whatever the plan count.
     Targets that fire before restore point 1 resume point 0 (cycle 0)
     and join frame 0's group.
 
@@ -397,9 +399,11 @@ def plan_groups(
 ) -> tuple[list[list[int]], int]:
     """The campaign's dispatch groups and the worker count serving them.
 
-    Groups are the scheduler's only unit: each is executed whole by one
-    worker and checkpointed as one journal chunk.  With a snapshot tape
-    they are the frames the plans resume in (:func:`group_plan_indices`);
+    Groups are the scheduler's unit for executed plans: each is run
+    whole by one worker and checkpointed as one journal chunk; the
+    plans the tape decides leave their groups in
+    :func:`execute_plans_parallel`.  With a snapshot tape groups are
+    the frames the plans resume in (:func:`group_plan_indices`);
     tapeless workloads (the WP spec, spec-less closures) get contiguous
     index ranges (:func:`contiguous_groups`), so they keep their pool
     parallelism.  The worker count is clamped to the group count —
@@ -533,12 +537,15 @@ def execute_plans_parallel(
 ) -> list[InjectionResult]:
     """Run all plans, in injection order, surviving worker failures.
 
-    Each group of plan indices (see :func:`plan_groups`) is one chunk:
-    it lands whole on one worker, shares its boundary restore there, and
-    is journaled as one record.  With a spec and more than one worker
-    the chunks go to a process pool and are drained in chunk order;
-    otherwise they run in-process through the same chunk runner.
-    Infrastructure failures — a worker killed by the OS
+    With a snapshot tape, this process first decides every plan of the
+    round the fire log can (:meth:`FaultMonitor.decide`: no RNG, nothing
+    executes) and journals those results as one record, the round's
+    first chunk.  Only the other plans are dispatched: each group of
+    them (see :func:`plan_groups`; a group the tape decided whole is
+    dropped) is one chunk, lands whole on one worker and is journaled as
+    one record.  With a spec and more than one worker the chunks go to a
+    process pool and are drained in chunk order; otherwise they run
+    in-process through the same chunk runner.  Infrastructure failures — a worker killed by the OS
     (``BrokenProcessPool``) or a chunk exceeding its hard wall-clock
     deadline — never abort the campaign: already-finished chunks are
     swept from the broken pool, the remainder is retried under
@@ -552,9 +559,9 @@ def execute_plans_parallel(
     positions — a campaign's later sampling rounds use it to continue
     the campaign-global ``(seed, index)`` derivation.  ``completed``
     maps global plan indices to journaled results; only the indices not
-    in it run, so a round whose indices are all journaled executes
-    nothing.  ``journal`` makes each newly finished chunk durable, as
-    one record of round ``round_index``, before it is counted.  The
+    in it are decided or run, so a round whose indices are all journaled
+    does nothing.  ``journal`` makes each newly finished chunk durable,
+    as one record of round ``round_index``, before it is counted.  The
     output is the round's results in plan order.
 
     While a bus is installed, every chunk — in a worker or in-process —
@@ -564,17 +571,41 @@ def execute_plans_parallel(
     ``retry``/``degrade`` events plus a human-readable ``note``.
     """
     completed = completed or {}
-    chunks = [
-        [pair for pair in chunk if pair[0] not in completed]
-        for chunk in chunks_from_groups(plans, groups, index_base=index_base)
-    ]
-    chunks = [chunk for chunk in chunks if chunk]
+    state = _workload_state(spec) if spec is not None else None
+    if local_state is None and state is not None:
+        local_state = (state.workload, state.golden_output, state.golden_cycles)
+    monitor = monitor_for(*local_state, config, state) if local_state is not None else None
+    observed = observe_events.enabled()
+    decided: dict[int, InjectionResult] = {}
+    decide_events: list = []
+    if monitor is not None and monitor.fast_forward is not None:
+        decided, decide_events = run_observed(
+            observed,
+            lambda: {
+                index: result
+                for index, plan in enumerate(plans, start=index_base)
+                if index not in completed and (result := monitor.decide(plan)) is not None
+            },
+        )
+    done = completed.keys() | decided.keys()
+    executed = sorted(
+        (
+            kept
+            for group in groups
+            if (kept := [index for index in group if index_base + index not in done])
+        ),
+        key=lambda group: group[0],
+    )
+    chunks = chunks_from_groups(plans, executed, index_base)
+    if decided:
+        chunks.insert(0, [(index, plans[index - index_base]) for index in decided])
     retry = config.retry if config.retry is not None else RetryPolicy()
     watchdog = config.watchdog
-    observed = observe_events.enabled()
     collector = _ChunkCollector(chunks, journal, completed, round_index, index_base)
+    if decided:
+        collector.secure(0, (list(decided.values()), decide_events))
 
-    pending = list(range(len(chunks)))
+    pending = list(range(1 if decided else 0, len(chunks)))
     # Jitter RNG: timing-only, never touches result determinism.
     jitter_rng = random.Random(config.seed ^ 0x5EED)
     pool_workers = min(workers, len(pending)) if pending else workers
@@ -669,14 +700,8 @@ def execute_plans_parallel(
         # In-process execution (one worker, no spec, or the retry
         # budget's fallback): same chunk runner, same RNG derivation,
         # same results.
-        state = _workload_state(spec) if spec is not None else None
-        if local_state is None:
-            if state is None:
-                raise ValueError(
-                    "execute_plans_parallel needs a spec or local_state to run chunks"
-                )
-            local_state = (state.workload, state.golden_output, state.golden_cycles)
-        monitor = monitor_for(*local_state, config, state)
+        if monitor is None:
+            raise ValueError("execute_plans_parallel needs a spec or local_state to run chunks")
         for index in list(pending):
             collector.secure(
                 index, run_observed(observed, run_chunk_on_monitor, monitor, config, chunks[index])

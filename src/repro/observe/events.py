@@ -55,7 +55,7 @@ CAMPAIGN_KINDS = frozenset(
     {
         "campaign_start",  # one campaign began (mode, total, workers)
         "campaign_finish",  # final outcome counts
-        "chunk_done",  # one dispatch group secured (the journal's chunk)
+        "chunk_done",  # one chunk secured (the journal's chunk)
         "round_done",  # one stratified sampling round absorbed
         "retry",  # a worker-pool failure triggered a chunk retry
         "degrade",  # worker count halved / serial fallback engaged

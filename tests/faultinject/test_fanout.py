@@ -3,13 +3,15 @@
 Campaign records are checked against the unrestored oracle by the
 differential suite in ``test_fastforward.py``.  This module covers the
 scheduler pieces around it: group partitioning edge cases, contiguous
-groups for tapeless workloads, worker clamping to the group count,
-group-granularity journal checkpoints, the ORB calls the fan-out saves
-over full execution, the mappability checks a restore makes (its own
-arrays only), the one binding and the one dead clone a member's
-restore may make, what a fan-out and a member hold as the prefix
-grows, and the fan-out counters and per-boundary amortization section
-of ``repro trace summarize``.
+groups for tapeless workloads, worker clamping to the group count, the
+journal layout (the decided plans' chunk, then one chunk per executed
+group) and resume from the older one-chunk-per-group layout, the
+dispatch contract (only executed plans are shipped, run and journaled),
+the ORB calls the fan-out saves over full execution, the mappability
+checks a restore makes (its own arrays only), the one binding and the
+one dead clone a member's restore may make, what a fan-out and a member
+hold as the prefix grows, and the fan-out counters and per-boundary
+amortization section of ``repro trace summarize``.
 """
 
 from __future__ import annotations
@@ -180,13 +182,27 @@ class TestWorkerClamp:
 
 class TestJournalInterplay:
     def test_journal_checkpoints_at_group_granularity(self, vs, tmp_path):
+        """The journal is its header, one round-0 chunk holding exactly
+        the plans the tape decides, then one chunk per frame group of
+        the plans that execute, in order of their first member."""
         stream, config, golden, workload, spec = vs
         fast_forward = golden_with_tape(stream, config).fast_forward
         from repro.faultinject.campaign import draw_plans
 
-        campaign_config = _config(n_injections=12, seed=10, workers=3)
+        campaign_config = _config(workers=3)
         plans = draw_plans(campaign_config, golden.total_cycles)
-        groups = group_plan_indices(fast_forward.group_for, plans)
+        liveness = campaign_config.liveness
+        decided = [
+            index
+            for index, plan in enumerate(plans)
+            if fast_forward.predict(plan, liveness, None) is not None
+        ]
+        rest = [index for index in range(len(plans)) if index not in decided]
+        assert decided and rest
+        groups = [
+            [rest[position] for position in group]
+            for group in group_plan_indices(fast_forward.group_for, [plans[i] for i in rest])
+        ]
 
         journal = tmp_path / "groups.jsonl"
         run_campaign(
@@ -198,11 +214,125 @@ class TestJournalInterplay:
             journal_path=journal,
         )
         records = [json.loads(line) for line in journal.read_text().splitlines()[1:]]
-        assert sorted(record["indices"] for record in records) == groups
+        assert [record["indices"] for record in records] == [decided] + groups
         assert {record["round"] for record in records} == {0}
         state = load_journal(journal)
-        assert state.chunks == len(groups)
+        assert state.chunks == 1 + len(groups)
         assert sorted(state.results) == list(range(len(plans)))
+
+    def test_old_layout_journal_resumes_to_uninterrupted_records(self, vs, tmp_path):
+        """A journal written one chunk per frame group, decided plans
+        included, and interrupted midway resumes to the records of the
+        uninterrupted campaign: a resume reads results by plan index."""
+        stream, config, golden, workload, spec = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        from repro.faultinject.campaign import draw_plans
+        from repro.faultinject.journal import CampaignJournal, serialize_result
+
+        campaign_config = _config(workers=1)
+        reference = run_campaign(
+            workload, golden.output, golden.total_cycles, campaign_config, spec=spec
+        )
+        plans = draw_plans(campaign_config, golden.total_cycles)
+        groups = group_plan_indices(fast_forward.group_for, plans)
+        journal = tmp_path / "old-layout.jsonl"
+        with CampaignJournal.create(journal, campaign_config) as writer:
+            for group in groups[: len(groups) // 2]:
+                writer.append_chunk(0, group, [reference.results[i] for i in group])
+        journaled = {index for group in groups[: len(groups) // 2] for index in group}
+        decided = {
+            index
+            for index, plan in enumerate(plans)
+            if fast_forward.predict(plan, campaign_config.liveness, None) is not None
+        }
+        assert journaled & decided and decided - journaled
+
+        resumed = run_campaign(
+            workload,
+            golden.output,
+            golden.total_cycles,
+            campaign_config,
+            spec=spec,
+            journal_path=journal,
+            resume=True,
+        )
+        assert [serialize_result(r) for r in resumed.results] == [
+            serialize_result(r) for r in reference.results
+        ]
+        assert resumed.running == reference.running
+        state = load_journal(journal)
+        assert {
+            index: serialize_result(result) for index, result in state.results.items()
+        } == {index: serialize_result(result) for index, result in enumerate(reference.results)}
+
+
+class TestDispatchContract:
+    """Only the plans that execute are dispatched, run and journaled.
+
+    The 16-plan seed-8 TINY campaign decides 12 plans from the tape and
+    executes 4, in 4 frame groups.  Counts are written to a file, so the
+    forked pool workers report theirs too.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_decided_plans_are_never_dispatched(self, vs, tmp_path, monkeypatch, workers):
+        stream, config, golden, workload, spec = vs
+        fast_forward = golden_with_tape(stream, config).fast_forward
+        from repro.faultinject import monitor, parallel
+        from repro.faultinject.campaign import draw_plans
+
+        campaign_config = _config(workers=workers)
+        plans = draw_plans(campaign_config, golden.total_cycles)
+        executed = [
+            index
+            for index, plan in enumerate(plans)
+            if fast_forward.predict(plan, campaign_config.liveness, None) is None
+        ]
+        groups = group_plan_indices(fast_forward.group_for, [plans[i] for i in executed])
+        assert 0 < len(executed) < len(plans)
+
+        log = tmp_path / "dispatched.log"
+
+        def note(kind: str, indices) -> None:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps([kind, sorted(indices)]) + "\n")
+
+        class CountingInjector(FaultInjector):
+            def __init__(self, plan, *args, **kwargs):
+                note("injector", [plans.index(plan)])
+                super().__init__(plan, *args, **kwargs)
+
+        run_chunk = parallel.run_chunk_on_monitor
+
+        def spy_chunk(monitor_, config_, chunk):
+            note("chunk", [index for index, _ in chunk])
+            return run_chunk(monitor_, config_, chunk)
+
+        class SpyPool(parallel.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                note("submit", [index for index, _ in args[-1]])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(monitor, "FaultInjector", CountingInjector)
+        monkeypatch.setattr(parallel, "run_chunk_on_monitor", spy_chunk)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyPool)
+        journal = tmp_path / "contract.jsonl"
+        run_campaign(
+            workload,
+            golden.output,
+            golden.total_cycles,
+            campaign_config,
+            spec=spec,
+            journal_path=journal,
+        )
+        seen = collections.defaultdict(list)
+        for line in log.read_text().splitlines():
+            kind, indices = json.loads(line)
+            seen[kind].extend(indices)
+        assert sorted(seen["injector"]) == executed
+        assert sorted(seen["chunk"]) == executed
+        assert sorted(seen["submit"]) == (executed if workers > 1 else [])
+        assert len(journal.read_text().splitlines()) == 1 + 1 + len(groups)
 
 
 class TestFanoutWork:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faultinject.outcomes import (
     CrashKind,
@@ -119,7 +121,40 @@ class TestWilson:
         assert hi == 1.0
 
 
+def _recorded_run_by_run(outcomes, crash_kinds) -> RunningRates:
+    """The reference: rates appended after every run, one count at a time."""
+    counts = OutcomeCounts()
+    running = RunningRates()
+    for outcome, crash_kind in zip(outcomes, crash_kinds):
+        counts.add(outcome, crash_kind)
+        running.record(counts)
+    return running
+
+
 class TestRunningRates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_runs=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(st.integers(0, 8), min_size=4, max_size=4).filter(any),
+    )
+    def test_from_outcomes_equals_run_by_run_record(self, n_runs, seed, weights):
+        """One NumPy pass over the outcomes gives the very floats that
+        recording the counts after every run does."""
+        rng = np.random.default_rng(seed)
+        p = np.array(weights, dtype=float) / sum(weights)
+        outcomes = [list(Outcome)[k] for k in rng.choice(4, size=n_runs, p=p)]
+        crash_kinds = [
+            list(CrashKind)[k] if outcome is Outcome.CRASH else None
+            for outcome, k in zip(outcomes, rng.integers(0, 2, size=n_runs))
+        ]
+        vectorized = RunningRates.from_outcomes(outcomes)
+        reference = _recorded_run_by_run(outcomes, crash_kinds)
+        assert vectorized == reference
+        assert all(
+            type(rate) is float for rates in vectorized.rates.values() for rate in rates
+        )
+
     def test_records_trajectory(self):
         counts = OutcomeCounts()
         running = RunningRates()
